@@ -5,9 +5,9 @@
 //! many-core array, so the cost/performance trade-offs of the
 //! customisation space can be explored at the parallel-workload level
 //! too. The array instantiates one execution engine per core — any of
-//! the four bit-identical engines from `epic-sim` (reference,
-//! decoded, block-compiled, threaded-code) — each with a **private** local memory,
-//! and joins them with a cycle-lockstep mesh interconnect:
+//! the three bit-identical engines from `epic-sim` (reference, decoded,
+//! threaded-code) — each with a **private** local memory, and joins them
+//! with a cycle-lockstep mesh interconnect:
 //!
 //! * [`Noc`] — XY-routed point-to-point messages with per-hop latency
 //!   and bounded link buffers (see [`noc`] module docs for the timing

@@ -30,8 +30,7 @@ use crate::noc::{Noc, NocConfig, NocStats};
 use epic_config::Config;
 use epic_isa::Instruction;
 use epic_sim::{
-    BlockSimulator, Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator,
-    ThreadedSimulator,
+    Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator, ThreadedSimulator,
 };
 use rayon::prelude::*;
 use std::fmt;
@@ -95,15 +94,13 @@ impl MeshSpec {
     }
 }
 
-/// One core's engine — any of the four bit-identical simulators.
+/// One core's engine — any of the three bit-identical simulators.
 #[derive(Debug, Clone)]
 pub enum CoreSim {
     /// The interpret-every-cycle golden model.
     Reference(Box<ReferenceSimulator>),
     /// The decode-once per-cycle engine.
     Decoded(Box<Simulator>),
-    /// The block-compiled engine on its per-cycle path.
-    Block(Box<BlockSimulator>),
     /// The threaded-code engine on its per-cycle path.
     Threaded(Box<ThreadedSimulator>),
 }
@@ -126,11 +123,6 @@ impl CoreSim {
                 bundles.to_vec(),
                 entry,
             )?)),
-            Engine::Block => CoreSim::Block(Box::new(BlockSimulator::try_new(
-                config,
-                bundles.to_vec(),
-                entry,
-            )?)),
             Engine::Threaded => CoreSim::Threaded(Box::new(ThreadedSimulator::try_new(
                 config,
                 bundles.to_vec(),
@@ -143,7 +135,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.step(),
             CoreSim::Decoded(s) => s.step(),
-            CoreSim::Block(s) => s.step(),
             CoreSim::Threaded(s) => s.step(),
         }
     }
@@ -152,7 +143,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.set_memory(memory),
             CoreSim::Decoded(s) => s.set_memory(memory),
-            CoreSim::Block(s) => s.set_memory(memory),
             CoreSim::Threaded(s) => s.set_memory(memory),
         }
     }
@@ -161,7 +151,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.set_cycle_limit(limit),
             CoreSim::Decoded(s) => s.set_cycle_limit(limit),
-            CoreSim::Block(s) => s.set_cycle_limit(limit),
             CoreSim::Threaded(s) => s.set_cycle_limit(limit),
         }
     }
@@ -172,7 +161,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.memory(),
             CoreSim::Decoded(s) => s.memory(),
-            CoreSim::Block(s) => s.memory(),
             CoreSim::Threaded(s) => s.memory(),
         }
     }
@@ -181,7 +169,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.memory_mut(),
             CoreSim::Decoded(s) => s.memory_mut(),
-            CoreSim::Block(s) => s.memory_mut(),
             CoreSim::Threaded(s) => s.memory_mut(),
         }
     }
@@ -192,7 +179,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.gpr(index),
             CoreSim::Decoded(s) => s.gpr(index),
-            CoreSim::Block(s) => s.gpr(index),
             CoreSim::Threaded(s) => s.gpr(index),
         }
     }
@@ -203,7 +189,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.pred(index),
             CoreSim::Decoded(s) => s.pred(index),
-            CoreSim::Block(s) => s.pred(index),
             CoreSim::Threaded(s) => s.pred(index),
         }
     }
@@ -214,7 +199,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.btr(index),
             CoreSim::Decoded(s) => s.btr(index),
-            CoreSim::Block(s) => s.btr(index),
             CoreSim::Threaded(s) => s.btr(index),
         }
     }
@@ -225,7 +209,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.is_halted(),
             CoreSim::Decoded(s) => s.is_halted(),
-            CoreSim::Block(s) => s.is_halted(),
             CoreSim::Threaded(s) => s.is_halted(),
         }
     }
@@ -236,18 +219,16 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.stats(),
             CoreSim::Decoded(s) => s.stats(),
-            CoreSim::Block(s) => s.stats(),
             CoreSim::Threaded(s) => s.stats(),
         }
     }
 
-    /// Basic blocks executed on the block or threaded engine's fast
-    /// path (0 on the per-cycle engines; the lockstep array always
-    /// steps per cycle, so this stays 0 for every engine).
+    /// Basic blocks executed on the threaded engine's fast path (0 on
+    /// the per-cycle engines; the lockstep array always steps per cycle,
+    /// so this stays 0 for every engine).
     #[must_use]
     pub fn fast_block_execs(&self) -> u64 {
         match self {
-            CoreSim::Block(s) => s.fast_block_execs(),
             CoreSim::Threaded(s) => s.fast_block_execs(),
             _ => 0,
         }
@@ -460,7 +441,7 @@ fn mb_poke(memory: &mut Memory, base: u32, offset: u32, value: u32) {
 
 impl ArraySimulator {
     /// Builds a mesh of identical cores: the program is decoded (and,
-    /// on the block engine, block-compiled) **once**, then cloned per
+    /// on the threaded engine, translated) **once**, then cloned per
     /// core; every core gets a private copy of `initial_memory` with
     /// its identity words ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
     /// [`mailbox::MESH_HEIGHT`]) poked into the mailbox window at

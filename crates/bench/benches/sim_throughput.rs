@@ -1,15 +1,14 @@
 //! Measures simulator throughput in simulated cycles per second.
 //!
-//! Runs each workload four times: on the decode-once engine
+//! Runs each workload three times: on the decode-once engine
 //! ([`Simulator`]), on the frozen interpretive oracle
-//! ([`ReferenceSimulator`]), on the block-compiled engine
-//! ([`BlockSimulator`]) and on the threaded-code engine
-//! ([`ThreadedSimulator`]). All four produce identical architectural
+//! ([`ReferenceSimulator`]) and on the threaded-code engine
+//! ([`ThreadedSimulator`]). All three produce identical architectural
 //! results (see `tests/differential_regression.rs`); this bench reports
 //! how many simulated cycles each engine retires per wall-clock second,
 //! i.e. the speedup bought by decoding the program once at load time,
-//! by folding straight-line basic blocks into single state updates, and
-//! by chaining the folded blocks into translated step streams.
+//! and by folding straight-line basic blocks into single state updates
+//! chained into translated step streams.
 //!
 //! ```text
 //! cargo bench -p epic-bench --bench sim_throughput
@@ -18,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epic_core::config::Config;
 use epic_core::ir::lower;
-use epic_core::sim::{BlockSimulator, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_core::sim::{Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
 use epic_core::workloads::{self, Scale};
 use epic_core::Toolchain;
 use std::time::Instant;
@@ -31,7 +30,7 @@ struct Prepared {
     image: Vec<u8>,
 }
 
-/// Compiles a workload once; both engines then run the same binary.
+/// Compiles a workload once; every engine then runs the same binary.
 fn prepare(workload: &workloads::Workload, alus: usize) -> Prepared {
     let config = Config::builder().num_alus(alus).build().expect("config");
     let module = lower::lower(&workload.program).expect("lowers");
@@ -75,13 +74,6 @@ fn bench_throughput(c: &mut Criterion) {
             s.run().expect("runs");
             s.stats().cycles
         });
-        let mut block = BlockSimulator::try_new(&p.config, p.bundles.clone(), p.entry)
-            .expect("toolchain output is always legal");
-        block.set_memory(Memory::from_image(p.image.clone()));
-        let (blk_cycles, blk_s) = timed(&mut block, |s| {
-            s.run().expect("runs");
-            s.stats().cycles
-        });
         let mut threaded = ThreadedSimulator::try_new(&p.config, p.bundles.clone(), p.entry)
             .expect("toolchain output is always legal");
         threaded.set_memory(Memory::from_image(p.image.clone()));
@@ -90,22 +82,18 @@ fn bench_throughput(c: &mut Criterion) {
             s.stats().cycles
         });
         assert_eq!(cycles, ref_cycles, "engines disagree on {}", workload.name);
-        assert_eq!(cycles, blk_cycles, "engines disagree on {}", workload.name);
         assert_eq!(cycles, thr_cycles, "engines disagree on {}", workload.name);
         println!(
             "[throughput] {} (4 ALUs, {} cycles): decoded {:.2} Mcycles/s, \
-             reference {:.2} Mcycles/s, block {:.2} Mcycles/s, \
-             threaded {:.2} Mcycles/s ({} fast blocks, {} chained, \
-             block/decoded {:.2}x, threaded/decoded {:.2}x)",
+             reference {:.2} Mcycles/s, threaded {:.2} Mcycles/s \
+             ({} fast blocks, {} chained, threaded/decoded {:.2}x)",
             workload.name,
             cycles,
             cycles as f64 / dec_s / 1e6,
             cycles as f64 / ref_s / 1e6,
-            cycles as f64 / blk_s / 1e6,
             cycles as f64 / thr_s / 1e6,
             threaded.fast_block_execs(),
             threaded.chained_execs(),
-            dec_s / blk_s,
             dec_s / thr_s
         );
 
@@ -118,23 +106,6 @@ fn bench_throughput(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(&workload.name, "decoded"),
             &template,
-            |b, template| {
-                b.iter(|| {
-                    let mut sim = template.clone();
-                    sim.run().expect("runs");
-                    sim.stats().cycles
-                });
-            },
-        );
-        let block_template = {
-            let mut sim = BlockSimulator::try_new(&p.config, p.bundles.clone(), p.entry)
-                .expect("toolchain output is always legal");
-            sim.set_memory(Memory::from_image(p.image.clone()));
-            sim
-        };
-        group.bench_with_input(
-            BenchmarkId::new(&workload.name, "block"),
-            &block_template,
             |b, template| {
                 b.iter(|| {
                     let mut sim = template.clone();

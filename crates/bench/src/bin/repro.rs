@@ -8,7 +8,6 @@
 //! cargo run --release -p epic-bench --bin repro -- custom [--full]
 //! cargo run --release -p epic-bench --bin repro -- ports [--full]
 //! cargo run --release -p epic-bench --bin repro -- explore [--full]
-//! cargo run --release -p epic-bench --bin repro -- suggest [--full]
 //! cargo run --release -p epic-bench --bin repro -- power [--full]
 //! cargo run --release -p epic-bench --bin repro -- pipeline [--full]
 //! cargo run --release -p epic-bench --bin repro -- metrics [--out <dir>] [--full]
@@ -31,27 +30,29 @@
 //! reassembles results by grid index, so the reported numbers are
 //! bit-identical at any thread count.
 //!
-//! `--engine <reference|decoded|block|threaded>` cross-checks the
-//! `bench` cycle grid on the named simulation engine: every grid point
-//! re-runs on it and the full statistics must match the measured
-//! (decoded) run bit for bit. CI drives the lockstep gate through this
-//! flag. For `array` the same flag instead selects the engine
-//! instantiated in every mesh core; the report is byte-identical for
-//! every engine (the lockstep array steps per cycle, where all four
-//! agree bit for bit).
+//! `--engine <reference|decoded|threaded>` cross-checks the `bench`
+//! cycle grid on the named simulation engine: every grid point re-runs
+//! on it and the full statistics must match the measured (decoded) run
+//! bit for bit. CI drives the lockstep gate through this flag. For
+//! `array` the same flag instead selects the engine instantiated in
+//! every mesh core; the report is byte-identical for every engine (the
+//! lockstep array steps per cycle, where all three agree bit for bit).
+//!
+//! `--check` (on `bench --throughput`, `isx` and `array`) regenerates
+//! the command's committed JSON and compares it byte for byte with the
+//! file instead of rewriting it.
 
-use epic_bench::sweep::{sweep_grid_observed, table1_parallel};
+use epic_bench::sweep::sweep_grid_observed;
 use epic_bench::{render_headline, render_resources};
 use epic_core::config::{Config, CustomOp, CustomSemantics};
 use epic_core::experiments::{
     figure_series, headline_checks, prepare_epic_workload, resource_usage, run_epic_workload,
-    run_epic_workload_with_engine, Table1,
+    run_epic_workload_with_engine, table1, Table1,
 };
 use epic_core::explore::{pareto, render, sweep, sweep_alus};
-use epic_core::sim::{
-    BlockSimulator, Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator,
-};
+use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
 use epic_core::workloads::{self, Scale};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -112,7 +113,6 @@ fn main() -> ExitCode {
         "custom" => cmd_custom(scale),
         "ports" => cmd_ports(scale),
         "explore" => cmd_explore(scale),
-        "suggest" => cmd_suggest(scale),
         "power" => cmd_power(scale),
         "pipeline" => cmd_pipeline(scale),
         "metrics" => cmd_metrics(scale, parse_out(&args)),
@@ -170,6 +170,33 @@ fn parse_out(args: &[String]) -> Option<std::path::PathBuf> {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from)
+}
+
+/// Writes a regenerated JSON report to `path`, or with `check` compares
+/// it byte for byte against the committed file, naming the first
+/// diverging line and the command (`regen_cmd`) that refreshes it.
+fn write_or_check(path: &Path, json: &str, check: bool, regen_cmd: &str) -> Result<(), String> {
+    if !check {
+        std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+        println!("wrote {}", path.display());
+        return Ok(());
+    }
+    let committed =
+        std::fs::read_to_string(path).map_err(|e| format!("--check: {}: {e}", path.display()))?;
+    if committed != json {
+        let divergence = committed
+            .lines()
+            .zip(json.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| committed.lines().count().min(json.lines().count()));
+        return Err(format!(
+            "--check: {} is stale (first divergence at line {}); regenerate with `{regen_cmd}`",
+            path.display(),
+            divergence + 1
+        ));
+    }
+    println!("{} is fresh (byte-identical regeneration)", path.display());
+    Ok(())
 }
 
 /// Observed design-space sweep: every (workload × ALU-count) grid point
@@ -419,7 +446,6 @@ fn isx_observe(workload: &workloads::Workload, config: &Config) -> Result<(u64, 
 /// count), so `--check` regenerates the JSON and compares it
 /// byte-for-byte against the committed file.
 fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result<(), String> {
-    use rayon::prelude::*;
     /// Candidates priced per workload (top of the deterministic ranking).
     const TOP_K: usize = 4;
     const WIDTHS: [usize; 4] = [1, 2, 3, 4];
@@ -495,21 +521,16 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
                 scored.slices,
             ));
         }
-        // Baseline vs extended over the full grid, farmed across threads
-        // and reassembled by grid index so the output is bit-identical at
-        // any thread count.
-        let grid: Vec<(usize, usize)> = ALUS
-            .iter()
-            .flat_map(|&alus| WIDTHS.iter().map(move |&width| (alus, width)))
-            .collect();
-        let results: Vec<Result<[(u64, u32); 2], String>> = grid
-            .clone()
-            .into_par_iter()
-            .map(|(alus, width)| {
-                let mut point = [(0u64, 0u32); 2];
-                for (slot, extend) in [false, true].into_iter().enumerate() {
+        // Baseline vs extended over the full grid: one labelled config
+        // per (point, variant), swept by grid index so the output is
+        // bit-identical at any thread count.
+        let mut keys = Vec::new();
+        let mut configs = Vec::new();
+        for alus in ALUS {
+            for width in WIDTHS {
+                for variant in ["base", "isx"] {
                     let mut builder = Config::builder().num_alus(alus).issue_width(width);
-                    if extend {
+                    if variant == "isx" {
                         for op in &applied_ops {
                             builder = builder.custom_op(op.clone());
                         }
@@ -517,48 +538,34 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
                     let config = builder
                         .build()
                         .map_err(|e| format!("{alus} ALU / {width}-wide: {e}"))?;
-                    let stats = run_epic_workload(workload, &config).map_err(|e| {
-                        format!("{} at {alus} ALU / {width}-wide: {e}", workload.name)
-                    })?;
-                    point[slot] = (
-                        stats.cycles,
-                        epic_core::area::AreaModel::new(&config).slices(),
-                    );
+                    keys.push((variant, alus, width));
+                    configs.push((format!("{variant} {alus}alu iw{width}"), config));
                 }
-                Ok(point)
-            })
-            .collect();
-        let mut design_points = Vec::new();
-        for (&(alus, width), result) in grid.iter().zip(&results) {
-            let point = result.as_ref().map_err(|e| e.clone())?;
-            for (slot, variant) in ["base", "isx"].into_iter().enumerate() {
-                design_points.push(epic_core::area::DesignPoint {
-                    label: format!("{variant} {alus}alu iw{width}"),
-                    cycles: point[slot].0,
-                    slices: point[slot].1,
-                });
             }
         }
-        let frontier = epic_core::area::pareto_frontier(&design_points);
+        let points = sweep(workload, configs).map_err(|e| format!("{}: {e}", workload.name))?;
+        let frontier = pareto(&points);
         let on_frontier: std::collections::BTreeSet<&str> =
             frontier.iter().map(|p| p.label.as_str()).collect();
         println!(
             "  grid: {} points, {} on the cycles/slices frontier",
-            design_points.len(),
+            points.len(),
             frontier.len()
         );
-        let mut point_entries = Vec::new();
-        for (i, point) in design_points.iter().enumerate() {
-            let (alus, width) = grid[i / 2];
-            point_entries.push(format!(
-                "        {{\"variant\": \"{}\", \"alus\": {alus}, \"issue_width\": {width}, \
-                 \"cycles\": {}, \"slices\": {}, \"pareto\": {}}}",
-                ["base", "isx"][i % 2],
-                point.cycles,
-                point.slices,
-                on_frontier.contains(point.label.as_str()),
-            ));
-        }
+        let point_entries: Vec<String> = keys
+            .iter()
+            .zip(&points)
+            .map(|(&(variant, alus, width), point)| {
+                format!(
+                    "        {{\"variant\": \"{variant}\", \"alus\": {alus}, \
+                     \"issue_width\": {width}, \"cycles\": {}, \"slices\": {}, \
+                     \"pareto\": {}}}",
+                    point.cycles,
+                    point.slices,
+                    on_frontier.contains(point.label.as_str()),
+                )
+            })
+            .collect();
         workload_entries.push(format!(
             "    {{\n      \"workload\": \"{}\",\n      \"base_cycles\": {base_cycles},\n      \
              \"candidates\": [\n{}\n      ],\n      \"points\": [\n{}\n      ]\n    }}",
@@ -572,28 +579,7 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
          \"workloads\": [\n{}\n  ]\n}}\n",
         workload_entries.join(",\n")
     );
-    if check {
-        let committed = std::fs::read_to_string(&out)
-            .map_err(|e| format!("--check: {}: {e}", out.display()))?;
-        if committed != json {
-            let divergence = committed
-                .lines()
-                .zip(json.lines())
-                .position(|(a, b)| a != b)
-                .map_or(committed.lines().count().min(json.lines().count()), |i| i);
-            return Err(format!(
-                "--check: {} is stale (first divergence at line {}); \
-                 regenerate with `repro -- isx`",
-                out.display(),
-                divergence + 1
-            ));
-        }
-        println!("{} is fresh (byte-identical regeneration)", out.display());
-        return Ok(());
-    }
-    std::fs::write(&out, json).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
+    write_or_check(&out, &json, check, "repro -- isx")
 }
 
 /// Many-core array report (`repro -- array`): every mesh workload
@@ -613,7 +599,7 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
 /// numbers are machine-local and stay out of the JSON).
 ///
 /// `--engine <name>` selects the engine instantiated in every core; the
-/// report (and JSON) is byte-identical for all four, since the lockstep
+/// report (and JSON) is byte-identical for all three, since the lockstep
 /// array steps per cycle and the engines agree bit for bit there.
 fn cmd_array(
     scale: Scale,
@@ -716,27 +702,10 @@ fn cmd_array(
         "{{\n  \"schema\": \"epic-bench-manycore/v1\",\n  \"scale\": \"{scale:?}\",\n  \
          \"latency_bounds\": [4, 8, 16, 32, 64, 128],\n  \"points\": [\n{entries}\n  ]\n}}\n"
     );
+    write_or_check(&out, &json, check, "repro -- array")?;
     if check {
-        let committed = std::fs::read_to_string(&out)
-            .map_err(|e| format!("--check: {}: {e}", out.display()))?;
-        if committed != json {
-            let divergence = committed
-                .lines()
-                .zip(json.lines())
-                .position(|(a, b)| a != b)
-                .map_or(committed.lines().count().min(json.lines().count()), |i| i);
-            return Err(format!(
-                "--check: {} is stale (first divergence at line {}); \
-                 regenerate with `repro -- array`",
-                out.display(),
-                divergence + 1
-            ));
-        }
-        println!("{} is fresh (byte-identical regeneration)", out.display());
         return Ok(());
     }
-    std::fs::write(&out, json).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
 
     // Host-parallel speedup: the same 4×4 sweep under capped pools,
     // compiled once so only the lockstep stepping is timed. Wall time
@@ -779,23 +748,21 @@ fn cmd_array(
 
 /// Engine throughput race: every workload × the four corners of the
 /// (ALUs, issue-width) grid, each binary prepared once (compile,
-/// assemble, profile training) and then run to completion on all four
+/// assemble, profile training) and then run to completion on all three
 /// engines from identical cloned machines. Timing is interleaved
-/// rep-major — reference, decoded, block, threaded, then again — so
-/// clock drift hits every engine equally, and the best of `REPS` timed
-/// runs counts. The warm-up pass records the architectural outputs,
-/// which must agree bit-for-bit across engines: a disagreement is an
-/// error, not a data point. The table closes with a per-engine geomean
-/// summary row over all corner points.
+/// rep-major — reference, decoded, threaded, then again — so clock
+/// drift hits every engine equally, and the best of `REPS` timed runs
+/// counts. The warm-up pass records the architectural outputs, which
+/// must agree bit-for-bit across engines: a disagreement is an error,
+/// not a data point. The table closes with a per-engine geomean summary
+/// row over all corner points.
 ///
 /// Writes `--out <file>` (default `BENCH_throughput.json`), schema
-/// `epic-bench-throughput/v2` (v2 added the threaded engine, the
-/// per-point `chained_execs` count and the per-engine
-/// `geomean_cycles_per_sec` object). With `--check` the file is not
-/// rewritten; instead the deterministic fields (`sim_cycles`,
-/// `fast_block_execs`, `chained_execs` and the point set itself) are
-/// regenerated and verified against the committed file — wall times
-/// and the geomeans derived from them are machine-local and exempt.
+/// `epic-bench-throughput/v3`: per point and engine only the
+/// deterministic fields (`sim_cycles`, `fast_block_execs`,
+/// `chained_execs`). Wall times are machine-local and only printed; the
+/// timing of record is `perfbench`. `--check` regenerates the JSON and
+/// compares it byte for byte against the committed file.
 fn cmd_bench_throughput(
     scale: Scale,
     out: Option<std::path::PathBuf>,
@@ -810,24 +777,21 @@ fn cmd_bench_throughput(
          best of {REPS} interleaved runs"
     );
     println!(
-        "{:<10} {:>5} {:>3} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10} {:>8}",
+        "{:<10} {:>5} {:>3} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8}",
         "workload",
         "alus",
         "iw",
         "cycles",
         "ref Mc/s",
         "dec Mc/s",
-        "blk Mc/s",
         "thr Mc/s",
-        "blk/dec",
         "thr/dec",
         "fast blks",
         "chained"
     );
     let mut entries = String::new();
-    let mut prefixes: Vec<String> = Vec::new();
     // Sum of ln(cycles/sec) per engine, for the geomean summary row.
-    let mut ln_cps = [0f64; 4];
+    let mut ln_cps = [0f64; 3];
     let mut points = 0usize;
     for workload in &workloads {
         for (alus, width) in CORNERS {
@@ -849,12 +813,6 @@ fn cmd_bench_throughput(
             };
             let decoded = {
                 let mut sim = Simulator::try_new(&config, bundles.clone(), entry)
-                    .map_err(|e| e.to_string())?;
-                sim.set_memory(Memory::from_image(image.clone()));
-                sim
-            };
-            let block = {
-                let mut sim = BlockSimulator::try_new(&config, bundles.clone(), entry)
                     .map_err(|e| e.to_string())?;
                 sim.set_memory(Memory::from_image(image.clone()));
                 sim
@@ -883,17 +841,6 @@ fn cmd_bench_throughput(
                         sim.run().expect("verified workloads never fault");
                         (start.elapsed().as_nanos(), sim.stats().cycles, 0, 0)
                     }
-                    Engine::Block => {
-                        let mut sim = block.clone();
-                        let start = Instant::now();
-                        sim.run().expect("verified workloads never fault");
-                        (
-                            start.elapsed().as_nanos(),
-                            sim.stats().cycles,
-                            sim.fast_block_execs(),
-                            0,
-                        )
-                    }
                     Engine::Threaded => {
                         let mut sim = threaded.clone();
                         let start = Instant::now();
@@ -908,10 +855,10 @@ fn cmd_bench_throughput(
                 }
             };
 
-            let mut cycles = [0u64; 4];
-            let mut fast = [0u64; 4];
-            let mut chained = [0u64; 4];
-            let mut best = [u128::MAX; 4];
+            let mut cycles = [0u64; 3];
+            let mut fast = [0u64; 3];
+            let mut chained = [0u64; 3];
+            let mut best = [u128::MAX; 3];
             for rep in 0..=REPS {
                 // Rep 0 warms caches and records the deterministic outputs.
                 for (ei, engine) in Engine::all().into_iter().enumerate() {
@@ -935,14 +882,13 @@ fn cmd_bench_throughput(
             if cycles.iter().any(|&c| c != cycles[0]) {
                 return Err(format!(
                     "{} at {alus} ALU / {width}-wide: engines disagree on cycles \
-                     (reference {}, decoded {}, block {}, threaded {})",
-                    workload.name, cycles[0], cycles[1], cycles[2], cycles[3]
+                     (reference {}, decoded {}, threaded {})",
+                    workload.name, cycles[0], cycles[1], cycles[2]
                 ));
             }
             let mcps = |ei: usize| cycles[ei] as f64 * 1e3 / best[ei] as f64;
             println!(
-                "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>7.2}x \
-                 {:>10} {:>8}",
+                "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10} {:>8}",
                 workload.name,
                 alus,
                 width,
@@ -950,36 +896,28 @@ fn cmd_bench_throughput(
                 mcps(0),
                 mcps(1),
                 mcps(2),
-                mcps(3),
                 best[1] as f64 / best[2] as f64,
-                best[1] as f64 / best[3] as f64,
-                fast[3],
-                chained[3]
+                fast[2],
+                chained[2]
             );
             points += 1;
             for (ei, engine) in Engine::all().into_iter().enumerate() {
                 ln_cps[ei] += (cycles[ei] as f64 * 1e9 / best[ei] as f64).ln();
-                let prefix = format!(
-                    "{{\"workload\": \"{}\", \"alus\": {alus}, \"issue_width\": {width}, \
-                     \"engine\": \"{engine}\", \"sim_cycles\": {}, \"fast_block_execs\": {}, \
-                     \"chained_execs\": {},",
-                    workload.name, cycles[ei], fast[ei], chained[ei]
-                );
                 if !entries.is_empty() {
                     entries.push_str(",\n");
                 }
                 entries.push_str(&format!(
-                    "    {prefix} \"wall_ns\": {}, \"cycles_per_sec\": {:.0}}}",
-                    best[ei],
-                    cycles[ei] as f64 * 1e9 / best[ei] as f64
+                    "    {{\"workload\": \"{}\", \"alus\": {alus}, \"issue_width\": {width}, \
+                     \"engine\": \"{engine}\", \"sim_cycles\": {}, \"fast_block_execs\": {}, \
+                     \"chained_execs\": {}}}",
+                    workload.name, cycles[ei], fast[ei], chained[ei]
                 ));
-                prefixes.push(prefix);
             }
         }
     }
     let geomean = |ei: usize| (ln_cps[ei] / points as f64).exp();
     println!(
-        "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>7.2}x",
+        "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
         "geomean",
         "-",
         "-",
@@ -987,51 +925,13 @@ fn cmd_bench_throughput(
         geomean(0) / 1e6,
         geomean(1) / 1e6,
         geomean(2) / 1e6,
-        geomean(3) / 1e6,
-        geomean(2) / geomean(1),
-        geomean(3) / geomean(1)
+        geomean(2) / geomean(1)
     );
-    if check {
-        let committed = std::fs::read_to_string(&out)
-            .map_err(|e| format!("--check: {}: {e}", out.display()))?;
-        let committed_points = committed.matches("\"workload\"").count();
-        if committed_points != prefixes.len() {
-            return Err(format!(
-                "--check: {} has {committed_points} points, expected {}",
-                out.display(),
-                prefixes.len()
-            ));
-        }
-        for prefix in &prefixes {
-            if !committed.contains(prefix.as_str()) {
-                return Err(format!(
-                    "--check: {} is stale — missing point {prefix}…; \
-                     regenerate with `repro -- bench --throughput`",
-                    out.display()
-                ));
-            }
-        }
-        println!(
-            "{} is fresh ({} deterministic points match)",
-            out.display(),
-            prefixes.len()
-        );
-        return Ok(());
-    }
-    let geomeans = Engine::all()
-        .into_iter()
-        .enumerate()
-        .map(|(ei, engine)| format!("\"{engine}\": {:.0}", geomean(ei)))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
-        "{{\n  \"schema\": \"epic-bench-throughput/v2\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"reps\": {REPS},\n  \"geomean_cycles_per_sec\": {{{geomeans}}},\n  \
+        "{{\n  \"schema\": \"epic-bench-throughput/v3\",\n  \"scale\": \"{scale:?}\",\n  \
          \"points\": [\n{entries}\n  ]\n}}\n"
     );
-    std::fs::write(&out, json).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
+    write_or_check(&out, &json, check, "repro -- bench --throughput")
 }
 
 fn cmd_table1(scale: Scale) -> Result<Table1, String> {
@@ -1039,13 +939,13 @@ fn cmd_table1(scale: Scale) -> Result<Table1, String> {
         "running Table 1 at {scale:?} scale on {} thread(s) (every run verified against the golden model)…",
         rayon::current_num_threads()
     );
-    let table = table1_parallel(scale, &ALUS).map_err(|e| e.to_string())?;
+    let table = table1(scale, &ALUS).map_err(|e| e.to_string())?;
     print!("{}", table.render());
     Ok(table)
 }
 
 fn cmd_figure(scale: Scale, workload: &str) -> Result<(), String> {
-    let table = table1_parallel(scale, &ALUS).map_err(|e| e.to_string())?;
+    let table = table1(scale, &ALUS).map_err(|e| e.to_string())?;
     let series =
         figure_series(&table, workload).ok_or_else(|| format!("no data for {workload}"))?;
     print!("{}", series.render());
@@ -1138,32 +1038,6 @@ fn cmd_explore(scale: Scale) -> Result<(), String> {
     Ok(())
 }
 
-/// Custom-instruction candidates per benchmark (paper §6: "automatic
-/// generation of custom instructions").
-fn cmd_suggest(scale: Scale) -> Result<(), String> {
-    println!("Custom-instruction candidates (static occurrences x ops saved)");
-    for workload in workloads::all(scale) {
-        let module = epic_core::ir::lower::lower(&workload.program).map_err(|e| e.to_string())?;
-        let mut optimised = module.clone();
-        epic_core::compiler::passes::optimize(&mut optimised, &workload.inline_hints());
-        let suggestions = epic_core::compiler::suggest::suggest_custom_ops(&optimised);
-        println!("\n{}:", workload.name);
-        if suggestions.is_empty() {
-            println!("  (no candidate patterns found)");
-        }
-        for s in suggestions {
-            println!(
-                "  {:<8} {:>5} occurrences, {} op(s) saved each -> {} total",
-                s.semantics.mnemonic(),
-                s.occurrences,
-                s.ops_saved_per_use,
-                s.total_ops_saved()
-            );
-        }
-    }
-    Ok(())
-}
-
 /// Performance / size / power characterisation (paper §6).
 fn cmd_power(scale: Scale) -> Result<(), String> {
     let workload = workloads::dct::build(scale);
@@ -1240,8 +1114,6 @@ fn cmd_all(scale: Scale) -> Result<(), String> {
     cmd_ports(scale)?;
     println!();
     cmd_explore(scale)?;
-    println!();
-    cmd_suggest(scale)?;
     println!();
     cmd_power(scale)?;
     println!();

@@ -1,60 +1,20 @@
-//! Parallel design-space sweep.
+//! Observed design-space sweep.
 //!
-//! A sweep evaluates a grid of (configuration × workload) simulation
-//! points. Each point is independent — the simulator owns all of its
-//! state — so the grid is farmed across cores with rayon. Results are
-//! reassembled **by grid index**, never by completion order, so the
+//! [`sweep_grid_observed`] evaluates a grid of (configuration ×
+//! workload) simulation points with an `epic-obs` metrics registry
+//! attached to each. Each point is independent — the simulator owns all
+//! of its state — so the grid is farmed across cores with rayon. Results
+//! are reassembled **by grid index**, never by completion order, so the
 //! output is deterministic and bit-identical to a sequential run no
-//! matter how many threads execute it.
+//! matter how many threads execute it. Unobserved sweeps live in
+//! [`epic_core::explore`] and [`epic_core::experiments::table1`].
 
 use epic_core::config::Config;
-use epic_core::experiments::{
-    run_epic_workload, run_epic_workload_observed, run_sa110_workload, ExperimentError, Table1,
-    Table1Row, VerifyError,
-};
+use epic_core::experiments::{run_epic_workload_observed, ExperimentError, VerifyError};
 use epic_core::sim::SimStats;
-use epic_core::workloads::{self, Scale, Workload};
+use epic_core::workloads::Workload;
 use epic_obs::MetricsRegistry;
 use rayon::prelude::*;
-
-/// One evaluated point of a sweep grid.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Name of the workload that ran.
-    pub workload: String,
-    /// Label of the configuration it ran on.
-    pub config: String,
-    /// Architectural statistics of the (verified) run.
-    pub stats: SimStats,
-}
-
-/// Evaluates every (configuration × workload) point of the grid in
-/// parallel, returning points in row-major grid order (workload-major,
-/// configuration-minor) regardless of which thread finished first.
-///
-/// # Errors
-///
-/// Returns the first (in grid order) [`ExperimentError`] of any point.
-pub fn sweep_grid(
-    workloads: &[Workload],
-    configs: &[(String, Config)],
-) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..configs.len()).map(move |c| (w, c)))
-        .collect();
-    jobs.into_par_iter()
-        .map(|(w, c)| {
-            let workload = &workloads[w];
-            let (label, config) = &configs[c];
-            let stats = run_epic_workload(workload, config)?;
-            Ok(SweepPoint {
-                workload: workload.name.clone(),
-                config: label.clone(),
-                stats,
-            })
-        })
-        .collect()
-}
 
 /// One evaluated grid point with its full metrics registry.
 #[derive(Debug, Clone)]
@@ -70,10 +30,12 @@ pub struct ObservedPoint {
     pub metrics: MetricsRegistry,
 }
 
-/// [`sweep_grid`] with an `epic-obs` [`MetricsRegistry`] attached to
-/// every point, so each grid cell can dump counters and histograms
-/// (stall lengths, port demand, bundle occupancy) alongside its
-/// statistics.
+/// Evaluates every (configuration × workload) point of the grid in
+/// parallel with an `epic-obs` [`MetricsRegistry`] attached, so each
+/// grid cell can dump counters and histograms (stall lengths, port
+/// demand, bundle occupancy) alongside its statistics. Points come back
+/// in row-major grid order (workload-major, configuration-minor)
+/// regardless of which thread finished first.
 ///
 /// Every point's registry is reconciled against the engine's own
 /// statistics before it is returned; a mismatch is an error, never a
@@ -111,108 +73,4 @@ pub fn sweep_grid_observed(
             })
         })
         .collect()
-}
-
-/// Reproduces Table 1 with the (SA-110 + EPIC ALU sweep) × workload grid
-/// farmed across cores.
-///
-/// Produces output identical to [`epic_core::experiments::table1`]: the
-/// grid is fixed up front and every cell lands in its slot by index, so
-/// thread scheduling cannot reorder (or otherwise perturb) the table.
-///
-/// # Errors
-///
-/// Returns the first (in grid order) [`ExperimentError`] of any cell.
-pub fn table1_parallel(scale: Scale, alu_counts: &[usize]) -> Result<Table1, ExperimentError> {
-    let workloads = workloads::all(scale);
-    let configs: Vec<Config> = alu_counts
-        .iter()
-        .map(|&alus| {
-            Config::builder()
-                .num_alus(alus)
-                .build()
-                .expect("valid ALU sweep configuration")
-        })
-        .collect();
-
-    // Cell (w, 0) is the SA-110 baseline; (w, 1 + a) is EPIC with
-    // `alu_counts[a]` ALUs.
-    let cols = 1 + configs.len();
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..cols).map(move |c| (w, c)))
-        .collect();
-    let cycles: Vec<u64> = jobs
-        .into_par_iter()
-        .map(|(w, c)| -> Result<u64, ExperimentError> {
-            let workload = &workloads[w];
-            if c == 0 {
-                Ok(run_sa110_workload(workload)?.cycles)
-            } else {
-                Ok(run_epic_workload(workload, &configs[c - 1])?.cycles)
-            }
-        })
-        .collect::<Result<Vec<u64>, ExperimentError>>()?;
-
-    let rows = workloads
-        .iter()
-        .enumerate()
-        .map(|(w, workload)| Table1Row {
-            workload: workload.name.clone(),
-            sa110: cycles[w * cols],
-            epic: cycles[w * cols + 1..(w + 1) * cols].to_vec(),
-        })
-        .collect();
-    Ok(Table1 {
-        scale,
-        alu_counts: alu_counts.to_vec(),
-        rows,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use epic_core::experiments::table1;
-
-    #[test]
-    fn parallel_table1_is_bit_identical_to_sequential() {
-        let alus = [1, 2];
-        let sequential = table1(Scale::Test, &alus).expect("sequential table");
-        let parallel = table1_parallel(Scale::Test, &alus).expect("parallel table");
-        assert_eq!(sequential, parallel);
-        let pinned = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .expect("pool")
-            .install(|| table1_parallel(Scale::Test, &alus))
-            .expect("pinned-pool table");
-        assert_eq!(sequential, pinned);
-    }
-
-    #[test]
-    fn sweep_grid_orders_points_by_grid_index() {
-        let workloads = workloads::all(Scale::Test);
-        let configs: Vec<(String, Config)> = [1usize, 2]
-            .iter()
-            .map(|&alus| {
-                (
-                    format!("{alus} ALU"),
-                    Config::builder().num_alus(alus).build().expect("valid"),
-                )
-            })
-            .collect();
-        let points = sweep_grid(&workloads, &configs).expect("sweep");
-        assert_eq!(points.len(), workloads.len() * configs.len());
-        let mut expected = Vec::new();
-        for w in &workloads {
-            for (label, _) in &configs {
-                expected.push((w.name.clone(), label.clone()));
-            }
-        }
-        let got: Vec<(String, String)> = points
-            .iter()
-            .map(|p| (p.workload.clone(), p.config.clone()))
-            .collect();
-        assert_eq!(got, expected);
-    }
 }

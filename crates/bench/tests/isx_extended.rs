@@ -2,7 +2,7 @@
 //! aes, extend the configuration with the miner's top candidates and
 //! prove the whole toolchain still closes — the extended config header
 //! round-trips, the compiled program's text round-trips through the
-//! disassembler, and all four simulation engines agree bit-for-bit
+//! disassembler, and all three simulation engines agree bit-for-bit
 //! (cycles, return value, final memory) over the full ALUs 1–4 ×
 //! issue-width 1–4 grid. Every run also passes `epic-verify` and the
 //! pass-by-pass translation validator (TV013 included): workload runs
@@ -52,7 +52,7 @@ fn extended_config(workload: &epic_core::workloads::Workload, k: usize) -> Confi
 }
 
 #[test]
-#[ignore = "full grid x four engines; run in release via CI"]
+#[ignore = "full grid x three engines; run in release via CI"]
 fn discovered_ops_survive_the_full_grid_on_every_engine() {
     for workload in workloads::all(Scale::Test)
         .into_iter()

@@ -25,7 +25,7 @@
 //!
 //! Soundness is enforced empirically by the differential oracle
 //! (`tests/oracle.rs`): for every workload × configuration grid point,
-//! all four simulation engines' cycle counts must land inside the interval.
+//! all three simulation engines' cycle counts must land inside the interval.
 
 use crate::cfg::Cfg;
 use crate::cost::CostModel;

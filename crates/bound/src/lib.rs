@@ -28,7 +28,7 @@
 //! The claim `simulated cycles ∈ [lower, upper]` is enforced two ways:
 //! every price in the [`CostModel`] can be [audited](CostModel::audit)
 //! against independently re-derived facts, and the differential oracle
-//! in this crate's tests runs all four simulation engines over a
+//! in this crate's tests runs all three simulation engines over a
 //! configuration grid and asserts containment. Seeded [`Mutation`]s
 //! (wrong latency, ignored port budget, dropped branch penalty, bad
 //! loop bound, unsound widening) must each be caught by the audit *and*

@@ -1,6 +1,6 @@
 //! Differential oracle for the static cycle-bound analysis.
 //!
-//! For every benchmark × configuration grid point, all four simulation
+//! For every benchmark × configuration grid point, all three simulation
 //! engines run the compiled program to completion and their cycle
 //! counts must land inside the static interval — with profile-measured
 //! execution counts (tight, input-specific) and with statically derived
@@ -12,7 +12,7 @@ use epic_bound::{analyze_cycles, BoundOptions, CostModel, CountSource, CycleBoun
 use epic_config::Config;
 use epic_core::experiments::run_epic_workload_observed;
 use epic_ir::lower;
-use epic_sim::{BlockSimulator, Memory, ProfileSink, ReferenceSimulator, ThreadedSimulator};
+use epic_sim::{Memory, ProfileSink, ReferenceSimulator, ThreadedSimulator};
 use epic_workloads::{all, Scale};
 use std::collections::BTreeMap;
 
@@ -22,7 +22,6 @@ struct Point {
     issue_width: usize,
     decoded_cycles: u64,
     reference_cycles: u64,
-    block_cycles: u64,
     threaded_cycles: u64,
     measured: CycleBounds,
     statics: CycleBounds,
@@ -52,15 +51,6 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                 );
                 reference.set_memory(Memory::from_image(module.initial_memory(&layout)));
                 let reference_cycles = reference.run().expect("reference engine runs").cycles;
-
-                let mut block = BlockSimulator::try_new(
-                    &config,
-                    run.program.bundles().to_vec(),
-                    run.program.entry(),
-                )
-                .expect("block compile accepts legal programs");
-                block.set_memory(Memory::from_image(module.initial_memory(&layout)));
-                let block_cycles = block.run().expect("block engine runs").cycles;
 
                 let mut threaded = ThreadedSimulator::try_new(
                     &config,
@@ -98,7 +88,6 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                     issue_width,
                     decoded_cycles,
                     reference_cycles,
-                    block_cycles,
                     threaded_cycles,
                     measured,
                     statics,
@@ -114,7 +103,6 @@ fn assert_contained(points: &[Point]) {
         for (engine, cycles) in [
             ("decoded", p.decoded_cycles),
             ("reference", p.reference_cycles),
-            ("block", p.block_cycles),
             ("threaded", p.threaded_cycles),
         ] {
             assert!(
@@ -141,7 +129,7 @@ fn assert_contained(points: &[Point]) {
 
 #[test]
 fn both_engines_land_inside_the_bounds_across_the_grid() {
-    // The full 4 × 4 grid per benchmark: 64 points, four engines each.
+    // The full 4 × 4 grid per benchmark: 64 points, three engines each.
     let points = run_grid(&[1, 2, 3, 4], &[1, 2, 3, 4]);
     assert_eq!(points.len(), 64);
     assert_contained(&points);
@@ -172,11 +160,6 @@ fn the_engines_agree_with_each_other() {
         assert_eq!(
             p.decoded_cycles, p.reference_cycles,
             "{} alus={} iw={}: engines disagree",
-            p.name, p.alus, p.issue_width
-        );
-        assert_eq!(
-            p.decoded_cycles, p.block_cycles,
-            "{} alus={} iw={}: block engine disagrees",
             p.name, p.alus, p.issue_width
         );
         assert_eq!(

@@ -1,40 +1,15 @@
-//! Automatic custom-instruction candidate discovery.
+//! Superblock-scheduling hints for profiler diagnostics.
 //!
-//! §6 of the paper lists "supporting automatic generation of custom
-//! instructions" as future work. This module implements the analysis half
-//! of that loop: it scans a module's IR for operation patterns that a
-//! single customised ALU operation could replace, counts their static
-//! occurrences and reports the base-ISA operations each would save. The
-//! rotate suggestion is directly actionable — registering a
-//! [`CustomSemantics::RotateRight`] op makes instruction selection use it
-//! (see [`crate::select`]); the others quantify the opportunity for a
-//! designer extending the matcher.
+//! [`superblock_hint`] names the hot trace the superblock planner grows
+//! through an emitted block — the trace this compile actually formed, or
+//! the one formation would select — so `epic-prof`'s PRF001 diagnostic
+//! can point a branch- or latency-shaped hot block at the region that
+//! absorbs (or would absorb) its stalls. Custom-instruction discovery
+//! lives in the `epic-isx` miner (`repro -- isx`, `epic-lint --isx`).
 
 use crate::mir::MBlockId;
 use crate::superblock::{trace_plan, ProfileData};
 use crate::trace::FunctionTrace;
-use epic_config::CustomSemantics;
-use epic_ir::{BinOp, IrOp, Module, UnOp, VReg};
-use std::collections::HashMap;
-
-/// One custom-instruction candidate found in a module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suggestion {
-    /// The semantics a customised ALU would need.
-    pub semantics: CustomSemantics,
-    /// Static occurrences of the pattern across the module.
-    pub occurrences: usize,
-    /// Base-ISA operations replaced per occurrence.
-    pub ops_saved_per_use: usize,
-}
-
-impl Suggestion {
-    /// Total static operations saved if the custom op is adopted.
-    #[must_use]
-    pub fn total_ops_saved(&self) -> usize {
-        self.occurrences * self.ops_saved_per_use
-    }
-}
 
 /// A superblock-scheduling hint for one emitted block: the hot trace
 /// the formation planner grows through it. `epic-prof` attaches this to
@@ -118,136 +93,9 @@ pub fn superblock_hint(
     })
 }
 
-/// Scans a module for custom-instruction candidates, most valuable first.
-///
-/// Patterns recognised:
-///
-/// * **rotate right** — an IR `rotr`, which the base ISA expands into a
-///   4-operation shift/or sequence (3 ops saved per use);
-/// * **and-complement** — `a & !b` through a single-use `not`
-///   (1 op saved, HPL-PD's `ANDCM`);
-/// * **rounded average** — `(a + b + 1) >> 1` (2 ops saved).
-#[must_use]
-pub fn suggest_custom_ops(module: &Module) -> Vec<Suggestion> {
-    let mut counts: HashMap<CustomSemantics, usize> = HashMap::new();
-
-    for func in &module.functions {
-        let uses = epic_ir::analysis::use_counts(func);
-        for block in &func.blocks {
-            // Block-local last definition of each vreg.
-            let mut def_of: HashMap<VReg, &IrOp> = HashMap::new();
-            for op in &block.ops {
-                match op {
-                    IrOp::Bin {
-                        op: BinOp::Rotr, ..
-                    } => {
-                        *counts.entry(CustomSemantics::RotateRight).or_insert(0) += 1;
-                    }
-                    IrOp::Bin {
-                        op: BinOp::And,
-                        rhs,
-                        ..
-                    } => {
-                        if let Some(IrOp::Un { op: UnOp::Not, .. }) = def_of.get(rhs) {
-                            if uses.get(rhs).copied().unwrap_or(0) == 1 {
-                                *counts.entry(CustomSemantics::AndComplement).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    IrOp::Bin {
-                        op: BinOp::Shr | BinOp::Sra,
-                        lhs,
-                        rhs,
-                        ..
-                    } => {
-                        // (a + b + 1) >> 1 with both intermediates single-use.
-                        let shift_is_one =
-                            matches!(def_of.get(rhs), Some(IrOp::Const { value: 1, .. }));
-                        if shift_is_one && uses.get(lhs).copied().unwrap_or(0) == 1 {
-                            if let Some(IrOp::Bin {
-                                op: BinOp::Add,
-                                lhs: sum_l,
-                                rhs: sum_r,
-                                ..
-                            }) = def_of.get(lhs)
-                            {
-                                let plus_one = |v: &VReg| {
-                                    matches!(def_of.get(v), Some(IrOp::Const { value: 1, .. }))
-                                };
-                                let inner_add = |v: &VReg| {
-                                    matches!(def_of.get(v), Some(IrOp::Bin { op: BinOp::Add, .. }))
-                                };
-                                if (plus_one(sum_r) && inner_add(sum_l))
-                                    || (plus_one(sum_l) && inner_add(sum_r))
-                                {
-                                    *counts.entry(CustomSemantics::AverageRound).or_insert(0) += 1;
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                if let Some(d) = op.def() {
-                    def_of.insert(d, op);
-                }
-            }
-        }
-    }
-
-    let saved = |s: &CustomSemantics| match s {
-        CustomSemantics::RotateRight => 3,
-        CustomSemantics::AverageRound => 2,
-        _ => 1,
-    };
-    let mut suggestions: Vec<Suggestion> = counts
-        .into_iter()
-        .filter(|(_, occurrences)| *occurrences > 0)
-        .map(|(semantics, occurrences)| Suggestion {
-            ops_saved_per_use: saved(&semantics),
-            semantics,
-            occurrences,
-        })
-        .collect();
-    suggestions.sort_by_key(|s| std::cmp::Reverse((s.total_ops_saved(), s.occurrences)));
-    suggestions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epic_ir::ast::{Expr, FunctionDef, Program, Stmt};
-    use epic_ir::lower;
-
-    fn module_of(f: FunctionDef) -> Module {
-        lower::lower(&Program::new().function(f)).unwrap()
-    }
-
-    #[test]
-    fn rotates_are_found_and_ranked_first() {
-        let f = FunctionDef::new("f", ["x", "y"]).body([Stmt::ret(
-            Expr::var("x").rotr(Expr::lit(7))
-                ^ Expr::var("x").rotr(Expr::lit(11))
-                ^ (Expr::var("y") & !Expr::var("x")),
-        )]);
-        let suggestions = suggest_custom_ops(&module_of(f));
-        assert_eq!(suggestions[0].semantics, CustomSemantics::RotateRight);
-        assert_eq!(suggestions[0].occurrences, 2);
-        assert_eq!(suggestions[0].total_ops_saved(), 6);
-        assert!(suggestions
-            .iter()
-            .any(|s| s.semantics == CustomSemantics::AndComplement));
-    }
-
-    #[test]
-    fn rounded_average_pattern_is_found() {
-        let f = FunctionDef::new("f", ["a", "b"]).body([Stmt::ret(
-            (Expr::var("a") + Expr::var("b") + Expr::lit(1)).shr(Expr::lit(1)),
-        )]);
-        let suggestions = suggest_custom_ops(&module_of(f));
-        assert!(suggestions
-            .iter()
-            .any(|s| s.semantics == CustomSemantics::AverageRound));
-    }
 
     #[test]
     fn superblock_hint_names_planned_and_applied_traces() {
@@ -308,36 +156,5 @@ mod tests {
         assert_eq!(hint.path(), "t_bb1 -> t_bb2");
         // A block outside every trace gets no hint.
         assert!(superblock_hint(&func, "t_bb3", None).is_none());
-    }
-
-    #[test]
-    fn plain_arithmetic_suggests_nothing() {
-        let f = FunctionDef::new("f", ["a", "b"])
-            .body([Stmt::ret(Expr::var("a") * Expr::var("b") + Expr::lit(3))]);
-        assert!(suggest_custom_ops(&module_of(f)).is_empty());
-    }
-
-    #[test]
-    fn sha_suggests_its_rotate() {
-        // The real workload: SHA-256 is rotate-dominated.
-        let w = epic_workloads_shim();
-        let suggestions = suggest_custom_ops(&w);
-        assert_eq!(suggestions[0].semantics, CustomSemantics::RotateRight);
-        assert!(suggestions[0].occurrences >= 10);
-    }
-
-    // epic-workloads depends on epic-ir only, so building its module here
-    // would create a dev-dependency cycle with epic-compiler; synthesise
-    // a rotate-heavy kernel in the same shape instead.
-    fn epic_workloads_shim() -> Module {
-        let mut body = vec![Stmt::let_("acc", Expr::lit(0))];
-        for r in [2i64, 6, 7, 11, 13, 17, 18, 19, 22, 25] {
-            body.push(Stmt::assign(
-                "acc",
-                Expr::var("acc") ^ Expr::var("x").rotr(Expr::lit(r)),
-            ));
-        }
-        body.push(Stmt::ret(Expr::var("acc")));
-        module_of(FunctionDef::new("rounds", ["x"]).body(body))
     }
 }

@@ -21,6 +21,7 @@ use epic_ir::lower;
 use epic_ir::Module;
 use epic_sim::{Engine, NopSink, ProfileSink, SimStats, TraceSink};
 use epic_workloads::{Scale, Workload};
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -413,28 +414,51 @@ impl Table1 {
 
 /// Regenerates Table 1 at the given scale and ALU counts.
 ///
+/// The (SA-110 + EPIC ALU sweep) × workload grid is farmed across host
+/// threads; the grid is fixed up front and every cell lands in its slot
+/// by index, so thread scheduling cannot reorder (or otherwise perturb)
+/// the table.
+///
 /// # Errors
 ///
-/// Returns the first pipeline or verification error.
+/// Returns the first (in grid order) pipeline or verification error.
 pub fn table1(scale: Scale, alu_counts: &[usize]) -> Result<Table1, ExperimentError> {
     let workloads = epic_workloads::all(scale);
-    let mut rows = Vec::with_capacity(workloads.len());
-    for workload in &workloads {
-        let sa110 = run_sa110_workload(workload)?.cycles;
-        let mut epic = Vec::with_capacity(alu_counts.len());
-        for alus in alu_counts {
-            let config = Config::builder()
-                .num_alus(*alus)
+    let configs: Vec<Config> = alu_counts
+        .iter()
+        .map(|&alus| {
+            Config::builder()
+                .num_alus(alus)
                 .build()
-                .expect("valid ALU sweep configuration");
-            epic.push(run_epic_workload(workload, &config)?.cycles);
-        }
-        rows.push(Table1Row {
+                .expect("valid ALU sweep configuration")
+        })
+        .collect();
+    // Cell (w, 0) is the SA-110 baseline; (w, 1 + a) is EPIC with
+    // `alu_counts[a]` ALUs.
+    let cols = 1 + configs.len();
+    let cells: Vec<(usize, usize)> = (0..workloads.len())
+        .flat_map(|w| (0..cols).map(move |c| (w, c)))
+        .collect();
+    let cycles: Vec<u64> = cells
+        .into_par_iter()
+        .map(|(w, c)| -> Result<u64, ExperimentError> {
+            let workload = &workloads[w];
+            if c == 0 {
+                Ok(run_sa110_workload(workload)?.cycles)
+            } else {
+                Ok(run_epic_workload(workload, &configs[c - 1])?.cycles)
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    let rows = workloads
+        .iter()
+        .enumerate()
+        .map(|(w, workload)| Table1Row {
             workload: workload.name.clone(),
-            sa110,
-            epic,
-        });
-    }
+            sa110: cycles[w * cols],
+            epic: cycles[w * cols + 1..(w + 1) * cols].to_vec(),
+        })
+        .collect();
     Ok(Table1 {
         scale,
         alu_counts: alu_counts.to_vec(),
@@ -619,4 +643,23 @@ pub fn headline_checks(table: &Table1) -> Vec<HeadlineCheck> {
         });
     }
     checks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_is_identical_at_any_thread_count() {
+        let alus = [1, 2];
+        let on = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| table1(Scale::Test, &alus))
+                .expect("table 1 regenerates")
+        };
+        assert_eq!(on(1), on(3));
+    }
 }

@@ -5,11 +5,17 @@
 //! implementations" (paper §1). This module sweeps configurations over a
 //! workload, pairing measured cycles with modelled slices, and extracts
 //! the Pareto frontier.
+//!
+//! Design points are independent — each run owns its whole pipeline —
+//! so [`sweep`] farms them across host threads and reassembles results
+//! **by grid index**, never by completion order: the output is
+//! bit-identical at any thread count.
 
 use crate::experiments::{run_epic_workload, ExperimentError};
 use epic_area::{pareto_frontier, AreaModel, DesignPoint};
 use epic_config::Config;
 use epic_workloads::Workload;
+use rayon::prelude::*;
 
 /// A measured design point: configuration, cycles and area.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,27 +30,31 @@ pub struct SweepPoint {
     pub slices: u32,
 }
 
-/// Runs a workload across the given configurations.
+/// Runs a workload across the given configurations in parallel,
+/// returning the points in input order whichever thread finished first.
 ///
 /// # Errors
 ///
-/// Returns the first pipeline or verification error.
+/// Returns the first (in input order) pipeline or verification error.
 pub fn sweep(
     workload: &Workload,
     configs: impl IntoIterator<Item = (String, Config)>,
 ) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let mut points = Vec::new();
-    for (label, config) in configs {
-        let stats = run_epic_workload(workload, &config)?;
-        let slices = AreaModel::new(&config).slices();
-        points.push(SweepPoint {
-            label,
-            config,
-            cycles: stats.cycles,
-            slices,
-        });
-    }
-    Ok(points)
+    configs
+        .into_iter()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(label, config)| {
+            let stats = run_epic_workload(workload, &config)?;
+            let slices = AreaModel::new(&config).slices();
+            Ok(SweepPoint {
+                label,
+                config,
+                cycles: stats.cycles,
+                slices,
+            })
+        })
+        .collect()
 }
 
 /// The standard ALU sweep (the paper's 1–4 ALU design points).
@@ -103,4 +113,34 @@ pub fn render(points: &[SweepPoint]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use epic_workloads::Scale;
+
+    #[test]
+    fn sweep_keeps_input_order_at_any_thread_count() {
+        let workload = epic_workloads::sha::build(Scale::Test);
+        let configs: Vec<(String, Config)> = [2usize, 1]
+            .iter()
+            .map(|&alus| {
+                let config = Config::builder().num_alus(alus).build().expect("valid");
+                (format!("{alus} ALU"), config)
+            })
+            .collect();
+        let on = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| sweep(&workload, configs.clone()))
+                .expect("sweep runs")
+        };
+        let serial = on(1);
+        let labels: Vec<&str> = serial.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["2 ALU", "1 ALU"]);
+        assert_eq!(serial, on(3));
+    }
 }

@@ -6,8 +6,8 @@ use epic_config::Config;
 use epic_ir::{IrError, Module};
 use epic_sa110::{ArmCodegenError, ArmSimError, ArmSimulator, ArmStats};
 use epic_sim::{
-    BlockSimulator, Engine, Memory, NopSink, ReferenceSimulator, SimError, SimStats, Simulator,
-    ThreadedSimulator, TraceSink,
+    Engine, Memory, NopSink, ReferenceSimulator, SimError, SimStats, Simulator, ThreadedSimulator,
+    TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -162,8 +162,8 @@ pub struct EngineOutcome {
     pub return_value: u32,
     /// The final data memory.
     pub memory: Memory,
-    /// Basic blocks the block-compiled or threaded engine replayed on
-    /// its folded fast path (always zero on the per-cycle engines).
+    /// Basic blocks the threaded engine replayed on its folded fast path
+    /// (always zero on the per-cycle engines).
     pub fast_block_execs: u64,
     /// Fast-path executions the threaded engine entered by chaining —
     /// directly from a predecessor's terminator, without returning to
@@ -389,18 +389,6 @@ impl Toolchain {
                     chained_execs: 0,
                 })
             }
-            Engine::Block => {
-                let mut sim = BlockSimulator::try_new(&self.config, bundles, entry)?;
-                sim.set_memory(memory);
-                let stats = *sim.run()?;
-                Ok(EngineOutcome {
-                    stats,
-                    return_value: sim.gpr(1),
-                    memory: sim.memory().clone(),
-                    fast_block_execs: sim.fast_block_execs(),
-                    chained_execs: 0,
-                })
-            }
             Engine::Threaded => {
                 let mut sim = ThreadedSimulator::try_new(&self.config, bundles, entry)?;
                 sim.set_memory(memory);
@@ -546,19 +534,14 @@ mod tests {
         let reference = toolchain
             .run_prepared(&prepared, Engine::Reference)
             .unwrap();
-        let block = toolchain.run_prepared(&prepared, Engine::Block).unwrap();
         let threaded = toolchain.run_prepared(&prepared, Engine::Threaded).unwrap();
         assert_eq!(decoded.stats, reference.stats);
-        assert_eq!(decoded.stats, block.stats);
         assert_eq!(decoded.stats, threaded.stats);
         assert_eq!(decoded.return_value, reference.return_value);
-        assert_eq!(decoded.return_value, block.return_value);
         assert_eq!(decoded.return_value, threaded.return_value);
         assert_eq!(decoded.memory.bytes(), reference.memory.bytes());
-        assert_eq!(decoded.memory.bytes(), block.memory.bytes());
         assert_eq!(decoded.memory.bytes(), threaded.memory.bytes());
         let expected: u32 = (1..=10).map(|i| i * i).sum();
-        assert_eq!(block.return_value, expected);
         assert_eq!(threaded.return_value, expected);
     }
 

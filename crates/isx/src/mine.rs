@@ -132,9 +132,10 @@ struct BlockDfg {
     succs: Vec<u32>,
 }
 
-/// Partitions `bundles` into basic blocks exactly as the block-compiled
-/// engine does: leaders are the entry, every over-approximate branch
-/// target and every bundle following a terminator.
+/// Partitions `bundles` into basic blocks exactly as the simulator's
+/// compiled-block substrate does: leaders are the entry, every
+/// over-approximate branch target and every bundle following a
+/// terminator.
 fn block_ranges(cfg: &Cfg, bundles: &[Vec<Instruction>], entry: u32) -> Vec<(usize, usize)> {
     let len = bundles.len();
     let mut is_leader = vec![false; len];

@@ -1,7 +1,7 @@
 //! Over-approximate control-flow graph over bundle addresses.
 //!
 //! Every consumer of program shape — `epic-bound`'s dataflow analyses,
-//! `epic-verify`'s fixpoint and the simulator's block-compiled engine —
+//! `epic-verify`'s fixpoint and the simulator's compiled blocks —
 //! runs over the same successor relation: for each bundle address, the
 //! bundle addresses the hardware may fetch next, each with the *minimum*
 //! number of processor cycles between the two bundles' execute stages

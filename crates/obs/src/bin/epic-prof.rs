@@ -497,7 +497,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 args.scale,
                 // Profiling needs the per-cycle event stream, and an
                 // observing sink always gets the decoded engine (the
-                // block engine stands down when observed).
+                // threaded engine stands down when observed).
                 epic_sim::Engine::Decoded,
                 args.alus,
                 args.issue_width,

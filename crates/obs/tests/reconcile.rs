@@ -1,11 +1,10 @@
 //! Differential reconciliation: the metrics registry must agree with
-//! the engine's own [`SimStats`] field for field, on **all four**
+//! the engine's own [`SimStats`] field for field, on **all three**
 //! execution engines, for every workload across the full ALU ×
 //! issue-width grid — and the engines must emit bit-identical
-//! trace-event streams. The block-compiled and threaded-code engines
-//! participate because an observing sink forces them off their fast
-//! paths: observed, each must deliver the exact per-cycle event
-//! sequence the decoded engine does.
+//! trace-event streams. The threaded-code engine participates because
+//! an observing sink forces it off its fast paths: observed, it must
+//! deliver the exact per-cycle event sequence the decoded engine does.
 //!
 //! This is the contract that makes `epic-prof` trustworthy: every
 //! number it prints is derived from the event stream, and this test
@@ -16,7 +15,7 @@ use epic_core::compiler::{Compiler, Options};
 use epic_core::config::Config;
 use epic_core::workloads::{self, Scale};
 use epic_obs::{MetricsRegistry, RecordingSink, TeeSink};
-use epic_sim::{BlockSimulator, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_sim::{Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
 
 #[test]
 fn metrics_reconcile_on_all_engines_across_the_grid() {
@@ -59,30 +58,9 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                     .reconcile(decoded.stats())
                     .unwrap_or_else(|e| panic!("{point}: decoded engine does not reconcile:\n{e}"));
 
-                // Block-compiled engine: the observing sink forces the
+                // Threaded-code engine: the observing sink forces the
                 // per-cycle fallback, which must reconcile and match the
                 // decoded event stream exactly.
-                let mut block =
-                    BlockSimulator::try_new(&config, program.bundles().to_vec(), program.entry())
-                        .unwrap_or_else(|e| panic!("{point}: block compile: {e}"));
-                block.set_memory(Memory::from_image(image.clone()));
-                let mut block_sink = TeeSink(MetricsRegistry::default(), RecordingSink::default());
-                block
-                    .run_with_sink(&mut block_sink)
-                    .unwrap_or_else(|e| panic!("{point}: block run: {e}"));
-                let TeeSink(mut block_metrics, block_events) = block_sink;
-                block_metrics.finish();
-                block_metrics
-                    .reconcile(block.stats())
-                    .unwrap_or_else(|e| panic!("{point}: block engine does not reconcile:\n{e}"));
-                assert_eq!(
-                    block.fast_block_execs(),
-                    0,
-                    "{point}: block engine took the fast path under an observing sink"
-                );
-
-                // Threaded-code engine: likewise forced off chaining by
-                // the observing sink.
                 let mut threaded = ThreadedSimulator::try_new(
                     &config,
                     program.bundles().to_vec(),
@@ -133,22 +111,12 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                 );
                 assert_eq!(
                     decoded.stats(),
-                    block.stats(),
-                    "{point}: block engine disagrees on statistics"
-                );
-                assert_eq!(
-                    decoded.stats(),
                     threaded.stats(),
                     "{point}: threaded engine disagrees on statistics"
                 );
-                let block_events = block_events.into_events();
                 let threaded_events = threaded_events.into_events();
                 let (decoded_events, reference_events) =
                     (decoded_events.into_events(), reference_events.into_events());
-                assert_eq!(
-                    decoded_events, block_events,
-                    "{point}: block engine event stream diverged from decoded"
-                );
                 assert_eq!(
                     decoded_events, threaded_events,
                     "{point}: threaded engine event stream diverged from decoded"

@@ -1,4 +1,4 @@
-//! The block-compiled execution engine.
+//! Compiled blocks: the threaded engine's substrate.
 //!
 //! The decoded engine (`machine.rs`) pays the full per-cycle price on
 //! every cycle: scoreboard scan, unit availability, port accounting,
@@ -9,79 +9,30 @@
 //! constant: how many cycles the block takes, which stall counters it
 //! bumps, and what every scoreboard entry reads after it.
 //!
-//! [`BlockSimulator`] does exactly that. At construction it partitions
-//! the program into basic blocks over the shared
-//! [`epic_mdes::cfg::Cfg`], symbolically replays each block's issue
-//! logic against the decoded arrays, and stores the result as a
-//! [`CompiledBlock`]: a folded cycle count, a folded
-//! [`StallBreakdown`], the scoreboard bookings to apply, and the
+//! [`compile_blocks`] does exactly that. It partitions the program into
+//! basic blocks over the shared [`epic_mdes::cfg::Cfg`], symbolically
+//! replays each block's issue logic against the decoded arrays, and
+//! stores the result as a [`CompiledBlock`]: a folded cycle count, a
+//! folded [`StallBreakdown`], the scoreboard bookings to apply, and the
 //! *entry signature* — per-register readiness caps under which the
-//! replay is provably exact. At run time, whenever the front end sits
-//! clean at a block leader and the live scoreboard is dominated by the
-//! entry signature, the whole block executes in one step: the body
-//! bundles run through the same shared [`crate::semantics::execute_op`]
-//! write-back path, the cycle counter jumps by the folded amount, and
-//! the per-cycle machinery is skipped entirely. Blocks whose entry
-//! conditions fail (or programs mid-branch-flush, mid-divide, and so
-//! on) fall back to the decoded per-cycle engine bundle by bundle, so
-//! results — `SimStats`, registers, memory, faults — stay
-//! **bit-identical** to [`crate::Simulator`] by construction, which the
-//! differential suites enforce.
-//!
-//! The fast path stands down whenever it could be observed skipping
-//! cycles: under a [`TraceSink`] whose [`TraceSink::OBSERVED`] constant
-//! is `true`, or when per-cycle stall recording is on. Those runs are
-//! plain decoded-engine runs and produce identical event streams.
+//! replay is provably exact ([`entry_ok`]). The threaded-code engine
+//! (`crate::threaded`) translates this table into its step streams;
+//! [`fold_exit`] applies a block's folded exit state and
+//! [`fault_unwind`] rewinds a block interrupted by a fault to the exact
+//! per-cycle machine state, so results stay **bit-identical** to
+//! [`crate::Simulator`] by construction.
 
 use crate::decoded::DecodedProgram;
-use crate::error::SimError;
-use crate::machine::{Simulator, StepPhase};
-use crate::memory::Memory;
+use crate::machine::Simulator;
 use crate::semantics::Action;
-use crate::stats::{SimStats, StallBreakdown, StallCause, StallEvent};
-use crate::trace::{NopSink, TraceSink};
-use epic_config::Config;
-use epic_isa::Instruction;
+use crate::stats::{StallBreakdown, StallCause};
 use epic_mdes::cfg::Cfg;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Upper bound on symbolic-replay cycles per block: a block that takes
 /// longer than this to issue is not worth compiling (and a runaway
 /// replay would indicate a bug, not a real schedule).
 const REPLAY_CYCLE_CAP: u64 = 10_000;
-
-/// Profitability floor: a block folding at least this many cycles
-/// always saves more per-cycle negotiation than its own dispatch costs
-/// (entry check, booking replay, table lookups).
-const MIN_FOLD_CYCLES: u64 = 3;
-
-/// Below [`MIN_FOLD_CYCLES`], a minimal two-cycle window must still
-/// fold at least this many instructions to out-save its admission cost.
-/// The throughput benchmark's regression points (aes 4×1, dct 1×4) are
-/// exactly two-cycle windows over one- and two-instruction bundles,
-/// where the entry-cap scan costs as much as the negotiation it skips.
-const MIN_FOLD_INSTRUCTIONS: u64 = 6;
-
-/// Runtime half of the profitability gate: a compiled block whose entry
-/// signature fails this many consecutive admission attempts is demoted
-/// from the table. A hot leader whose caps never hold (typical on
-/// narrow machines where results are still in flight at re-entry) would
-/// otherwise pay a wasted entry scan on every visit.
-const DEMOTE_STRIKES: u8 = 16;
-
-/// Which translated blocks an engine registers for its fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FoldGate {
-    /// Only blocks predicted to out-save their admission cost: the
-    /// block engine pays a full entry-cap scan on *every* execution, so
-    /// minimal windows over thin bundles fold at a loss.
-    Profitable,
-    /// Every translatable block: the threaded engine amortises
-    /// admission through chaining and trace linking and executes bodies
-    /// as pre-bound micro-op runs, so even minimal windows win.
-    All,
-}
 
 /// One scoreboard booking a block issues, with its ready cycle relative
 /// to the block's entry cycle.
@@ -97,9 +48,8 @@ pub(crate) enum Booking {
 
 /// A basic block whose issue schedule has been folded at load time.
 ///
-/// Shared between the block-compiled engine and the threaded-code
-/// engine (`crate::threaded`), which reuses the folded schedule as the
-/// pre-bound payload of its step streams.
+/// The threaded-code engine (`crate::threaded`) uses the folded
+/// schedule as the pre-bound payload of its step streams.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledBlock {
     /// Address of the first bundle (the block leader).
@@ -132,222 +82,6 @@ pub(crate) struct CompiledBlock {
     /// Fetch-bandwidth debt outstanding when the block exits (entry
     /// debt is required to be 0 whenever `body_mem_ops > 0`).
     pub(crate) exit_debt: u32,
-}
-
-/// The block-compiled simulator: a [`Simulator`] plus compiled blocks.
-///
-/// Construction, state accessors and semantics match [`Simulator`]
-/// exactly; only the time-to-result differs. See the module
-/// documentation for the execution model.
-#[derive(Debug, Clone)]
-pub struct BlockSimulator {
-    sim: Simulator,
-    /// Compiled block per leader address (`None` off-leader/ineligible;
-    /// boxed so the per-cycle table walk touches dense 8-byte slots).
-    blocks: Vec<Option<Box<CompiledBlock>>>,
-    /// Consecutive entry-signature rejections per leader (runtime
-    /// profitability: [`DEMOTE_STRIKES`] rejections demote the block).
-    strikes: Vec<u8>,
-    fast_blocks: u64,
-}
-
-impl BlockSimulator {
-    /// Creates a block-compiled simulator for a configuration, program
-    /// and entry bundle, compiling eligible basic blocks up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::IllegalBundle`] exactly when
-    /// [`Simulator::try_new`] does.
-    pub fn try_new(
-        config: &Config,
-        bundles: Vec<Vec<Instruction>>,
-        entry: u32,
-    ) -> Result<Self, SimError> {
-        let cfg = Cfg::build(config, &bundles);
-        let sim = Simulator::try_new(config, bundles, entry)?;
-        let blocks: Vec<Option<Box<CompiledBlock>>> =
-            compile_blocks(&sim.program, &cfg, entry, FoldGate::Profitable)
-                .into_iter()
-                .map(|b| b.map(Box::new))
-                .collect();
-        let strikes = vec![0; blocks.len()];
-        Ok(BlockSimulator {
-            sim,
-            blocks,
-            strikes,
-            fast_blocks: 0,
-        })
-    }
-
-    /// Installs the data memory (e.g. a module's initial image).
-    pub fn set_memory(&mut self, memory: Memory) {
-        self.sim.set_memory(memory);
-    }
-
-    /// Caps the simulated cycles (runaway backstop).
-    pub fn set_cycle_limit(&mut self, limit: u64) {
-        self.sim.set_cycle_limit(limit);
-    }
-
-    /// The data memory.
-    #[must_use]
-    pub fn memory(&self) -> &Memory {
-        self.sim.memory()
-    }
-
-    /// Mutable access to the data memory (see
-    /// [`Simulator::memory_mut`]).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        self.sim.memory_mut()
-    }
-
-    /// Reads a general-purpose register.
-    #[must_use]
-    pub fn gpr(&self, index: usize) -> u32 {
-        self.sim.gpr(index)
-    }
-
-    /// Reads a predicate register (`p0` is hard-wired true).
-    #[must_use]
-    pub fn pred(&self, index: usize) -> bool {
-        self.sim.pred(index)
-    }
-
-    /// Reads a branch target register.
-    #[must_use]
-    pub fn btr(&self, index: usize) -> u32 {
-        self.sim.btr(index)
-    }
-
-    /// Elapsed processor cycles.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.sim.cycle()
-    }
-
-    /// Whether the processor has executed `HALT`.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.sim.is_halted()
-    }
-
-    /// Statistics gathered so far.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        self.sim.stats()
-    }
-
-    /// Enables (or disables) per-cycle stall recording. While recording
-    /// is on the fast path stands down, so the log is complete.
-    pub fn record_stalls(&mut self, on: bool) {
-        self.sim.record_stalls(on);
-    }
-
-    /// The stall events recorded so far.
-    #[must_use]
-    pub fn stall_log(&self) -> &[StallEvent] {
-        self.sim.stall_log()
-    }
-
-    /// How many times a compiled block executed on the fast path.
-    ///
-    /// Deliberately *not* part of [`SimStats`]: statistics must compare
-    /// equal across engines, and this counter is an engine property.
-    #[must_use]
-    pub fn fast_block_execs(&self) -> u64 {
-        self.fast_blocks
-    }
-
-    /// How many basic blocks compiled to a fast-path body.
-    #[must_use]
-    pub fn compiled_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
-    }
-
-    /// Unwraps the underlying per-cycle simulator.
-    #[must_use]
-    pub fn into_inner(self) -> Simulator {
-        self.sim
-    }
-
-    /// Advances exactly one processor cycle on the per-cycle decoded
-    /// path. Returns `false` once halted.
-    ///
-    /// The folded fast path only exists for whole-run execution — it
-    /// jumps the cycle counter across an entire block, which a caller
-    /// stepping the machine in lockstep with external agents (the
-    /// many-core array's mesh exchange) must never observe. Results
-    /// stay bit-identical to [`run`](BlockSimulator::run) by the
-    /// engine contract; only time-to-result differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised (as
-    /// [`Simulator::step`] does).
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        self.sim.step()
-    }
-
-    /// Runs until `HALT` (or an error), taking the fast path through
-    /// every compiled block whose entry signature is satisfied.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised, with the interrupted
-    /// machine state identical to the decoded engine's.
-    pub fn run(&mut self) -> Result<&SimStats, SimError> {
-        self.run_with_sink(&mut NopSink)
-    }
-
-    /// Runs until `HALT`, streaming per-cycle events into `sink`.
-    ///
-    /// An observing sink (`S::OBSERVED == true`) disables the fast path
-    /// — folded cycles have no per-cycle events to report — so such
-    /// runs are plain decoded-engine runs with identical event streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised.
-    pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<&SimStats, SimError> {
-        let program = Arc::clone(&self.sim.program);
-        if S::OBSERVED || self.sim.recording_stalls() {
-            while self.sim.step_program(&program, sink)? {}
-            return Ok(self.sim.stats());
-        }
-        loop {
-            match self.sim.step_front(&program, sink)? {
-                StepPhase::Halted => return Ok(self.sim.stats()),
-                StepPhase::Drained => {}
-                StepPhase::Issue(redirect) => {
-                    if self.sim.pre_issue_stall(&program, redirect, sink) {
-                        self.sim.finish_cycle(sink);
-                        continue;
-                    }
-                    let pc = self.sim.pc as usize;
-                    match self.blocks.get(pc).and_then(Option::as_deref) {
-                        Some(block) if entry_ok(&self.sim, block) => {
-                            self.strikes[pc] = 0;
-                            run_block(&mut self.sim, &program, block)?;
-                            self.fast_blocks += 1;
-                            continue;
-                        }
-                        Some(_) => {
-                            // Runtime profitability: a leader whose caps
-                            // keep failing stops paying the entry scan.
-                            self.strikes[pc] += 1;
-                            if self.strikes[pc] >= DEMOTE_STRIKES {
-                                self.blocks[pc] = None;
-                            }
-                        }
-                        None => {}
-                    }
-                    self.sim.try_issue(&program, sink)?;
-                    self.sim.finish_cycle(sink);
-                }
-            }
-        }
-    }
 }
 
 /// Whether the live machine state is dominated by the block's entry
@@ -390,28 +124,6 @@ pub(crate) fn entry_ok(sim: &Simulator, block: &CompiledBlock) -> bool {
             .entry_btr_caps
             .iter()
             .all(|&(b, cap)| sim.btr_ready[b as usize] <= c + cap)
-}
-
-/// Executes one compiled block on the fast path: body bundles through
-/// the shared write-back semantics, schedule from the folded constants.
-pub(crate) fn run_block(
-    sim: &mut Simulator,
-    program: &DecodedProgram,
-    block: &CompiledBlock,
-) -> Result<(), SimError> {
-    let c = sim.cycle;
-    for i in 0..block.n - 1 {
-        let addr = block.first + i as u32;
-        match sim.execute_bundle(program, addr, &mut NopSink) {
-            Ok(redirect) => debug_assert!(redirect.is_none(), "body bundles cannot branch"),
-            Err(e) => {
-                fault_unwind(sim, block, c, i);
-                return Err(e);
-            }
-        }
-    }
-    fold_exit(sim, block, c);
-    Ok(())
 }
 
 /// Rewinds a folded block interrupted by a fault in body bundle `i` to
@@ -469,7 +181,7 @@ pub(crate) fn fold_exit(sim: &mut Simulator, block: &CompiledBlock, entry_cycle:
     }
 }
 
-pub(crate) fn apply_bookings(sim: &mut Simulator, entry_cycle: u64, bookings: &[Booking]) {
+fn apply_bookings(sim: &mut Simulator, entry_cycle: u64, bookings: &[Booking]) {
     for &booking in bookings {
         match booking {
             Booking::Gpr(r, rel) => sim.gpr_ready[r as usize] = entry_cycle + rel,
@@ -494,13 +206,10 @@ fn add_stall(stalls: &mut StallBreakdown, cause: StallCause) {
 /// target and every bundle following a terminator; a block runs from
 /// its leader to the first terminator (a bundle containing a branch or
 /// halt, the last bundle, or a bundle whose successor is a leader).
-/// Under [`FoldGate::Profitable`], blocks predicted to fold at a loss
-/// are dropped (see [`profitable`]).
 pub(crate) fn compile_blocks(
     program: &DecodedProgram,
     cfg: &Cfg,
     entry: u32,
-    gate: FoldGate,
 ) -> Vec<Option<CompiledBlock>> {
     let len = program.bundles.len();
     let mut is_leader = vec![false; len];
@@ -542,26 +251,8 @@ pub(crate) fn compile_blocks(
                 return None; // No straight-line body to fold.
             }
             translate(program, leader, term)
-                .filter(|b| gate == FoldGate::All || profitable(program, b))
         })
         .collect()
-}
-
-/// Whether a folded window is predicted to out-save the admission cost
-/// the block engine pays per execution (the entry-cap scan plus the
-/// booking replay): either the window spans enough cycles, or — for a
-/// minimal two-cycle window — it folds enough instructions that the
-/// skipped issue negotiation dominates.
-fn profitable(program: &DecodedProgram, block: &CompiledBlock) -> bool {
-    if block.block_cycles >= MIN_FOLD_CYCLES {
-        return true;
-    }
-    let first = block.first as usize;
-    let instructions: u64 = program.bundles[first..first + block.n]
-        .iter()
-        .map(|b| b.instructions)
-        .sum();
-    instructions >= MIN_FOLD_INSTRUCTIONS
 }
 
 /// Symbolically replays the issue logic of bundles `[first..=last]`
@@ -764,140 +455,4 @@ fn sorted(caps: HashMap<u16, u64>) -> Vec<(u16, u64)> {
     let mut v: Vec<(u16, u64)> = caps.into_iter().collect();
     v.sort_unstable();
     v
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use epic_asm::assemble;
-
-    fn build_pair(src: &str, config: &Config, mem: u32) -> (Simulator, BlockSimulator) {
-        let program = assemble(src, config).expect("assembles");
-        let mut decoded = Simulator::try_new(config, program.bundles().to_vec(), program.entry())
-            .expect("legal program");
-        let mut block =
-            BlockSimulator::try_new(config, program.bundles().to_vec(), program.entry())
-                .expect("legal program");
-        decoded.set_memory(Memory::new(mem));
-        block.set_memory(Memory::new(mem));
-        (decoded, block)
-    }
-
-    const LOOP_SRC: &str = "    MOVE r1, #0\n    MOVE r2, #10\n    PBR b1, @loop\n;;\n\
-                            loop:\n    ADD r1, r1, r2\n;;\n    SUB r2, r2, #1\n;;\n\
-                                CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n\
-                                SW r1, r3, #0\n;;\n    HALT\n;;\n";
-
-    #[test]
-    fn loop_matches_decoded_engine_and_uses_the_fast_path() {
-        let config = Config::default();
-        let (mut decoded, mut block) = build_pair(LOOP_SRC, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
-        let got = *block.run().expect("block runs");
-        assert_eq!(got, want, "stats must be bit-identical");
-        assert_eq!(block.gpr(1), 55, "sum 1..=10");
-        assert_eq!(block.gpr(1), decoded.gpr(1));
-        assert_eq!(block.memory().bytes(), decoded.memory().bytes());
-        assert!(
-            block.fast_block_execs() >= 9,
-            "the loop body must run compiled (got {})",
-            block.fast_block_execs()
-        );
-    }
-
-    #[test]
-    fn narrow_machines_agree_too() {
-        // 1 ALU × issue width 1 exercises a different stall mix (and
-        // needs single-instruction bundles to assemble).
-        let src = "    MOVE r1, #0\n;;\n    MOVE r2, #10\n;;\n    PBR b1, @loop\n;;\n\
-                   loop:\n    ADD r1, r1, r2\n;;\n    SUB r2, r2, #1\n;;\n\
-                       CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n\
-                       SW r1, r3, #0\n;;\n    HALT\n;;\n";
-        let config = Config::builder()
-            .num_alus(1)
-            .issue_width(1)
-            .build()
-            .unwrap();
-        let (mut decoded, mut block) = build_pair(src, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
-        let got = *block.run().expect("block runs");
-        assert_eq!(got, want);
-        assert_eq!(block.gpr(1), decoded.gpr(1));
-        assert!(block.fast_block_execs() > 0);
-    }
-
-    #[test]
-    fn fault_mid_block_reconstructs_the_per_cycle_state() {
-        // The store faults (memory is 16 bytes, address 4096) in the
-        // middle of the entry block's body.
-        let src = "    MOVE r1, #1\n    MOVIL r9, #4096\n;;\n    ADD r2, r1, #1\n;;\n\
-                   SW r2, r9, #0\n;;\n    ADD r3, r2, #1\n;;\n    HALT\n;;\n";
-        let config = Config::default();
-        let (mut decoded, mut block) = build_pair(src, &config, 16);
-        let want_err = decoded.run().expect_err("store faults");
-        let got_err = block.run().expect_err("store faults");
-        assert_eq!(format!("{got_err}"), format!("{want_err}"));
-        let want = decoded;
-        let got = block.into_inner();
-        assert_eq!(got.stats, want.stats, "interrupted stats must match");
-        assert_eq!(got.cycle, want.cycle);
-        assert_eq!(got.pc, want.pc);
-        assert_eq!(got.stage2, want.stage2);
-        assert_eq!(got.gprs, want.gprs);
-        assert_eq!(got.gpr_ready, want.gpr_ready);
-        assert_eq!(got.pred_ready, want.pred_ready);
-        assert_eq!(got.mem_debt, want.mem_debt);
-        assert_eq!(got.port_wait, want.port_wait);
-    }
-
-    #[test]
-    fn observing_sinks_disable_the_fast_path() {
-        struct Counter(u64);
-        impl TraceSink for Counter {
-            fn cycle_retired(&mut self, _cycle: u64) {
-                self.0 += 1;
-            }
-        }
-        let config = Config::default();
-        let (mut decoded, mut block) = build_pair(LOOP_SRC, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
-        let mut sink = Counter(0);
-        let got = *block.run_with_sink(&mut sink).expect("block runs");
-        assert_eq!(got, want);
-        assert_eq!(
-            sink.0, want.cycles,
-            "observed runs must retire every cycle individually"
-        );
-        assert_eq!(block.fast_block_execs(), 0);
-    }
-
-    #[test]
-    fn stall_recording_disables_the_fast_path() {
-        let config = Config::default();
-        let (mut decoded, mut block) = build_pair(LOOP_SRC, &config, 64);
-        decoded.record_stalls(true);
-        block.record_stalls(true);
-        let want = *decoded.run().expect("decoded runs");
-        let got = *block.run().expect("block runs");
-        assert_eq!(got, want);
-        assert_eq!(block.fast_block_execs(), 0);
-        assert_eq!(block.stall_log(), decoded.stall_log());
-        assert!(block
-            .stall_log()
-            .iter()
-            .any(|e| e.cause == StallCause::BranchFlush));
-    }
-
-    #[test]
-    fn divides_are_never_block_compiled() {
-        let src = "    MOVE r1, #40\n    MOVE r2, #4\n;;\n    DIV r3, r1, r2\n;;\n\
-                   ADD r4, r3, #1\n;;\n    HALT\n;;\n";
-        let config = Config::default();
-        let (mut decoded, mut block) = build_pair(src, &config, 0);
-        assert_eq!(block.compiled_blocks(), 0, "the divide poisons the block");
-        let want = *decoded.run().expect("decoded runs");
-        let got = *block.run().expect("block runs");
-        assert_eq!(got, want);
-        assert_eq!(block.gpr(3), 10);
-    }
 }

@@ -5,7 +5,7 @@ use std::str::FromStr;
 
 /// Which execution engine simulates a program.
 ///
-/// All four are architecturally bit-identical (stats, registers,
+/// All three are architecturally bit-identical (stats, registers,
 /// memory); they differ only in wall-clock throughput and in how much
 /// work happens at load time. See the README's engine-selection table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -16,37 +16,26 @@ pub enum Engine {
     /// The decode-once per-cycle engine ([`crate::Simulator`]).
     #[default]
     Decoded,
-    /// The block-compiled engine ([`crate::BlockSimulator`]): straight-
-    /// line basic-block bodies with statically folded cycle accounting,
-    /// falling back to the decoded engine per bundle.
-    Block,
     /// The threaded-code engine ([`crate::ThreadedSimulator`]):
-    /// translated step streams over the compiled-block table, with
-    /// block chaining and trace linking on top, falling back to the
-    /// decoded engine per bundle.
+    /// straight-line basic blocks with statically folded cycle
+    /// accounting, translated into step streams with block chaining and
+    /// trace linking, falling back to the decoded engine per bundle.
     Threaded,
 }
 
 impl Engine {
     /// All engines, in oracle-to-fastest order.
     #[must_use]
-    pub fn all() -> [Engine; 4] {
-        [
-            Engine::Reference,
-            Engine::Decoded,
-            Engine::Block,
-            Engine::Threaded,
-        ]
+    pub fn all() -> [Engine; 3] {
+        [Engine::Reference, Engine::Decoded, Engine::Threaded]
     }
 
-    /// The command-line name (`reference` / `decoded` / `block` /
-    /// `threaded`).
+    /// The command-line name (`reference` / `decoded` / `threaded`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
             Engine::Decoded => "decoded",
-            Engine::Block => "block",
             Engine::Threaded => "threaded",
         }
     }
@@ -65,10 +54,9 @@ impl FromStr for Engine {
         match s {
             "reference" => Ok(Engine::Reference),
             "decoded" => Ok(Engine::Decoded),
-            "block" => Ok(Engine::Block),
             "threaded" => Ok(Engine::Threaded),
             other => Err(format!(
-                "unknown engine `{other}` (expected `reference`, `decoded`, `block` or `threaded`)"
+                "unknown engine `{other}` (expected `reference`, `decoded` or `threaded`)"
             )),
         }
     }
@@ -83,6 +71,8 @@ mod tests {
         for engine in Engine::all() {
             assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
         }
-        assert!("jit".parse::<Engine>().is_err());
+        for retired in ["jit", "block"] {
+            assert!(retired.parse::<Engine>().is_err(), "{retired}");
+        }
     }
 }

@@ -29,7 +29,10 @@
 //! the machine description), so the per-cycle loop touches only dense
 //! arrays. The original interpret-every-cycle engine survives as
 //! [`ReferenceSimulator`], the golden model differential tests hold the
-//! fast core bit-identical to.
+//! fast engines bit-identical to. [`ThreadedSimulator`] is the fast
+//! engine for whole runs: it folds each straight-line basic block's
+//! issue schedule at load time and chains the folded blocks into
+//! threaded step streams. [`Engine`] names the three engines.
 //!
 //! # Examples
 //!
@@ -65,7 +68,6 @@ mod stats;
 mod threaded;
 mod trace;
 
-pub use block::BlockSimulator;
 pub use engine::Engine;
 pub use error::SimError;
 pub use machine::Simulator;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 const DEFAULT_CYCLE_LIMIT: u64 = 20_000_000_000;
 
 /// What the front half of a cycle (halt check, cycle budget, execute
-/// stage) decided, so `step` and the block engine can share it.
+/// stage) decided, so `step` and the threaded engine can share it.
 pub(crate) enum StepPhase {
     /// Already halted before the cycle began: nothing to do.
     Halted,
@@ -201,8 +201,8 @@ impl Simulator {
         &self.stall_log
     }
 
-    /// Whether per-cycle stall recording is on (the block engine's fast
-    /// path must stand down while it is).
+    /// Whether per-cycle stall recording is on (the threaded engine's
+    /// fast path must stand down while it is).
     pub(crate) fn recording_stalls(&self) -> bool {
         self.record_stalls
     }

@@ -2,8 +2,7 @@
 //!
 //! Every execution engine in this crate — the decode-once
 //! [`crate::Simulator`], the interpretive [`crate::ReferenceSimulator`]
-//! oracle, the block-compiled [`crate::BlockSimulator`] and the
-//! threaded-code [`crate::ThreadedSimulator`] — executes
+//! oracle and the threaded-code [`crate::ThreadedSimulator`] — executes
 //! architectural operations through this one module: [`decode_action`]
 //! maps an [`Instruction`] to its resolved [`Action`], and
 //! [`execute_op`] applies one guarded action to the machine state with

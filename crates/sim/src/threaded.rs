@@ -1,20 +1,19 @@
 //! The threaded-code execution engine.
 //!
-//! The block-compiled engine (`block.rs`) folds each basic block's
-//! issue negotiation into load-time constants, but every block exit
-//! still returns to the generic dispatch loop: the terminator executes
-//! through [`Simulator::step_front`], the redirect walks the pre-issue
-//! stall ladder one cycle at a time, and the next block pays a fresh
-//! table lookup and entry check. On short blocks that dispatch overhead
-//! eats the folded savings — the throughput benchmark showed grid
-//! points where the block engine *loses* to the decoded engine.
+//! The decoded engine (`machine.rs`) re-derives the whole issue
+//! negotiation — scoreboard scan, unit availability, port accounting,
+//! stall ladder — on every cycle, and returns to its generic dispatch
+//! loop after every bundle. Inside a straight-line basic block that
+//! negotiation is a load-time constant: the compiled-block substrate
+//! (`block.rs`) replays it once per block and folds it into a
+//! [`CompiledBlock`] with an exact entry signature.
 //!
-//! [`ThreadedSimulator`] removes the dispatcher from the hot path. At
-//! load time it translates the decoded program plus the shared
-//! [`CompiledBlock`] table into a flat **step table**: one pre-bound
-//! [`Step`] per bundle address, resolving at translation time which
-//! addresses head a folded stream and which fall back to per-cycle
-//! interpretation. The run loop is then a tight
+//! [`ThreadedSimulator`] builds on that table and removes the
+//! dispatcher from the hot path. At load time it translates the decoded
+//! program plus the [`CompiledBlock`] table into a flat **step table**:
+//! one pre-bound [`Step`] per bundle address, resolving at translation
+//! time which addresses head a folded stream and which fall back to
+//! per-cycle interpretation. The run loop is then a tight
 //! `loop { match steps[pc] { ... } }` over that table with no per-cycle
 //! scoreboard re-derivation on the fast path:
 //!
@@ -26,8 +25,8 @@
 //!   and their static statistics (bundles, nops, instructions,
 //!   unit-busy cycles) fold into one delta applied per run. Pure runs
 //!   cannot fault, so exactness is free; impure bundles (memory
-//!   traffic) stay on the shared write-buffered path with the block
-//!   engine's exact fault unwinding.
+//!   traffic) stay on the shared write-buffered path with the
+//!   substrate's exact fault unwinding.
 //! * **Block chaining** — after a stream's folded body executes, the
 //!   terminator bundle runs *inside the chain loop* (through the shared
 //!   [`Simulator::execute_bundle`] write-back path), its redirect and
@@ -55,7 +54,7 @@
 //! recording) the engine stands down entirely and runs the decoded
 //! per-cycle loop, producing identical event streams.
 
-use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock, FoldGate};
+use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
 use crate::decoded::{DecodedBundle, DecodedProgram};
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
@@ -175,10 +174,10 @@ impl ThreadedSimulator {
     ) -> Result<Self, SimError> {
         let cfg = Cfg::build(config, &bundles);
         let sim = Simulator::try_new(config, bundles, entry)?;
-        // Unlike the block engine, translate *every* foldable block:
-        // chaining and trace linking amortise the admission cost, and
-        // the micro-op runs make even minimal windows profitable.
-        let blocks = compile_blocks(&sim.program, &cfg, entry, FoldGate::All);
+        // Translate *every* foldable block: chaining and trace linking
+        // amortise the admission cost, and the micro-op runs make even
+        // minimal windows profitable.
+        let blocks = compile_blocks(&sim.program, &cfg, entry);
         let mut steps = vec![Step::Interp; sim.program.bundles.len()];
         let mut streams = Vec::new();
         for (addr, block) in blocks.into_iter().enumerate() {
@@ -464,7 +463,7 @@ impl ThreadedSimulator {
                 .sim
                 .stage2
                 .take()
-                .expect("run_block staged the terminator");
+                .expect("fold_exit staged the terminator");
             let redirect = self.sim.execute_bundle(program, term, &mut NopSink)?;
             if self.sim.halted {
                 // Mirror `step_front`'s drain: the halt cycle retires.
@@ -712,8 +711,7 @@ fn exec_direct(sim: &mut Simulator, program: &DecodedProgram, op: &DecodedOp) {
 /// Executes one translated stream body: pure runs as direct-write
 /// micro-ops with one folded statistics delta each, impure bundles
 /// through the shared write-buffered path, then the folded exit state.
-/// Faults unwind to the exact per-cycle machine state, as the block
-/// engine's body does.
+/// Faults unwind to the exact per-cycle machine state.
 fn run_stream(
     sim: &mut Simulator,
     program: &DecodedProgram,
@@ -805,35 +803,49 @@ mod tests {
 
     #[test]
     fn mid_loop_fault_forces_exact_fallback() {
-        // Two stores per iteration marching through memory: the loop
-        // chains (the terminator's debt is paid as one contention stall
-        // per lap) until the stores walk off the end of the 64-byte
-        // memory and fault mid-block, mid-chain.
-        let src = "    MOVE r1, #0\n    MOVE r2, #20\n    PBR b1, @loop\n;;\n\
-                   loop:\n    SW r2, r1, #0\n;;\n    SW r2, r1, #4\n;;\n    ADD r1, r1, #8\n;;\n\
-                       SUB r2, r2, #1\n;;\n    CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n\
-                       HALT\n;;\n";
+        // Two inputs, each faulting inside a translated stream's body:
+        // * a loop with two stores per iteration marching through
+        //   memory — it chains (the terminator's debt is paid as one
+        //   contention stall per lap) until the stores walk off the end
+        //   of the 64-byte memory and fault mid-block, mid-chain;
+        // * a straight-line entry block whose store faults (address 4096
+        //   in a 64-byte memory) on a stream entered from the dispatcher
+        //   rather than from a chain.
+        let looped = "    MOVE r1, #0\n    MOVE r2, #20\n    PBR b1, @loop\n;;\n\
+                      loop:\n    SW r2, r1, #0\n;;\n    SW r2, r1, #4\n;;\n    ADD r1, r1, #8\n;;\n\
+                          SUB r2, r2, #1\n;;\n    CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n\
+                          HALT\n;;\n";
+        let entry_block = "    MOVE r1, #1\n    MOVIL r9, #4096\n;;\n    ADD r2, r1, #1\n;;\n\
+                           SW r2, r9, #0\n;;\n    ADD r3, r2, #1\n;;\n    HALT\n;;\n";
         let config = Config::default();
-        let (mut decoded, mut threaded) = build_pair(src, &config, 64);
-        let want_err = decoded.run().expect_err("stores walk off memory");
-        let got_err = threaded.run().expect_err("stores walk off memory");
-        assert_eq!(format!("{got_err}"), format!("{want_err}"));
-        assert!(
-            threaded.chained_execs() > 0,
-            "the loop must have chained before the fault"
-        );
-        let want = decoded;
-        let got = threaded.into_inner();
-        assert_eq!(got.stats, want.stats, "interrupted stats must match");
-        assert_eq!(got.cycle, want.cycle);
-        assert_eq!(got.pc, want.pc);
-        assert_eq!(got.stage2, want.stage2);
-        assert_eq!(got.gprs, want.gprs);
-        assert_eq!(got.gpr_ready, want.gpr_ready);
-        assert_eq!(got.pred_ready, want.pred_ready);
-        assert_eq!(got.mem_debt, want.mem_debt);
-        assert_eq!(got.port_wait, want.port_wait);
-        assert_eq!(got.memory.bytes(), want.memory.bytes());
+        for (src, chains) in [(looped, true), (entry_block, false)] {
+            let (mut decoded, mut threaded) = build_pair(src, &config, 64);
+            let want_err = decoded.run().expect_err("store faults");
+            let got_err = threaded.run().expect_err("store faults");
+            assert_eq!(format!("{got_err}"), format!("{want_err}"));
+            assert!(
+                threaded.translated_blocks() > 0,
+                "the faulting block must be translated"
+            );
+            if chains {
+                assert!(
+                    threaded.chained_execs() > 0,
+                    "the loop must have chained before the fault"
+                );
+            }
+            let want = decoded;
+            let got = threaded.into_inner();
+            assert_eq!(got.stats, want.stats, "interrupted stats must match");
+            assert_eq!(got.cycle, want.cycle);
+            assert_eq!(got.pc, want.pc);
+            assert_eq!(got.stage2, want.stage2);
+            assert_eq!(got.gprs, want.gprs);
+            assert_eq!(got.gpr_ready, want.gpr_ready);
+            assert_eq!(got.pred_ready, want.pred_ready);
+            assert_eq!(got.mem_debt, want.mem_debt);
+            assert_eq!(got.port_wait, want.port_wait);
+            assert_eq!(got.memory.bytes(), want.memory.bytes());
+        }
     }
 
     #[test]

@@ -31,11 +31,10 @@ use crate::stats::StallCause;
 pub trait TraceSink {
     /// Whether this sink observes events.
     ///
-    /// The block-compiled engine ([`crate::BlockSimulator`]) folds whole
-    /// basic blocks into a single state update, and the threaded-code
-    /// engine ([`crate::ThreadedSimulator`]) chains such blocks into
-    /// translated step streams — both elide the per-cycle event stream.
-    /// They only do so when the sink statically declares itself blind
+    /// The threaded-code engine ([`crate::ThreadedSimulator`]) folds
+    /// whole basic blocks into single state updates and chains them into
+    /// translated step streams, eliding the per-cycle event stream. It
+    /// only does so when the sink statically declares itself blind
     /// (`OBSERVED == false`); observing sinks get the ordinary
     /// per-cycle engine and therefore the exact event sequence. Leave
     /// this `true` unless every method is a no-op.

@@ -12,7 +12,7 @@
 use epic_core::config::Config;
 use epic_core::ir::ast::{Expr, FunctionDef, Program, Stmt};
 use epic_core::ir::{lower, Global, Interpreter};
-use epic_core::sim::{BlockSimulator, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_core::sim::{Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
 use epic_core::{run_sa110, Toolchain};
 use proptest::prelude::*;
 
@@ -199,10 +199,10 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The four execution engines — reference oracle, decode-once,
-    /// block-compiled, threaded-code — must be bit-identical
-    /// (statistics, every architectural register, the full memory
-    /// image) on random programs, at both a narrow and a wide machine.
+    /// The three execution engines — reference oracle, decode-once,
+    /// threaded-code — must be bit-identical (statistics, every
+    /// architectural register, the full memory image) on random
+    /// programs, at both a narrow and a wide machine.
     /// This is the property the folded cycle accounting and the chained
     /// step streams are held to on inputs nobody hand-picked.
     #[test]
@@ -235,11 +235,6 @@ proptest! {
             reference.set_memory(Memory::from_image(image.clone()));
             reference.run().expect("reference engine runs");
 
-            let mut block = BlockSimulator::try_new(&config, bundles.clone(), entry)
-                .expect("block compile accepts legal programs");
-            block.set_memory(Memory::from_image(image.clone()));
-            block.run().expect("block engine runs");
-
             let mut threaded = ThreadedSimulator::try_new(&config, bundles, entry)
                 .expect("threaded translation accepts legal programs");
             threaded.set_memory(Memory::from_image(image));
@@ -250,30 +245,19 @@ proptest! {
                 "stats diverged (decoded vs reference, {} ALU / {}-wide)", alus, width
             );
             prop_assert_eq!(
-                decoded.stats(), block.stats(),
-                "stats diverged (decoded vs block, {} ALU / {}-wide)", alus, width
-            );
-            prop_assert_eq!(
                 decoded.stats(), threaded.stats(),
                 "stats diverged (decoded vs threaded, {} ALU / {}-wide)", alus, width
             );
             for r in 0..config.num_gprs() {
-                prop_assert_eq!(decoded.gpr(r), block.gpr(r), "block r{} diverged", r);
                 prop_assert_eq!(decoded.gpr(r), threaded.gpr(r), "threaded r{} diverged", r);
                 prop_assert_eq!(decoded.gpr(r), reference.gpr(r), "reference r{} diverged", r);
             }
             for p in 0..config.num_pred_regs() {
-                prop_assert_eq!(decoded.pred(p), block.pred(p), "block p{} diverged", p);
                 prop_assert_eq!(decoded.pred(p), threaded.pred(p), "threaded p{} diverged", p);
             }
             for b in 0..config.num_btrs() {
-                prop_assert_eq!(decoded.btr(b), block.btr(b), "block b{} diverged", b);
                 prop_assert_eq!(decoded.btr(b), threaded.btr(b), "threaded b{} diverged", b);
             }
-            prop_assert_eq!(
-                decoded.memory().bytes(), block.memory().bytes(),
-                "block memory image diverged"
-            );
             prop_assert_eq!(
                 decoded.memory().bytes(), threaded.memory().bytes(),
                 "threaded memory image diverged"

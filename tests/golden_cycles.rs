@@ -14,9 +14,9 @@
 //! and commit the updated `tests/golden/cycles.txt` alongside the
 //! change that caused it.
 //!
-//! `EPIC_ENGINE=reference|decoded|block` selects the simulation engine
+//! `EPIC_ENGINE=reference|decoded|threaded` selects the simulation engine
 //! the corpus is measured on. The golden file is engine-independent —
-//! all four engines are bit-identical by contract — so CI runs this
+//! all three engines are bit-identical by contract — so CI runs this
 //! test once per engine against the *same* committed corpus.
 
 use epic_core::config::Config;

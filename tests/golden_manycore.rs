@@ -12,9 +12,9 @@
 //! EPIC_BLESS=1 cargo test --test golden_manycore
 //! ```
 //!
-//! `EPIC_ENGINE=reference|decoded|block` selects the core engine; the
+//! `EPIC_ENGINE=reference|decoded|threaded` selects the core engine; the
 //! file is engine-independent because the engines are bit-identical by
-//! contract, so CI can replay the same corpus on all four.
+//! contract, so CI can replay the same corpus on all three.
 //!
 //! [`SimStats`]: epic_core::sim::SimStats
 

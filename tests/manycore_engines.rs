@@ -1,10 +1,9 @@
 //! Per-core engine identity inside the array: a mesh run must produce
 //! identical per-core statistics, architectural registers and final
 //! memories whichever engine — reference interpreter, decoded
-//! simulator, block-compiled simulator or threaded-code simulator —
-//! powers the cores.
+//! simulator or threaded-code simulator — powers the cores.
 //!
-//! This extends the single-core four-engine contract (see
+//! This extends the single-core three-engine contract (see
 //! `tests/differential_regression.rs`) to the lockstep world: the NoC
 //! exchange phase reads and writes core memories *between* cycles, so
 //! any engine that buffered stores across a cycle boundary or retired
@@ -49,7 +48,7 @@ fn engines_agree_on_a_2x2_mesh() {
             run_mesh_workload(&workload, &config, &spec)
                 .unwrap_or_else(|e| panic!("{} on {engine} cores: {e}", workload.name))
         });
-        // Lockstep stepping must never take the block or threaded fast
+        // Lockstep stepping must never take the threaded engine's fast
         // paths — folding several cycles between exchange phases would
         // skip NoC mailbox traffic.
         for run in &runs {
@@ -59,12 +58,8 @@ fn engines_agree_on_a_2x2_mesh() {
                 workload.name
             );
         }
-        let [reference, decoded, block, threaded] = runs.each_mut().map(|r| snapshot(r, &config));
-        for (engine, snap) in [
-            ("decoded", &decoded),
-            ("block", &block),
-            ("threaded", &threaded),
-        ] {
+        let [reference, decoded, threaded] = runs.each_mut().map(|r| snapshot(r, &config));
+        for (engine, snap) in [("decoded", &decoded), ("threaded", &threaded)] {
             assert_eq!(
                 &reference, snap,
                 "{}: {engine} cores diverged from reference cores",
