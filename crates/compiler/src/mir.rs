@@ -76,7 +76,7 @@ impl MSrc {
 }
 
 /// One machine operation (real ISA semantics, virtual operands).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MOp {
     /// The ISA opcode.
     pub opcode: Opcode,

@@ -34,7 +34,8 @@ use crate::regalloc::Abi;
 use epic_isa::Opcode;
 use epic_isa::{Instruction, Unit};
 use epic_mdes::MachineDescription;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A scheduled basic block: label plus bundles of machine operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -588,8 +589,7 @@ fn schedule_ops(
     let issue_width = mdes.issue_width();
     let port_budget = mdes.config().regfile_ops_per_cycle();
     let mut unsat = pred_count;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(u32, usize)>> =
-        std::collections::BinaryHeap::new();
+    let mut events: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
     let mut scheduled = vec![false; n];
     let mut ready: Vec<usize> = (0..n).filter(|&i| unsat[i] == 0).collect();
     let mut bundles: Vec<Vec<MOp>> = Vec::new();
@@ -604,7 +604,7 @@ fn schedule_ops(
 
     while done < n {
         // Release dependences satisfied by this cycle.
-        while let Some(&std::cmp::Reverse((t, j))) = events.peek() {
+        while let Some(&Reverse((t, j))) = events.peek() {
             if t > cycle {
                 break;
             }
@@ -623,61 +623,57 @@ fn schedule_ops(
         // during packing only affects later cycles.
         let alu_free = alu_busy.iter().filter(|&&b| b <= cycle).count();
 
-        // Keep packing until nothing more fits; accepting a node can make
-        // its zero-latency successors ready within the same cycle.
-        loop {
-            // Placing an op now is speculative when any exit it may
-            // cross has not issued in a strictly earlier cycle —
-            // speculative candidates only fill slots left over once
-            // every non-speculative ready op has been considered.
-            let spec_now = |i: usize| {
-                spec_across[i]
-                    .iter()
-                    .any(|&e| !scheduled[e] || cycle_of[e] >= cycle)
-            };
-            let mut candidates: Vec<usize> = ready
+        // Placing an op now is speculative when any exit it may cross
+        // has not issued in a strictly earlier cycle — speculative
+        // candidates only fill slots left over once every
+        // non-speculative ready op has been considered. An exit placed
+        // during this cycle issues in it, so the answer holds all cycle.
+        let key = |i: usize, scheduled: &[bool], cycle_of: &[u32]| {
+            let spec = spec_across[i]
                 .iter()
-                .copied()
-                .filter(|&i| !scheduled[i] && !bundle.contains(&i))
-                .collect();
-            candidates.sort_by_key(|&i| (spec_now(i), std::cmp::Reverse(priority[i]), i));
+                .any(|&e| !scheduled[e] || cycle_of[e] >= cycle);
+            Reverse((spec, Reverse(priority[i]), i))
+        };
+        let mut candidates: BinaryHeap<_> = ready
+            .iter()
+            .map(|&i| key(i, &scheduled, &cycle_of))
+            .collect();
 
-            let mut accepted = None;
-            for &i in &candidates {
-                if bundle.len() >= issue_width {
-                    break;
-                }
-                let op = &ops[i];
-                let is_ctl = op.opcode.is_branch() || op.opcode == Opcode::Halt;
-                if is_ctl && branch_in_bundle {
-                    continue;
-                }
-                if let Some(unit) = op.opcode.unit() {
-                    let used = unit_used.get(&unit).copied().unwrap_or(0);
-                    let available = match unit {
-                        Unit::Alu => alu_free,
-                        other => mdes.unit_count(other),
-                    };
-                    if used >= available {
-                        continue;
-                    }
-                }
-                let cost = mdes.op_port_cost(op);
-                if port_ops + cost > port_budget {
-                    continue;
-                }
-                accepted = Some(i);
-                port_ops += cost;
-                if let Some(unit) = op.opcode.unit() {
-                    *unit_used.entry(unit).or_insert(0) += 1;
-                }
-                if is_ctl {
-                    branch_in_bundle = true;
-                }
+        // Pack the best candidate that fits until the bundle is full or
+        // no candidate is left. Every fit test below only tightens as the
+        // bundle fills, so a candidate rejected once stays rejected this
+        // cycle and is dropped; accepting an op can make its
+        // zero-latency successors ready within the same cycle.
+        while bundle.len() < issue_width {
+            let Some(Reverse((_, _, i))) = candidates.pop() else {
                 break;
+            };
+            let op = &ops[i];
+            let is_ctl = op.opcode.is_branch() || op.opcode == Opcode::Halt;
+            if is_ctl && branch_in_bundle {
+                continue;
             }
-
-            let Some(i) = accepted else { break };
+            if let Some(unit) = op.opcode.unit() {
+                let used = unit_used.get(&unit).copied().unwrap_or(0);
+                let available = match unit {
+                    Unit::Alu => alu_free,
+                    other => mdes.unit_count(other),
+                };
+                if used >= available {
+                    continue;
+                }
+            }
+            let cost = mdes.op_port_cost(op);
+            if port_ops + cost > port_budget {
+                continue;
+            }
+            port_ops += cost;
+            if let Some(unit) = op.opcode.unit() {
+                *unit_used.entry(unit).or_insert(0) += 1;
+            }
+            if is_ctl {
+                branch_in_bundle = true;
+            }
             bundle.push(i);
             scheduled[i] = true;
             cycle_of[i] = cycle; // final; the bundle-close loop only assigns slots
@@ -693,9 +689,10 @@ fn schedule_ops(
                     unsat[e.to] -= 1;
                     if unsat[e.to] == 0 {
                         ready.push(e.to);
+                        candidates.push(key(e.to, &scheduled, &cycle_of));
                     }
                 } else {
-                    events.push(std::cmp::Reverse((cycle + e.latency, e.to)));
+                    events.push(Reverse((cycle + e.latency, e.to)));
                 }
             }
         }

@@ -12,7 +12,7 @@
 //! * [`headline_checks`] — the paper's qualitative claims as testable
 //!   predicates (who wins, where the benchmark scales, where it is flat).
 
-use crate::toolchain::{run_sa110, EngineRun, EpicRun, Toolchain, ToolchainError};
+use crate::toolchain::{memory_window, run_sa110, EngineRun, EpicRun, Toolchain, ToolchainError};
 use epic_area::{sa110_execution_time, AreaModel};
 use epic_array::{ArrayError, ArrayOutcome, ArraySimulator, MeshSpec};
 use epic_compiler::superblock::ProfileData;
@@ -283,12 +283,10 @@ fn compile_setup(
 /// Checks a run's final data memory against the workload's golden model.
 fn verify_workload_memory(workload: &Workload, bytes: &[u8]) -> Result<(), ExperimentError> {
     workload
-        .verify_memory(|addr, len| -> Result<Vec<u8>, VerifyError> {
-            let (start, end) = (addr as usize, (addr + len) as usize);
-            if end > bytes.len() {
-                return Err(VerifyError(format!("global at {addr:#x} overruns memory")));
-            }
-            Ok(bytes[start..end].to_vec())
+        .verify_memory(|addr, len| {
+            memory_window(bytes, addr, len)
+                .map(<[u8]>::to_vec)
+                .ok_or_else(|| VerifyError(format!("global at {addr:#x} overruns memory")))
         })
         .map_err(|m| ExperimentError::Verify(VerifyError(m)))
 }
@@ -326,18 +324,7 @@ fn train_profile(
 pub fn run_sa110_workload(workload: &Workload) -> Result<epic_sa110::ArmStats, ExperimentError> {
     let module = lower::lower(&workload.program)?;
     let run = run_sa110(&module, &workload.entry, &[], &workload.inline_hints())?;
-    let layout = module.layout()?;
-    workload
-        .verify_memory(|addr, len| -> Result<Vec<u8>, VerifyError> {
-            let _ = layout.data_end(); // layout checked above
-            let bytes = run.simulator.memory();
-            let (start, end) = (addr as usize, (addr + len) as usize);
-            if end > bytes.len() {
-                return Err(VerifyError(format!("global at {addr:#x} overruns memory")));
-            }
-            Ok(bytes[start..end].to_vec())
-        })
-        .map_err(|m| ExperimentError::Verify(VerifyError(m)))?;
+    verify_workload_memory(workload, run.simulator.memory())?;
     Ok(*run.stats())
 }
 

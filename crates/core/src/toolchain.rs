@@ -126,12 +126,17 @@ impl EpicRun {
         let base = layout
             .address_of(name)
             .ok_or_else(|| format!("unknown global `{name}`"))?;
-        let bytes = self.simulator.memory().bytes();
-        if (base + len) as usize > bytes.len() {
-            return Err(format!("global `{name}` overruns memory"));
-        }
-        Ok(bytes[base as usize..(base + len) as usize].to_vec())
+        memory_window(self.simulator.memory().bytes(), base, len)
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| format!("global `{name}` overruns memory"))
     }
+}
+
+/// The `len` bytes of `bytes` at `addr`, or `None` when the window runs
+/// past the end of memory or past the top of the address space.
+pub(crate) fn memory_window(bytes: &[u8], addr: u32, len: u32) -> Option<&[u8]> {
+    let end = addr.checked_add(len)?;
+    bytes.get(addr as usize..end as usize)
 }
 
 /// A compiled, assembled and translation-validated program together
@@ -327,8 +332,13 @@ impl Toolchain {
         module: &Module,
         options: &Options,
     ) -> Result<PreparedProgram, ToolchainError> {
-        let compiled = self.compiler.compile_with(module, options)?;
-        let program = epic_asm::assemble(compiled.assembly(), &self.config)?;
+        let mut compiled = self.compiler.compile_with(module, options)?;
+        // A verifying compile already assembled its output; only a
+        // `--no-verify` compile leaves the text to assemble here.
+        let program = match compiled.take_program() {
+            Some(program) => program,
+            None => epic_asm::assemble(compiled.assembly(), &self.config)?,
+        };
         // Translation validation rides on the same trace the bundle
         // verifier uses, so `--no-verify` disables both together.
         if let Some(trace) = compiled.trace() {
@@ -502,6 +512,26 @@ mod tests {
         // Memory images agree on the output global too.
         let bytes = epic.read_global(&m, "out", 4).unwrap();
         assert_eq!(bytes, expected.to_be_bytes());
+    }
+
+    #[test]
+    fn overflowing_memory_windows_are_errors() {
+        let ast = Ast::new()
+            .global(epic_ir::Global::zeroed("pad", 4))
+            .global(epic_ir::Global::zeroed("out", 4))
+            .function(FunctionDef::new("main", [] as [&str; 0]).body([Stmt::ret(Expr::lit(0))]));
+        let m = module(&ast);
+        let run = Toolchain::new(Config::default())
+            .run_module(&m, "main", &[], &[])
+            .unwrap();
+        assert_eq!(run.read_global(&m, "out", 4).unwrap(), [0; 4]);
+        // `addr + len` wraps past the top of the address space.
+        assert!(run.read_global(&m, "out", u32::MAX).is_err());
+        let bytes = [0u8; 16];
+        assert_eq!(memory_window(&bytes, 12, 4), Some(&bytes[12..]));
+        assert_eq!(memory_window(&bytes, 12, 5), None);
+        assert_eq!(memory_window(&bytes, 4, u32::MAX), None);
+        assert_eq!(memory_window(&bytes, u32::MAX, 1), None);
     }
 
     #[test]

@@ -33,13 +33,15 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                 let options = Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
+                    verify: true, // keeps the driver's assembled program
                     ..Options::default()
                 };
                 let compiled = Compiler::new(config.clone())
                     .compile_with(&module, &options)
                     .unwrap_or_else(|e| panic!("{point}: compile: {e}"));
-                let program = epic_core::asm::assemble(compiled.assembly(), &config)
-                    .unwrap_or_else(|e| panic!("{point}: assemble: {e}"));
+                let program = compiled
+                    .program()
+                    .unwrap_or_else(|| panic!("{point}: verifying compile kept no program"));
                 let image = module.initial_memory(&layout);
 
                 // Decoded engine.

@@ -424,13 +424,15 @@ fn lint_bounds(args: &Args) -> Result<ExitCode, String> {
                 let options = epic_compiler::Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
+                    verify: true, // the verified program is the one simulated
                     ..epic_compiler::Options::default()
                 };
                 let compiled = epic_compiler::Compiler::new(config.clone())
                     .compile_with(&module, &options)
                     .map_err(|e| format!("{}: compile failed: {e}", workload.name))?;
-                let program = epic_asm::assemble(compiled.assembly(), &config)
-                    .map_err(|e| format!("{}: assembly rejected: {e}", workload.name))?;
+                let program = compiled
+                    .program()
+                    .ok_or_else(|| format!("{}: compiler produced no program", workload.name))?;
 
                 let mut sim = epic_sim::Simulator::try_new(
                     &config,
@@ -557,12 +559,13 @@ fn lint_pipeline(args: &Args) -> Result<ExitCode, String> {
                 let compiled = epic_compiler::Compiler::new(config.clone())
                     .compile_with(&module, &options)
                     .map_err(|e| format!("{}: compile failed: {e}", workload.name))?;
-                let program = epic_asm::assemble(compiled.assembly(), &config)
-                    .map_err(|e| format!("{}: assembly rejected: {e}", workload.name))?;
+                let program = compiled
+                    .program()
+                    .ok_or_else(|| format!("{}: compiler produced no program", workload.name))?;
                 let trace = compiled
                     .trace()
                     .ok_or_else(|| format!("{}: compiler produced no trace", workload.name))?;
-                let report = epic_tv::validate_trace(trace, &program, &config);
+                let report = epic_tv::validate_trace(trace, program, &config);
                 let origin = format!("{}[alus={alus},iw={width}]", workload.name);
                 if args.format == Format::Json || !report.is_clean() {
                     emit(report.diagnostics(), &origin, None, args.format);

@@ -58,7 +58,17 @@ struct RegMerge {
     old: u64,
 }
 
-#[derive(Clone, Default)]
+/// A map key a read check created. Read checks only ever insert keys
+/// that were absent, so removing these undoes a failed check.
+#[derive(Clone, Copy)]
+enum Inserted {
+    PreGpr(u32),
+    PostGpr(u32),
+    PrePred(u32),
+    PostPred(u32),
+}
+
+#[derive(Default)]
 struct State {
     counter: u64,
     /// Virtual GPR -> value symbol (pre program).
@@ -79,6 +89,8 @@ struct State {
     pred_compl: HashMap<u64, u64>,
     /// Branch-target register -> prepared label.
     prepared: HashMap<u16, String>,
+    /// Keys inserted since [`consume_matched`] last started a pair.
+    inserted: Vec<Inserted>,
 }
 
 impl State {
@@ -97,16 +109,20 @@ impl State {
             (Some(a), Some(b)) => a == b,
             (Some(a), None) => {
                 self.post_gpr.insert(p, a);
+                self.inserted.push(Inserted::PostGpr(p));
                 true
             }
             (None, Some(b)) => {
                 self.pre_gpr.insert(v, b);
+                self.inserted.push(Inserted::PreGpr(v));
                 true
             }
             (None, None) => {
                 let s = self.fresh();
                 self.pre_gpr.insert(v, s);
                 self.post_gpr.insert(p, s);
+                self.inserted
+                    .extend([Inserted::PreGpr(v), Inserted::PostGpr(p)]);
                 true
             }
         }
@@ -123,16 +139,20 @@ impl State {
             (Some(x), Some(y)) => x == y,
             (Some(x), None) => {
                 self.post_pred.insert(b, x);
+                self.inserted.push(Inserted::PostPred(b));
                 true
             }
             (None, Some(y)) => {
                 self.pre_pred.insert(a, y);
+                self.inserted.push(Inserted::PrePred(a));
                 true
             }
             (None, None) => {
                 let s = self.fresh();
                 self.pre_pred.insert(a, s);
                 self.post_pred.insert(b, s);
+                self.inserted
+                    .extend([Inserted::PrePred(a), Inserted::PostPred(b)]);
                 true
             }
         }
@@ -174,8 +194,23 @@ impl State {
         } else {
             let s = self.fresh();
             self.post_pred.insert(q, s);
+            self.inserted.push(Inserted::PostPred(q));
             s
         }
+    }
+
+    /// Undoes the read checks of a failed pair: removes the keys they
+    /// inserted and restores the symbol counter.
+    fn roll_back(&mut self, counter: u64) {
+        for key in self.inserted.drain(..) {
+            match key {
+                Inserted::PreGpr(v) => self.pre_gpr.remove(&v),
+                Inserted::PostGpr(p) => self.post_gpr.remove(&p),
+                Inserted::PrePred(a) => self.pre_pred.remove(&a),
+                Inserted::PostPred(b) => self.post_pred.remove(&b),
+            };
+        }
+        self.counter = counter;
     }
 
     /// A read of virtual `v` from physical `p` that failed to unify is
@@ -306,35 +341,47 @@ fn bookkeeping_shaped(op: &MOp, abi: &Abi) -> bool {
 
 /// Symbolically unifies the reads of a matched pair, then applies its
 /// definitions. Returns a description of the first mismatch, if any;
-/// mutates `st` only on success.
+/// mutates `st` only on success. A failed pair is rolled back through
+/// the insertion log: checking a copy of the state instead would clone
+/// every map once per matched op, quadratic in the block's size.
 fn consume_matched(st: &mut State, pre: &MOp, post: &MOp) -> Result<(), String> {
-    let mut trial = st.clone();
+    st.inserted.clear();
+    let counter = st.counter;
+    if let Err(e) = unify_reads(st, pre, post) {
+        st.roll_back(counter);
+        return Err(e);
+    }
+    apply_defs(st, pre, post);
+    Ok(())
+}
+
+/// The read half of [`consume_matched`]: every read of `pre` must find
+/// its symbol where `post` reads it.
+fn unify_reads(st: &mut State, pre: &MOp, post: &MOp) -> Result<(), String> {
     for (a, b) in [(&pre.src1, &post.src1), (&pre.src2, &post.src2)] {
         match (a, b) {
             (MSrc::Gpr(v), MSrc::Gpr(p))
-                if !trial.unify_gpr(*v, *p) && !trial.merge_read_ok(*v, *p, post.guard) =>
+                if !st.unify_gpr(*v, *p) && !st.merge_read_ok(*v, *p, post.guard) =>
             {
                 return Err(format!("v{v} does not live in r{p} here"));
             }
-            (MSrc::Pred(x), MSrc::Pred(y)) if *x != 0 && !trial.unify_pred(*x, *y) => {
+            (MSrc::Pred(x), MSrc::Pred(y)) if *x != 0 && !st.unify_pred(*x, *y) => {
                 return Err(format!("q{x} does not live in p{y} here"));
             }
             _ => {}
         }
     }
     if let (Some(v), Some(p)) = (pre.store_value, post.store_value) {
-        if !trial.unify_gpr(v, p) {
+        if !st.unify_gpr(v, p) {
             return Err(format!("stored value v{v} does not live in r{p} here"));
         }
     }
-    if pre.guard != 0 && !trial.unify_pred(pre.guard, post.guard) {
+    if pre.guard != 0 && !st.unify_pred(pre.guard, post.guard) {
         return Err(format!(
             "guard q{} does not live in p{} here",
             pre.guard, post.guard
         ));
     }
-    *st = trial;
-    apply_defs(st, pre, post);
     Ok(())
 }
 

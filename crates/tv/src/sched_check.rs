@@ -28,7 +28,7 @@ use epic_compiler::sched::block_label;
 use epic_compiler::trace::FunctionTrace;
 use epic_isa::{Opcode, Unit};
 use epic_mdes::MachineDescription;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A register resource: `(kind, number)` with kind 0 = GPR,
 /// 1 = predicate, 2 = BTR.
@@ -762,29 +762,35 @@ fn check_block_schedule(
     // TV005: the bundles must hold exactly the region's operations — up
     // to the dismissible-load rewrite (`LW` → `LWS`) for loads that
     // crossed a side exit; TV012 settles each rewrite's legitimacy.
-    let flat: Vec<(usize, &MOp)> = sb
-        .bundles
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, b)| b.iter().map(move |op| (bi, op)))
-        .collect();
+    // Ops are keyed by value with that rewrite undone; each key's queue
+    // holds its scheduled instances in bundle order.
     let key = |op: &MOp| {
         let mut n = op.clone();
         if n.opcode == Opcode::LwS {
             n.opcode = Opcode::Lw;
         }
-        format!("{n:?}")
+        n
     };
-    let mut want: Vec<String> = ops.iter().map(&key).collect();
-    let mut got: Vec<String> = flat.iter().map(|(_, o)| key(o)).collect();
-    want.sort();
-    got.sort();
-    if want != got {
+    let mut queues: HashMap<MOp, VecDeque<(usize, &MOp)>> = HashMap::new();
+    for (bi, bundle) in sb.bundles.iter().enumerate() {
+        for other in bundle {
+            queues.entry(key(other)).or_default().push_back((bi, other));
+        }
+    }
+    let mut want: HashMap<MOp, usize> = HashMap::new();
+    for op in ops {
+        *want.entry(key(op)).or_default() += 1;
+    }
+    let permutation = want.len() == queues.len()
+        && want
+            .iter()
+            .all(|(k, &n)| queues.get(k).is_some_and(|q| q.len() == n));
+    if !permutation {
         diags.push(Diagnostic::error(
             "TV005",
             format!(
                 "{fname}: {label}: scheduled bundles hold {} op(s) that are not a permutation of the region's {} op(s)",
-                flat.len(),
+                sb.bundles.iter().map(Vec::len).sum::<usize>(),
                 ops.len()
             ),
         ));
@@ -797,19 +803,13 @@ fn check_block_schedule(
     // equal their program order — matching in bundle (cycle) order is
     // the unique consistent pairing. The only opcode change allowed is
     // the word load's dismissible rewrite (`LW` → `LWS`).
-    let mut used = vec![false; flat.len()];
     let mut cycle_of = vec![0u32; ops.len()];
     let mut became_lws = vec![false; ops.len()];
     for (i, op) in ops.iter().enumerate() {
-        let want = key(op);
-        let (jj, bi, other) = flat
-            .iter()
-            .enumerate()
-            .find_map(|(jj, (bi, other))| {
-                (!used[jj] && key(other) == want).then_some((jj, *bi, *other))
-            })
+        let (bi, other) = queues
+            .get_mut(&key(op))
+            .and_then(VecDeque::pop_front)
             .expect("normalized multiset equality guarantees a match");
-        used[jj] = true;
         cycle_of[i] = sb.meta[bi].cycle;
         if other.opcode != op.opcode {
             if op.opcode == Opcode::Lw && other.opcode == Opcode::LwS {

@@ -312,6 +312,11 @@ impl Verifier {
     /// never execute and are not reported. Registers reset to zero, so
     /// none of this interlocks — but code meaning to read zero should
     /// produce it explicitly.
+    ///
+    /// The value analysis is the expensive half and only ever silences
+    /// a warning, so it is solved on the first read that would warn;
+    /// programs without such a read (every honest compile) never pay
+    /// for it.
     fn check_gpr_definedness(
         &self,
         bundles: &[Vec<Instruction>],
@@ -326,55 +331,42 @@ impl Verifier {
         }
         let cfg = epic_bound::Cfg::build(&self.config, bundles);
         let defs = epic_bound::Definedness::new(&self.config, bundles).solve(&cfg, bundles, entry);
-        let values = epic_bound::ValueAnalysis::new(&self.config).solve(&cfg, bundles, entry);
+        let mut values = None;
 
         for (bi, bundle) in bundles.iter().enumerate() {
             let Some(state) = &defs[bi] else {
                 continue; // unreachable bundle
             };
             for (slot, instr) in bundle.iter().enumerate() {
-                // A provably squashed read never observes anything.
-                let guard_known_false = values[bi]
-                    .as_ref()
-                    .is_some_and(|v| v.guard(instr.pred) == PredVal::False);
-                if guard_known_false {
-                    continue;
-                }
                 for gpr in instr.gpr_reads() {
                     let Some(&may) = state.may.get(gpr.0 as usize) else {
                         continue; // out-of-range index, already VER007
                     };
-                    if !may {
-                        diags.push(
-                            Diagnostic::warning(
-                                "VER013",
-                                format!(
-                                    "{gpr} is read but never written on any path \
-                                     from the entry"
-                                ),
-                            )
-                            .with_bundle(bi, Some(slot)),
-                        );
-                        continue;
-                    }
                     // Written somewhere — but is it written whenever this
                     // read executes? Only the single-guard case is
                     // decidable without a path-sensitive analysis; a read
                     // under the defining guard is safe by construction.
-                    if let MustDef::Under(p) = state.must[gpr.0 as usize] {
-                        if instr.pred != p {
-                            diags.push(
-                                Diagnostic::warning(
-                                    "VER013",
-                                    format!(
-                                        "{gpr} is only written under {p}; reading it \
-                                         here may observe an undefined value when \
-                                         {p} is false"
-                                    ),
-                                )
-                                .with_bundle(bi, Some(slot)),
-                            );
+                    let message = match state.must[gpr.0 as usize] {
+                        _ if !may => {
+                            format!("{gpr} is read but never written on any path from the entry")
                         }
+                        MustDef::Under(p) if instr.pred != p => format!(
+                            "{gpr} is only written under {p}; reading it here may \
+                             observe an undefined value when {p} is false"
+                        ),
+                        _ => continue,
+                    };
+                    // A provably squashed read never observes anything.
+                    let values: &Vec<_> = values.get_or_insert_with(|| {
+                        epic_bound::ValueAnalysis::new(&self.config).solve(&cfg, bundles, entry)
+                    });
+                    let guard_known_false = values[bi]
+                        .as_ref()
+                        .is_some_and(|v| v.guard(instr.pred) == PredVal::False);
+                    if !guard_known_false {
+                        diags.push(
+                            Diagnostic::warning("VER013", message).with_bundle(bi, Some(slot)),
+                        );
                     }
                 }
             }
