@@ -19,6 +19,19 @@
 //! Memory disambiguation is conservative except for the common
 //! same-base/different-offset case, which is proven independent.
 //!
+//! Each cycle packs its bundle from one priority queue of the ready ops,
+//! keyed `(speculative, highest critical path first, program order)`:
+//! the best candidate that fits is placed, and an op that does not fit
+//! is dropped until the next cycle. That is exact, not a heuristic
+//! shortcut. Every fit test (issue width, unit count, port budget, one
+//! control transfer per bundle) only tightens as the bundle fills, so a
+//! rejected op would be rejected again later in the same cycle; and an
+//! op's speculation status cannot change within a cycle, because an exit
+//! placed during it issues in it. Ops that a zero-latency edge makes
+//! ready mid-cycle join the queue. The bundle therefore holds exactly
+//! the ops a full re-sort of the ready list after every placement would
+//! pick, at O(log n) per placement instead of a sort.
+//!
 //! When superblock formation ran (see [`crate::superblock`]), each trace
 //! is scheduled as **one region**: the internal conditional branches
 //! become *side exits*, and an operation from below a side exit may hoist

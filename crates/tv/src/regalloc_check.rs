@@ -52,7 +52,6 @@ struct Merge {
 /// A physical register holding a hardware-merged value: a store of it
 /// guarded by `guard_sym` leaves a slot that already held `old` with
 /// the full merged value on both paths.
-#[derive(Clone)]
 struct RegMerge {
     guard_sym: u64,
     old: u64,
@@ -60,7 +59,6 @@ struct RegMerge {
 
 /// A map key a read check created. Read checks only ever insert keys
 /// that were absent, so removing these undoes a failed check.
-#[derive(Clone, Copy)]
 enum Inserted {
     PreGpr(u32),
     PostGpr(u32),
