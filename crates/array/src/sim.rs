@@ -661,14 +661,13 @@ impl ArraySimulator {
             }
         }
         noc.advance(now);
-        let mut committed_tx = false;
+        let mut refused_tx = 0u64;
         for idx in 0..ncores {
             let mut core = self.cores[idx].lock().expect("core mutex poisoned");
             let memory = core.sim.memory_mut();
             if mb_peek(memory, base, mailbox::TX_STATUS) != 1 {
                 continue;
             }
-            committed_tx = true;
             let dest = mb_peek(memory, base, mailbox::TX_DEST);
             let len = mb_peek(memory, base, mailbox::TX_LEN);
             if dest as usize >= ncores {
@@ -693,15 +692,16 @@ impl ArraySimulator {
                 .collect();
             if noc.try_inject(now, idx, dest as usize, payload) {
                 mb_poke(memory, base, mailbox::TX_STATUS, 0);
+            } else {
+                // A refused injection stays committed; retried next cycle.
+                refused_tx += 1;
             }
-            // A refused injection stays committed; retried next cycle.
         }
         if all_halted {
             let stats = noc.stats();
-            // A committed TX on a fully-halted mesh counts as in
-            // flight: nobody is left to receive it.
-            let in_flight =
-                stats.messages_injected - stats.messages_delivered + u64::from(committed_tx);
+            // Every TX window still committed on a fully-halted mesh
+            // counts as in flight: nobody is left to receive it.
+            let in_flight = stats.messages_injected - stats.messages_delivered + refused_tx;
             if in_flight > 0 || !noc.is_idle() {
                 return Err(ArrayError::Undelivered { in_flight });
             }

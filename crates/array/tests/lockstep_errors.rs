@@ -99,6 +99,61 @@ fn an_off_mesh_destination_is_a_bad_message() {
     }
 }
 
+/// Every core self-sends three one-word messages and never clears its
+/// RX mailbox. With one-slot buffers the first message fills RX, the
+/// second waits in the ejection queue and the third stays committed in
+/// the TX window, refused: two messages per core are still in flight
+/// when the mesh halts.
+#[test]
+fn undelivered_counts_every_message_left_in_flight() {
+    let self_send = "\
+.entry main
+main:
+    LW r1, r0, #0
+    MOVE r2, #1
+    MOVE r3, #3
+    PBR b1, @wait
+;;
+wait:
+    LW r4, r0, #12
+;;
+    CMP_NE p1, p2, r4, #0
+;;
+    BRCT b1 (p1)
+;;
+    SW r1, r0, #16
+;;
+    SW r2, r0, #20
+;;
+    SW r3, r0, #24
+;;
+    SW r2, r0, #12
+;;
+    SUB r3, r3, #1
+;;
+    CMP_GT p1, p2, r3, #0
+;;
+    BRCT b1 (p1)
+;;
+    HALT
+;;
+";
+    let noc = NocConfig {
+        link_latency: 2,
+        link_capacity: 1,
+    };
+    for width in [1usize, 2, 4] {
+        let err = run(self_send, &MeshSpec::new(width, 1).with_noc(noc));
+        assert_eq!(
+            err,
+            ArrayError::Undelivered {
+                in_flight: 2 * width as u64
+            },
+            "{width}x1 mesh"
+        );
+    }
+}
+
 #[test]
 fn unusable_meshes_are_refused_at_setup() {
     let image = [0u8; MEMORY_BYTES];
