@@ -21,10 +21,9 @@
 //! `(hops + 1) · link_latency`.
 //!
 //! All state transitions happen in [`Noc::advance`] /
-//! [`Noc::try_inject`] / [`Noc::eject`], called serially by one host
-//! thread in a fixed order — the interconnect is deliberately free of
-//! interior parallelism so the array's lockstep loop stays
-//! grid-index deterministic.
+//! [`Noc::try_inject`] / [`Noc::eject`], which the array's exchange
+//! phase calls once per cycle in a fixed order, so every run of the
+//! array's lockstep loop replays the same traffic.
 
 use std::collections::VecDeque;
 

@@ -3,39 +3,47 @@
 //!
 //! # Lockstep schedule
 //!
-//! Every global cycle has two phases:
+//! [`ArraySimulator::run`] is one loop on the calling thread, and every
+//! global cycle has two phases:
 //!
-//! 1. **Compute** — every core advances exactly one processor cycle.
-//!    Cores are partitioned into contiguous index chunks over a fixed
-//!    worker fan-out; within a chunk cores step in index order. Cores
-//!    share nothing (each owns its memory), so chunk execution order
-//!    cannot influence results.
-//! 2. **Exchange** — worker 0 alone, between two barriers, runs the
-//!    serial mesh phase in a fixed order: ejection into free RX
-//!    mailboxes (core index order), link advancement (link id order),
-//!    then injection from committed TX mailboxes (core index order).
+//! 1. **Compute** — every core advances exactly one processor cycle, in
+//!    core index order. Cores share nothing (each owns its memory), so
+//!    the order cannot influence results.
+//! 2. **Exchange** — the mesh phase, in a fixed order: ejection into
+//!    free RX mailboxes (core index order), link advancement (link id
+//!    order), then injection from committed TX mailboxes (core index
+//!    order).
+//!
+//! The loop then checks the cycle budget.
 //!
 //! # Determinism argument
 //!
-//! The only cross-core state is the NoC, and every NoC transition
-//! happens inside the serial exchange phase in a fixed iteration
-//! order. The worker count changes *which host thread* steps a core,
-//! never *when* in the lockstep schedule it steps — and a single-
-//! worker run goes through the identical code path. Hence per-core
-//! stats, registers and final memories are byte-identical for any host
-//! thread count, which `tests/manycore_determinism.rs` pins down.
+//! The only cross-core state is the NoC. Every NoC transition happens
+//! inside the exchange phase, between two compute phases, in a fixed
+//! iteration order. A run is therefore a pure function of the program,
+//! the memory image and the [`MeshSpec`]: per-core stats, registers and
+//! final memories are byte-identical from run to run, which
+//! `tests/manycore_determinism.rs` pins down.
+//!
+//! The loop does not fan cores out over host threads. A core-cycle
+//! costs less than synchronising host threads twice per simulated
+//! cycle, so threads only ever made the array slower. Host parallelism
+//! belongs at run-ahead granularity, where a core runs many cycles
+//! between synchronisations.
+//!
+//! # Engines
+//!
+//! Cores run the decoded engine by default, with the reference engine
+//! as the oracle that the decoded cores are checked against. The
+//! threaded engine is refused: stepped one cycle at a time it is the
+//! decoded engine, plus block translation at build time.
 
 use crate::mailbox;
 use crate::noc::{Noc, NocConfig, NocStats};
 use epic_config::Config;
 use epic_isa::Instruction;
-use epic_sim::{
-    Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator, ThreadedSimulator,
-};
-use rayon::prelude::*;
+use epic_sim::{Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Geometry, engine and timing parameters of a many-core array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,15 +102,14 @@ impl MeshSpec {
     }
 }
 
-/// One core's engine — any of the three bit-identical simulators.
+/// One core's engine: the reference oracle or the decoded engine,
+/// which are bit-identical.
 #[derive(Debug, Clone)]
 pub enum CoreSim {
     /// The interpret-every-cycle golden model.
     Reference(Box<ReferenceSimulator>),
     /// The decode-once per-cycle engine.
     Decoded(Box<Simulator>),
-    /// The threaded-code engine on its per-cycle path.
-    Threaded(Box<ThreadedSimulator>),
 }
 
 impl CoreSim {
@@ -111,23 +118,24 @@ impl CoreSim {
         config: &Config,
         bundles: &[Vec<Instruction>],
         entry: u32,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, ArrayError> {
         Ok(match engine {
             Engine::Reference => CoreSim::Reference(Box::new(ReferenceSimulator::new(
                 config,
                 bundles.to_vec(),
                 entry,
             ))),
-            Engine::Decoded => CoreSim::Decoded(Box::new(Simulator::try_new(
-                config,
-                bundles.to_vec(),
-                entry,
-            )?)),
-            Engine::Threaded => CoreSim::Threaded(Box::new(ThreadedSimulator::try_new(
-                config,
-                bundles.to_vec(),
-                entry,
-            )?)),
+            Engine::Decoded => CoreSim::Decoded(Box::new(
+                Simulator::try_new(config, bundles.to_vec(), entry)
+                    .map_err(|source| ArrayError::Core { core: 0, source })?,
+            )),
+            Engine::Threaded => {
+                return Err(ArrayError::Setup(
+                    "array cores step one cycle at a time, where the threaded engine \
+                     is the decoded engine plus block translation; use the decoded engine"
+                        .into(),
+                ))
+            }
         })
     }
 
@@ -135,7 +143,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.step(),
             CoreSim::Decoded(s) => s.step(),
-            CoreSim::Threaded(s) => s.step(),
         }
     }
 
@@ -143,7 +150,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.set_memory(memory),
             CoreSim::Decoded(s) => s.set_memory(memory),
-            CoreSim::Threaded(s) => s.set_memory(memory),
         }
     }
 
@@ -151,7 +157,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.set_cycle_limit(limit),
             CoreSim::Decoded(s) => s.set_cycle_limit(limit),
-            CoreSim::Threaded(s) => s.set_cycle_limit(limit),
         }
     }
 
@@ -161,7 +166,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.memory(),
             CoreSim::Decoded(s) => s.memory(),
-            CoreSim::Threaded(s) => s.memory(),
         }
     }
 
@@ -169,7 +173,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.memory_mut(),
             CoreSim::Decoded(s) => s.memory_mut(),
-            CoreSim::Threaded(s) => s.memory_mut(),
         }
     }
 
@@ -179,7 +182,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.gpr(index),
             CoreSim::Decoded(s) => s.gpr(index),
-            CoreSim::Threaded(s) => s.gpr(index),
         }
     }
 
@@ -189,7 +191,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.pred(index),
             CoreSim::Decoded(s) => s.pred(index),
-            CoreSim::Threaded(s) => s.pred(index),
         }
     }
 
@@ -199,7 +200,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.btr(index),
             CoreSim::Decoded(s) => s.btr(index),
-            CoreSim::Threaded(s) => s.btr(index),
         }
     }
 
@@ -209,7 +209,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.is_halted(),
             CoreSim::Decoded(s) => s.is_halted(),
-            CoreSim::Threaded(s) => s.is_halted(),
         }
     }
 
@@ -219,18 +218,6 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.stats(),
             CoreSim::Decoded(s) => s.stats(),
-            CoreSim::Threaded(s) => s.stats(),
-        }
-    }
-
-    /// Basic blocks executed on the threaded engine's fast path (0 on
-    /// the per-cycle engines; the lockstep array always steps per cycle,
-    /// so this stays 0 for every engine).
-    #[must_use]
-    pub fn fast_block_execs(&self) -> u64 {
-        match self {
-            CoreSim::Threaded(s) => s.fast_block_execs(),
-            _ => 0,
         }
     }
 }
@@ -245,7 +232,7 @@ struct Core {
 
 impl Core {
     /// Advances one cycle; halting latches and an error parks the core
-    /// for worker 0 to report deterministically.
+    /// until the exchange phase reports it.
     fn step_once(&mut self) {
         if self.halted || self.error.is_some() {
             return;
@@ -262,10 +249,10 @@ impl Core {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ArrayError {
-    /// The mesh geometry or mailbox placement is unusable.
+    /// The mesh geometry, mailbox placement or core engine is unusable.
     Setup(String),
-    /// A core's simulator faulted; the lowest-index faulting core is
-    /// reported (deterministic under any host thread count).
+    /// A core's simulator faulted; the lowest-index core that faulted
+    /// in the first faulting cycle is reported.
     Core {
         /// Linear index of the faulting core.
         core: usize,
@@ -329,9 +316,6 @@ pub struct ArrayOutcome {
     pub per_core: Vec<SimStats>,
     /// Per-core return values (`r1` at halt), in core index order.
     pub return_values: Vec<u32>,
-    /// Total fast-path block executions over all cores (always 0 in
-    /// lockstep runs; kept so reports can prove it).
-    pub fast_block_execs: u64,
     /// Interconnect statistics.
     pub noc: NocStats,
 }
@@ -341,56 +325,6 @@ impl ArrayOutcome {
     #[must_use]
     pub fn aggregate_core_cycles(&self) -> u64 {
         self.per_core.iter().map(|s| s.cycles).sum()
-    }
-}
-
-/// A sense-reversing spin barrier for the lockstep worker fan-out.
-///
-/// Workers synchronise twice per cycle; a `std::sync::Barrier` parks
-/// threads in the kernel and is an order of magnitude too slow at that
-/// cadence. With one worker every wait is a no-op, which keeps the
-/// single-threaded run on the identical code path.
-struct SpinBarrier {
-    total: usize,
-    /// More waiters than host CPUs: spinning only burns the quantum the
-    /// straggler needs, so yield to the scheduler immediately.
-    oversubscribed: bool,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        SpinBarrier {
-            total,
-            oversubscribed: total > cpus,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        if self.total == 1 {
-            return;
-        }
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver: reset the count (everyone else is still
-            // spinning on the generation) and release the cohort.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.saturating_add(1);
-                if !self.oversubscribed && spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
     }
 }
 
@@ -421,8 +355,8 @@ impl SpinBarrier {
 pub struct ArraySimulator {
     spec: MeshSpec,
     mailbox_base: u32,
-    cores: Vec<Mutex<Core>>,
-    noc: Mutex<Noc>,
+    cores: Vec<Core>,
+    noc: Noc,
     cycle: u64,
 }
 
@@ -440,19 +374,19 @@ fn mb_poke(memory: &mut Memory, base: u32, offset: u32, value: u32) {
 }
 
 impl ArraySimulator {
-    /// Builds a mesh of identical cores: the program is decoded (and,
-    /// on the threaded engine, translated) **once**, then cloned per
-    /// core; every core gets a private copy of `initial_memory` with
-    /// its identity words ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
+    /// Builds a mesh of identical cores: the program is decoded
+    /// **once**, then cloned per core; every core gets a private copy
+    /// of `initial_memory` with its identity words
+    /// ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
     /// [`mailbox::MESH_HEIGHT`]) poked into the mailbox window at
     /// `mailbox_base`.
     ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::Setup`] for a degenerate mesh or a
-    /// mailbox window that is misaligned or out of bounds, and
-    /// [`ArrayError::Core`] if the program is illegal for the
-    /// configuration.
+    /// Returns [`ArrayError::Setup`] for a degenerate mesh, a mailbox
+    /// window that is misaligned or out of bounds, or
+    /// [`Engine::Threaded`] cores, and [`ArrayError::Core`] if the
+    /// program is illegal for the configuration.
     pub fn new(
         config: &Config,
         bundles: &[Vec<Instruction>],
@@ -486,8 +420,7 @@ impl ArraySimulator {
             )));
         }
         let ncores = spec.cores();
-        let prototype = CoreSim::build(spec.engine, config, bundles, entry)
-            .map_err(|source| ArrayError::Core { core: 0, source })?;
+        let prototype = CoreSim::build(spec.engine, config, bundles, entry)?;
         let mut cores = Vec::with_capacity(ncores);
         for idx in 0..ncores {
             let mut sim = prototype.clone();
@@ -504,17 +437,17 @@ impl ArraySimulator {
                 mailbox::MESH_HEIGHT,
                 spec.height as u32,
             );
-            cores.push(Mutex::new(Core {
+            cores.push(Core {
                 sim,
                 halted: false,
                 error: None,
-            }));
+            });
         }
         Ok(ArraySimulator {
             spec: *spec,
             mailbox_base,
             cores,
-            noc: Mutex::new(Noc::new(spec.width, spec.height, spec.noc)),
+            noc: Noc::new(spec.width, spec.height, spec.noc),
             cycle: 0,
         })
     }
@@ -538,14 +471,12 @@ impl ArraySimulator {
     ///
     /// Panics if `core` is off-mesh.
     #[must_use]
-    pub fn core(&mut self, core: usize) -> &CoreSim {
-        &self.cores[core].get_mut().expect("core mutex poisoned").sim
+    pub fn core(&self, core: usize) -> &CoreSim {
+        &self.cores[core].sim
     }
 
     /// Runs the array to completion: loops the lockstep schedule until
-    /// every core halts and the NoC drains, fanning the compute phase
-    /// out over `min(rayon::current_num_threads(), cores)` workers.
-    /// Call once per array.
+    /// every core halts and the NoC drains. Call once per array.
     ///
     /// # Errors
     ///
@@ -554,96 +485,39 @@ impl ArraySimulator {
     /// [`ArrayError::Timeout`] when `max_cycles` runs out, and
     /// [`ArrayError::Undelivered`] if every core halts with messages
     /// still in flight. All are deterministic for a given program and
-    /// mesh, regardless of host thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked and poisoned a core mutex.
+    /// mesh.
     pub fn run(&mut self) -> Result<ArrayOutcome, ArrayError> {
-        let ncores = self.cores.len();
-        let workers = rayon::current_num_threads().min(ncores).max(1);
-        let chunk = ncores.div_ceil(workers);
-        let barrier = SpinBarrier::new(workers);
-        let stop = AtomicBool::new(false);
-        let verdict: Mutex<Option<Result<(), ArrayError>>> = Mutex::new(None);
-        let cycles_done = AtomicU64::new(self.cycle);
-        let start = self.cycle;
-        let this: &ArraySimulator = self;
-        let _: Vec<()> = (0..workers)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|w| {
-                let lo = (w * chunk).min(ncores);
-                let hi = ((w + 1) * chunk).min(ncores);
-                let mut now = start;
-                while !stop.load(Ordering::Acquire) {
-                    for idx in lo..hi {
-                        this.cores[idx]
-                            .lock()
-                            .expect("core mutex poisoned")
-                            .step_once();
-                    }
-                    barrier.wait();
-                    if w == 0 {
-                        let status = this.exchange(now);
-                        let finished = match &status {
-                            Ok(true) | Err(_) => true,
-                            Ok(false) => now + 1 >= this.spec.max_cycles,
-                        };
-                        if finished {
-                            cycles_done.store(now + 1, Ordering::Relaxed);
-                            *verdict.lock().expect("verdict mutex poisoned") = Some(match status {
-                                Ok(true) => Ok(()),
-                                Ok(false) => Err(ArrayError::Timeout { cycle: now + 1 }),
-                                Err(e) => Err(e),
-                            });
-                            stop.store(true, Ordering::Release);
-                        }
-                    }
-                    barrier.wait();
-                    now += 1;
-                }
-            })
-            .collect();
-        self.cycle = cycles_done.load(Ordering::Relaxed);
-        verdict
-            .into_inner()
-            .expect("verdict mutex poisoned")
-            .expect("worker 0 always decides before stopping")?;
-        let mut per_core = Vec::with_capacity(ncores);
-        let mut return_values = Vec::with_capacity(ncores);
-        let mut fast_block_execs = 0;
-        for core in &mut self.cores {
-            let core = core.get_mut().expect("core mutex poisoned");
-            per_core.push(*core.sim.stats());
-            return_values.push(core.sim.gpr(1));
-            fast_block_execs += core.sim.fast_block_execs();
+        loop {
+            for core in &mut self.cores {
+                core.step_once();
+            }
+            let now = self.cycle;
+            self.cycle += 1;
+            if self.exchange(now)? {
+                break;
+            }
+            if self.cycle >= self.spec.max_cycles {
+                return Err(ArrayError::Timeout { cycle: self.cycle });
+            }
         }
         Ok(ArrayOutcome {
             cycles: self.cycle,
-            per_core,
-            return_values,
-            fast_block_execs,
-            noc: self
-                .noc
-                .get_mut()
-                .expect("noc mutex poisoned")
-                .stats()
-                .clone(),
+            per_core: self.cores.iter().map(|c| *c.sim.stats()).collect(),
+            return_values: self.cores.iter().map(|c| c.sim.gpr(1)).collect(),
+            noc: self.noc.stats().clone(),
         })
     }
 
-    /// The serial per-cycle mesh phase (worker 0 only): report core
-    /// faults, eject into free RX mailboxes, advance the links, inject
-    /// from committed TX mailboxes. Returns `Ok(true)` when every core
-    /// has halted and the NoC is drained.
-    fn exchange(&self, now: u64) -> Result<bool, ArrayError> {
+    /// The per-cycle mesh phase: report core faults, eject into free
+    /// RX mailboxes, advance the links, inject from committed TX
+    /// mailboxes. Returns `Ok(true)` when every core has halted and the
+    /// NoC is drained.
+    fn exchange(&mut self, now: u64) -> Result<bool, ArrayError> {
         let base = self.mailbox_base;
         let ncores = self.cores.len();
-        let mut noc = self.noc.lock().expect("noc mutex poisoned");
+        let noc = &mut self.noc;
         let mut all_halted = true;
-        for idx in 0..ncores {
-            let mut core = self.cores[idx].lock().expect("core mutex poisoned");
+        for (idx, core) in self.cores.iter_mut().enumerate() {
             if let Some(source) = core.error.take() {
                 return Err(ArrayError::Core { core: idx, source });
             }
@@ -662,8 +536,7 @@ impl ArraySimulator {
         }
         noc.advance(now);
         let mut refused_tx = 0u64;
-        for idx in 0..ncores {
-            let mut core = self.cores[idx].lock().expect("core mutex poisoned");
+        for (idx, core) in self.cores.iter_mut().enumerate() {
             let memory = core.sim.memory_mut();
             if mb_peek(memory, base, mailbox::TX_STATUS) != 1 {
                 continue;

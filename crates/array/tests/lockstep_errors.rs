@@ -9,6 +9,7 @@
 
 use epic_array::{ArrayError, ArraySimulator, MeshSpec, NocConfig};
 use epic_config::Config;
+use epic_sim::Engine;
 
 const MEMORY_BYTES: usize = 4096;
 
@@ -165,7 +166,7 @@ fn unusable_meshes_are_refused_at_setup() {
         link_latency: 2,
         link_capacity: 0,
     };
-    let cases: [(&str, MeshSpec, &[u8], u32, &str); 6] = [
+    let cases: [(&str, MeshSpec, &[u8], u32, &str); 7] = [
         ("zero width", MeshSpec::new(0, 2), &image, 0, "positive"),
         ("zero height", MeshSpec::new(2, 0), &image, 0, "positive"),
         (
@@ -195,6 +196,13 @@ fn unusable_meshes_are_refused_at_setup() {
             &image[..64],
             0,
             "exceeds",
+        ),
+        (
+            "threaded cores",
+            MeshSpec::new(2, 2).with_engine(Engine::Threaded),
+            &image,
+            0,
+            "threaded engine",
         ),
     ];
     for (what, spec, image, base, needle) in cases {

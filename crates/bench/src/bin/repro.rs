@@ -35,8 +35,10 @@
 //! on it and the full statistics must match the measured (decoded) run
 //! bit for bit. CI drives the lockstep gate through this flag. For
 //! `array` the same flag instead selects the engine instantiated in
-//! every mesh core; the report is byte-identical for every engine (the
-//! lockstep array steps per cycle, where all three agree bit for bit).
+//! every mesh core, `reference` or `decoded`; the report is
+//! byte-identical for both. The array refuses `threaded` cores: stepped
+//! one cycle at a time, the threaded engine is the decoded engine plus
+//! block translation.
 //!
 //! `--check` (on `bench --throughput`, `isx` and `array`) regenerates
 //! the command's committed JSON and compares it byte for byte with the
@@ -591,16 +593,13 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
 /// bucketed through `epic_obs::Histogram`.
 ///
 /// Writes `--out <file>` (default `BENCH_manycore.json`), schema
-/// `epic-bench-manycore/v1`. Every field is deterministic — the
-/// lockstep loop is grid-index deterministic at any host thread count —
-/// so `--check` regenerates the JSON and compares byte-for-byte.
-/// Without `--check` the command also times the 4×4 sweep under 1- and
-/// 8-thread host pools and prints the host-parallel speedup (wall-clock
-/// numbers are machine-local and stay out of the JSON).
+/// `epic-bench-manycore/v1`. Every field is deterministic — a lockstep
+/// run is a pure function of its inputs — so `--check` regenerates the
+/// JSON and compares byte-for-byte.
 ///
 /// `--engine <name>` selects the engine instantiated in every core; the
-/// report (and JSON) is byte-identical for all three, since the lockstep
-/// array steps per cycle and the engines agree bit for bit there.
+/// report (and JSON) is byte-identical for the reference and decoded
+/// engines, which agree bit for bit.
 fn cmd_array(
     scale: Scale,
     out: Option<std::path::PathBuf>,
@@ -702,48 +701,7 @@ fn cmd_array(
         "{{\n  \"schema\": \"epic-bench-manycore/v1\",\n  \"scale\": \"{scale:?}\",\n  \
          \"latency_bounds\": [4, 8, 16, 32, 64, 128],\n  \"points\": [\n{entries}\n  ]\n}}\n"
     );
-    write_or_check(&out, &json, check, "repro -- array")?;
-    if check {
-        return Ok(());
-    }
-
-    // Host-parallel speedup: the same 4×4 sweep under capped pools,
-    // compiled once so only the lockstep stepping is timed. Wall time
-    // is machine-local, so it is printed, never committed.
-    let prepared: Vec<_> = meshes
-        .iter()
-        .map(|w| {
-            epic_core::experiments::prepare_mesh_workload(w, &config)
-                .map_err(|e| format!("{}: {e}", w.name))
-        })
-        .collect::<Result<_, String>>()?;
-    let mut timings = Vec::new();
-    for threads in [1usize, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        let start = Instant::now();
-        pool.install(|| -> Result<(), String> {
-            for mesh in &prepared {
-                let spec = MeshSpec::new(4, 4).with_engine(engine);
-                let mut array = epic_core::experiments::instantiate_mesh(mesh, &config, &spec)
-                    .map_err(|e| e.to_string())?;
-                array.run().map_err(|e| e.to_string())?;
-            }
-            Ok(())
-        })?;
-        timings.push(start.elapsed().as_secs_f64());
-    }
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "host-parallel stepping, 4x4 sweep: {:.2}s on 1 thread, {:.2}s on 8 threads \
-         ({:.2}x speedup on a {cpus}-CPU host; results byte-identical at any thread count)",
-        timings[0],
-        timings[1],
-        timings[0] / timings[1]
-    );
-    Ok(())
+    write_or_check(&out, &json, check, "repro -- array")
 }
 
 /// Engine throughput race: every workload × the four corners of the

@@ -12,9 +12,10 @@
 //! EPIC_BLESS=1 cargo test --test golden_manycore
 //! ```
 //!
-//! `EPIC_ENGINE=reference|decoded|threaded` selects the core engine; the
-//! file is engine-independent because the engines are bit-identical by
-//! contract, so CI can replay the same corpus on all three.
+//! `EPIC_ENGINE=reference|decoded` selects the core engine (the array
+//! refuses threaded cores); the file is engine-independent because the
+//! engines are bit-identical by contract, so CI can replay the same
+//! corpus on both.
 //!
 //! [`SimStats`]: epic_core::sim::SimStats
 

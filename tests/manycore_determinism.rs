@@ -1,13 +1,12 @@
 //! The lockstep determinism battery: a mesh run's observable result —
 //! lockstep cycle count, per-core [`SimStats`], per-core return values,
 //! NoC counters and every core's final data memory — must be
-//! byte-identical across repeated runs and across host thread counts.
+//! byte-identical across repeated runs in one process.
 //!
-//! The array fans its compute phase out over rayon workers, so this is
-//! the test that proves host parallelism is pure mechanism: cores are
-//! partitioned into contiguous chunks, phases are separated by
-//! barriers, and the exchange phase is serial, so 1, 2 and 8 host
-//! threads must replay exactly the same simulation.
+//! The array steps every core and runs the NoC exchange in a fixed
+//! order on one thread, so a run is a pure function of its inputs. This
+//! test proves that no state outside the array — allocator state, hash
+//! seeds, anything cached between runs — leaks into the result.
 //!
 //! [`SimStats`]: epic_core::sim::SimStats
 
@@ -45,7 +44,7 @@ impl std::fmt::Debug for Observation {
     }
 }
 
-fn observe(run: &mut MeshRun) -> Observation {
+fn observe(run: &MeshRun) -> Observation {
     let memories = (0..run.outcome.per_core.len())
         .map(|core| run.array.core(core).memory().bytes().to_vec())
         .collect();
@@ -56,60 +55,27 @@ fn observe(run: &mut MeshRun) -> Observation {
 }
 
 fn run_and_observe(workload: &Workload, config: &Config, spec: &MeshSpec) -> Observation {
-    let mut run = run_mesh_workload(workload, config, spec)
+    let run = run_mesh_workload(workload, config, spec)
         .unwrap_or_else(|e| panic!("{} on {}x{}: {e}", workload.name, spec.width, spec.height));
-    observe(&mut run)
+    observe(&run)
 }
 
+/// Every mesh workload on a 2×2 mesh, plus the heaviest traffic
+/// pattern (BFS all-to-all broadcast) on a 4×4 mesh.
 #[test]
-fn mesh_runs_are_deterministic_across_host_thread_counts() {
+fn consecutive_mesh_runs_are_byte_identical() {
     let config = Config::builder().num_alus(2).build().expect("valid config");
-    for workload in mesh::all(Scale::Test) {
-        let spec = MeshSpec::new(2, 2);
-        let baseline = run_and_observe(&workload, &config, &spec);
-        // Same process, same thread pool: allocator and scheduling
-        // state must not leak into the result.
+    let inputs = mesh::all(Scale::Test)
+        .into_iter()
+        .map(|workload| (workload, MeshSpec::new(2, 2)))
+        .chain([(mesh::bfs(Scale::Test), MeshSpec::new(4, 4))]);
+    for (workload, spec) in inputs {
+        let first = run_and_observe(&workload, &config, &spec);
         let second = run_and_observe(&workload, &config, &spec);
         assert_eq!(
-            baseline, second,
-            "{}: two consecutive runs diverged",
-            workload.name
-        );
-        // Nor may the host thread count: 1 thread serialises the whole
-        // lockstep loop, 8 threads oversubscribe the 4 cores.
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            let observed = pool.install(|| run_and_observe(&workload, &config, &spec));
-            assert_eq!(
-                baseline, observed,
-                "{}: run diverged under a {threads}-thread host pool",
-                workload.name
-            );
-        }
-    }
-}
-
-/// A larger mesh (more cores than default worker chunks of one) with the
-/// heaviest traffic pattern (BFS all-to-all broadcast), to exercise
-/// chunked core-to-worker assignment under contention.
-#[test]
-fn bfs_4x4_is_deterministic_across_host_thread_counts() {
-    let config = Config::builder().num_alus(2).build().expect("valid config");
-    let workload = mesh::bfs(Scale::Test);
-    let spec = MeshSpec::new(4, 4);
-    let baseline = run_and_observe(&workload, &config, &spec);
-    for threads in [1usize, 3, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        let observed = pool.install(|| run_and_observe(&workload, &config, &spec));
-        assert_eq!(
-            baseline, observed,
-            "bfs 4x4: run diverged under a {threads}-thread host pool"
+            first, second,
+            "{} on {}x{}: two consecutive runs diverged",
+            workload.name, spec.width, spec.height
         );
     }
 }
