@@ -64,7 +64,6 @@ proptest! {
         // offer their messages in plan order (per-source FIFO, like a
         // core's TX mailbox).
         struct Msg {
-            id: u32,
             dst: usize,
             payload: Vec<u32>,
             earliest: u64,
@@ -80,7 +79,7 @@ proptest! {
                 .collect();
             clock += gap;
             expected.insert(id, (src, dst, payload.clone()));
-            queues[src].push(Msg { id, dst, payload, earliest: clock });
+            queues[src].push(Msg { dst, payload, earliest: clock });
         }
         let total = plans.len() as u64;
 
