@@ -25,11 +25,10 @@
 //! final memories are byte-identical from run to run, which
 //! `tests/manycore_determinism.rs` pins down.
 //!
-//! The loop does not fan cores out over host threads. A core-cycle
-//! costs less than synchronising host threads twice per simulated
-//! cycle, so threads only ever made the array slower. Host parallelism
-//! belongs at run-ahead granularity, where a core runs many cycles
-//! between synchronisations.
+//! The loop steps every core on one host thread: a core-cycle costs
+//! less than synchronising host threads twice per simulated cycle.
+//! Host parallelism belongs at run-ahead granularity, where a core runs
+//! many cycles between synchronisations.
 //!
 //! # Engines
 //!
@@ -52,7 +51,8 @@ pub struct MeshSpec {
     pub width: usize,
     /// Rows of cores.
     pub height: usize,
-    /// Execution engine instantiated in every core.
+    /// Execution engine instantiated in every core: decoded (the
+    /// default) or reference; [`ArraySimulator::new`] refuses threaded.
     pub engine: Engine,
     /// Interconnect timing/capacity parameters.
     pub noc: NocConfig,

@@ -155,62 +155,35 @@ wait:
     }
 }
 
+/// The setup error's message, or a panic naming what came back instead.
+fn setup_error(spec: MeshSpec, image: &[u8], mailbox_base: u32) -> String {
+    match build_with_image(HALT, &spec, image, mailbox_base) {
+        Err(ArrayError::Setup(msg)) => msg,
+        other => panic!("{spec:?}: want a setup error, got {other:?}"),
+    }
+}
+
 #[test]
 fn unusable_meshes_are_refused_at_setup() {
     let image = [0u8; MEMORY_BYTES];
-    let no_latency = NocConfig {
-        link_latency: 0,
-        link_capacity: 4,
+    let mesh = MeshSpec::new(2, 2);
+    let noc = |link_latency, link_capacity| NocConfig {
+        link_latency,
+        link_capacity,
     };
-    let no_capacity = NocConfig {
-        link_latency: 2,
-        link_capacity: 0,
-    };
-    let cases: [(&str, MeshSpec, &[u8], u32, &str); 7] = [
-        ("zero width", MeshSpec::new(0, 2), &image, 0, "positive"),
-        ("zero height", MeshSpec::new(2, 0), &image, 0, "positive"),
+    let refusals = [
+        (setup_error(MeshSpec::new(0, 2), &image, 0), "positive"),
+        (setup_error(MeshSpec::new(2, 0), &image, 0), "positive"),
+        (setup_error(mesh.with_noc(noc(0, 4)), &image, 0), "latency"),
+        (setup_error(mesh.with_noc(noc(2, 0)), &image, 0), "capacity"),
+        (setup_error(mesh, &image, 2), "word-aligned"),
+        (setup_error(mesh, &image[..64], 0), "exceeds"),
         (
-            "zero link latency",
-            MeshSpec::new(2, 2).with_noc(no_latency),
-            &image,
-            0,
-            "latency",
-        ),
-        (
-            "zero link capacity",
-            MeshSpec::new(2, 2).with_noc(no_capacity),
-            &image,
-            0,
-            "capacity",
-        ),
-        (
-            "misaligned mailbox",
-            MeshSpec::new(2, 2),
-            &image,
-            2,
-            "word-aligned",
-        ),
-        (
-            "mailbox past the image",
-            MeshSpec::new(2, 2),
-            &image[..64],
-            0,
-            "exceeds",
-        ),
-        (
-            "threaded cores",
-            MeshSpec::new(2, 2).with_engine(Engine::Threaded),
-            &image,
-            0,
+            setup_error(mesh.with_engine(Engine::Threaded), &image, 0),
             "threaded engine",
         ),
     ];
-    for (what, spec, image, base, needle) in cases {
-        match build_with_image(HALT, &spec, image, base) {
-            Err(ArrayError::Setup(msg)) => {
-                assert!(msg.contains(needle), "{what}: {msg}");
-            }
-            other => panic!("{what}: want a setup error, got {other:?}"),
-        }
+    for (msg, needle) in refusals {
+        assert!(msg.contains(needle), "want {needle:?} in {msg:?}");
     }
 }
