@@ -164,6 +164,180 @@ impl CompiledProgram {
     }
 }
 
+/// The front half of a compile: the module optimised, selected,
+/// if-converted, fused and register-allocated, with the `_start` stub.
+///
+/// [`Compiler::front_half`] builds one and [`FrontHalf::back_half`]
+/// finishes it. It remembers the options it was built from; the back
+/// half takes only what superblock formation reads, so a front half is
+/// never finished under options it was not built with. Clone one to
+/// finish the same allocated program twice, as the workload runners do
+/// for a profile-training binary and the final binary.
+#[derive(Debug, Clone)]
+pub struct FrontHalf<'c> {
+    compiler: &'c Compiler,
+    options: Options,
+    abi: Abi,
+    stats: CompileStats,
+    /// The `_start` stub, then the module's functions, all allocated.
+    functions: Vec<MFunction>,
+    /// Translation-validation snapshots of `functions[1..]`.
+    snapshots: Vec<FrontSnapshots>,
+}
+
+/// One function's pre-allocation stage snapshots (all `None` unless
+/// [`Options::verify`] is on).
+#[derive(Debug, Clone)]
+struct FrontSnapshots {
+    post_select: Option<MFunction>,
+    post_ifconv: Option<MFunction>,
+    post_fuse: Option<MFunction>,
+}
+
+impl FrontHalf<'_> {
+    /// The options the front half was built from.
+    #[must_use]
+    pub fn options(&self) -> &Options {
+        &self.options
+    }
+
+    /// The allocated program: the `_start` stub (which carries the
+    /// entry arguments and the initial stack pointer), then the module's
+    /// functions in definition order.
+    #[must_use]
+    pub fn functions(&self) -> &[MFunction] {
+        &self.functions
+    }
+
+    /// Runs the back half of the compile: superblock formation (when
+    /// `superblock` is set and the machine issues at least two
+    /// operations per cycle, steered by `profile`), control
+    /// finalisation, scheduling, emission and, under
+    /// [`Options::verify`], the built-in `epic-verify` run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::Verification`] when the verifier finds an
+    /// error in the scheduled output, or [`CompileError::Internal`] when
+    /// the emitted text does not assemble.
+    pub fn back_half(
+        self,
+        superblock: bool,
+        profile: Option<&ProfileData>,
+    ) -> Result<CompiledProgram, CompileError> {
+        let FrontHalf {
+            compiler,
+            options,
+            abi,
+            mut stats,
+            functions,
+            snapshots,
+        } = self;
+        let mdes = &compiler.mdes;
+        let mut scheduled = Vec::with_capacity(functions.len());
+        let mut trace = options.verify.then(PipelineTrace::default);
+        let mut functions = functions.into_iter();
+
+        // The start-up stub comes first: its first bundle is the entry PC.
+        let mut stub = functions.next().expect("a front half starts with `_start`");
+        let stub_layout = finalize_control(&mut stub, &abi);
+        let (blocks, s) = schedule_function(&stub, &stub_layout, mdes);
+        absorb_sched(&mut stats.sched, &s);
+        if let Some(trace) = &mut trace {
+            // The stub is born allocated; only the back-end stages exist.
+            trace.functions.push(FunctionTrace {
+                name: stub.name.clone(),
+                post_select: None,
+                post_ifconv: None,
+                post_fuse: None,
+                post_superblock: None,
+                origin: None,
+                traces: Vec::new(),
+                post_regalloc: None,
+                post_finalize: stub.clone(),
+                layout: stub_layout.clone(),
+                scheduled: blocks.clone(),
+            });
+        }
+        scheduled.push(blocks);
+
+        for (mut mf, snapshot) in functions.zip(snapshots) {
+            let post_regalloc = trace.is_some().then(|| mf.clone());
+            // Superblock formation runs on *allocated* code: cloning a
+            // tail of physical registers cannot perturb the allocator,
+            // whereas pre-allocation clones at the end of the block list
+            // would stretch every cloned vreg's linear-scan interval
+            // across the whole function and drown the win in spills.
+            let mut post_superblock = None;
+            let mut origin = None;
+            let mut trace_groups: Vec<Vec<MBlockId>> = Vec::new();
+            if superblock && mdes.issue_width() >= 2 {
+                if let Some(f) = form_superblocks(&mut mf, profile) {
+                    stats.superblock.absorb(f.stats);
+                    post_superblock = trace.is_some().then(|| mf.clone());
+                    origin = trace.is_some().then(|| f.origin.clone());
+                    trace_groups = f.traces;
+                }
+            }
+            let fl = finalize_control(&mut mf, &abi);
+            let (blocks, s) = schedule_function_regions(&mf, &fl, &trace_groups, mdes);
+            absorb_sched(&mut stats.sched, &s);
+            if let Some(trace) = &mut trace {
+                trace.functions.push(FunctionTrace {
+                    name: mf.name.clone(),
+                    post_select: snapshot.post_select,
+                    post_ifconv: snapshot.post_ifconv,
+                    post_fuse: snapshot.post_fuse,
+                    post_superblock,
+                    origin,
+                    traces: trace_groups.clone(),
+                    post_regalloc,
+                    post_finalize: mf.clone(),
+                    layout: fl.clone(),
+                    scheduled: blocks.clone(),
+                });
+            }
+            scheduled.push(blocks);
+        }
+
+        let config = &compiler.config;
+        let assembly = emit_program(&scheduled, config);
+
+        // The scheduler claims its output respects the machine contract
+        // (port budget, unit occupancy, prepared branches); make the
+        // claim load-bearing by running the static verifier over the
+        // assembled bundles. Warnings (scoreboard-covered hazards) are
+        // expected across block boundaries; errors are compiler bugs.
+        // The checked program rides along, so nobody assembles twice.
+        let mut program = None;
+        if options.verify {
+            let assembled =
+                epic_asm::assemble(&assembly, config).map_err(|e| CompileError::Internal {
+                    message: format!("emitted assembly does not assemble: {e}"),
+                })?;
+            let report = epic_verify::check(&assembled, config);
+            if report.has_errors() {
+                let errors: String = report
+                    .diagnostics()
+                    .iter()
+                    .filter(|d| d.severity == epic_asm::Severity::Error)
+                    .map(|d| d.render("<scheduled output>", None))
+                    .collect();
+                return Err(CompileError::Verification { report: errors });
+            }
+            program = Some(assembled);
+        }
+
+        Ok(CompiledProgram {
+            assembly,
+            stats,
+            config: config.clone(),
+            trace,
+            program,
+        })
+    }
+}
+
 /// The EPIC compiler for one processor configuration.
 ///
 /// # Examples
@@ -212,7 +386,9 @@ impl Compiler {
         self.compile_with(module, &Options::default())
     }
 
-    /// Compiles a module.
+    /// Compiles a module: the [front half](Compiler::front_half), then
+    /// its [back half](FrontHalf::back_half) with the options' superblock
+    /// switch and profile.
     ///
     /// The output starts with a `_start` stub that initialises the stack
     /// pointer from the module's layout, loads the entry arguments into
@@ -227,6 +403,23 @@ impl Compiler {
         module: &Module,
         options: &Options,
     ) -> Result<CompiledProgram, CompileError> {
+        self.front_half(module, options)?
+            .back_half(options.superblock, options.profile.as_ref())
+    }
+
+    /// Runs the front half of a compile: optimisation, layout, the
+    /// `_start` stub, selection, literal folding, if-conversion, fusion
+    /// and register allocation. Superblock formation and everything
+    /// after it is the [back half](FrontHalf::back_half).
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::compile_with`].
+    pub fn front_half(
+        &self,
+        module: &Module,
+        options: &Options,
+    ) -> Result<FrontHalf<'_>, CompileError> {
         if self.config.datapath_width() != 32 {
             return Err(CompileError::UnsupportedDatapathWidth {
                 width: self.config.datapath_width(),
@@ -243,131 +436,49 @@ impl Compiler {
             message: format!("module layout: {e}"),
         })?;
 
-        let mut scheduled = Vec::with_capacity(module.functions.len() + 1);
         // Stage snapshots for translation validation ride along with the
         // verifier switch: `--no-verify` drops both.
-        let mut trace = options.verify.then(PipelineTrace::default);
-
-        // The start-up stub comes first: its first bundle is the entry PC.
-        let mut stub = self.start_stub(&abi, options, layout.initial_sp())?;
-        let stub_layout = finalize_control(&mut stub, &abi);
-        let (blocks, s) = schedule_function(&stub, &stub_layout, &self.mdes);
-        absorb_sched(&mut stats.sched, &s);
-        if let Some(trace) = &mut trace {
-            // The stub is born allocated; only the back-end stages exist.
-            trace.functions.push(FunctionTrace {
-                name: stub.name.clone(),
-                post_select: None,
-                post_ifconv: None,
-                post_fuse: None,
-                post_superblock: None,
-                origin: None,
-                traces: Vec::new(),
-                post_regalloc: None,
-                post_finalize: stub.clone(),
-                layout: stub_layout.clone(),
-                scheduled: blocks.clone(),
-            });
-        }
-        scheduled.push(blocks);
-
+        let snap = |mf: &MFunction| options.verify.then(|| mf.clone());
+        let mut functions = Vec::with_capacity(module.functions.len() + 1);
+        functions.push(self.start_stub(&abi, options, layout.initial_sp())?);
+        let mut snapshots = Vec::with_capacity(module.functions.len());
         for func in &module.functions {
             let mut mf = select(func, &self.config)?;
             fold_literal_operands(&mut mf, &self.config);
-            let post_select = trace.is_some().then(|| mf.clone());
-            let mut post_ifconv = None;
+            let mut snapshot = FrontSnapshots {
+                post_select: snap(&mf),
+                post_ifconv: None,
+                post_fuse: None,
+            };
             if options.if_conversion {
                 let s = if_convert(&mut mf);
                 stats.ifconv.diamonds += s.diamonds;
                 stats.ifconv.triangles += s.triangles;
                 stats.ifconv.predicated_insts += s.predicated_insts;
-                post_ifconv = trace.is_some().then(|| mf.clone());
+                snapshot.post_ifconv = snap(&mf);
             }
-            let mut post_fuse = None;
             if options.fuse_custom {
                 let fs = fuse(&mut mf, &self.config);
                 if fs != FuseStats::default() {
                     stats.fuse.fused += fs.fused;
                     stats.fuse.ops_removed += fs.ops_removed;
-                    post_fuse = trace.is_some().then(|| mf.clone());
+                    snapshot.post_fuse = snap(&mf);
                 }
             }
             let ra = allocate(&mut mf, &abi, &self.config)?;
             stats.regalloc.spilled += ra.spilled;
             stats.regalloc.call_saves += ra.call_saves;
             stats.regalloc.frame_bytes += ra.frame_bytes;
-            let post_regalloc = trace.is_some().then(|| mf.clone());
-            // Superblock formation runs on *allocated* code: cloning a
-            // tail of physical registers cannot perturb the allocator,
-            // whereas pre-allocation clones at the end of the block list
-            // would stretch every cloned vreg's linear-scan interval
-            // across the whole function and drown the win in spills.
-            let mut post_superblock = None;
-            let mut origin = None;
-            let mut trace_groups: Vec<Vec<MBlockId>> = Vec::new();
-            if options.superblock && self.mdes.issue_width() >= 2 {
-                if let Some(f) = form_superblocks(&mut mf, options.profile.as_ref()) {
-                    stats.superblock.absorb(f.stats);
-                    post_superblock = trace.is_some().then(|| mf.clone());
-                    origin = trace.is_some().then(|| f.origin.clone());
-                    trace_groups = f.traces;
-                }
-            }
-            let fl = finalize_control(&mut mf, &abi);
-            let (blocks, s) = schedule_function_regions(&mf, &fl, &trace_groups, &self.mdes);
-            absorb_sched(&mut stats.sched, &s);
-            if let Some(trace) = &mut trace {
-                trace.functions.push(FunctionTrace {
-                    name: mf.name.clone(),
-                    post_select,
-                    post_ifconv,
-                    post_fuse,
-                    post_superblock,
-                    origin,
-                    traces: trace_groups.clone(),
-                    post_regalloc,
-                    post_finalize: mf.clone(),
-                    layout: fl.clone(),
-                    scheduled: blocks.clone(),
-                });
-            }
-            scheduled.push(blocks);
+            functions.push(mf);
+            snapshots.push(snapshot);
         }
-
-        let assembly = emit_program(&scheduled, &self.config);
-
-        // The scheduler claims its output respects the machine contract
-        // (port budget, unit occupancy, prepared branches); make the
-        // claim load-bearing by running the static verifier over the
-        // assembled bundles. Warnings (scoreboard-covered hazards) are
-        // expected across block boundaries; errors are compiler bugs.
-        // The checked program rides along, so nobody assembles twice.
-        let mut program = None;
-        if options.verify {
-            let assembled = epic_asm::assemble(&assembly, &self.config).map_err(|e| {
-                CompileError::Internal {
-                    message: format!("emitted assembly does not assemble: {e}"),
-                }
-            })?;
-            let report = epic_verify::check(&assembled, &self.config);
-            if report.has_errors() {
-                let errors: String = report
-                    .diagnostics()
-                    .iter()
-                    .filter(|d| d.severity == epic_asm::Severity::Error)
-                    .map(|d| d.render("<scheduled output>", None))
-                    .collect();
-                return Err(CompileError::Verification { report: errors });
-            }
-            program = Some(assembled);
-        }
-
-        Ok(CompiledProgram {
-            assembly,
+        Ok(FrontHalf {
+            compiler: self,
+            options: options.clone(),
+            abi,
             stats,
-            config: self.config.clone(),
-            trace,
-            program,
+            functions,
+            snapshots,
         })
     }
 
@@ -478,6 +589,44 @@ mod tests {
             narrow.stats().sched.bundles
         );
         assert!(wide.stats().sched.ilp() > narrow.stats().sched.ilp());
+    }
+
+    #[test]
+    fn a_cloned_front_half_finishes_like_a_fresh_compile() {
+        let f = FunctionDef::new("main", ["n"]).body([
+            Stmt::let_("acc", Expr::lit(0)),
+            Stmt::for_(
+                "i",
+                Expr::lit(0),
+                Expr::var("n"),
+                [Stmt::assign("acc", Expr::var("acc") + Expr::var("i"))],
+            ),
+            Stmt::ret(Expr::var("acc")),
+        ]);
+        let module = lower::lower(&Program::new().function(f)).unwrap();
+        let compiler = Compiler::new(Config::default());
+        let options = Options::default();
+        let training = Options {
+            superblock: false,
+            ..options.clone()
+        };
+        let front = compiler.front_half(&module, &options).unwrap();
+        let pairs = [
+            (
+                front.clone().back_half(false, None).unwrap(),
+                compiler.compile_with(&module, &training).unwrap(),
+            ),
+            (
+                front.back_half(true, None).unwrap(),
+                compiler.compile_with(&module, &options).unwrap(),
+            ),
+        ];
+        for (split, whole) in &pairs {
+            assert_eq!(split.assembly(), whole.assembly());
+            assert_eq!(split.stats(), whole.stats());
+            assert_eq!(split.trace(), whole.trace());
+        }
+        assert_ne!(pairs[0].0.assembly(), pairs[1].0.assembly());
     }
 
     #[test]

@@ -62,6 +62,6 @@ pub mod superblock;
 pub mod trace;
 
 pub use driver::{
-    default_verify, set_default_verify, CompileStats, CompiledProgram, Compiler, Options,
+    default_verify, set_default_verify, CompileStats, CompiledProgram, Compiler, FrontHalf, Options,
 };
 pub use error::CompileError;

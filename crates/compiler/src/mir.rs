@@ -246,7 +246,7 @@ impl fmt::Display for MOp {
 }
 
 /// One machine instruction: a real operation or a call pseudo.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MInst {
     /// A real ISA operation.
     Op(MOp),
@@ -341,7 +341,7 @@ impl fmt::Display for MInst {
 }
 
 /// How a machine block ends.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MTerm {
     /// Unconditional jump.
     Jump(MBlockId),
@@ -376,7 +376,7 @@ impl MTerm {
 }
 
 /// A machine basic block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MBlock {
     /// Block id (`blocks[i].id == MBlockId(i)`).
     pub id: MBlockId,
@@ -387,7 +387,7 @@ pub struct MBlock {
 }
 
 /// A machine function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MFunction {
     /// Function name.
     pub name: String,

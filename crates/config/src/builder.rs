@@ -236,6 +236,53 @@ impl Default for ConfigBuilder {
     }
 }
 
+impl Config {
+    /// A builder primed with this configuration's parameters, so a
+    /// variant built from it differs only in what the caller sets.
+    #[must_use]
+    pub fn to_builder(&self) -> ConfigBuilder {
+        // Exhaustive: a new parameter fails to compile here until it is
+        // carried over. The format is derived again by `build`.
+        let Config {
+            num_alus,
+            num_gprs,
+            num_pred_regs,
+            num_btrs,
+            registers_per_instruction,
+            issue_width,
+            datapath_width,
+            alu_features,
+            custom_ops,
+            load_latency,
+            mul_latency,
+            div_latency,
+            forwarding,
+            memory_contention,
+            pipeline_stages,
+            regfile_ops_per_cycle,
+            format: _,
+        } = self.clone();
+        ConfigBuilder {
+            num_alus,
+            num_gprs,
+            num_pred_regs,
+            num_btrs,
+            registers_per_instruction,
+            issue_width,
+            datapath_width,
+            alu_features,
+            custom_ops,
+            load_latency,
+            mul_latency,
+            div_latency,
+            forwarding,
+            memory_contention,
+            pipeline_stages,
+            regfile_ops_per_cycle,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +317,10 @@ mod tests {
         assert_eq!(c.div_latency(), 12);
         assert!(!c.forwarding());
         assert_eq!(c.regfile_ops_per_cycle(), 4);
+        assert_eq!(c.to_builder().build().unwrap(), c);
+        let wide = c.to_builder().num_alus(4).build().unwrap();
+        assert_eq!(wide.num_alus(), 4);
+        assert_eq!(wide.to_builder().num_alus(3).build().unwrap(), c);
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl fmt::Display for AluFeatureSet {
 /// cycle-level simulator — is instantiated from the same `Config`, just as
 /// the paper's hardware, assembler and HMDES file are all generated from
 /// one configuration header (§3.3, §4).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Config {
     pub(crate) num_alus: usize,
     pub(crate) num_gprs: usize,

@@ -12,17 +12,15 @@
 //! * [`headline_checks`] — the paper's qualitative claims as testable
 //!   predicates (who wins, where the benchmark scales, where it is flat).
 
+use crate::profile::PROFILES;
 use crate::toolchain::{memory_window, run_sa110, EngineRun, EpicRun, Toolchain, ToolchainError};
 use epic_area::{sa110_execution_time, AreaModel};
 use epic_array::{ArrayError, ArrayOutcome, ArraySimulator, MeshSpec};
-use epic_compiler::superblock::ProfileData;
 use epic_config::Config;
 use epic_ir::lower;
-use epic_ir::Module;
-use epic_sim::{Engine, NopSink, ProfileSink, SimStats, TraceSink};
+use epic_sim::{Engine, NopSink, SimStats, TraceSink};
 use epic_workloads::{Scale, Workload};
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Verification failure raised when a simulated output disagrees with the
@@ -89,12 +87,17 @@ pub fn run_epic_workload(
 /// of `epic-prof`.
 ///
 /// On machines wide enough for superblock formation (issue width ≥ 2)
-/// the run is *profile-guided*: a training compile with formation off
-/// executes under a [`ProfileSink`], its per-block entry counts become
-/// the [`ProfileData`] steering trace selection, and the measured run is
-/// the recompile. The training pass compiles with formation off so the
-/// emitted block labels name exactly the pre-formation blocks the
-/// second compile selects traces over.
+/// the run is *profile-guided*: the compile's front half is finished
+/// once with formation off and run under a [`ProfileSink`], its
+/// per-block entry counts become the [`ProfileData`] steering trace
+/// selection, and the measured run is the same front half finished with
+/// formation on. Training therefore names exactly the pre-formation
+/// blocks the final compile selects traces over. Profiles are memoised
+/// by allocated program (see [`prepare_epic_workload`]), so a process
+/// trains each one once.
+///
+/// [`ProfileSink`]: epic_sim::ProfileSink
+/// [`ProfileData`]: epic_compiler::superblock::ProfileData
 ///
 /// # Errors
 ///
@@ -105,8 +108,8 @@ pub fn run_epic_workload_observed<S: TraceSink>(
     config: &Config,
     sink: &mut S,
 ) -> Result<EpicRun, ExperimentError> {
-    let (toolchain, module, options) = compile_setup(workload, config)?;
-    let run = toolchain.run_module_observed(&module, &options, sink)?;
+    let (toolchain, prepared) = prepare_epic_workload(workload, config)?;
+    let run = toolchain.run_prepared_observed(prepared, sink)?;
     verify_workload_memory(workload, run.simulator.memory().bytes())?;
     Ok(run)
 }
@@ -129,8 +132,8 @@ pub fn run_epic_workload_with_engine(
     config: &Config,
     engine: Engine,
 ) -> Result<EngineRun, ExperimentError> {
-    let (toolchain, module, options) = compile_setup(workload, config)?;
-    let run = toolchain.run_module_engine(&module, &options, engine)?;
+    let (toolchain, prepared) = prepare_epic_workload(workload, config)?;
+    let run = toolchain.run_prepared_engine(prepared, engine)?;
     verify_workload_memory(workload, run.outcome.memory.bytes())?;
     Ok(run)
 }
@@ -139,7 +142,18 @@ pub fn run_epic_workload_with_engine(
 /// returning the toolchain and the prepared artefact *without* running
 /// it. The throughput benchmarks use this to hoist the whole compiler
 /// front end out of the timed region and race the engines over the
-/// identical binary.
+/// identical binary. It is the compile side of every EPIC workload
+/// runner.
+///
+/// The compiler's front half (optimisation through register
+/// allocation) runs once. At issue width ≥ 2 the profile comes from a
+/// process-wide memo keyed by the allocated program, its initial memory
+/// image, [`Options::verify`](epic_compiler::Options::verify) and the
+/// configuration less its ALU count and issue width; a miss trains from
+/// a clone of the front half. The back half then runs once, with that
+/// profile, and the result is translation-validated. A memoised profile
+/// equals a fresh training's: see the key's documentation in the
+/// `profile` module.
 ///
 /// # Errors
 ///
@@ -148,8 +162,18 @@ pub fn prepare_epic_workload(
     workload: &Workload,
     config: &Config,
 ) -> Result<(Toolchain, crate::toolchain::PreparedProgram), ExperimentError> {
-    let (toolchain, module, options) = compile_setup(workload, config)?;
-    let prepared = toolchain.prepare(&module, &options)?;
+    let module = lower::lower(&workload.program)?;
+    let image = module.initial_memory(&module.layout()?);
+    let toolchain = Toolchain::new(config.clone());
+    let options = workload_options(workload);
+    let front = toolchain.compiler().front_half(&module, &options)?;
+    let profile = if config.issue_width() >= 2 {
+        PROFILES.profile(&toolchain, &front, &image)?
+    } else {
+        None
+    };
+    let compiled = front.back_half(options.superblock, profile.as_ref())?;
+    let prepared = toolchain.validate(compiled, image)?;
     Ok((toolchain, prepared))
 }
 
@@ -194,12 +218,7 @@ pub fn prepare_mesh_workload(
             )))
         })?;
     let toolchain = Toolchain::new(config.clone());
-    let options = epic_compiler::Options {
-        entry: workload.entry.clone(),
-        inline_hints: workload.inline_hints(),
-        ..epic_compiler::Options::default()
-    };
-    let prepared = toolchain.prepare(&module, &options)?;
+    let prepared = toolchain.prepare(&module, &workload_options(workload))?;
     Ok(PreparedMesh {
         prepared,
         mailbox_base,
@@ -260,24 +279,13 @@ pub fn run_mesh_workload(
     Ok(MeshRun { outcome, array })
 }
 
-/// The shared compile-side setup of every EPIC workload run: lower the
-/// program, build the compiler options, and (on machines wide enough
-/// for superblock formation) train the profile.
-fn compile_setup(
-    workload: &Workload,
-    config: &Config,
-) -> Result<(Toolchain, Module, epic_compiler::Options), ExperimentError> {
-    let module = lower::lower(&workload.program)?;
-    let toolchain = Toolchain::new(config.clone());
-    let mut options = epic_compiler::Options {
+/// The compiler options every workload runner uses.
+pub(crate) fn workload_options(workload: &Workload) -> epic_compiler::Options {
+    epic_compiler::Options {
         entry: workload.entry.clone(),
         inline_hints: workload.inline_hints(),
         ..epic_compiler::Options::default()
-    };
-    if config.issue_width() >= 2 {
-        options.profile = train_profile(&toolchain, &module, &options)?;
     }
-    Ok((toolchain, module, options))
 }
 
 /// Checks a run's final data memory against the workload's golden model.
@@ -289,30 +297,6 @@ fn verify_workload_memory(workload: &Workload, bytes: &[u8]) -> Result<(), Exper
                 .ok_or_else(|| VerifyError(format!("global at {addr:#x} overruns memory")))
         })
         .map_err(|m| ExperimentError::Verify(VerifyError(m)))
-}
-
-/// The training pass behind profile-guided superblock formation: compile
-/// with formation off, simulate under a [`ProfileSink`], and fold the
-/// per-address issue counts through the assembler's label table into
-/// per-block entry counts (a block's entries are the issues of its first
-/// bundle, the same attribution `epic_obs::BlockProfile` uses).
-fn train_profile(
-    toolchain: &Toolchain,
-    module: &Module,
-    options: &epic_compiler::Options,
-) -> Result<Option<ProfileData>, ExperimentError> {
-    let train_options = epic_compiler::Options {
-        superblock: false,
-        ..options.clone()
-    };
-    let mut train_sink = ProfileSink::default();
-    let run = toolchain.run_module_observed(module, &train_options, &mut train_sink)?;
-    let issues_at: HashMap<u32, u64> = train_sink.per_pc().map(|(pc, c)| (pc, c.issues)).collect();
-    let mut profile = ProfileData::new();
-    for (label, &addr) in run.program.labels() {
-        profile.record(label.clone(), issues_at.get(&addr).copied().unwrap_or(0));
-    }
-    Ok((!profile.is_empty()).then_some(profile))
 }
 
 /// Runs one workload on the SA-110 baseline, verifying the output.

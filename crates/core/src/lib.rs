@@ -40,6 +40,7 @@
 
 pub mod experiments;
 pub mod explore;
+mod profile;
 mod toolchain;
 
 pub use toolchain::{

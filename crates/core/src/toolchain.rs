@@ -307,6 +307,16 @@ impl Toolchain {
         sink: &mut S,
     ) -> Result<EpicRun, ToolchainError> {
         let prepared = self.prepare(module, options)?;
+        self.run_prepared_observed(prepared, sink)
+    }
+
+    /// Runs a prepared program on the decoded engine under `sink`,
+    /// keeping the final machine.
+    pub(crate) fn run_prepared_observed<S: TraceSink>(
+        &self,
+        prepared: PreparedProgram,
+        sink: &mut S,
+    ) -> Result<EpicRun, ToolchainError> {
         let mut simulator = Simulator::try_new(
             &self.config,
             prepared.program.bundles().to_vec(),
@@ -332,7 +342,24 @@ impl Toolchain {
         module: &Module,
         options: &Options,
     ) -> Result<PreparedProgram, ToolchainError> {
-        let mut compiled = self.compiler.compile_with(module, options)?;
+        let compiled = self.compiler.compile_with(module, options)?;
+        let layout = module.layout()?;
+        self.validate(compiled, module.initial_memory(&layout))
+    }
+
+    /// The compiler this toolchain drives.
+    pub(crate) fn compiler(&self) -> &Compiler {
+        &self.compiler
+    }
+
+    /// Assembles a compile (unless its built-in verifier already did)
+    /// and translation-validates it, pairing it with the initial data
+    /// memory image.
+    pub(crate) fn validate(
+        &self,
+        mut compiled: CompiledProgram,
+        initial_memory: Vec<u8>,
+    ) -> Result<PreparedProgram, ToolchainError> {
         // A verifying compile already assembled its output; only a
         // `--no-verify` compile leaves the text to assemble here.
         let program = match compiled.take_program() {
@@ -347,8 +374,6 @@ impl Toolchain {
                 return Err(ToolchainError::Tv(report.render("<pipeline>", None)));
             }
         }
-        let layout = module.layout()?;
-        let initial_memory = module.initial_memory(&layout);
         Ok(PreparedProgram {
             compiled,
             program,
@@ -428,6 +453,16 @@ impl Toolchain {
         engine: Engine,
     ) -> Result<EngineRun, ToolchainError> {
         let prepared = self.prepare(module, options)?;
+        self.run_prepared_engine(prepared, engine)
+    }
+
+    /// [`run_prepared`](Toolchain::run_prepared), keeping the compile
+    /// artefacts alongside the outcome.
+    pub(crate) fn run_prepared_engine(
+        &self,
+        prepared: PreparedProgram,
+        engine: Engine,
+    ) -> Result<EngineRun, ToolchainError> {
         let outcome = self.run_prepared(&prepared, engine)?;
         Ok(EngineRun {
             compiled: prepared.compiled,
