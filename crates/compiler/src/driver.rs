@@ -7,7 +7,7 @@ use crate::ifconv::{if_convert, IfConvStats};
 use crate::mir::{MBlock, MBlockId, MDest, MFunction, MInst, MOp, MSrc, MTerm};
 use crate::passes::{self, PassStats};
 use crate::regalloc::{allocate, Abi, RegAllocStats};
-use crate::sched::{schedule_function, schedule_function_regions, SchedStats};
+use crate::sched::{schedule_function, schedule_function_regions, SchedStats, ScheduledBlock};
 use crate::select::{fold_literal_operands, select};
 use crate::superblock::{form_superblocks, ProfileData, SuperblockStats};
 use crate::trace::{FunctionTrace, PipelineTrace};
@@ -15,6 +15,7 @@ use epic_config::Config;
 use epic_ir::Module;
 use epic_isa::Opcode;
 use epic_mdes::MachineDescription;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Compilation options.
@@ -164,77 +165,132 @@ impl CompiledProgram {
     }
 }
 
+/// The configuration that stands for `config`'s machine family: the
+/// same configuration at one ALU and one issue slot.
+///
+/// Only the back half (superblock formation's issue-width gate and list
+/// scheduling) reads the ALU count and the issue width, so every member
+/// of a family shares one [front half](Compiler::front_half).
+#[must_use]
+pub fn machine_family(config: &Config) -> Config {
+    config
+        .to_builder()
+        .num_alus(1)
+        .issue_width(1)
+        .build()
+        .expect("a valid configuration stays valid at one ALU and one issue slot")
+}
+
 /// The front half of a compile: the module optimised, selected,
 /// if-converted, fused and register-allocated, with the `_start` stub.
 ///
-/// [`Compiler::front_half`] builds one and [`FrontHalf::back_half`]
-/// finishes it. It remembers the options it was built from; the back
+/// [`Compiler::front_half`] builds one. [`FrontHalf::back_half`]
+/// finishes a copy of it, as often as the caller likes, for any compiler
+/// of the same [machine family](machine_family);
+/// [`FrontHalf::into_back_half`] finishes the front half itself. It
+/// remembers the config and the options it was built from; the back
 /// half takes only what superblock formation reads, so a front half is
-/// never finished under options it was not built with. Clone one to
-/// finish the same allocated program twice, as the workload runners do
-/// for a profile-training binary and the final binary.
+/// never finished under options it was not built with.
 #[derive(Debug, Clone)]
-pub struct FrontHalf<'c> {
-    compiler: &'c Compiler,
+pub struct FrontHalf {
+    config: Config,
     options: Options,
     abi: Abi,
     stats: CompileStats,
     /// The `_start` stub, then the module's functions, all allocated.
     functions: Vec<MFunction>,
-    /// Translation-validation snapshots of `functions[1..]`.
+    /// Translation-validation snapshots of `functions[1..]` (empty in
+    /// a copy [without them](FrontHalf::without_snapshots)).
     snapshots: Vec<FrontSnapshots>,
 }
 
 /// One function's pre-allocation stage snapshots (all `None` unless
 /// [`Options::verify`] is on).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FrontSnapshots {
     post_select: Option<MFunction>,
     post_ifconv: Option<MFunction>,
     post_fuse: Option<MFunction>,
 }
 
-impl FrontHalf<'_> {
-    /// The options the front half was built from.
+impl FrontHalf {
+    /// A copy of the front half without its post-select, post-ifconv and
+    /// post-fuse snapshots. Once a trace carrying them has been
+    /// translation-validated, their checks (TV001–TV004, TV013) would
+    /// repeat the same verdicts: those checkers read only the
+    /// snapshots, the allocated functions and parameters the machine
+    /// family fixes. The copy's back halves trace only their own stages.
     #[must_use]
-    pub fn options(&self) -> &Options {
-        &self.options
+    pub fn without_snapshots(&self) -> FrontHalf {
+        FrontHalf {
+            config: self.config.clone(),
+            options: self.options.clone(),
+            abi: self.abi.clone(),
+            stats: self.stats,
+            functions: self.functions.clone(),
+            snapshots: Vec::new(),
+        }
     }
 
-    /// The allocated program: the `_start` stub (which carries the
-    /// entry arguments and the initial stack pointer), then the module's
-    /// functions in definition order.
-    #[must_use]
-    pub fn functions(&self) -> &[MFunction] {
-        &self.functions
+    /// Runs the back half of the compile for `compiler`'s machine on a
+    /// copy of the allocated functions (and of the snapshots, while the
+    /// front half holds them): see
+    /// [`into_back_half`](FrontHalf::into_back_half).
+    ///
+    /// # Errors
+    ///
+    /// As [`into_back_half`](FrontHalf::into_back_half).
+    pub fn back_half(
+        &self,
+        compiler: &Compiler,
+        superblock: bool,
+        profile: Option<&ProfileData>,
+    ) -> Result<CompiledProgram, CompileError> {
+        self.clone().into_back_half(compiler, superblock, profile)
     }
 
-    /// Runs the back half of the compile: superblock formation (when
-    /// `superblock` is set and the machine issues at least two
-    /// operations per cycle, steered by `profile`), control
-    /// finalisation, scheduling, emission and, under
+    /// Runs the back half of the compile for `compiler`'s machine:
+    /// superblock formation (when `superblock` is set and the machine
+    /// issues at least two operations per cycle, steered by `profile`),
+    /// control finalisation, scheduling, emission and, under
     /// [`Options::verify`], the built-in `epic-verify` run.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Verification`] when the verifier finds an
-    /// error in the scheduled output, or [`CompileError::Internal`] when
-    /// the emitted text does not assemble.
-    pub fn back_half(
+    /// Returns [`CompileError::Internal`] when `compiler` targets another
+    /// machine family than the front half was built for,
+    /// [`CompileError::BranchTargetOutOfRange`] when the program is too
+    /// long for its branches, [`CompileError::Verification`] when the
+    /// verifier finds an error in the scheduled output, or
+    /// [`CompileError::Internal`] when the emitted text does not
+    /// assemble.
+    pub fn into_back_half(
         self,
+        compiler: &Compiler,
         superblock: bool,
         profile: Option<&ProfileData>,
     ) -> Result<CompiledProgram, CompileError> {
+        if machine_family(compiler.config()) != machine_family(&self.config) {
+            return Err(CompileError::Internal {
+                message: format!(
+                    "a front half built for {:?} cannot finish for {:?}: the machines differ \
+                     in more than the ALU count and the issue width",
+                    self.config,
+                    compiler.config()
+                ),
+            });
+        }
         let FrontHalf {
-            compiler,
             options,
             abi,
             mut stats,
             functions,
             snapshots,
+            ..
         } = self;
         let mdes = &compiler.mdes;
         let mut scheduled = Vec::with_capacity(functions.len());
+        let mut names = Vec::with_capacity(functions.len());
         let mut trace = options.verify.then(PipelineTrace::default);
         let mut functions = functions.into_iter();
 
@@ -260,8 +316,11 @@ impl FrontHalf<'_> {
             });
         }
         scheduled.push(blocks);
+        names.push(stub.name);
 
-        for (mut mf, snapshot) in functions.zip(snapshots) {
+        let mut snapshots = snapshots.into_iter();
+        for mut mf in functions {
+            let snapshot = snapshots.next().unwrap_or_default();
             let post_regalloc = trace.is_some().then(|| mf.clone());
             // Superblock formation runs on *allocated* code: cloning a
             // tail of physical registers cannot perturb the allocator,
@@ -298,9 +357,11 @@ impl FrontHalf<'_> {
                 });
             }
             scheduled.push(blocks);
+            names.push(mf.name);
         }
 
         let config = &compiler.config;
+        check_branch_targets(&names, &scheduled, config)?;
         let assembly = emit_program(&scheduled, config);
 
         // The scheduler claims its output respects the machine contract
@@ -336,6 +397,47 @@ impl FrontHalf<'_> {
             program,
         })
     }
+}
+
+/// Fails with [`CompileError::BranchTargetOutOfRange`] when a `PBR`
+/// names a label whose bundle address the configured format's short
+/// literal cannot hold. Labels resolve to bundle addresses in emission
+/// order, as the assembler numbers them.
+fn check_branch_targets(
+    names: &[String],
+    scheduled: &[Vec<ScheduledBlock>],
+    config: &Config,
+) -> Result<(), CompileError> {
+    let (_, max) = config.instruction_format().short_literal_range();
+    let bundles: usize = scheduled.iter().flatten().map(|b| b.bundles.len()).sum();
+    if i64::try_from(bundles).is_ok_and(|n| n <= max + 1) {
+        return Ok(());
+    }
+    let mut addresses = HashMap::new();
+    let mut address = 0u32;
+    for block in scheduled.iter().flatten() {
+        addresses.insert(block.label.as_str(), address);
+        address += block.bundles.len() as u32;
+    }
+    for (name, blocks) in names.iter().zip(scheduled) {
+        let ops = blocks.iter().flat_map(|b| &b.bundles).flatten();
+        for op in ops.filter(|op| op.opcode == Opcode::Pbr) {
+            let MSrc::Label(label) = &op.src1 else {
+                continue;
+            };
+            let Some(&address) = addresses.get(label.as_str()) else {
+                continue;
+            };
+            if i64::from(address) > max {
+                return Err(CompileError::BranchTargetOutOfRange {
+                    function: name.clone(),
+                    label: label.clone(),
+                    address,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The EPIC compiler for one processor configuration.
@@ -403,8 +505,11 @@ impl Compiler {
         module: &Module,
         options: &Options,
     ) -> Result<CompiledProgram, CompileError> {
-        self.front_half(module, options)?
-            .back_half(options.superblock, options.profile.as_ref())
+        self.front_half(module, options)?.into_back_half(
+            self,
+            options.superblock,
+            options.profile.as_ref(),
+        )
     }
 
     /// Runs the front half of a compile: optimisation, layout, the
@@ -419,7 +524,7 @@ impl Compiler {
         &self,
         module: &Module,
         options: &Options,
-    ) -> Result<FrontHalf<'_>, CompileError> {
+    ) -> Result<FrontHalf, CompileError> {
         if self.config.datapath_width() != 32 {
             return Err(CompileError::UnsupportedDatapathWidth {
                 width: self.config.datapath_width(),
@@ -473,7 +578,7 @@ impl Compiler {
             snapshots.push(snapshot);
         }
         Ok(FrontHalf {
-            compiler: self,
+            config: self.config.clone(),
             options: options.clone(),
             abi,
             stats,
@@ -592,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn a_cloned_front_half_finishes_like_a_fresh_compile() {
+    fn a_front_half_finishes_like_fresh_compiles() {
         let f = FunctionDef::new("main", ["n"]).body([
             Stmt::let_("acc", Expr::lit(0)),
             Stmt::for_(
@@ -613,11 +718,11 @@ mod tests {
         let front = compiler.front_half(&module, &options).unwrap();
         let pairs = [
             (
-                front.clone().back_half(false, None).unwrap(),
+                front.back_half(&compiler, false, None).unwrap(),
                 compiler.compile_with(&module, &training).unwrap(),
             ),
             (
-                front.back_half(true, None).unwrap(),
+                front.back_half(&compiler, true, None).unwrap(),
                 compiler.compile_with(&module, &options).unwrap(),
             ),
         ];
@@ -627,6 +732,100 @@ mod tests {
             assert_eq!(split.trace(), whole.trace());
         }
         assert_ne!(pairs[0].0.assembly(), pairs[1].0.assembly());
+    }
+
+    #[test]
+    fn a_front_half_finishes_only_for_its_machine_family() {
+        let p = Program::new().function(
+            FunctionDef::new("main", ["x"]).body([Stmt::ret(Expr::var("x") * Expr::lit(3))]),
+        );
+        let module = lower::lower(&p).unwrap();
+        let narrow = Config::builder()
+            .num_alus(1)
+            .issue_width(1)
+            .build()
+            .unwrap();
+        let front = Compiler::new(narrow.clone())
+            .front_half(&module, &Options::default())
+            .unwrap();
+        let wide = Compiler::new(Config::default());
+        let served = front.back_half(&wide, true, None).unwrap();
+        let fresh = wide.compile(&module).unwrap();
+        assert_eq!(served.assembly(), fresh.assembly());
+        assert_eq!(served.trace(), fresh.trace());
+        let more_gprs = Compiler::new(narrow.to_builder().num_gprs(48).build().unwrap());
+        let err = front.back_half(&more_gprs, true, None).unwrap_err();
+        assert!(
+            matches!(&err, CompileError::Internal { message }
+                if message.contains("num_gprs: 64") && message.contains("num_gprs: 48")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_front_half_without_snapshots_traces_only_the_back_half() {
+        let p = Program::new().function(FunctionDef::new("main", ["x"]).body([
+            Stmt::let_("r", Expr::lit(0)),
+            Stmt::if_else(
+                Expr::var("x").gt_s(Expr::lit(0)),
+                [Stmt::assign("r", Expr::lit(1))],
+                [Stmt::assign("r", Expr::lit(2))],
+            ),
+            Stmt::ret(Expr::var("r")),
+        ]));
+        let module = lower::lower(&p).unwrap();
+        let compiler = Compiler::new(Config::default());
+        let front = compiler.front_half(&module, &Options::default()).unwrap();
+        let lean = front
+            .without_snapshots()
+            .back_half(&compiler, true, None)
+            .unwrap();
+        let full = front.into_back_half(&compiler, true, None).unwrap();
+        assert_eq!(lean.assembly(), full.assembly());
+        assert_eq!(lean.stats(), full.stats());
+        let mut stripped = full.trace().unwrap().clone();
+        for f in &mut stripped.functions {
+            assert!(f.name == "_start" || f.post_select.is_some());
+            (f.post_select, f.post_ifconv, f.post_fuse) = (None, None, None);
+        }
+        assert_eq!(lean.trace(), Some(&stripped));
+    }
+
+    #[test]
+    fn far_branch_targets_fail_with_a_typed_error() {
+        // Straight-line register-only statements compile in linear time.
+        // At two ops each, they push `f`, defined after `main`, past
+        // bundle 16,383 on a one-slot machine, beyond the default
+        // format's short literal.
+        let mut body: Vec<Stmt> = (0..8_200)
+            .map(|k| Stmt::assign("a", (Expr::var("a") + Expr::var("b")) ^ Expr::lit(k)))
+            .collect();
+        body.push(Stmt::ret(Expr::call("f", [Expr::var("a")])));
+        let p = Program::new()
+            .function(FunctionDef::new("main", ["a", "b"]).body(body))
+            .function(
+                FunctionDef::new("f", ["y"]).body([Stmt::ret(Expr::var("y") + Expr::lit(1))]),
+            );
+        let module = lower::lower(&p).unwrap();
+        let config = Config::builder()
+            .num_alus(1)
+            .issue_width(1)
+            .build()
+            .unwrap();
+        let compiler = Compiler::new(config);
+        for verify in [true, false] {
+            let options = Options {
+                entry_args: vec![1, 2],
+                verify,
+                ..Options::default()
+            };
+            let err = compiler.compile_with(&module, &options).unwrap_err();
+            assert!(
+                matches!(&err, CompileError::BranchTargetOutOfRange { function, label, address }
+                    if function == "main" && label == "fn_f" && *address > 16_383),
+                "verify {verify}: {err}"
+            );
+        }
     }
 
     #[test]

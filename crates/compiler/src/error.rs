@@ -48,6 +48,17 @@ pub enum CompileError {
         /// The missing feature's name.
         feature: String,
     },
+    /// A `PBR` targets a label whose bundle address does not fit the
+    /// configured instruction format's short literal: the program is
+    /// too long for its branches to reach.
+    BranchTargetOutOfRange {
+        /// The function whose `PBR` names the label.
+        function: String,
+        /// The target label.
+        label: String,
+        /// The label's bundle address.
+        address: u32,
+    },
     /// Internal invariant violation — a compiler bug, reported rather than
     /// panicking so batch exploration keeps running.
     Internal {
@@ -93,6 +104,15 @@ impl fmt::Display for CompileError {
             CompileError::MissingFeature { operation, feature } => {
                 write!(f, "{operation} requires the {feature} ALU feature")
             }
+            CompileError::BranchTargetOutOfRange {
+                function,
+                label,
+                address,
+            } => write!(
+                f,
+                "function `{function}` branches to `{label}` at bundle {address}, beyond the \
+                 instruction format's short-literal range"
+            ),
             CompileError::Internal { message } => write!(f, "internal compiler error: {message}"),
             CompileError::Verification { report } => {
                 write!(f, "static verification of the scheduled output failed:\n{report}")

@@ -62,6 +62,7 @@ pub mod superblock;
 pub mod trace;
 
 pub use driver::{
-    default_verify, set_default_verify, CompileStats, CompiledProgram, Compiler, FrontHalf, Options,
+    default_verify, machine_family, set_default_verify, CompileStats, CompiledProgram, Compiler,
+    FrontHalf, Options,
 };
 pub use error::CompileError;

@@ -440,7 +440,11 @@ fn schedule_ops(
         if from == to {
             return;
         }
-        if let Some(e) = succs[from].iter_mut().find(|e| e.to == to) {
+        // Every edge is added while its target is being visited, so
+        // `succs[from]` is sorted by target and a duplicate can only be
+        // its last edge.
+        debug_assert!(succs[from].last().is_none_or(|e| e.to <= to));
+        if let Some(e) = succs[from].last_mut().filter(|e| e.to == to) {
             e.latency = e.latency.max(latency);
             return;
         }

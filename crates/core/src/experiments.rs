@@ -11,8 +11,16 @@
 //! * [`resource_usage`] — the §5.1 slices/BlockRAM table;
 //! * [`headline_checks`] — the paper's qualitative claims as testable
 //!   predicates (who wins, where the benchmark scales, where it is flat).
+//!
+//! Every single-core EPIC runner compiles through
+//! [`prepare_epic_workload`]. It builds each workload's front half
+//! (optimisation through register allocation) and trains its profile
+//! once per process and machine family — the configuration less its ALU
+//! count and issue width — and runs only the back half for each design
+//! point. The mesh runners compile through [`prepare_mesh_workload`],
+//! which trains nothing and memoises nothing.
 
-use crate::profile::PROFILES;
+use crate::front::FRONTS;
 use crate::toolchain::{memory_window, run_sa110, EngineRun, EpicRun, Toolchain, ToolchainError};
 use epic_area::{sa110_execution_time, AreaModel};
 use epic_array::{ArrayError, ArrayOutcome, ArraySimulator, MeshSpec};
@@ -92,9 +100,10 @@ pub fn run_epic_workload(
 /// per-block entry counts become the [`ProfileData`] steering trace
 /// selection, and the measured run is the same front half finished with
 /// formation on. Training therefore names exactly the pre-formation
-/// blocks the final compile selects traces over. Profiles are memoised
-/// by allocated program (see [`prepare_epic_workload`]), so a process
-/// trains each one once.
+/// blocks the final compile selects traces over. Front halves and their
+/// profiles are memoised per machine family (see
+/// [`prepare_epic_workload`]), so a process builds and trains each one
+/// once.
 ///
 /// [`ProfileSink`]: epic_sim::ProfileSink
 /// [`ProfileData`]: epic_compiler::superblock::ProfileData
@@ -146,14 +155,17 @@ pub fn run_epic_workload_with_engine(
 /// runner.
 ///
 /// The compiler's front half (optimisation through register
-/// allocation) runs once. At issue width ≥ 2 the profile comes from a
-/// process-wide memo keyed by the allocated program, its initial memory
-/// image, [`Options::verify`](epic_compiler::Options::verify) and the
-/// configuration less its ALU count and issue width; a miss trains from
-/// a clone of the front half. The back half then runs once, with that
-/// profile, and the result is translation-validated. A memoised profile
-/// equals a fresh training's: see the key's documentation in the
-/// `profile` module.
+/// allocation) and the initial memory image come from a process-wide
+/// memo keyed by the workload's program, its compiler options and the
+/// configuration less its ALU count and issue width, the only two
+/// parameters the front half never reads. At issue width ≥ 2 the entry
+/// also holds the trained profile, trained once by the first such
+/// machine. The back half then runs for this configuration, with that
+/// profile, and the result is translation-validated. The first compile
+/// of an entry validates every stage; later ones trace and validate
+/// only the back-half stages, since the front-half checks would repeat
+/// verdicts the entry already passed. A served compile equals a fresh
+/// one: see the `front` module's documentation.
 ///
 /// # Errors
 ///
@@ -162,18 +174,8 @@ pub fn prepare_epic_workload(
     workload: &Workload,
     config: &Config,
 ) -> Result<(Toolchain, crate::toolchain::PreparedProgram), ExperimentError> {
-    let module = lower::lower(&workload.program)?;
-    let image = module.initial_memory(&module.layout()?);
     let toolchain = Toolchain::new(config.clone());
-    let options = workload_options(workload);
-    let front = toolchain.compiler().front_half(&module, &options)?;
-    let profile = if config.issue_width() >= 2 {
-        PROFILES.profile(&toolchain, &front, &image)?
-    } else {
-        None
-    };
-    let compiled = front.back_half(options.superblock, profile.as_ref())?;
-    let prepared = toolchain.validate(compiled, image)?;
+    let prepared = FRONTS.prepare(&toolchain, &workload.program, &workload_options(workload))?;
     Ok((toolchain, prepared))
 }
 

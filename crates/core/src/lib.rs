@@ -40,7 +40,7 @@
 
 pub mod experiments;
 pub mod explore;
-mod profile;
+mod front;
 mod toolchain;
 
 pub use toolchain::{

@@ -20,7 +20,7 @@
 //! which share symbols with the function parameters, so a lost reload or
 //! a clobbered live range contradicts instead of unifying.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::Diagnostic;
 use epic_compiler::mir::{MBlock, MDest, MFunction, MInst, MOp, MSrc, MTerm};
@@ -57,13 +57,17 @@ struct RegMerge {
     old: u64,
 }
 
-/// A map key a read check created. Read checks only ever insert keys
-/// that were absent, so removing these undoes a failed check.
+/// A change a read check made. Read checks only ever insert keys that
+/// were absent, close open symbols and join two open symbols, so undoing
+/// these in reverse order undoes a failed check.
 enum Inserted {
     PreGpr(u32),
     PostGpr(u32),
     PrePred(u32),
     PostPred(u32),
+    ClosedPre(u64),
+    ClosedPost(u64),
+    Joined { pre: u64, post: u64 },
 }
 
 #[derive(Default)]
@@ -87,7 +91,14 @@ struct State {
     pred_compl: HashMap<u64, u64>,
     /// Branch-target register -> prepared label.
     prepared: HashMap<u16, String>,
-    /// Keys inserted since [`consume_matched`] last started a pair.
+    /// Symbols of block live-ins that a copy reached before any read
+    /// did, not yet located on the other side: minted for the source of
+    /// a pre-side copy (`open_pre`) or of post-side bookkeeping
+    /// (`open_post`). An open-pre symbol appears in no post map and an
+    /// open-post symbol in no pre map.
+    open_pre: HashSet<u64>,
+    open_post: HashSet<u64>,
+    /// Changes made since [`consume_matched`] last started a pair.
     inserted: Vec<Inserted>,
 }
 
@@ -98,21 +109,27 @@ impl State {
     }
 
     /// Lenient unification: only fails when both sides already hold
-    /// different symbols.
+    /// different symbols, and they are not two open live-in symbols.
     fn unify_gpr(&mut self, v: u32, p: u32) -> bool {
         match (
             self.pre_gpr.get(&v).copied(),
             self.post_gpr.get(&p).copied(),
         ) {
-            (Some(a), Some(b)) => a == b,
+            (Some(a), Some(b)) => a == b || self.join(a, b),
             (Some(a), None) => {
                 self.post_gpr.insert(p, a);
                 self.inserted.push(Inserted::PostGpr(p));
+                if self.open_pre.remove(&a) {
+                    self.inserted.push(Inserted::ClosedPre(a));
+                }
                 true
             }
             (None, Some(b)) => {
                 self.pre_gpr.insert(v, b);
                 self.inserted.push(Inserted::PreGpr(v));
+                if self.open_post.remove(&b) {
+                    self.inserted.push(Inserted::ClosedPost(b));
+                }
                 true
             }
             (None, None) => {
@@ -122,6 +139,29 @@ impl State {
                 self.inserted
                     .extend([Inserted::PreGpr(v), Inserted::PostGpr(p)]);
                 true
+            }
+        }
+    }
+
+    /// Joins open-pre `a` with open-post `b`: the entry value `a` names
+    /// is taken to be the one `b` names. This is the binding a read of
+    /// two unbound keys makes, delayed past the copies that reached the
+    /// live-in first. Renames `b` to `a` on the post side.
+    fn join(&mut self, a: u64, b: u64) -> bool {
+        if !(self.open_pre.contains(&a) && self.open_post.contains(&b)) {
+            return false;
+        }
+        self.open_pre.remove(&a);
+        self.open_post.remove(&b);
+        self.rename_post(b, a);
+        self.inserted.push(Inserted::Joined { pre: a, post: b });
+        true
+    }
+
+    fn rename_post(&mut self, from: u64, to: u64) {
+        for s in self.post_gpr.values_mut().chain(self.slots.values_mut()) {
+            if *s == from {
+                *s = to;
             }
         }
     }
@@ -162,6 +202,7 @@ impl State {
         } else {
             let s = self.fresh();
             self.pre_gpr.insert(v, s);
+            self.open_pre.insert(s);
             s
         }
     }
@@ -172,6 +213,7 @@ impl State {
         } else {
             let s = self.fresh();
             self.post_gpr.insert(p, s);
+            self.open_post.insert(s);
             s
         }
     }
@@ -182,6 +224,7 @@ impl State {
         } else {
             let s = self.fresh();
             self.slots.insert(off, s);
+            self.open_post.insert(s);
             s
         }
     }
@@ -197,16 +240,37 @@ impl State {
         }
     }
 
-    /// Undoes the read checks of a failed pair: removes the keys they
-    /// inserted and restores the symbol counter.
+    /// Undoes the read checks of a failed pair, newest change first,
+    /// and restores the symbol counter.
     fn roll_back(&mut self, counter: u64) {
-        for key in self.inserted.drain(..) {
-            match key {
-                Inserted::PreGpr(v) => self.pre_gpr.remove(&v),
-                Inserted::PostGpr(p) => self.post_gpr.remove(&p),
-                Inserted::PrePred(a) => self.pre_pred.remove(&a),
-                Inserted::PostPred(b) => self.post_pred.remove(&b),
-            };
+        while let Some(change) = self.inserted.pop() {
+            match change {
+                Inserted::PreGpr(v) => {
+                    self.pre_gpr.remove(&v);
+                }
+                Inserted::PostGpr(p) => {
+                    self.post_gpr.remove(&p);
+                }
+                Inserted::PrePred(a) => {
+                    self.pre_pred.remove(&a);
+                }
+                Inserted::PostPred(b) => {
+                    self.post_pred.remove(&b);
+                }
+                Inserted::ClosedPre(a) => {
+                    self.open_pre.insert(a);
+                }
+                Inserted::ClosedPost(b) => {
+                    self.open_post.insert(b);
+                }
+                Inserted::Joined { pre, post } => {
+                    // An open-pre symbol is in no post map, so every post
+                    // key holding `pre` held `post` before the join.
+                    self.rename_post(pre, post);
+                    self.open_pre.insert(pre);
+                    self.open_post.insert(post);
+                }
+            }
         }
         self.counter = counter;
     }
@@ -227,6 +291,16 @@ impl State {
 
     /// Applies a matched definition of virtual `v` in physical `p`.
     fn def_gpr(&mut self, v: u32, p: u32, guard: u32) {
+        if guard != 0
+            && self
+                .pre_gpr
+                .get(&v)
+                .is_some_and(|a| self.open_pre.contains(a))
+        {
+            // A guarded definition merges with the old value, so it uses
+            // an open live-in as a read from `p` would.
+            self.unify_gpr(v, p);
+        }
         let old_pre = self.pre_gpr.get(&v).copied();
         let old_post = self.post_gpr.get(&p).copied();
         let s = self.fresh();

@@ -351,6 +351,39 @@ fn rotate7() -> Program {
     )
 }
 
+/// A loop, a folded `x + 0` and an if-converted select: after
+/// optimisation, blocks open with an unguarded copy of a block live-in
+/// (`MOVE v5, v5`, `MOVE v9, v1`) before any other op reads it. Shrunk
+/// from a random program the regalloc check once rejected at every
+/// (ALUs, issue width) point, although its allocation is correct.
+fn live_in_copy() -> Program {
+    let x = |i: usize| format!("x{i}");
+    let mut body: Vec<Stmt> = [172, 226, -10, -54]
+        .into_iter()
+        .enumerate()
+        .map(|(i, seed)| Stmt::let_(x(i), Expr::lit(seed)))
+        .collect();
+    body.extend([
+        Stmt::for_(
+            "i",
+            Expr::lit(0),
+            Expr::lit(3),
+            [Stmt::assign(
+                x(3),
+                Expr::var(x(3)) + Expr::var(x(1)) + Expr::var("i"),
+            )],
+        ),
+        Stmt::assign(x(3), Expr::var(x(3)) + Expr::lit(0)),
+        Stmt::if_else(
+            Expr::var(x(2)).lt_s(Expr::lit(0)),
+            [Stmt::assign(x(2), Expr::var(x(3)))],
+            [Stmt::assign(x(2), Expr::var(x(3)))],
+        ),
+        Stmt::ret(Expr::var(x(0)) ^ Expr::var(x(1)) ^ Expr::var(x(2)) ^ Expr::var(x(3))),
+    ]);
+    Program::new().function(FunctionDef::new("main", [] as [&str; 0]).body(body))
+}
+
 /// A config registering the rotate chain as a fused custom instruction,
 /// exactly as the `epic-isx` driver would extend it.
 fn fused_rot_config() -> Config {
@@ -393,17 +426,18 @@ fn small_regfile() -> Config {
 /// A corrupted rewrite that loses part of the fused computation: the
 /// custom op degenerates to its first interior shift, as if the matcher
 /// dropped the `shl`/`or` half of the cone.
+fn drop_interior_op(f: &mut MFunction) {
+    let at = find_op(f, |op| matches!(op.opcode, Opcode::Custom(_)));
+    let op = op_mut(f, at);
+    op.opcode = Opcode::Shr;
+    op.src2 = MSrc::Lit(7);
+}
+
 #[test]
 fn fuse_dropped_interior_op() {
-    let mutate = |f: &mut MFunction| {
-        let at = find_op(f, |op| matches!(op.opcode, Opcode::Custom(_)));
-        let op = op_mut(f, at);
-        op.opcode = Opcode::Shr;
-        op.src2 = MSrc::Lit(7);
-    };
     let m = Mutation {
         function: "main",
-        post_fuse: Some(&mutate),
+        post_fuse: Some(&drop_interior_op),
         ..Default::default()
     };
     assert_mutant_with(
@@ -416,15 +450,16 @@ fn fuse_dropped_interior_op() {
     );
 }
 
+fn drop_last_guard(f: &mut MFunction) {
+    let at = find_last_op(f, |op| op.guard != 0);
+    op_mut(f, at).guard = 0;
+}
+
 #[test]
 fn ifconv_dropped_guard() {
-    let mutate = |f: &mut MFunction| {
-        let at = find_last_op(f, |op| op.guard != 0);
-        op_mut(f, at).guard = 0;
-    };
     let m = Mutation {
         function: "main",
-        post_ifconv: Some(&mutate),
+        post_ifconv: Some(&drop_last_guard),
         ..Default::default()
     };
     assert_mutant(&diamond(), "main", &[3], &m, "TV001");
@@ -568,30 +603,31 @@ fn ifconv_wrong_join_target() {
 // Register-allocation mutants (TV003 / TV004)
 // --------------------------------------------------------------------
 
+/// Redirects the first literal add's destination to a different
+/// allocatable register; downstream readers still use the old one.
+fn clobber_allocation(f: &mut MFunction) {
+    let abi = abi();
+    let at = find_op(f, |op| {
+        op.opcode == Opcode::Add && matches!(op.src2, MSrc::Lit(_)) && op.gpr_def().is_some()
+    });
+    let op = op_mut(f, at);
+    let MDest::Gpr(d) = op.dest1 else {
+        unreachable!()
+    };
+    let other = abi
+        .allocatable
+        .iter()
+        .copied()
+        .find(|&r| r != d)
+        .expect("another allocatable register");
+    op.dest1 = MDest::Gpr(other);
+}
+
 #[test]
 fn regalloc_clobbered_allocation() {
-    let abi = abi();
-    let mutate = move |f: &mut MFunction| {
-        // Redirect the first literal add's destination to a different
-        // allocatable register; downstream readers still use the old one.
-        let at = find_op(f, |op| {
-            op.opcode == Opcode::Add && matches!(op.src2, MSrc::Lit(_)) && op.gpr_def().is_some()
-        });
-        let op = op_mut(f, at);
-        let MDest::Gpr(d) = op.dest1 else {
-            unreachable!()
-        };
-        let other = abi
-            .allocatable
-            .iter()
-            .copied()
-            .find(|&r| r != d)
-            .expect("another allocatable register");
-        op.dest1 = MDest::Gpr(other);
-    };
     let m = Mutation {
         function: "main",
-        post_regalloc: Some(&mutate),
+        post_regalloc: Some(&clobber_allocation),
         ..Default::default()
     };
     assert_mutant(&arith(), "main", &[3], &m, "TV003");
@@ -777,6 +813,106 @@ fn regalloc_wrong_param_source() {
         ..Default::default()
     };
     assert_mutant(&caller_callee(), "main", &[3], &m, "TV003");
+}
+
+/// The block of `f` that opens its body with the allocator's image of a
+/// live-in copy (a self-move, what `MOVE v7, v7` became), with that
+/// move's index and the register the block's first op defines from a
+/// literal: a value no live-in can hold.
+fn live_in_copy_site(f: &MFunction) -> (usize, usize, u32) {
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let Some(MInst::Op(first)) = b.insts.first() else {
+            continue;
+        };
+        let (MDest::Gpr(zero), MSrc::Lit(_)) = (&first.dest1, &first.src1) else {
+            continue;
+        };
+        let copy = b.insts.iter().position(|inst| {
+            matches!(inst, MInst::Op(op) if op.opcode == Opcode::Move
+                && op.guard == 0
+                && matches!((&op.dest1, &op.src1), (MDest::Gpr(d), MSrc::Gpr(s)) if d == s))
+        });
+        if let Some(copy) = copy {
+            return (bi, copy, *zero);
+        }
+    }
+    panic!("no block opens with a live-in copy");
+}
+
+#[test]
+fn regalloc_live_in_copy_is_clean_across_the_grid() {
+    let module = epic_ir::lower::lower(&live_in_copy()).expect("program lowers");
+    for alus in 1..=4usize {
+        for width in 1..=4usize {
+            let config = Config::builder()
+                .num_alus(alus)
+                .issue_width(width)
+                .build()
+                .expect("valid config");
+            let (asm, trace) = compile_mutated(
+                &module,
+                &config,
+                &options("main", &[]),
+                &Mutation::default(),
+            )
+            .expect("compiles");
+            let program = epic_asm::assemble(&asm, &config).expect("assembles");
+            let report = epic_tv::validate_trace(&trace, &program, &config);
+            assert!(
+                report.is_clean(),
+                "[alus={alus}, iw={width}]:\n{}",
+                report.render("live_in_copy", None)
+            );
+        }
+    }
+}
+
+/// Points the first guarded read after the live-in copy of
+/// [`live_in_copy`] at register `wrong(block, zero)`, and demands TV003.
+fn assert_live_in_read_mutant(wrong: impl Fn(&[MInst], u32) -> u32) {
+    let mutate = |f: &mut MFunction| {
+        let (b, at, zero) = live_in_copy_site(f);
+        let read = (at + 1..f.blocks[b].insts.len())
+            .find(|&i| matches!(&f.blocks[b].insts[i], MInst::Op(op) if op.guard != 0))
+            .expect("a guarded read after the copy");
+        let reg = wrong(&f.blocks[b].insts, zero);
+        op_mut(f, (b, read)).src1 = MSrc::Gpr(reg);
+    };
+    let m = Mutation {
+        function: "main",
+        post_regalloc: Some(&mutate),
+        ..Default::default()
+    };
+    assert_mutant(&live_in_copy(), "main", &[], &m, "TV003");
+}
+
+#[test]
+fn regalloc_read_after_live_in_copy_from_a_fresh_value() {
+    // The read takes the block's fresh zero instead of the live-in.
+    assert_live_in_read_mutant(|_, zero| zero);
+}
+
+#[test]
+fn regalloc_read_after_live_in_copy_from_another_live_in() {
+    // The read takes a register the block never names, so the check
+    // locates the live-in there; the other arm's read, from where the
+    // copy put it, must then contradict.
+    let abi = abi();
+    assert_live_in_read_mutant(move |insts, _| {
+        let named = |r: u32| {
+            insts.iter().any(|inst| {
+                let MInst::Op(op) = inst else { return false };
+                [&op.src1, &op.src2].contains(&&MSrc::Gpr(r))
+                    || [&op.dest1, &op.dest2].contains(&&MDest::Gpr(r))
+                    || op.store_value == Some(r)
+            })
+        };
+        abi.allocatable
+            .iter()
+            .copied()
+            .find(|&r| !named(r))
+            .expect("a register the block never names")
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1140,6 +1276,59 @@ fn superblock_speculated_load_left_faulting() {
         ..Default::default()
     };
     assert_mutant(&hot_countdown_load(), "main", &[24], &m, "TV012");
+}
+
+// --------------------------------------------------------------------
+// Front-stage verdicts per machine family
+// --------------------------------------------------------------------
+
+/// The if-conversion, fusion and register-allocation checkers read no
+/// ALU count and no issue width, so a front-stage mutant draws the same
+/// codes on the narrowest and the widest machine of its family. This is
+/// what lets a memoised front half validate its front stages once.
+#[test]
+fn front_stage_verdicts_are_the_same_across_a_machine_family() {
+    let ifconv = Mutation {
+        function: "main",
+        post_ifconv: Some(&drop_last_guard),
+        ..Default::default()
+    };
+    let fuse = Mutation {
+        function: "main",
+        post_fuse: Some(&drop_interior_op),
+        ..Default::default()
+    };
+    let regalloc = Mutation {
+        function: "main",
+        post_regalloc: Some(&clobber_allocation),
+        ..Default::default()
+    };
+    let mutants = [
+        ("ifconv", diamond(), Config::default(), &ifconv, 3),
+        ("fuse", rotate7(), fused_rot_config(), &fuse, 12345),
+        ("regalloc", arith(), Config::default(), &regalloc, 3),
+    ];
+    for (name, ast, family, mutation, arg) in mutants {
+        let module = epic_ir::lower::lower(&ast).expect("program lowers");
+        let codes = |alus: usize, width: usize| {
+            let config = family
+                .to_builder()
+                .num_alus(alus)
+                .issue_width(width)
+                .build()
+                .expect("valid config");
+            let (asm, trace) =
+                compile_mutated(&module, &config, &options("main", &[arg]), mutation)
+                    .expect("mutated compile");
+            let program = epic_asm::assemble(&asm, &config).expect("mutant assembles");
+            let report = epic_tv::validate_trace(&trace, &program, &config);
+            let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code).collect();
+            codes.join(",")
+        };
+        let narrow = codes(1, 1);
+        assert!(!narrow.is_empty(), "{name} escaped at 1x1");
+        assert_eq!(narrow, codes(4, 4), "{name}");
+    }
 }
 
 // --------------------------------------------------------------------
