@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use epic_core::experiments::{headline_checks, HeadlineCheck, ResourceRow, Table1};
+use epic_core::experiments::{HeadlineCheck, ResourceRow};
 
 pub mod sweep;
 
@@ -41,15 +41,6 @@ pub fn render_headline(checks: &[HeadlineCheck]) -> String {
             c.detail
         ));
     }
-    out
-}
-
-/// Renders Table 1 with the headline checks underneath.
-#[must_use]
-pub fn render_table1_report(table: &Table1) -> String {
-    let mut out = table.render();
-    out.push('\n');
-    out.push_str(&render_headline(&headline_checks(table)));
     out
 }
 

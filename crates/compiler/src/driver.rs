@@ -93,6 +93,51 @@ fn absorb_sched(total: &mut SchedStats, s: &SchedStats) {
     total.slots_available += s.slots_available;
 }
 
+/// Stage edits for one function, applied inside the driver by
+/// [`Compiler::compile_mutated`].
+///
+/// Each set edit runs on the named function's artifact right after its
+/// stage and before the stage's snapshot, so the trace and every later
+/// stage see it: exactly the effect of a bug inside that stage. The
+/// seeded-miscompile corpus uses it to prove that translation validation
+/// catches bugs in this pipeline. `Mutation::default()` edits nothing.
+#[derive(Default)]
+pub struct Mutation<'a> {
+    /// The function whose stages are edited (others compile honestly).
+    pub function: &'a str,
+    /// Applied to the machine IR after if-conversion.
+    pub post_ifconv: Edit<'a, MFunction>,
+    /// Applied to the machine IR after custom-instruction fusion, only
+    /// when fusion changed the function.
+    pub post_fuse: Edit<'a, MFunction>,
+    /// Applied to the machine IR after superblock formation, only when
+    /// formation formed a trace.
+    pub post_superblock: Edit<'a, MFunction>,
+    /// Applied to the machine IR after register allocation.
+    pub post_regalloc: Edit<'a, MFunction>,
+    /// Applied to the machine IR after control finalisation (the lowered
+    /// branch tails).
+    pub post_finalize: Edit<'a, MFunction>,
+    /// Applied to the scheduled bundles after list scheduling.
+    pub post_sched: Edit<'a, [ScheduledBlock]>,
+    /// Applied to the emitted assembly text. The trace keeps the honest
+    /// schedule, so the divergence surfaces in the emission check.
+    pub post_emit: Edit<'a, String>,
+}
+
+/// One stage's optional edit of its artifact.
+type Edit<'a, T> = Option<&'a dyn Fn(&mut T)>;
+
+/// Runs a stage's `edit`, when set, on the artifact of a `targeted`
+/// function.
+fn apply<T: ?Sized>(edit: Edit<'_, T>, targeted: bool, artifact: &mut T) {
+    if let Some(edit) = edit {
+        if targeted {
+            edit(artifact);
+        }
+    }
+}
+
 /// Aggregated per-compilation statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompileStats {
@@ -270,6 +315,56 @@ impl FrontHalf {
         superblock: bool,
         profile: Option<&ProfileData>,
     ) -> Result<CompiledProgram, CompileError> {
+        let verify = self.options.verify;
+        let (assembly, stats, trace) =
+            self.emit(compiler, superblock, profile, &Mutation::default())?;
+
+        // The scheduler claims its output respects the machine contract
+        // (port budget, unit occupancy, prepared branches); make the
+        // claim load-bearing by running the static verifier over the
+        // assembled bundles. Warnings (scoreboard-covered hazards) are
+        // expected across block boundaries; errors are compiler bugs.
+        // The checked program rides along, so nobody assembles twice.
+        let config = &compiler.config;
+        let mut program = None;
+        if verify {
+            let assembled =
+                epic_asm::assemble(&assembly, config).map_err(|e| CompileError::Internal {
+                    message: format!("emitted assembly does not assemble: {e}"),
+                })?;
+            let report = epic_verify::check(&assembled, config);
+            if report.has_errors() {
+                let errors: String = report
+                    .diagnostics()
+                    .iter()
+                    .filter(|d| d.severity == epic_asm::Severity::Error)
+                    .map(|d| d.render("<scheduled output>", None))
+                    .collect();
+                return Err(CompileError::Verification { report: errors });
+            }
+            program = Some(assembled);
+        }
+
+        Ok(CompiledProgram {
+            assembly,
+            stats,
+            config: config.clone(),
+            trace,
+            program,
+        })
+    }
+
+    /// The back half up to the built-in verifier: superblock formation,
+    /// control finalisation, scheduling and emission, with `mutation`'s
+    /// edits. Returns the assembly, the statistics and, under
+    /// [`Options::verify`], the trace.
+    fn emit(
+        self,
+        compiler: &Compiler,
+        superblock: bool,
+        profile: Option<&ProfileData>,
+        mutation: &Mutation<'_>,
+    ) -> Result<(String, CompileStats, Option<PipelineTrace>), CompileError> {
         if machine_family(compiler.config()) != machine_family(&self.config) {
             return Err(CompileError::Internal {
                 message: format!(
@@ -320,6 +415,7 @@ impl FrontHalf {
 
         let mut snapshots = snapshots.into_iter();
         for mut mf in functions {
+            let targeted = mutation.function == mf.name;
             let snapshot = snapshots.next().unwrap_or_default();
             let post_regalloc = trace.is_some().then(|| mf.clone());
             // Superblock formation runs on *allocated* code: cloning a
@@ -333,14 +429,17 @@ impl FrontHalf {
             if superblock && mdes.issue_width() >= 2 {
                 if let Some(f) = form_superblocks(&mut mf, profile) {
                     stats.superblock.absorb(f.stats);
+                    apply(mutation.post_superblock, targeted, &mut mf);
                     post_superblock = trace.is_some().then(|| mf.clone());
                     origin = trace.is_some().then(|| f.origin.clone());
                     trace_groups = f.traces;
                 }
             }
             let fl = finalize_control(&mut mf, &abi);
-            let (blocks, s) = schedule_function_regions(&mf, &fl, &trace_groups, mdes);
+            apply(mutation.post_finalize, targeted, &mut mf);
+            let (mut blocks, s) = schedule_function_regions(&mf, &fl, &trace_groups, mdes);
             absorb_sched(&mut stats.sched, &s);
+            apply(mutation.post_sched, targeted, &mut blocks);
             if let Some(trace) = &mut trace {
                 trace.functions.push(FunctionTrace {
                     name: mf.name.clone(),
@@ -362,40 +461,11 @@ impl FrontHalf {
 
         let config = &compiler.config;
         check_branch_targets(&names, &scheduled, config)?;
-        let assembly = emit_program(&scheduled, config);
-
-        // The scheduler claims its output respects the machine contract
-        // (port budget, unit occupancy, prepared branches); make the
-        // claim load-bearing by running the static verifier over the
-        // assembled bundles. Warnings (scoreboard-covered hazards) are
-        // expected across block boundaries; errors are compiler bugs.
-        // The checked program rides along, so nobody assembles twice.
-        let mut program = None;
-        if options.verify {
-            let assembled =
-                epic_asm::assemble(&assembly, config).map_err(|e| CompileError::Internal {
-                    message: format!("emitted assembly does not assemble: {e}"),
-                })?;
-            let report = epic_verify::check(&assembled, config);
-            if report.has_errors() {
-                let errors: String = report
-                    .diagnostics()
-                    .iter()
-                    .filter(|d| d.severity == epic_asm::Severity::Error)
-                    .map(|d| d.render("<scheduled output>", None))
-                    .collect();
-                return Err(CompileError::Verification { report: errors });
-            }
-            program = Some(assembled);
+        let mut assembly = emit_program(&scheduled, config);
+        if let Some(edit) = mutation.post_emit {
+            edit(&mut assembly);
         }
-
-        Ok(CompiledProgram {
-            assembly,
-            stats,
-            config: config.clone(),
-            trace,
-            program,
-        })
+        Ok((assembly, stats, trace))
     }
 }
 
@@ -525,6 +595,47 @@ impl Compiler {
         module: &Module,
         options: &Options,
     ) -> Result<FrontHalf, CompileError> {
+        self.front(module, options, &Mutation::default())
+    }
+
+    /// Compiles a module like [`compile_with`](Compiler::compile_with),
+    /// with `mutation`'s stage edits, and returns the emitted assembly
+    /// and the full pipeline trace.
+    ///
+    /// The trace is collected whatever [`Options::verify`] says, and the
+    /// built-in `epic-verify` run is skipped: a mutant must reach
+    /// translation validation, not die inside the compiler.
+    ///
+    /// # Errors
+    ///
+    /// As [`Compiler::compile_with`], except that no
+    /// [`CompileError::Verification`] is raised.
+    pub fn compile_mutated(
+        &self,
+        module: &Module,
+        options: &Options,
+        mutation: &Mutation<'_>,
+    ) -> Result<(String, PipelineTrace), CompileError> {
+        let options = Options {
+            verify: true,
+            ..options.clone()
+        };
+        let (assembly, _, trace) = self.front(module, &options, mutation)?.emit(
+            self,
+            options.superblock,
+            options.profile.as_ref(),
+            mutation,
+        )?;
+        Ok((assembly, trace.expect("`verify` turns tracing on")))
+    }
+
+    /// The front half with `mutation`'s edits.
+    fn front(
+        &self,
+        module: &Module,
+        options: &Options,
+        mutation: &Mutation<'_>,
+    ) -> Result<FrontHalf, CompileError> {
         if self.config.datapath_width() != 32 {
             return Err(CompileError::UnsupportedDatapathWidth {
                 width: self.config.datapath_width(),
@@ -548,6 +659,7 @@ impl Compiler {
         functions.push(self.start_stub(&abi, options, layout.initial_sp())?);
         let mut snapshots = Vec::with_capacity(module.functions.len());
         for func in &module.functions {
+            let targeted = mutation.function == func.name;
             let mut mf = select(func, &self.config)?;
             fold_literal_operands(&mut mf, &self.config);
             let mut snapshot = FrontSnapshots {
@@ -560,6 +672,7 @@ impl Compiler {
                 stats.ifconv.diamonds += s.diamonds;
                 stats.ifconv.triangles += s.triangles;
                 stats.ifconv.predicated_insts += s.predicated_insts;
+                apply(mutation.post_ifconv, targeted, &mut mf);
                 snapshot.post_ifconv = snap(&mf);
             }
             if options.fuse_custom {
@@ -567,6 +680,7 @@ impl Compiler {
                 if fs != FuseStats::default() {
                     stats.fuse.fused += fs.fused;
                     stats.fuse.ops_removed += fs.ops_removed;
+                    apply(mutation.post_fuse, targeted, &mut mf);
                     snapshot.post_fuse = snap(&mf);
                 }
             }
@@ -574,6 +688,7 @@ impl Compiler {
             stats.regalloc.spilled += ra.spilled;
             stats.regalloc.call_saves += ra.call_saves;
             stats.regalloc.frame_bytes += ra.frame_bytes;
+            apply(mutation.post_regalloc, targeted, &mut mf);
             functions.push(mf);
             snapshots.push(snapshot);
         }

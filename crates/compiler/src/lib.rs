@@ -27,6 +27,12 @@
 //! 6. **Emission** ([`emit`]): bundle-structured assembly text for
 //!    `epic-asm`, labels and all.
 //!
+//! Under [`Options::verify`] the driver snapshots every stage into a
+//! [`trace::PipelineTrace`] for translation validation (`epic-tv`) and
+//! runs `epic-verify` over the output. [`Compiler::compile_mutated`]
+//! applies a [`Mutation`]'s per-stage edits inside those same stages, so
+//! the seeded-miscompile corpus corrupts the pipeline that ships.
+//!
 //! # Examples
 //!
 //! ```
@@ -63,6 +69,6 @@ pub mod trace;
 
 pub use driver::{
     default_verify, machine_family, set_default_verify, CompileStats, CompiledProgram, Compiler,
-    FrontHalf, Options,
+    FrontHalf, Mutation, Options,
 };
 pub use error::CompileError;

@@ -439,23 +439,6 @@ impl Toolchain {
         }
     }
 
-    /// Compiles, assembles, loads and runs a module on the selected
-    /// [`Engine`] ([`prepare`](Toolchain::prepare) +
-    /// [`run_prepared`](Toolchain::run_prepared)).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pipeline error.
-    pub fn run_module_engine(
-        &self,
-        module: &Module,
-        options: &Options,
-        engine: Engine,
-    ) -> Result<EngineRun, ToolchainError> {
-        let prepared = self.prepare(module, options)?;
-        self.run_prepared_engine(prepared, engine)
-    }
-
     /// [`run_prepared`](Toolchain::run_prepared), keeping the compile
     /// artefacts alongside the outcome.
     pub(crate) fn run_prepared_engine(

@@ -1,19 +1,22 @@
 //! Over-approximate control-flow graph over bundle addresses.
 //!
 //! Every consumer of program shape — `epic-bound`'s dataflow analyses,
-//! `epic-verify`'s fixpoint and the simulator's compiled blocks —
-//! runs over the same successor relation: for each bundle address, the
-//! bundle addresses the hardware may fetch next, each with the *minimum*
+//! `epic-verify`'s fixpoint (solved by `epic-bound`'s solver), the
+//! threaded engine's compiled blocks and `epic-isx`'s miner — runs over
+//! this one successor relation: for each bundle address, the bundle
+//! addresses the hardware may fetch next, each with the *minimum*
 //! number of processor cycles between the two bundles' execute stages
 //! (1 for fall-through, `pipeline_stages` for a taken branch, which is
 //! the redirect cycle plus the flush bubbles).
 //!
-//! The graph over-approximates the dynamic successor relation exactly
-//! the way `epic-verify` always has: a branch through a BTR may land on
-//! any bundle a `PBR` literal anywhere in the program loads into that
-//! BTR; a branch through a BTR some `PBR` loads from a *register* (a
-//! return address) may land on any bundle following a `BRL`. Edges the
-//! hardware never takes may be present; every edge it can take is.
+//! The graph over-approximates the dynamic successor relation: a branch
+//! through a BTR may land on any bundle a `PBR` literal anywhere in the
+//! program loads into that BTR; a branch through a BTR some `PBR` loads
+//! from a *register* (a return address) may land on any bundle following
+//! a `BRL`. Edges the hardware never takes may be present; every edge it
+//! can take is, with a `delta` no larger than the cycles the hardware
+//! spends on it. `epic-verify`'s CFG oracle replays the reference
+//! simulator against exactly that claim.
 
 use epic_config::Config;
 use epic_isa::{Instruction, Opcode};
@@ -202,16 +205,6 @@ impl Cfg {
             }
         }
         seen
-    }
-
-    /// The successor relation in `epic-verify`'s historical `(target,
-    /// delta)` pair form.
-    #[must_use]
-    pub fn as_pairs(&self) -> Vec<Vec<(usize, u32)>> {
-        self.succs
-            .iter()
-            .map(|edges| edges.iter().map(|e| (e.to, e.delta)).collect())
-            .collect()
     }
 }
 

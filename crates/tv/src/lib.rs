@@ -38,13 +38,17 @@
 //! Diagnostics share [`epic_asm::Diagnostic`] with the assembler and
 //! `epic-verify`, so `epic-lint --tv` renders the same rustc-style
 //! reports and JSON.
+//!
+//! The seeded-miscompile corpus (`tests/mutants.rs`) injects each bug
+//! through the driver's own stage-edit seam
+//! ([`epic_compiler::Mutation`], [`epic_compiler::Compiler::compile_mutated`]),
+//! so every mutant proves a checker catches a bug in the real pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod emit_check;
 mod fuse_check;
-pub mod harness;
 mod ifconv_check;
 mod regalloc_check;
 mod region_check;

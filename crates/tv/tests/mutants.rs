@@ -1,6 +1,7 @@
 //! Seeded-miscompile corpus: every mutant below injects one bug into a
-//! compiler stage through the [`epic_tv::harness`], then demands both
-//! halves of the translation-validation claim:
+//! compiler stage through the driver's [`Mutation`] seam
+//! ([`Compiler::compile_mutated`]), then demands both halves of the
+//! translation-validation claim:
 //!
 //! 1. **Static catch** — `epic_tv::validate_trace` reports an error
 //!    with the expected `TVxxx` code, and
@@ -16,13 +17,13 @@
 use epic_compiler::mir::{MBlockId, MDest, MFunction, MInst, MOp, MSrc, MTerm};
 use epic_compiler::regalloc::Abi;
 use epic_compiler::sched::{BundleMeta, ScheduledBlock};
+use epic_compiler::{Compiler, Mutation, Options};
 use epic_config::Config;
 use epic_ir::ast::{Expr, FunctionDef, Program, Stmt};
 use epic_ir::Global;
 use epic_isa::Opcode;
 use epic_mdes::MachineDescription;
 use epic_sim::{Memory, ReferenceSimulator};
-use epic_tv::harness::{compile_mutated, Mutation, PipelineOptions};
 
 const CYCLE_LIMIT: u64 = 2_000_000;
 
@@ -53,11 +54,11 @@ fn execute(asm: &str, module: &epic_ir::Module, config: &Config) -> Result<Run, 
     })
 }
 
-fn options(entry: &str, args: &[u32]) -> PipelineOptions {
-    PipelineOptions {
+fn options(entry: &str, args: &[u32]) -> Options {
+    Options {
         entry: entry.to_owned(),
         entry_args: args.to_vec(),
-        ..PipelineOptions::default()
+        ..Options::default()
     }
 }
 
@@ -90,10 +91,13 @@ fn assert_mutant_with(
 ) {
     let module = epic_ir::lower::lower(ast).expect("program lowers");
     let opts = options(entry, args);
+    let compiler = Compiler::new(config.clone());
 
     // Honest pipeline: zero findings, golden execution.
     let honest = Mutation::default();
-    let (asm0, trace0) = compile_mutated(&module, config, &opts, &honest).expect("honest compile");
+    let (asm0, trace0) = compiler
+        .compile_mutated(&module, &opts, &honest)
+        .expect("honest compile");
     let program0 = epic_asm::assemble(&asm0, config).expect("honest program assembles");
     let report0 = epic_tv::validate_trace(&trace0, &program0, config);
     assert!(
@@ -104,8 +108,9 @@ fn assert_mutant_with(
     let golden = execute(&asm0, &module, config).expect("honest program runs");
 
     // Mutated pipeline: the validator must flag it.
-    let (asm1, trace1) =
-        compile_mutated(&module, config, &opts, mutation).expect("mutated compile");
+    let (asm1, trace1) = compiler
+        .compile_mutated(&module, &opts, mutation)
+        .expect("mutated compile");
     let assembled = epic_asm::assemble(&asm1, config);
     let report1 = match &assembled {
         Ok(p) => epic_tv::validate_trace(&trace1, p, config),
@@ -849,13 +854,9 @@ fn regalloc_live_in_copy_is_clean_across_the_grid() {
                 .issue_width(width)
                 .build()
                 .expect("valid config");
-            let (asm, trace) = compile_mutated(
-                &module,
-                &config,
-                &options("main", &[]),
-                &Mutation::default(),
-            )
-            .expect("compiles");
+            let (asm, trace) = Compiler::new(config.clone())
+                .compile_mutated(&module, &options("main", &[]), &Mutation::default())
+                .expect("compiles");
             let program = epic_asm::assemble(&asm, &config).expect("assembles");
             let report = epic_tv::validate_trace(&trace, &program, &config);
             assert!(
@@ -923,7 +924,7 @@ fn regalloc_read_after_live_in_copy_from_another_live_in() {
 fn sched_load_hoisted_above_store() {
     let abi = abi();
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Hoist the re-load of the global to the very top of its block,
         // above the store it depends on.
         let (b, j, k) = find_slot(blocks, |op| {
@@ -945,7 +946,7 @@ fn sched_load_hoisted_above_store() {
 #[test]
 fn sched_same_bundle_raw_merge() {
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Merge a consumer into its producer's bundle: under EPIC
         // same-cycle semantics the consumer reads the stale register.
         for sb in blocks.iter_mut() {
@@ -983,7 +984,7 @@ fn sched_same_bundle_raw_merge() {
 fn sched_dropped_op() {
     let abi = abi();
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         let (b, j, k) = find_slot(blocks, |op| op.gpr_def() == Some(abi.ret))
             .expect("op defining the return register");
         blocks[b].bundles[j].remove(k);
@@ -1000,7 +1001,7 @@ fn sched_dropped_op() {
 #[test]
 fn sched_duplicated_op() {
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Re-execute the frame allocation one bundle later: the stack
         // pointer drops twice, so the link save lands at the wrong
         // address (its destination feeds its own source).
@@ -1027,7 +1028,7 @@ fn sched_duplicated_op() {
 #[test]
 fn sched_op_moved_across_blocks() {
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // The branch's compare drifts into the next block: the branch
         // reads a predicate nothing wrote.
         let (b, j, k) = find_slot(blocks, |op| matches!(op.opcode, Opcode::Cmp(_)))
@@ -1047,7 +1048,7 @@ fn sched_op_moved_across_blocks() {
 #[test]
 fn sched_overfilled_bundle() {
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Cram ops into the first bundle past the issue width.
         let width = mdes.issue_width();
         let sb = blocks
@@ -1253,7 +1254,7 @@ fn superblock_side_entry_into_trace_interior() {
 #[test]
 fn superblock_speculated_load_left_faulting() {
     let mdes = MachineDescription::new(&Config::default());
-    let mutate = move |blocks: &mut Vec<ScheduledBlock>| {
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Undo the dismissible rewrite everywhere: each load hoisted
         // across a side exit traps again on the speculated path.
         let mut flipped = 0;
@@ -1317,9 +1318,9 @@ fn front_stage_verdicts_are_the_same_across_a_machine_family() {
                 .issue_width(width)
                 .build()
                 .expect("valid config");
-            let (asm, trace) =
-                compile_mutated(&module, &config, &options("main", &[arg]), mutation)
-                    .expect("mutated compile");
+            let (asm, trace) = Compiler::new(config.clone())
+                .compile_mutated(&module, &options("main", &[arg]), mutation)
+                .expect("mutated compile");
             let program = epic_asm::assemble(&asm, &config).expect("mutant assembles");
             let report = epic_tv::validate_trace(&trace, &program, &config);
             let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code).collect();
@@ -1336,7 +1337,8 @@ fn front_stage_verdicts_are_the_same_across_a_machine_family() {
 // --------------------------------------------------------------------
 
 /// Every workload × every (ALUs, issue width) point must validate
-/// completely clean — no errors, no warnings.
+/// completely clean — no errors, no warnings — and, unmutated, the seam
+/// must give exactly the verified compile's assembly and trace.
 #[test]
 fn clean_grid_has_no_findings() {
     for workload in epic_workloads::all(epic_workloads::Scale::Test) {
@@ -1348,12 +1350,15 @@ fn clean_grid_has_no_findings() {
                     .issue_width(width)
                     .build()
                     .expect("valid config");
-                let opts = PipelineOptions {
+                let opts = Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
-                    ..PipelineOptions::default()
+                    verify: true,
+                    ..Options::default()
                 };
-                let (asm, trace) = compile_mutated(&module, &config, &opts, &Mutation::default())
+                let compiler = Compiler::new(config.clone());
+                let (asm, trace) = compiler
+                    .compile_mutated(&module, &opts, &Mutation::default())
                     .expect("workload compiles");
                 let program = epic_asm::assemble(&asm, &config).expect("workload assembles");
                 let report = epic_tv::validate_trace(&trace, &program, &config);
@@ -1362,6 +1367,23 @@ fn clean_grid_has_no_findings() {
                     "{} [alus={alus}, iw={width}] raised findings:\n{}",
                     workload.name,
                     report.render(&workload.name, None)
+                );
+                // The seam edits nothing by default: the honest build is
+                // the verified compile, byte for byte and stage for stage.
+                let verified = compiler
+                    .compile_with(&module, &opts)
+                    .expect("workload compiles and verifies");
+                assert_eq!(
+                    asm,
+                    verified.assembly(),
+                    "{} [alus={alus}, iw={width}]",
+                    workload.name
+                );
+                assert_eq!(
+                    Some(&trace),
+                    verified.trace(),
+                    "{} [alus={alus}, iw={width}]",
+                    workload.name
                 );
             }
         }

@@ -42,11 +42,13 @@
 //! (VER005 escalates to an error because a branch through a garbage BTR
 //! redirects to an arbitrary address rather than stalling).
 //!
-//! The checks are *conservative over-approximations* of the simulator,
-//! propagating state over a control-flow graph that over-approximates
-//! the dynamic successor relation (every `PBR` literal is a possible
-//! target of a branch through that BTR; branches through BTRs loaded
-//! from a register may land on any return point). Consequently:
+//! The checks are *conservative over-approximations* of the simulator.
+//! `epic-bound`'s forward solver propagates their state over the shared
+//! control-flow graph ([`epic_mdes::cfg::Cfg`], one per check), which
+//! over-approximates the dynamic successor relation (every `PBR`
+//! literal is a possible target of a branch through that BTR; branches
+//! through BTRs loaded from a register may land on any return point).
+//! Consequently:
 //!
 //! > * no error diagnostics ⇒ zero `regfile_port` stalls;
 //! > * additionally no VER011 warnings ⇒ zero `unit_busy` stalls;
@@ -66,6 +68,7 @@
 //! predecessors) and set union for the reachability components
 //! (prepared BTRs, written predicates).
 
+use epic_bound::{solve_forward, Analysis, Cfg, Direction, Lattice};
 use epic_config::Config;
 use epic_isa::{Instruction, IsaError, Opcode, Unit};
 use epic_mdes::MachineDescription;
@@ -202,53 +205,58 @@ impl Flow {
     }
 
     /// Advances time by `delta` cycles along an edge.
-    fn aged(&self, delta: u32) -> Flow {
-        let mut out = self.clone();
-        for w in &mut out.gpr_wait {
+    fn age(&mut self, delta: u32) {
+        for w in &mut self.gpr_wait {
             *w = w.saturating_sub(delta);
         }
-        for b in &mut out.alu_busy {
+        for b in &mut self.alu_busy {
             *b = b.saturating_sub(delta);
         }
-        out
     }
+}
 
-    /// Joins `other` into `self`; returns whether `self` changed.
+impl Lattice for Flow {
     fn join(&mut self, other: &Flow) -> bool {
         let mut changed = false;
-        for (dst, src) in self.gpr_wait.iter_mut().zip(&other.gpr_wait) {
-            if *src > *dst {
-                *dst = *src;
-                changed = true;
-            }
-        }
         // Both sides keep `alu_busy` sorted descending, so element-wise
         // max bounds the k-th busiest instance of either predecessor.
-        for (dst, src) in self.alu_busy.iter_mut().zip(&other.alu_busy) {
+        let timed = (self.gpr_wait.iter_mut().zip(&other.gpr_wait))
+            .chain(self.alu_busy.iter_mut().zip(&other.alu_busy));
+        for (dst, src) in timed {
             if *src > *dst {
                 *dst = *src;
                 changed = true;
             }
         }
-        for (dst, src) in self.prepared.iter_mut().zip(&other.prepared) {
-            if *src && !*dst {
-                *dst = true;
-                changed = true;
-            }
-        }
-        for (dst, src) in self.pred_def.iter_mut().zip(&other.pred_def) {
-            if *src && !*dst {
-                *dst = true;
-                changed = true;
-            }
-        }
+        changed |= self.prepared.join(&other.prepared);
+        changed |= self.pred_def.join(&other.pred_def);
         changed
     }
 }
 
-/// One outgoing control-flow edge: target bundle and the minimum number
-/// of cycles between the two bundles' execute stages.
-type Edge = (usize, u32);
+/// The VER004/005/006/011 dataflow as an `epic-bound` analysis: forward,
+/// aged by each edge's cycle distance, through [`Verifier::transfer`].
+struct Hazards<'a>(&'a Verifier);
+
+impl Analysis for Hazards<'_> {
+    type State = Flow;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn boundary(&self) -> Flow {
+        Flow::entry(&self.0.config)
+    }
+
+    fn transfer(&self, bi: usize, bundle: &[Instruction], state: &Flow) -> Flow {
+        self.0.transfer(bi, bundle, state, None)
+    }
+
+    fn age(&self, state: &mut Flow, delta: u32) {
+        state.age(delta);
+    }
+}
 
 /// Static verifier for one machine configuration.
 pub struct Verifier {
@@ -288,7 +296,8 @@ impl Verifier {
             .map(|(bi, bundle)| self.check_bundle_structure(bi, bundle))
             .collect();
 
-        let flow_in = self.solve_dataflow(bundles, entry);
+        let cfg = Cfg::build(&self.config, bundles);
+        let flow_in = solve_forward(&Hazards(self), &cfg, bundles, entry as usize);
 
         for (bi, bundle) in bundles.iter().enumerate() {
             diags.extend(structural[bi].iter().cloned());
@@ -297,7 +306,7 @@ impl Verifier {
             }
         }
 
-        self.check_gpr_definedness(bundles, entry, &mut diags);
+        self.check_gpr_definedness(&cfg, bundles, entry, &mut diags);
 
         Report { diagnostics: diags }
     }
@@ -319,6 +328,7 @@ impl Verifier {
     /// for it.
     fn check_gpr_definedness(
         &self,
+        cfg: &Cfg,
         bundles: &[Vec<Instruction>],
         entry: u32,
         diags: &mut Vec<Diagnostic>,
@@ -329,8 +339,7 @@ impl Verifier {
         if entry >= bundles.len() {
             return;
         }
-        let cfg = epic_bound::Cfg::build(&self.config, bundles);
-        let defs = epic_bound::Definedness::new(&self.config, bundles).solve(&cfg, bundles, entry);
+        let defs = epic_bound::Definedness::new(&self.config, bundles).solve(cfg, bundles, entry);
         let mut values = None;
 
         for (bi, bundle) in bundles.iter().enumerate() {
@@ -358,7 +367,7 @@ impl Verifier {
                     };
                     // A provably squashed read never observes anything.
                     let values: &Vec<_> = values.get_or_insert_with(|| {
-                        epic_bound::ValueAnalysis::new(&self.config).solve(&cfg, bundles, entry)
+                        epic_bound::ValueAnalysis::new(&self.config).solve(cfg, bundles, entry)
                     });
                     let guard_known_false = values[bi]
                         .as_ref()
@@ -371,17 +380,6 @@ impl Verifier {
                 }
             }
         }
-    }
-
-    /// The static control-flow over-approximation the dataflow fixpoint
-    /// runs on: for every bundle address, the possible successor bundle
-    /// addresses with the minimum cycle distance to each. Every edge the
-    /// hardware can take is present (the differential CFG tests drive
-    /// the reference simulator and assert exactly this containment);
-    /// edges the hardware never takes may be present too.
-    #[must_use]
-    pub fn cfg(&self, bundles: &[Vec<Instruction>]) -> Vec<Vec<(usize, u32)>> {
-        self.build_cfg(bundles)
     }
 
     // --- per-bundle structural checks (no control flow needed) ---------
@@ -514,128 +512,6 @@ impl Verifier {
         }
 
         diags
-    }
-
-    // --- control-flow graph --------------------------------------------
-
-    /// Builds the over-approximate successor relation. Branch targets
-    /// come from `PBR` literals program-wide; a branch through a BTR
-    /// some `PBR` loads from a register (a return address) may land on
-    /// any bundle following a `BRL`.
-    fn build_cfg(&self, bundles: &[Vec<Instruction>]) -> Vec<Vec<Edge>> {
-        let len = bundles.len();
-        let num_btrs = self.config.num_btrs();
-        let branch_delta = self.config.pipeline_stages() as u32;
-
-        let mut literal_targets: Vec<Vec<usize>> = vec![Vec::new(); num_btrs];
-        let mut unknown_target: Vec<bool> = vec![false; num_btrs];
-        let mut return_points: Vec<usize> = Vec::new();
-        for (bi, bundle) in bundles.iter().enumerate() {
-            for instr in bundle {
-                if instr.opcode == Opcode::Pbr {
-                    let Some(btr) = instr.btr_write() else {
-                        continue;
-                    };
-                    let Some(slot) = literal_targets.get_mut(btr.0 as usize) else {
-                        continue;
-                    };
-                    match instr.src1 {
-                        epic_isa::Operand::Lit(v) if (0..len as i64).contains(&v) => {
-                            slot.push(v as usize);
-                        }
-                        _ => unknown_target[btr.0 as usize] = true,
-                    }
-                }
-                if instr.opcode == Opcode::Brl && bi + 1 < len {
-                    return_points.push(bi + 1);
-                }
-            }
-        }
-
-        let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); len];
-        for (bi, bundle) in bundles.iter().enumerate() {
-            let mut fall_through = bi + 1 < len;
-            let edges = &mut succs[bi];
-            for instr in bundle {
-                let always = instr.pred.0 == 0;
-                let branch_edges = |edges: &mut Vec<Edge>| {
-                    if let Some(btr) = instr.btr_read() {
-                        if let Some(targets) = literal_targets.get(btr.0 as usize) {
-                            for &t in targets {
-                                edges.push((t, branch_delta));
-                            }
-                        }
-                        if unknown_target.get(btr.0 as usize).copied().unwrap_or(false) {
-                            for &rp in &return_points {
-                                edges.push((rp, branch_delta));
-                            }
-                        }
-                    }
-                };
-                match instr.opcode {
-                    Opcode::Br | Opcode::Brl | Opcode::Brct => {
-                        // `BRCT`'s predicate is the tested condition, and
-                        // a false guard squashes `BR`/`BRL`: either way
-                        // `p0` means the branch is always taken.
-                        branch_edges(edges);
-                        if always {
-                            fall_through = false;
-                        }
-                    }
-                    Opcode::Brcf
-                        // Branches when the guard is *false*; `p0` is
-                        // hard-wired true, so a `p0` BRCF never leaves
-                        // the fall-through path.
-                        if !always => {
-                            branch_edges(edges);
-                        }
-                    Opcode::Halt
-                        if always => {
-                            fall_through = false;
-                        }
-                    _ => {}
-                }
-            }
-            if fall_through {
-                edges.push((bi + 1, 1));
-            }
-            edges.sort_unstable();
-            edges.dedup();
-        }
-        succs
-    }
-
-    // --- dataflow fixpoint ---------------------------------------------
-
-    /// Computes the join-over-all-paths entry state of every reachable
-    /// bundle (`None` = unreachable from the entry).
-    fn solve_dataflow(&self, bundles: &[Vec<Instruction>], entry: u32) -> Vec<Option<Flow>> {
-        let mut flow_in: Vec<Option<Flow>> = vec![None; bundles.len()];
-        let entry = entry as usize;
-        if entry >= bundles.len() {
-            return flow_in;
-        }
-        let cfg = self.build_cfg(bundles);
-        flow_in[entry] = Some(Flow::entry(&self.config));
-        let mut worklist = vec![entry];
-        while let Some(bi) = worklist.pop() {
-            let input = flow_in[bi].clone().expect("worklist entries have state");
-            let output = self.transfer(bi, &bundles[bi], &input, None);
-            for &(succ, delta) in &cfg[bi] {
-                let candidate = output.aged(delta);
-                let changed = match &mut flow_in[succ] {
-                    Some(existing) => existing.join(&candidate),
-                    slot @ None => {
-                        *slot = Some(candidate);
-                        true
-                    }
-                };
-                if changed && !worklist.contains(&succ) {
-                    worklist.push(succ);
-                }
-            }
-        }
-        flow_in
     }
 
     /// Applies one bundle to the flow state. With a diagnostic sink the
