@@ -5,8 +5,9 @@
 //! many-core array, so the cost/performance trade-offs of the
 //! customisation space can be explored at the parallel-workload level
 //! too. The array instantiates one execution engine per core — the
-//! decoded engine from `epic-sim`, or the bit-identical reference
-//! engine as its oracle — each with a **private** local memory, and
+//! production `Simulator` from `epic-sim`, stepped cycle by cycle, or
+//! the bit-identical reference engine as its oracle — each with a
+//! **private** local memory, and
 //! joins them with a cycle-lockstep mesh interconnect:
 //!
 //! * [`Noc`] — XY-routed point-to-point messages with per-hop latency

@@ -32,10 +32,10 @@
 //!
 //! # Engines
 //!
-//! Cores run the decoded engine by default, with the reference engine
-//! as the oracle that the decoded cores are checked against. The
-//! threaded engine is refused: stepped one cycle at a time it is the
-//! decoded engine, plus block translation at build time.
+//! Cores run the production engine, [`Simulator`], by default, with the
+//! reference engine as the oracle they are checked against. The loop
+//! steps each core one cycle at a time, so cores run `Simulator`'s
+//! per-cycle loop and never build its threaded translation.
 
 use crate::mailbox;
 use crate::noc::{Noc, NocConfig, NocStats};
@@ -51,8 +51,8 @@ pub struct MeshSpec {
     pub width: usize,
     /// Rows of cores.
     pub height: usize,
-    /// Execution engine instantiated in every core: decoded (the
-    /// default) or reference; [`ArraySimulator::new`] refuses threaded.
+    /// Execution engine instantiated in every core: threaded (the
+    /// default, [`Simulator`] stepped per cycle) or reference.
     pub engine: Engine,
     /// Interconnect timing/capacity parameters.
     pub noc: NocConfig,
@@ -102,14 +102,14 @@ impl MeshSpec {
     }
 }
 
-/// One core's engine: the reference oracle or the decoded engine,
+/// One core's engine: the reference oracle or the production engine,
 /// which are bit-identical.
 #[derive(Debug, Clone)]
 pub enum CoreSim {
     /// The interpret-every-cycle golden model.
     Reference(Box<ReferenceSimulator>),
-    /// The decode-once per-cycle engine.
-    Decoded(Box<Simulator>),
+    /// The production engine, stepped on its per-cycle loop.
+    Threaded(Box<Simulator>),
 }
 
 impl CoreSim {
@@ -125,38 +125,31 @@ impl CoreSim {
                 bundles.to_vec(),
                 entry,
             ))),
-            Engine::Decoded => CoreSim::Decoded(Box::new(
+            Engine::Threaded => CoreSim::Threaded(Box::new(
                 Simulator::try_new(config, bundles.to_vec(), entry)
                     .map_err(|source| ArrayError::Core { core: 0, source })?,
             )),
-            Engine::Threaded => {
-                return Err(ArrayError::Setup(
-                    "array cores step one cycle at a time, where the threaded engine \
-                     is the decoded engine plus block translation; use the decoded engine"
-                        .into(),
-                ))
-            }
         })
     }
 
     fn step(&mut self) -> Result<bool, SimError> {
         match self {
             CoreSim::Reference(s) => s.step(),
-            CoreSim::Decoded(s) => s.step(),
+            CoreSim::Threaded(s) => s.step(),
         }
     }
 
     fn set_memory(&mut self, memory: Memory) {
         match self {
             CoreSim::Reference(s) => s.set_memory(memory),
-            CoreSim::Decoded(s) => s.set_memory(memory),
+            CoreSim::Threaded(s) => s.set_memory(memory),
         }
     }
 
     fn set_cycle_limit(&mut self, limit: u64) {
         match self {
             CoreSim::Reference(s) => s.set_cycle_limit(limit),
-            CoreSim::Decoded(s) => s.set_cycle_limit(limit),
+            CoreSim::Threaded(s) => s.set_cycle_limit(limit),
         }
     }
 
@@ -165,14 +158,14 @@ impl CoreSim {
     pub fn memory(&self) -> &Memory {
         match self {
             CoreSim::Reference(s) => s.memory(),
-            CoreSim::Decoded(s) => s.memory(),
+            CoreSim::Threaded(s) => s.memory(),
         }
     }
 
     fn memory_mut(&mut self) -> &mut Memory {
         match self {
             CoreSim::Reference(s) => s.memory_mut(),
-            CoreSim::Decoded(s) => s.memory_mut(),
+            CoreSim::Threaded(s) => s.memory_mut(),
         }
     }
 
@@ -181,7 +174,7 @@ impl CoreSim {
     pub fn gpr(&self, index: usize) -> u32 {
         match self {
             CoreSim::Reference(s) => s.gpr(index),
-            CoreSim::Decoded(s) => s.gpr(index),
+            CoreSim::Threaded(s) => s.gpr(index),
         }
     }
 
@@ -190,7 +183,7 @@ impl CoreSim {
     pub fn pred(&self, index: usize) -> bool {
         match self {
             CoreSim::Reference(s) => s.pred(index),
-            CoreSim::Decoded(s) => s.pred(index),
+            CoreSim::Threaded(s) => s.pred(index),
         }
     }
 
@@ -199,7 +192,7 @@ impl CoreSim {
     pub fn btr(&self, index: usize) -> u32 {
         match self {
             CoreSim::Reference(s) => s.btr(index),
-            CoreSim::Decoded(s) => s.btr(index),
+            CoreSim::Threaded(s) => s.btr(index),
         }
     }
 
@@ -208,7 +201,7 @@ impl CoreSim {
     pub fn is_halted(&self) -> bool {
         match self {
             CoreSim::Reference(s) => s.is_halted(),
-            CoreSim::Decoded(s) => s.is_halted(),
+            CoreSim::Threaded(s) => s.is_halted(),
         }
     }
 
@@ -217,7 +210,7 @@ impl CoreSim {
     pub fn stats(&self) -> &SimStats {
         match self {
             CoreSim::Reference(s) => s.stats(),
-            CoreSim::Decoded(s) => s.stats(),
+            CoreSim::Threaded(s) => s.stats(),
         }
     }
 }
@@ -249,7 +242,7 @@ impl Core {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ArrayError {
-    /// The mesh geometry, mailbox placement or core engine is unusable.
+    /// The mesh geometry or mailbox placement is unusable.
     Setup(String),
     /// A core's simulator faulted; the lowest-index core that faulted
     /// in the first faulting cycle is reported.
@@ -383,10 +376,10 @@ impl ArraySimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::Setup`] for a degenerate mesh, a mailbox
-    /// window that is misaligned or out of bounds, or
-    /// [`Engine::Threaded`] cores, and [`ArrayError::Core`] if the
-    /// program is illegal for the configuration.
+    /// Returns [`ArrayError::Setup`] for a degenerate mesh or a mailbox
+    /// window that is misaligned or out of bounds, and
+    /// [`ArrayError::Core`] if the program is illegal for the
+    /// configuration.
     pub fn new(
         config: &Config,
         bundles: &[Vec<Instruction>],

@@ -9,7 +9,6 @@
 
 use epic_array::{ArrayError, ArraySimulator, MeshSpec, NocConfig};
 use epic_config::Config;
-use epic_sim::Engine;
 
 const MEMORY_BYTES: usize = 4096;
 
@@ -178,10 +177,6 @@ fn unusable_meshes_are_refused_at_setup() {
         (setup_error(mesh.with_noc(noc(2, 0)), &image, 0), "capacity"),
         (setup_error(mesh, &image, 2), "word-aligned"),
         (setup_error(mesh, &image[..64], 0), "exceeds"),
-        (
-            setup_error(mesh.with_engine(Engine::Threaded), &image, 0),
-            "threaded engine",
-        ),
     ];
     for (msg, needle) in refusals {
         assert!(msg.contains(needle), "want {needle:?} in {msg:?}");

@@ -14,31 +14,21 @@
 //! cargo run --release -p epic-bench --bin repro -- bench [--out <file>] [--full]
 //! cargo run --release -p epic-bench --bin repro -- bench --throughput [--out <file>] [--check]
 //! cargo run --release -p epic-bench --bin repro -- isx [--out <file>] [--check] [--full]
-//! cargo run --release -p epic-bench --bin repro -- array [--out <file>] [--check] [--engine <name>] [--full]
+//! cargo run --release -p epic-bench --bin repro -- array [--out <file>] [--check] [--full]
 //! cargo run --release -p epic-bench --bin repro -- all [--full]
 //! ```
 //!
 //! `--full` runs the paper's problem sizes (256×256 images, 1000 AES
 //! iterations, a 100-node graph); the default is the reduced test scale.
 //!
-//! `--no-verify` skips the static post-schedule verifier (`epic-verify`)
-//! that every compile otherwise runs; use it only to time raw compilation
-//! or to inspect output the verifier rejects.
-//!
 //! `--threads N` caps the sweep worker count (default: all cores). The
 //! sweep farms independent (config × workload) points across threads and
 //! reassembles results by grid index, so the reported numbers are
 //! bit-identical at any thread count.
 //!
-//! `--engine <reference|decoded|threaded>` cross-checks the `bench`
-//! cycle grid on the named simulation engine: every grid point re-runs
-//! on it and the full statistics must match the measured (decoded) run
-//! bit for bit. CI drives the lockstep gate through this flag. For
-//! `array` the same flag instead selects the engine instantiated in
-//! every mesh core, `reference` or `decoded`; the report is
-//! byte-identical for both. The array refuses `threaded` cores: stepped
-//! one cycle at a time, the threaded engine is the decoded engine plus
-//! block translation.
+//! `bench` cross-checks every grid point: the observed per-cycle run that
+//! measures the point must match a threaded run's full statistics bit
+//! for bit.
 //!
 //! `--check` (on `bench --throughput`, `isx` and `array`) regenerates
 //! the command's committed JSON and compares it byte for byte with the
@@ -52,7 +42,7 @@ use epic_core::experiments::{
     run_epic_workload_with_engine, table1, Table1,
 };
 use epic_core::explore::{pareto, render, sweep, sweep_alus};
-use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator};
 use epic_core::workloads::{self, Scale};
 use std::path::Path;
 use std::process::ExitCode;
@@ -63,18 +53,8 @@ const ALUS: [usize; 4] = [1, 2, 3, 4];
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    if args.iter().any(|a| a == "--no-verify") {
-        epic_core::compiler::set_default_verify(false);
-    }
     let threads = match parse_threads(&args) {
         Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let engine = match parse_engine(&args) {
-        Ok(e) => e,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -86,10 +66,7 @@ fn main() -> ExitCode {
         .enumerate()
         .find(|(i, a)| {
             !a.starts_with("--")
-                && (*i == 0
-                    || (args[i - 1] != "--threads"
-                        && args[i - 1] != "--out"
-                        && args[i - 1] != "--engine"))
+                && (*i == 0 || (args[i - 1] != "--threads" && args[i - 1] != "--out"))
         })
         .map_or("all", |(_, a)| a.as_str());
 
@@ -121,14 +98,9 @@ fn main() -> ExitCode {
         "bench" if args.iter().any(|a| a == "--throughput") => {
             cmd_bench_throughput(scale, parse_out(&args), args.iter().any(|a| a == "--check"))
         }
-        "bench" => cmd_bench(scale, parse_out(&args), engine),
+        "bench" => cmd_bench(scale, parse_out(&args)),
         "isx" => cmd_isx(scale, parse_out(&args), args.iter().any(|a| a == "--check")),
-        "array" => cmd_array(
-            scale,
-            parse_out(&args),
-            args.iter().any(|a| a == "--check"),
-            engine,
-        ),
+        "array" => cmd_array(scale, parse_out(&args), args.iter().any(|a| a == "--check")),
         "all" => cmd_all(scale),
         other => Err(format!(
             "unknown command `{other}`; see the module docs for usage"
@@ -152,17 +124,6 @@ fn parse_threads(args: &[String]) -> Result<usize, String> {
             .ok_or_else(|| "--threads requires a count".to_string())?
             .parse::<usize>()
             .map_err(|_| "--threads requires a non-negative integer".to_string()),
-    }
-}
-
-/// Parses `--engine <name>` (absent = the default decoded engine).
-fn parse_engine(args: &[String]) -> Result<Engine, String> {
-    match args.iter().position(|a| a == "--engine") {
-        None => Ok(Engine::Decoded),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| "--engine requires a name".to_string())?
-            .parse(),
     }
 }
 
@@ -290,13 +251,11 @@ fn cmd_metrics(scale: Scale, out: Option<std::path::PathBuf>) -> Result<(), Stri
 /// counts and records `bound_lower`/`bound_upper` alongside `cycles` —
 /// the committed file carries its own `lower <= cycles <= upper`
 /// containment proof, which CI re-checks.
-fn cmd_bench(scale: Scale, out: Option<std::path::PathBuf>, engine: Engine) -> Result<(), String> {
+fn cmd_bench(scale: Scale, out: Option<std::path::PathBuf>) -> Result<(), String> {
     let out = out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_cycles.json"));
     let workloads = workloads::all(scale);
     println!("Cycle grid ({scale:?} scale): workload x ALUs 1-4 x issue width 1-4");
-    if engine != Engine::Decoded {
-        println!("(every point cross-checked bit-for-bit on the {engine} engine)");
-    }
+    println!("(every point cross-checked bit-for-bit against a threaded run)");
     println!(
         "{:<10} {:>5} {:>3} {:>10} {:>21} {:>8} {:>6} {:>10}",
         "workload", "alus", "iw", "cycles", "static bound", "ipc", "ilp", "occupancy"
@@ -316,23 +275,21 @@ fn cmd_bench(scale: Scale, out: Option<std::path::PathBuf>, engine: Engine) -> R
                 )
                 .map_err(|e| format!("{} at {alus} ALU / {width}-wide: {e}", workload.name))?;
                 let stats = run.stats();
-                if engine != Engine::Decoded {
-                    let check =
-                        run_epic_workload_with_engine(workload, &config, engine).map_err(|e| {
-                            format!(
-                                "{} at {alus} ALU / {width}-wide on {engine}: {e}",
-                                workload.name
-                            )
-                        })?;
-                    if check.stats() != stats {
-                        return Err(format!(
-                            "{} at {alus} ALU / {width}-wide: the {engine} engine disagrees \
-                             with the decoded engine ({} vs {} cycles)",
-                            workload.name,
-                            check.stats().cycles,
-                            stats.cycles
-                        ));
-                    }
+                let check = run_epic_workload_with_engine(workload, &config, Engine::Threaded)
+                    .map_err(|e| {
+                        format!(
+                            "{} at {alus} ALU / {width}-wide, threaded: {e}",
+                            workload.name
+                        )
+                    })?;
+                if check.stats() != stats {
+                    return Err(format!(
+                        "{} at {alus} ALU / {width}-wide: the threaded run disagrees with \
+                         the observed per-cycle run ({} vs {} cycles)",
+                        workload.name,
+                        check.stats().cycles,
+                        stats.cycles
+                    ));
                 }
                 let sched = run.compiled.stats().sched;
                 let counts: std::collections::BTreeMap<u32, u64> =
@@ -597,15 +554,9 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
 /// run is a pure function of its inputs — so `--check` regenerates the
 /// JSON and compares byte-for-byte.
 ///
-/// `--engine <name>` selects the engine instantiated in every core; the
-/// report (and JSON) is byte-identical for the reference and decoded
-/// engines, which agree bit for bit.
-fn cmd_array(
-    scale: Scale,
-    out: Option<std::path::PathBuf>,
-    check: bool,
-    engine: Engine,
-) -> Result<(), String> {
+/// Cores run the default engine; `tests/manycore_engines.rs` holds them
+/// bit-identical to reference cores.
+fn cmd_array(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result<(), String> {
     use epic_core::array::{link_name, MeshSpec};
     use epic_core::experiments::run_mesh_workload;
 
@@ -617,9 +568,6 @@ fn cmd_array(
     println!(
         "Many-core array ({scale:?} scale): mesh workloads x mesh sizes, every run oracle-verified"
     );
-    if engine != Engine::Decoded {
-        println!("(every core runs on the {engine} engine)");
-    }
     println!(
         "{:<12} {:>5} {:>10} {:>12} {:>6} {:>8} {:>9} {:>7} {:>9}",
         "workload", "mesh", "cycles", "core cycles", "msgs", "words", "avg lat", "links", "busiest"
@@ -627,7 +575,7 @@ fn cmd_array(
     let mut entries = String::new();
     for workload in &meshes {
         for (width, height) in MESHES {
-            let spec = MeshSpec::new(width, height).with_engine(engine);
+            let spec = MeshSpec::new(width, height);
             let run = run_mesh_workload(workload, &config, &spec)
                 .map_err(|e| format!("{} on {width}x{height}: {e}", workload.name))?;
             let outcome = &run.outcome;
@@ -706,21 +654,26 @@ fn cmd_array(
 
 /// Engine throughput race: every workload × the four corners of the
 /// (ALUs, issue-width) grid, each binary prepared once (compile,
-/// assemble, profile training) and then run to completion on all three
-/// engines from identical cloned machines. Timing is interleaved
-/// rep-major — reference, decoded, threaded, then again — so clock
-/// drift hits every engine equally, and the best of `REPS` timed runs
-/// counts. The warm-up pass records the architectural outputs, which
-/// must agree bit-for-bit across engines: a disagreement is an error,
-/// not a data point. The table closes with a per-engine geomean summary
-/// row over all corner points.
+/// assemble, profile training) and then simulated to completion in
+/// three lanes from identical cloned machines: the reference engine's
+/// `run`, `Simulator` stepped to halt on its per-cycle loop, and
+/// `Simulator::run` on its threaded loop. Every clone starts without a
+/// translation, so the `run` lane's time includes translating the
+/// program. Timing is interleaved rep-major — reference, per-cycle,
+/// run, then again — so clock drift hits every lane equally, and the
+/// best of `REPS` timed runs counts. The warm-up pass records the
+/// architectural outputs, which must agree bit-for-bit across lanes: a
+/// disagreement is an error, not a data point. The table closes with a
+/// per-lane geomean summary row over all corner points.
 ///
 /// Writes `--out <file>` (default `BENCH_throughput.json`), schema
-/// `epic-bench-throughput/v3`: per point and engine only the
+/// `epic-bench-throughput/v3`: per point and lane only the
 /// deterministic fields (`sim_cycles`, `fast_block_execs`,
-/// `chained_execs`). Wall times are machine-local and only printed; the
-/// timing of record is `perfbench`. `--check` regenerates the JSON and
-/// compares it byte for byte against the committed file.
+/// `chained_execs`). The schema's `engine` labels are `reference`,
+/// `decoded` (the per-cycle lane) and `threaded` (the `run` lane). Wall
+/// times are machine-local and only printed; the timing of record is
+/// `perfbench`. `--check` regenerates the JSON and compares it byte for
+/// byte against the committed file.
 fn cmd_bench_throughput(
     scale: Scale,
     out: Option<std::path::PathBuf>,
@@ -728,6 +681,7 @@ fn cmd_bench_throughput(
 ) -> Result<(), String> {
     const REPS: usize = 5;
     const CORNERS: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
+    const LANES: [&str; 3] = ["reference", "decoded", "threaded"];
     let out = out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_throughput.json"));
     let workloads = workloads::all(scale);
     println!(
@@ -741,14 +695,14 @@ fn cmd_bench_throughput(
         "iw",
         "cycles",
         "ref Mc/s",
-        "dec Mc/s",
-        "thr Mc/s",
-        "thr/dec",
+        "step Mc/s",
+        "run Mc/s",
+        "run/step",
         "fast blks",
         "chained"
     );
     let mut entries = String::new();
-    // Sum of ln(cycles/sec) per engine, for the geomean summary row.
+    // Sum of ln(cycles/sec) per lane, for the geomean summary row.
     let mut ln_cps = [0f64; 3];
     let mut points = 0usize;
     for workload in &workloads {
@@ -769,48 +723,36 @@ fn cmd_bench_throughput(
                 sim.set_memory(Memory::from_image(image.clone()));
                 sim
             };
-            let decoded = {
-                let mut sim = Simulator::try_new(&config, bundles.clone(), entry)
-                    .map_err(|e| e.to_string())?;
-                sim.set_memory(Memory::from_image(image.clone()));
-                sim
-            };
-            let threaded = {
-                let mut sim = ThreadedSimulator::try_new(&config, bundles, entry)
-                    .map_err(|e| e.to_string())?;
+            let machine = {
+                let mut sim =
+                    Simulator::try_new(&config, bundles, entry).map_err(|e| e.to_string())?;
                 sim.set_memory(Memory::from_image(image));
                 sim
             };
 
-            // One timed run of one engine on a clone of its template
-            // (construction, decode and translation stay outside the
-            // clock). Returns (wall ns, cycles, fast blocks, chained).
-            let run_engine = |engine: Engine| -> (u128, u64, u64, u64) {
-                match engine {
-                    Engine::Reference => {
-                        let mut sim = reference.clone();
-                        let start = Instant::now();
-                        sim.run().expect("verified workloads never fault");
-                        (start.elapsed().as_nanos(), sim.stats().cycles, 0, 0)
-                    }
-                    Engine::Decoded => {
-                        let mut sim = decoded.clone();
-                        let start = Instant::now();
-                        sim.run().expect("verified workloads never fault");
-                        (start.elapsed().as_nanos(), sim.stats().cycles, 0, 0)
-                    }
-                    Engine::Threaded => {
-                        let mut sim = threaded.clone();
-                        let start = Instant::now();
-                        sim.run().expect("verified workloads never fault");
-                        (
-                            start.elapsed().as_nanos(),
-                            sim.stats().cycles,
-                            sim.fast_block_execs(),
-                            sim.chained_execs(),
-                        )
-                    }
+            // One timed run of one lane on a clone of its template
+            // (construction and decode stay outside the clock).
+            // Returns (wall ns, cycles, fast blocks, chained).
+            let run_lane = |lane: usize| -> (u128, u64, u64, u64) {
+                if lane == 0 {
+                    let mut sim = reference.clone();
+                    let start = Instant::now();
+                    sim.run().expect("verified workloads never fault");
+                    return (start.elapsed().as_nanos(), sim.stats().cycles, 0, 0);
                 }
+                let mut sim = machine.clone();
+                let start = Instant::now();
+                if lane == 1 {
+                    while sim.step().expect("verified workloads never fault") {}
+                } else {
+                    sim.run().expect("verified workloads never fault");
+                }
+                (
+                    start.elapsed().as_nanos(),
+                    sim.stats().cycles,
+                    sim.fast_block_execs(),
+                    sim.chained_execs(),
+                )
             };
 
             let mut cycles = [0u64; 3];
@@ -819,32 +761,32 @@ fn cmd_bench_throughput(
             let mut best = [u128::MAX; 3];
             for rep in 0..=REPS {
                 // Rep 0 warms caches and records the deterministic outputs.
-                for (ei, engine) in Engine::all().into_iter().enumerate() {
-                    let (ns, c, f, ch) = run_engine(engine);
+                for (li, lane) in LANES.into_iter().enumerate() {
+                    let (ns, c, f, ch) = run_lane(li);
                     if rep == 0 {
-                        cycles[ei] = c;
-                        fast[ei] = f;
-                        chained[ei] = ch;
+                        cycles[li] = c;
+                        fast[li] = f;
+                        chained[li] = ch;
                     } else {
-                        if c != cycles[ei] {
+                        if c != cycles[li] {
                             return Err(format!(
-                                "{} at {alus} ALU / {width}-wide: {engine} engine is \
+                                "{} at {alus} ALU / {width}-wide: the {lane} lane is \
                                  nondeterministic ({c} vs {} cycles)",
-                                workload.name, cycles[ei]
+                                workload.name, cycles[li]
                             ));
                         }
-                        best[ei] = best[ei].min(ns);
+                        best[li] = best[li].min(ns);
                     }
                 }
             }
             if cycles.iter().any(|&c| c != cycles[0]) {
                 return Err(format!(
-                    "{} at {alus} ALU / {width}-wide: engines disagree on cycles \
-                     (reference {}, decoded {}, threaded {})",
+                    "{} at {alus} ALU / {width}-wide: lanes disagree on cycles \
+                     (reference {}, per-cycle {}, run {})",
                     workload.name, cycles[0], cycles[1], cycles[2]
                 ));
             }
-            let mcps = |ei: usize| cycles[ei] as f64 * 1e3 / best[ei] as f64;
+            let mcps = |li: usize| cycles[li] as f64 * 1e3 / best[li] as f64;
             println!(
                 "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10} {:>8}",
                 workload.name,
@@ -859,21 +801,21 @@ fn cmd_bench_throughput(
                 chained[2]
             );
             points += 1;
-            for (ei, engine) in Engine::all().into_iter().enumerate() {
-                ln_cps[ei] += (cycles[ei] as f64 * 1e9 / best[ei] as f64).ln();
+            for (li, lane) in LANES.into_iter().enumerate() {
+                ln_cps[li] += (cycles[li] as f64 * 1e9 / best[li] as f64).ln();
                 if !entries.is_empty() {
                     entries.push_str(",\n");
                 }
                 entries.push_str(&format!(
                     "    {{\"workload\": \"{}\", \"alus\": {alus}, \"issue_width\": {width}, \
-                     \"engine\": \"{engine}\", \"sim_cycles\": {}, \"fast_block_execs\": {}, \
+                     \"engine\": \"{lane}\", \"sim_cycles\": {}, \"fast_block_execs\": {}, \
                      \"chained_execs\": {}}}",
-                    workload.name, cycles[ei], fast[ei], chained[ei]
+                    workload.name, cycles[li], fast[li], chained[li]
                 ));
             }
         }
     }
-    let geomean = |ei: usize| (ln_cps[ei] / points as f64).exp();
+    let geomean = |li: usize| (ln_cps[li] / points as f64).exp();
     println!(
         "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
         "geomean",

@@ -2,13 +2,13 @@
 //! aes, extend the configuration with the miner's top candidates and
 //! prove the whole toolchain still closes — the extended config header
 //! round-trips, the compiled program's text round-trips through the
-//! disassembler, and all three simulation engines agree bit-for-bit
+//! disassembler, and both simulation engines agree bit-for-bit
 //! (cycles, return value, final memory) over the full ALUs 1–4 ×
 //! issue-width 1–4 grid. Every run also passes `epic-verify` and the
 //! pass-by-pass translation validator (TV013 included): workload runs
 //! compile with `verify` on by default.
 //!
-//! 2 workloads × 16 grid points × 3 engines — minutes of work, so the
+//! 2 workloads × 16 grid points × 2 engines — minutes of work, so the
 //! test is `#[ignore]`d; CI runs it with `--release -- --ignored`.
 
 use epic_core::config::{Config, CustomOp, CustomSemantics};
@@ -52,7 +52,7 @@ fn extended_config(workload: &epic_core::workloads::Workload, k: usize) -> Confi
 }
 
 #[test]
-#[ignore = "full grid x three engines; run in release via CI"]
+#[ignore = "full grid x both engines; run in release via CI"]
 fn discovered_ops_survive_the_full_grid_on_every_engine() {
     for workload in workloads::all(Scale::Test)
         .into_iter()
@@ -103,7 +103,7 @@ fn discovered_ops_survive_the_full_grid_on_every_engine() {
                                 workload.name
                             )
                         });
-                    if engine == Engine::Decoded {
+                    if engine == Engine::Threaded {
                         // Text round-trip: the disassembly of the
                         // scheduled program (custom mnemonics included)
                         // must re-assemble to identical bundles.

@@ -25,7 +25,8 @@
 //!
 //! Soundness is enforced empirically by the differential oracle
 //! (`tests/oracle.rs`): for every workload × configuration grid point,
-//! all three simulation engines' cycle counts must land inside the interval.
+//! the reference engine's and both `Simulator` run modes' cycle counts
+//! must land inside the interval.
 
 use crate::cfg::Cfg;
 use crate::cost::CostModel;

@@ -1,8 +1,10 @@
 //! Differential oracle for the static cycle-bound analysis.
 //!
-//! For every benchmark × configuration grid point, all three simulation
-//! engines run the compiled program to completion and their cycle
-//! counts must land inside the static interval — with profile-measured
+//! For every benchmark × configuration grid point, three simulation
+//! paths — the profiled per-cycle run, an unobserved threaded run of
+//! the same [`Simulator`] and the reference engine — run the compiled
+//! program to completion and their cycle counts must land inside the
+//! static interval — with profile-measured
 //! execution counts (tight, input-specific) and with statically derived
 //! counts (input-independent, upper possibly open). A tightness gate
 //! keeps the measured-count upper bound useful: on average it may
@@ -12,7 +14,7 @@ use epic_bound::{analyze_cycles, BoundOptions, CostModel, CountSource, CycleBoun
 use epic_config::Config;
 use epic_core::experiments::run_epic_workload_observed;
 use epic_ir::lower;
-use epic_sim::{Memory, ProfileSink, ReferenceSimulator, ThreadedSimulator};
+use epic_sim::{Memory, ProfileSink, ReferenceSimulator, Simulator};
 use epic_workloads::{all, Scale};
 use std::collections::BTreeMap;
 
@@ -20,7 +22,7 @@ struct Point {
     name: String,
     alus: usize,
     issue_width: usize,
-    decoded_cycles: u64,
+    per_cycle_cycles: u64,
     reference_cycles: u64,
     threaded_cycles: u64,
     measured: CycleBounds,
@@ -42,7 +44,7 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                 let mut sink = ProfileSink::default();
                 let run = run_epic_workload_observed(&workload, &config, &mut sink)
                     .expect("workload runs and verifies");
-                let decoded_cycles = run.stats().cycles;
+                let per_cycle_cycles = run.stats().cycles;
 
                 let mut reference = ReferenceSimulator::new(
                     &config,
@@ -52,14 +54,14 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                 reference.set_memory(Memory::from_image(module.initial_memory(&layout)));
                 let reference_cycles = reference.run().expect("reference engine runs").cycles;
 
-                let mut threaded = ThreadedSimulator::try_new(
+                let mut threaded = Simulator::try_new(
                     &config,
                     run.program.bundles().to_vec(),
                     run.program.entry(),
                 )
-                .expect("threaded translation accepts legal programs");
+                .expect("decode accepts legal programs");
                 threaded.set_memory(Memory::from_image(module.initial_memory(&layout)));
-                let threaded_cycles = threaded.run().expect("threaded engine runs").cycles;
+                let threaded_cycles = threaded.run().expect("threaded run").cycles;
 
                 let counts: BTreeMap<u32, u64> =
                     sink.per_pc().map(|(pc, c)| (pc, c.issues)).collect();
@@ -86,7 +88,7 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                     name: workload.name.clone(),
                     alus,
                     issue_width,
-                    decoded_cycles,
+                    per_cycle_cycles,
                     reference_cycles,
                     threaded_cycles,
                     measured,
@@ -101,7 +103,7 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
 fn assert_contained(points: &[Point]) {
     for p in points {
         for (engine, cycles) in [
-            ("decoded", p.decoded_cycles),
+            ("per-cycle", p.per_cycle_cycles),
             ("reference", p.reference_cycles),
             ("threaded", p.threaded_cycles),
         ] {
@@ -129,7 +131,7 @@ fn assert_contained(points: &[Point]) {
 
 #[test]
 fn both_engines_land_inside_the_bounds_across_the_grid() {
-    // The full 4 × 4 grid per benchmark: 64 points, three engines each.
+    // The full 4 × 4 grid per benchmark: 64 points, three paths each.
     let points = run_grid(&[1, 2, 3, 4], &[1, 2, 3, 4]);
     assert_eq!(points.len(), 64);
     assert_contained(&points);
@@ -142,7 +144,7 @@ fn both_engines_land_inside_the_bounds_across_the_grid() {
             .measured
             .upper
             .expect("measured counts always close the interval");
-        ratio_sum += upper as f64 / p.decoded_cycles as f64;
+        ratio_sum += upper as f64 / p.per_cycle_cycles as f64;
     }
     let mean = ratio_sum / points.len() as f64;
     assert!(
@@ -158,13 +160,13 @@ fn the_engines_agree_with_each_other() {
     // as a cross-check.
     for p in run_grid(&[1, 4], &[2]) {
         assert_eq!(
-            p.decoded_cycles, p.reference_cycles,
+            p.per_cycle_cycles, p.reference_cycles,
             "{} alus={} iw={}: engines disagree",
             p.name, p.alus, p.issue_width
         );
         assert_eq!(
-            p.decoded_cycles, p.threaded_cycles,
-            "{} alus={} iw={}: threaded engine disagrees",
+            p.per_cycle_cycles, p.threaded_cycles,
+            "{} alus={} iw={}: the threaded run disagrees",
             p.name, p.alus, p.issue_width
         );
     }

@@ -1,8 +1,9 @@
 //! Property tests for the cycle-bound analysis.
 //!
 //! * **Containment** — for random small programs (straight-line and
-//!   counted-loop shapes) on random configurations, the decoded engine's
-//!   cycle count lands inside both the static and the measured interval.
+//!   counted-loop shapes) on random configurations, the profiled
+//!   per-cycle run's cycle count lands inside both the static and the
+//!   measured interval.
 //! * **Monotonicity** — relaxing a loop-bound assumption can only grow
 //!   the upper bound, and measured bounds are never looser than the
 //!   cycle identity allows.

@@ -16,7 +16,6 @@ use epic_ir::Module;
 use epic_isa::Opcode;
 use epic_mdes::MachineDescription;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Compilation options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +43,9 @@ pub struct Options {
     /// Arguments the stub passes to the entry function.
     pub entry_args: Vec<u32>,
     /// Statically verify the scheduled output with `epic-verify` and
-    /// fail compilation on any error diagnostic (default: on, see
-    /// [`set_default_verify`]).
+    /// fail compilation on any error diagnostic (default: on). The
+    /// verifier's trace also feeds translation validation, so a compile
+    /// with this off skips both.
     pub verify: bool,
 }
 
@@ -60,29 +60,9 @@ impl Default for Options {
             inline_hints: Vec::new(),
             entry: "main".to_owned(),
             entry_args: Vec::new(),
-            verify: default_verify(),
+            verify: true,
         }
     }
-}
-
-/// Process-wide default for [`Options::verify`]. On unless
-/// [`set_default_verify`] turned it off.
-static VERIFY_BY_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for [`Options::verify`].
-///
-/// The post-schedule verifier run is cheap and on by default in every
-/// build profile; batch drivers (`repro --no-verify`) use this escape
-/// hatch to time raw compilation or to inspect rejected output. Code
-/// that builds its own [`Options`] literal is unaffected.
-pub fn set_default_verify(on: bool) {
-    VERIFY_BY_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`Options::verify`].
-#[must_use]
-pub fn default_verify() -> bool {
-    VERIFY_BY_DEFAULT.load(Ordering::Relaxed)
 }
 
 /// Accumulates one function's scheduling statistics into the totals.
@@ -186,9 +166,9 @@ impl CompiledProgram {
 
     /// Per-stage pipeline snapshots for translation validation.
     ///
-    /// Present when the compile ran with [`Options::verify`] on; the
-    /// `--no-verify` escape hatch drops trace collection along with the
-    /// post-schedule verifier run.
+    /// Present when the compile ran with [`Options::verify`] on; turning
+    /// it off drops trace collection along with the post-schedule
+    /// verifier run.
     #[must_use]
     pub fn trace(&self) -> Option<&PipelineTrace> {
         self.trace.as_ref()
@@ -653,7 +633,7 @@ impl Compiler {
         })?;
 
         // Stage snapshots for translation validation ride along with the
-        // verifier switch: `--no-verify` drops both.
+        // verifier switch: `Options::verify` off drops both.
         let snap = |mf: &MFunction| options.verify.then(|| mf.clone());
         let mut functions = Vec::with_capacity(module.functions.len() + 1);
         functions.push(self.start_stub(&abi, options, layout.initial_sp())?);

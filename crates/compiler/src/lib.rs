@@ -68,7 +68,6 @@ pub mod superblock;
 pub mod trace;
 
 pub use driver::{
-    default_verify, machine_family, set_default_verify, CompileStats, CompiledProgram, Compiler,
-    FrontHalf, Mutation, Options,
+    machine_family, CompileStats, CompiledProgram, Compiler, FrontHalf, Mutation, Options,
 };
 pub use error::CompileError;

@@ -13,8 +13,9 @@
 //! At issue width ≥ 2 the workload runners form superblocks from a
 //! profile: per-block entry counts from a training run. Training
 //! finishes the front half with formation off, verifies and
-//! translation-validates that binary, runs it on the decoded engine
-//! under a [`ProfileSink`], and folds the issue counts through the label
+//! translation-validates that binary, runs it cycle by cycle under a
+//! [`ProfileSink`] (an observing sink, so no translation is built), and
+//! folds the issue counts through the label
 //! table. Which blocks run, and how often, depends only on the
 //! allocated program and its inputs, never on the schedule: training
 //! schedules each block alone, and translation validation proves that
@@ -185,7 +186,7 @@ fn build(
 }
 
 /// The training run: the back half with formation off (built-in
-/// verifier included), translation validation, the decoded engine under
+/// verifier included), translation validation, the per-cycle loop under
 /// a [`ProfileSink`], and a fold of the per-address issue counts through
 /// the assembler's label table into per-block entry counts (a block's
 /// entries are the issues of its first bundle, the same attribution

@@ -6,8 +6,7 @@ use epic_config::Config;
 use epic_ir::{IrError, Module};
 use epic_sa110::{ArmCodegenError, ArmSimError, ArmSimulator, ArmStats};
 use epic_sim::{
-    Engine, Memory, NopSink, ReferenceSimulator, SimError, SimStats, Simulator, ThreadedSimulator,
-    TraceSink,
+    Engine, Memory, NopSink, ReferenceSimulator, SimError, SimStats, Simulator, TraceSink,
 };
 use std::error::Error;
 use std::fmt;
@@ -167,18 +166,18 @@ pub struct EngineOutcome {
     pub return_value: u32,
     /// The final data memory.
     pub memory: Memory,
-    /// Basic blocks the threaded engine replayed on its folded fast path
-    /// (always zero on the per-cycle engines).
+    /// Basic blocks the threaded run loop replayed on its folded fast
+    /// path (always zero on the reference engine).
     pub fast_block_execs: u64,
-    /// Fast-path executions the threaded engine entered by chaining —
+    /// Fast-path executions the threaded run loop entered by chaining —
     /// directly from a predecessor's terminator, without returning to
-    /// its dispatcher (always zero on the other engines).
+    /// its dispatcher (always zero on the reference engine).
     pub chained_execs: u64,
 }
 
 /// A completed EPIC execution on an explicitly selected [`Engine`].
 ///
-/// Unlike [`EpicRun`], which owns the decoded [`Simulator`], this result
+/// Unlike [`EpicRun`], which owns the final [`Simulator`], this result
 /// is engine-agnostic: it carries the compile artefacts plus the
 /// [`EngineOutcome`] every engine must produce bit-identically.
 #[derive(Debug)]
@@ -310,8 +309,9 @@ impl Toolchain {
         self.run_prepared_observed(prepared, sink)
     }
 
-    /// Runs a prepared program on the decoded engine under `sink`,
-    /// keeping the final machine.
+    /// Runs a prepared program on [`Simulator`] under `sink` — the
+    /// threaded loop unless the sink observes — keeping the final
+    /// machine.
     pub(crate) fn run_prepared_observed<S: TraceSink>(
         &self,
         prepared: PreparedProgram,
@@ -361,13 +361,14 @@ impl Toolchain {
         initial_memory: Vec<u8>,
     ) -> Result<PreparedProgram, ToolchainError> {
         // A verifying compile already assembled its output; only a
-        // `--no-verify` compile leaves the text to assemble here.
+        // compile with `Options::verify` off leaves the text to assemble
+        // here.
         let program = match compiled.take_program() {
             Some(program) => program,
             None => epic_asm::assemble(compiled.assembly(), &self.config)?,
         };
         // Translation validation rides on the same trace the bundle
-        // verifier uses, so `--no-verify` disables both together.
+        // verifier uses, so `Options::verify` off disables both together.
         if let Some(trace) = compiled.trace() {
             let report = epic_tv::validate_trace(trace, &program, &self.config);
             if report.has_errors() {
@@ -389,8 +390,8 @@ impl Toolchain {
     ///
     /// # Errors
     ///
-    /// Returns a simulation fault, or the decoded engines' load-time
-    /// bundle rejection.
+    /// Returns a simulation fault, or [`Simulator`]'s load-time bundle
+    /// rejection.
     pub fn run_prepared(
         &self,
         prepared: &PreparedProgram,
@@ -412,20 +413,8 @@ impl Toolchain {
                     chained_execs: 0,
                 })
             }
-            Engine::Decoded => {
-                let mut sim = Simulator::try_new(&self.config, bundles, entry)?;
-                sim.set_memory(memory);
-                let stats = *sim.run()?;
-                Ok(EngineOutcome {
-                    stats,
-                    return_value: sim.gpr(1),
-                    memory: sim.memory().clone(),
-                    fast_block_execs: 0,
-                    chained_execs: 0,
-                })
-            }
             Engine::Threaded => {
-                let mut sim = ThreadedSimulator::try_new(&self.config, bundles, entry)?;
+                let mut sim = Simulator::try_new(&self.config, bundles, entry)?;
                 sim.set_memory(memory);
                 let stats = *sim.run()?;
                 Ok(EngineOutcome {
@@ -578,17 +567,25 @@ mod tests {
             ..Options::default()
         };
         let prepared = toolchain.prepare(&m, &options).unwrap();
-        let decoded = toolchain.run_prepared(&prepared, Engine::Decoded).unwrap();
         let reference = toolchain
             .run_prepared(&prepared, Engine::Reference)
             .unwrap();
         let threaded = toolchain.run_prepared(&prepared, Engine::Threaded).unwrap();
-        assert_eq!(decoded.stats, reference.stats);
-        assert_eq!(decoded.stats, threaded.stats);
-        assert_eq!(decoded.return_value, reference.return_value);
-        assert_eq!(decoded.return_value, threaded.return_value);
-        assert_eq!(decoded.memory.bytes(), reference.memory.bytes());
-        assert_eq!(decoded.memory.bytes(), threaded.memory.bytes());
+        // The per-cycle loop: the same machine, stepped to halt.
+        let mut stepped = Simulator::try_new(
+            &toolchain.config,
+            prepared.program.bundles().to_vec(),
+            prepared.program.entry(),
+        )
+        .unwrap();
+        stepped.set_memory(Memory::from_image(prepared.initial_memory.clone()));
+        while stepped.step().unwrap() {}
+        assert_eq!(*stepped.stats(), reference.stats);
+        assert_eq!(*stepped.stats(), threaded.stats);
+        assert_eq!(stepped.gpr(1), reference.return_value);
+        assert_eq!(stepped.gpr(1), threaded.return_value);
+        assert_eq!(stepped.memory().bytes(), reference.memory.bytes());
+        assert_eq!(stepped.memory().bytes(), threaded.memory.bytes());
         let expected: u32 = (1..=10).map(|i| i * i).sum();
         assert_eq!(threaded.return_value, expected);
     }

@@ -2,7 +2,7 @@
 //!
 //! Every consumer of program shape — `epic-bound`'s dataflow analyses,
 //! `epic-verify`'s fixpoint (solved by `epic-bound`'s solver), the
-//! threaded engine's compiled blocks and `epic-isx`'s miner — runs over
+//! threaded run loop's compiled blocks and `epic-isx`'s miner — runs over
 //! this one successor relation: for each bundle address, the bundle
 //! addresses the hardware may fetch next, each with the *minimum*
 //! number of processor cycles between the two bundles' execute stages

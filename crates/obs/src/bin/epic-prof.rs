@@ -489,16 +489,12 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         }
         Format::Json => {
             println!(
-                "{{\"workload\":\"{}\",\"scale\":\"{:?}\",\"engine\":\"{}\",\
+                "{{\"workload\":\"{}\",\"scale\":\"{:?}\",\
                  \"config\":{{\"alus\":{},\
                  \"issue_width\":{}}},\"stats\":{},\"metrics\":{},\"blocks\":{},\
                  \"bound\":{{\"lower\":{},\"upper\":{}}},\"bound_gaps\":{}}}",
                 args.workload,
                 args.scale,
-                // Profiling needs the per-cycle event stream, and an
-                // observing sink always gets the decoded engine (the
-                // threaded engine stands down when observed).
-                epic_sim::Engine::Decoded,
                 args.alus,
                 args.issue_width,
                 stats_json(stats),

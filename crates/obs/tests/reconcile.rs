@@ -1,10 +1,11 @@
 //! Differential reconciliation: the metrics registry must agree with
-//! the engine's own [`SimStats`] field for field, on **all three**
-//! execution engines, for every workload across the full ALU ×
-//! issue-width grid — and the engines must emit bit-identical
-//! trace-event streams. The threaded-code engine participates because
-//! an observing sink forces it off its fast paths: observed, it must
-//! deliver the exact per-cycle event sequence the decoded engine does.
+//! the engine's own [`SimStats`] field for field, on **three**
+//! execution paths — [`Simulator`] stepped to halt, [`Simulator`] run
+//! under the sink, and the reference engine — for every workload across
+//! the full ALU × issue-width grid, and the paths must emit
+//! bit-identical trace-event streams. An observing sink keeps
+//! `Simulator::run_with_sink` off its threaded loop: observed, a run
+//! must deliver the exact per-cycle event sequence stepping does.
 //!
 //! This is the contract that makes `epic-prof` trustworthy: every
 //! number it prints is derived from the event stream, and this test
@@ -15,7 +16,7 @@ use epic_core::compiler::{Compiler, Options};
 use epic_core::config::Config;
 use epic_core::workloads::{self, Scale};
 use epic_obs::{MetricsRegistry, RecordingSink, TeeSink};
-use epic_sim::{Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_sim::{Memory, ReferenceSimulator, Simulator};
 
 #[test]
 fn metrics_reconcile_on_all_engines_across_the_grid() {
@@ -44,48 +45,43 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                     .unwrap_or_else(|| panic!("{point}: verifying compile kept no program"));
                 let image = module.initial_memory(&layout);
 
-                // Decoded engine.
-                let mut decoded =
+                // `Simulator` stepped to halt, each cycle observed.
+                let mut stepped =
                     Simulator::try_new(&config, program.bundles().to_vec(), program.entry())
                         .unwrap_or_else(|e| panic!("{point}: decode: {e}"));
-                decoded.set_memory(Memory::from_image(image.clone()));
-                let mut decoded_sink =
+                stepped.set_memory(Memory::from_image(image.clone()));
+                let mut observed = stepped.clone();
+                let mut stepped_sink =
                     TeeSink(MetricsRegistry::default(), RecordingSink::default());
-                decoded
-                    .run_with_sink(&mut decoded_sink)
-                    .unwrap_or_else(|e| panic!("{point}: decoded run: {e}"));
-                let TeeSink(mut decoded_metrics, decoded_events) = decoded_sink;
-                decoded_metrics.finish();
-                decoded_metrics
-                    .reconcile(decoded.stats())
-                    .unwrap_or_else(|e| panic!("{point}: decoded engine does not reconcile:\n{e}"));
+                while stepped
+                    .step_with_sink(&mut stepped_sink)
+                    .unwrap_or_else(|e| panic!("{point}: stepped run: {e}"))
+                {}
+                let TeeSink(mut stepped_metrics, stepped_events) = stepped_sink;
+                stepped_metrics.finish();
+                stepped_metrics
+                    .reconcile(stepped.stats())
+                    .unwrap_or_else(|e| panic!("{point}: stepped run does not reconcile:\n{e}"));
 
-                // Threaded-code engine: the observing sink forces the
-                // per-cycle fallback, which must reconcile and match the
-                // decoded event stream exactly.
-                let mut threaded = ThreadedSimulator::try_new(
-                    &config,
-                    program.bundles().to_vec(),
-                    program.entry(),
-                )
-                .unwrap_or_else(|e| panic!("{point}: threaded translation: {e}"));
-                threaded.set_memory(Memory::from_image(image.clone()));
-                let mut threaded_sink =
+                // `Simulator::run_with_sink`: the observing sink keeps
+                // the per-cycle loop, which must reconcile and match the
+                // stepped event stream exactly, without translating.
+                let mut observed_sink =
                     TeeSink(MetricsRegistry::default(), RecordingSink::default());
-                threaded
-                    .run_with_sink(&mut threaded_sink)
-                    .unwrap_or_else(|e| panic!("{point}: threaded run: {e}"));
-                let TeeSink(mut threaded_metrics, threaded_events) = threaded_sink;
-                threaded_metrics.finish();
-                threaded_metrics
-                    .reconcile(threaded.stats())
-                    .unwrap_or_else(|e| {
-                        panic!("{point}: threaded engine does not reconcile:\n{e}")
-                    });
+                observed
+                    .run_with_sink(&mut observed_sink)
+                    .unwrap_or_else(|e| panic!("{point}: observed run: {e}"));
+                let TeeSink(mut observed_metrics, observed_events) = observed_sink;
+                observed_metrics.finish();
+                observed_metrics
+                    .reconcile(observed.stats())
+                    .unwrap_or_else(|e| panic!("{point}: observed run does not reconcile:\n{e}"));
                 assert_eq!(
-                    threaded.fast_block_execs() + threaded.chained_execs(),
+                    observed.translated_blocks() as u64
+                        + observed.fast_block_execs()
+                        + observed.chained_execs(),
                     0,
-                    "{point}: threaded engine took a fast path under an observing sink"
+                    "{point}: an observed run translated or took a fast path"
                 );
 
                 // Frozen reference engine.
@@ -105,38 +101,38 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                         panic!("{point}: reference engine does not reconcile:\n{e}")
                     });
 
-                // The engines agree with each other, event for event.
+                // The three paths agree with each other, event for event.
                 assert_eq!(
-                    decoded.stats(),
+                    stepped.stats(),
                     reference.stats(),
                     "{point}: engines disagree on statistics"
                 );
                 assert_eq!(
-                    decoded.stats(),
-                    threaded.stats(),
-                    "{point}: threaded engine disagrees on statistics"
+                    stepped.stats(),
+                    observed.stats(),
+                    "{point}: the observed run disagrees on statistics"
                 );
-                let threaded_events = threaded_events.into_events();
-                let (decoded_events, reference_events) =
-                    (decoded_events.into_events(), reference_events.into_events());
+                let observed_events = observed_events.into_events();
+                let (stepped_events, reference_events) =
+                    (stepped_events.into_events(), reference_events.into_events());
                 assert_eq!(
-                    decoded_events, threaded_events,
-                    "{point}: threaded engine event stream diverged from decoded"
+                    stepped_events, observed_events,
+                    "{point}: the observed run's event stream diverged from stepping"
                 );
                 assert_eq!(
-                    decoded_events.len(),
+                    stepped_events.len(),
                     reference_events.len(),
                     "{point}: engines emitted different event counts"
                 );
-                if let Some(position) = decoded_events
+                if let Some(position) = stepped_events
                     .iter()
                     .zip(&reference_events)
                     .position(|(a, b)| a != b)
                 {
                     panic!(
                         "{point}: event streams diverge at event {position}:\n  \
-                         decoded:   {:?}\n  reference: {:?}",
-                        decoded_events[position], reference_events[position]
+                         stepped:   {:?}\n  reference: {:?}",
+                        stepped_events[position], reference_events[position]
                     );
                 }
             }

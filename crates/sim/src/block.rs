@@ -1,11 +1,11 @@
-//! Compiled blocks: the threaded engine's substrate.
+//! Compiled blocks: the threaded run loop's substrate.
 //!
-//! The decoded engine (`machine.rs`) pays the full per-cycle price on
+//! The per-cycle loop (`machine.rs`) pays the full per-cycle price on
 //! every cycle: scoreboard scan, unit availability, port accounting,
 //! stall ladder. Inside a straight-line basic block none of that can
 //! surprise us — the bundles, their reads, their writes and their
 //! latencies are all known statically, so the *entire* cycle-by-cycle
-//! negotiation can be replayed once at load time and folded into a
+//! negotiation can be replayed once, ahead of execution, and folded into a
 //! constant: how many cycles the block takes, which stall counters it
 //! bumps, and what every scoreboard entry reads after it.
 //!
@@ -15,8 +15,9 @@
 //! stores the result as a [`CompiledBlock`]: a folded cycle count, a
 //! folded [`StallBreakdown`], the scoreboard bookings to apply, and the
 //! *entry signature* — per-register readiness caps under which the
-//! replay is provably exact ([`entry_ok`]). The threaded-code engine
-//! (`crate::threaded`) translates this table into its step streams;
+//! replay is provably exact ([`entry_ok`]). The threaded run loop
+//! (`crate::threaded`) translates this table into its step streams on
+//! a simulator's first unobserved run;
 //! [`fold_exit`] applies a block's folded exit state and
 //! [`fault_unwind`] rewinds a block interrupted by a fault to the exact
 //! per-cycle machine state, so results stay **bit-identical** to
@@ -46,9 +47,10 @@ pub(crate) enum Booking {
     Btr(u16, u64),
 }
 
-/// A basic block whose issue schedule has been folded at load time.
+/// A basic block whose issue schedule has been folded ahead of
+/// execution.
 ///
-/// The threaded-code engine (`crate::threaded`) uses the folded
+/// The threaded run loop (`crate::threaded`) uses the folded
 /// schedule as the pre-bound payload of its step streams.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledBlock {
@@ -127,7 +129,7 @@ pub(crate) fn entry_ok(sim: &Simulator, block: &CompiledBlock) -> bool {
 }
 
 /// Rewinds a folded block interrupted by a fault in body bundle `i` to
-/// the exact per-cycle machine state: the decoded engine would have
+/// the exact per-cycle machine state: the per-cycle loop would have
 /// died in the execute stage of relative cycle `issue_rel[i] + 1`, with
 /// bundles `0..=i` issued and their stalls counted.
 pub(crate) fn fault_unwind(sim: &mut Simulator, block: &CompiledBlock, entry_cycle: u64, i: usize) {

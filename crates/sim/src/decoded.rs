@@ -9,7 +9,7 @@
 //! [`crate::semantics::Action`] per operation, so the per-cycle loop in
 //! `machine.rs` touches only dense arrays and precomputed costs.
 //! Decoding changes no semantics — the differential regression suite
-//! holds the decoded engine bit-identical to
+//! holds [`crate::Simulator`] bit-identical to
 //! [`crate::ReferenceSimulator`] on every stat counter.
 
 use crate::error::SimError;

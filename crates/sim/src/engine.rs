@@ -5,37 +5,34 @@ use std::str::FromStr;
 
 /// Which execution engine simulates a program.
 ///
-/// All three are architecturally bit-identical (stats, registers,
-/// memory); they differ only in wall-clock throughput and in how much
-/// work happens at load time. See the README's engine-selection table.
+/// Both are architecturally bit-identical (stats, registers, memory);
+/// they differ only in wall-clock throughput. See the README's
+/// engine-selection table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The interpret-every-cycle golden model
     /// ([`crate::ReferenceSimulator`]).
     Reference,
-    /// The decode-once per-cycle engine ([`crate::Simulator`]).
+    /// The production engine ([`crate::Simulator`]): per-cycle when
+    /// stepped or observed, and threaded on an unobserved run, which
+    /// chains translated basic blocks and falls back to the per-cycle
+    /// loop per bundle.
     #[default]
-    Decoded,
-    /// The threaded-code engine ([`crate::ThreadedSimulator`]):
-    /// straight-line basic blocks with statically folded cycle
-    /// accounting, translated into step streams with block chaining and
-    /// trace linking, falling back to the decoded engine per bundle.
     Threaded,
 }
 
 impl Engine {
-    /// All engines, in oracle-to-fastest order.
+    /// All engines, oracle first.
     #[must_use]
-    pub fn all() -> [Engine; 3] {
-        [Engine::Reference, Engine::Decoded, Engine::Threaded]
+    pub fn all() -> [Engine; 2] {
+        [Engine::Reference, Engine::Threaded]
     }
 
-    /// The command-line name (`reference` / `decoded` / `threaded`).
+    /// The command-line name (`reference` / `threaded`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
-            Engine::Decoded => "decoded",
             Engine::Threaded => "threaded",
         }
     }
@@ -53,10 +50,9 @@ impl FromStr for Engine {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "reference" => Ok(Engine::Reference),
-            "decoded" => Ok(Engine::Decoded),
             "threaded" => Ok(Engine::Threaded),
             other => Err(format!(
-                "unknown engine `{other}` (expected `reference`, `decoded` or `threaded`)"
+                "unknown engine `{other}` (expected `reference` or `threaded`)"
             )),
         }
     }
@@ -71,7 +67,7 @@ mod tests {
         for engine in Engine::all() {
             assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
         }
-        for retired in ["jit", "block"] {
+        for retired in ["jit", "block", "decoded"] {
             assert!(retired.parse::<Engine>().is_err(), "{retired}");
         }
     }

@@ -27,12 +27,14 @@
 //! Programs are **decoded once** at load time (unit classes, latencies,
 //! port costs, operand indices and custom-op semantics pre-resolved from
 //! the machine description), so the per-cycle loop touches only dense
-//! arrays. The original interpret-every-cycle engine survives as
-//! [`ReferenceSimulator`], the golden model differential tests hold the
-//! fast engines bit-identical to. [`ThreadedSimulator`] is the fast
-//! engine for whole runs: it folds each straight-line basic block's
-//! issue schedule at load time and chains the folded blocks into
-//! threaded step streams. [`Engine`] names the three engines.
+//! arrays. [`Simulator`] has two run modes with bit-identical results:
+//! stepping and observed runs go cycle by cycle, and an unobserved
+//! [`Simulator::run`] folds each straight-line basic block's issue
+//! schedule and chains the folded blocks into threaded step streams,
+//! translated on the first such run. The original interpret-every-cycle
+//! engine survives as [`ReferenceSimulator`], the golden model the
+//! differential tests hold both modes bit-identical to. [`Engine`] names
+//! the two engines.
 //!
 //! # Examples
 //!
@@ -75,5 +77,9 @@ pub use memory::Memory;
 pub use profile::{PcProfile, ProfileSink};
 pub use reference::ReferenceSimulator;
 pub use stats::{SimStats, StallBreakdown, StallCause, StallEvent};
-pub use threaded::ThreadedSimulator;
 pub use trace::{NopSink, TeeSink, TraceSink};
+
+/// The name `perfbench` uses for [`Simulator`]: the threaded engine was
+/// a separate type until it folded into `Simulator::run`. The alias goes
+/// when the benchmark harness next changes.
+pub type ThreadedSimulator = Simulator;

@@ -5,6 +5,7 @@ use crate::error::SimError;
 use crate::memory::Memory;
 use crate::semantics::{apply_writes, execute_op, ExecCtx, Write};
 use crate::stats::{SimStats, StallCause, StallEvent};
+use crate::threaded::Translation;
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
 use epic_isa::Instruction;
@@ -14,7 +15,7 @@ use std::sync::Arc;
 const DEFAULT_CYCLE_LIMIT: u64 = 20_000_000_000;
 
 /// What the front half of a cycle (halt check, cycle budget, execute
-/// stage) decided, so `step` and the threaded engine can share it.
+/// stage) decided, so `step` and the threaded run loop can share it.
 pub(crate) enum StepPhase {
     /// Already halted before the cycle began: nothing to do.
     Halted,
@@ -36,8 +37,17 @@ pub(crate) enum StepPhase {
 /// The program is decoded **once** at construction (see
 /// `crates/sim/src/decoded.rs`): unit classes, latencies, port costs,
 /// operand indices and custom-op semantics are resolved up front, so the
-/// per-cycle loop touches only dense arrays. The architectural results
-/// are bit-identical to the interpretive [`crate::ReferenceSimulator`].
+/// per-cycle loop touches only dense arrays.
+///
+/// The machine runs in one of two modes, with bit-identical results.
+/// [`step`](Simulator::step), an observing [`TraceSink`] and stall
+/// recording run the **per-cycle** loop. An unobserved
+/// [`run`](Simulator::run) runs the **threaded** loop (`threaded.rs`):
+/// the first such run translates the program's basic blocks into
+/// chained step streams and keeps the translation for later runs, so a
+/// simulator that is only stepped or observed never builds one. Both
+/// modes are bit-identical to the interpretive
+/// [`crate::ReferenceSimulator`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pub(crate) program: Arc<DecodedProgram>,
@@ -75,6 +85,9 @@ pub struct Simulator {
     stall_log: Vec<StallEvent>,
     /// Reused write-back buffer (no per-bundle allocation).
     write_buf: Vec<Write>,
+    /// The threaded run loop's step table, built by the first
+    /// unobserved run.
+    pub(crate) translation: Translation,
 }
 
 impl Simulator {
@@ -119,6 +132,7 @@ impl Simulator {
             stall_log: Vec::new(),
             write_buf: Vec::new(),
             program: Arc::new(program),
+            translation: Translation::pending(config, bundles, entry),
         })
     }
 
@@ -201,12 +215,6 @@ impl Simulator {
         &self.stall_log
     }
 
-    /// Whether per-cycle stall recording is on (the threaded engine's
-    /// fast path must stand down while it is).
-    pub(crate) fn recording_stalls(&self) -> bool {
-        self.record_stalls
-    }
-
     fn note_stall(&mut self, pc: u32, cause: StallCause) {
         if self.record_stalls {
             self.stall_log.push(StallEvent {
@@ -217,41 +225,45 @@ impl Simulator {
         }
     }
 
-    /// Reads a big-endian word from data memory (no statistics impact).
+    /// Runs until `HALT` (or an error) on the threaded loop, building
+    /// the translation on the first call (unless stall recording is on,
+    /// which keeps the per-cycle loop).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MemoryFault`] on bad addresses.
-    pub fn read_word(&self, address: u32) -> Result<u32, SimError> {
-        let mut probe = self.memory.clone();
-        probe.load(self.pc, address, 4)
-    }
-
-    /// Runs until `HALT` (or an error).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised.
+    /// Returns the first [`SimError`] raised, with the interrupted
+    /// machine state identical to the per-cycle loop's.
     pub fn run(&mut self) -> Result<&SimStats, SimError> {
         self.run_with_sink(&mut NopSink)
     }
 
     /// Runs until `HALT`, streaming per-cycle events into `sink`.
     ///
-    /// The loop is monomorphised per sink type: with [`NopSink`] this is
-    /// exactly [`run`](Simulator::run); with a real sink every issue,
-    /// stall, squash and memory access is reported as it happens.
+    /// The loop is monomorphised per sink type. A blind sink
+    /// (`S::OBSERVED == false`, as [`NopSink`]) makes this exactly
+    /// [`run`](Simulator::run). An observing sink runs the per-cycle
+    /// loop, so every issue, stall, squash and memory access is reported
+    /// as it happens, and builds no translation.
     ///
     /// # Errors
     ///
     /// Returns the first [`SimError`] raised.
     pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<&SimStats, SimError> {
         let program = Arc::clone(&self.program);
-        while self.step_program(&program, sink)? {}
+        if S::OBSERVED || self.record_stalls {
+            while self.step_program(&program, sink)? {}
+        } else {
+            self.run_threaded(&program, sink)?;
+        }
         Ok(&self.stats)
     }
 
-    /// Advances one processor cycle. Returns `false` once halted.
+    /// Advances one processor cycle on the per-cycle loop. Returns
+    /// `false` once halted.
+    ///
+    /// A caller stepping the machine in lockstep with external agents
+    /// (the many-core array's mesh exchange) sees every cycle; stepping
+    /// never builds the threaded translation.
     ///
     /// # Errors
     ///

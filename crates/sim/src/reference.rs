@@ -31,7 +31,7 @@ const DEFAULT_CYCLE_LIMIT: u64 = 20_000_000_000;
 /// Architecturally identical to [`crate::Simulator`] — same 2-stage
 /// pipeline, scoreboard, port budget, predication and branch model —
 /// but paying full instruction interpretation each cycle. Use it only
-/// to cross-validate the decoded engine.
+/// to cross-validate [`crate::Simulator`].
 #[derive(Debug, Clone)]
 pub struct ReferenceSimulator {
     config: Config,
@@ -371,8 +371,8 @@ impl ReferenceSimulator {
         self.last_executed = Some(bpc);
 
         // Pre-count the bundle's shape so the execute event fires before
-        // the per-instruction squash/memory events, exactly as in the
-        // decoded engine (whose counts are resolved at load time).
+        // the per-instruction squash/memory events, exactly as in
+        // `Simulator` (whose counts are resolved at load time).
         let mut unit_ops = [0u64; 4];
         let mut nops = 0u64;
         for instr in &bundle {

@@ -1,9 +1,10 @@
 //! The shared micro-op semantics layer.
 //!
-//! Every execution engine in this crate — the decode-once
-//! [`crate::Simulator`], the interpretive [`crate::ReferenceSimulator`]
-//! oracle and the threaded-code [`crate::ThreadedSimulator`] — executes
-//! architectural operations through this one module: [`decode_action`]
+//! Both execution engines in this crate — the decode-once
+//! [`crate::Simulator`] (its per-cycle loop and the write-buffered path
+//! of its threaded loop) and the interpretive
+//! [`crate::ReferenceSimulator`] oracle — execute architectural
+//! operations through this one module: [`decode_action`]
 //! maps an [`Instruction`] to its resolved [`Action`], and
 //! [`execute_op`] applies one guarded action to the machine state with
 //! the contract both engines previously hand-synchronised:

@@ -1,21 +1,21 @@
-//! The threaded-code execution engine.
+//! The threaded run loop behind an unobserved [`Simulator::run`].
 //!
-//! The decoded engine (`machine.rs`) re-derives the whole issue
+//! The per-cycle loop (`machine.rs`) re-derives the whole issue
 //! negotiation — scoreboard scan, unit availability, port accounting,
 //! stall ladder — on every cycle, and returns to its generic dispatch
 //! loop after every bundle. Inside a straight-line basic block that
-//! negotiation is a load-time constant: the compiled-block substrate
-//! (`block.rs`) replays it once per block and folds it into a
-//! [`CompiledBlock`] with an exact entry signature.
+//! negotiation is a constant: the compiled-block substrate (`block.rs`)
+//! replays it once per block and folds it into a [`CompiledBlock`] with
+//! an exact entry signature.
 //!
-//! [`ThreadedSimulator`] builds on that table and removes the
-//! dispatcher from the hot path. At load time it translates the decoded
-//! program plus the [`CompiledBlock`] table into a flat **step table**:
-//! one pre-bound [`Step`] per bundle address, resolving at translation
-//! time which addresses head a folded stream and which fall back to
-//! per-cycle interpretation. The run loop is then a tight
-//! `loop { match steps[pc] { ... } }` over that table with no per-cycle
-//! scoreboard re-derivation on the fast path:
+//! The threaded loop builds on that table and removes the dispatcher
+//! from the hot path. The first unobserved run translates the decoded
+//! program plus the [`CompiledBlock`] table into a flat **step table**
+//! and keeps it for later runs: one pre-bound [`Step`] per bundle
+//! address, resolving at translation time which addresses head a folded
+//! stream and which fall back to per-cycle interpretation. The run loop
+//! is then a tight `loop { match steps[pc] { ... } }` over that table
+//! with no per-cycle scoreboard re-derivation on the fast path:
 //!
 //! * **Micro-op runs** — each stream's body is re-bound at translation
 //!   time: maximal runs of *pure* bundles (no memory traffic, no op
@@ -33,35 +33,33 @@
 //!   flush bubbles are paid in place, and control jumps directly into
 //!   the successor's step stream when its entry-readiness caps hold —
 //!   without ever returning to the generic dispatcher. The
-//!   [`chained_execs`](ThreadedSimulator::chained_execs) counter
-//!   records every such direct hand-off.
+//!   [`chained_execs`](Simulator::chained_execs) counter records every
+//!   such direct hand-off.
 //! * **Trace linking** — a hot self-loop settles into a steady state:
 //!   after one verified lap (leader → taken back-edge → same leader),
 //!   every scoreboard residue at the next entry is a pure function of
-//!   the block's own bookings and the lap length, so the engine
-//!   memoises (block, scoreboard signature) and admits subsequent laps
-//!   in O(1) — a cycle-budget compare — instead of re-scanning the
-//!   entry caps. The signature is the fetch-bandwidth debt left by the
-//!   terminator, the only lap-to-lap input that can change the lap's
-//!   stall schedule; see `run_chain` for the full soundness argument.
+//!   the block's own bookings and the lap length, so the loop memoises
+//!   (block, scoreboard signature) and admits subsequent laps in O(1) —
+//!   a cycle-budget compare — instead of re-scanning the entry caps.
+//!   The signature is the fetch-bandwidth debt left by the terminator,
+//!   the only lap-to-lap input that can change the lap's stall
+//!   schedule; see `run_chain` for the full soundness argument.
 //!
 //! Everything irregular — entry caps violated, mid-flush, divides,
 //! faults, cycle budget, untranslated addresses — leaves the chain and
-//! re-enters the decoded per-cycle engine at a state the generic
-//! dispatcher can resume exactly, so `SimStats`, registers, memory and
-//! faults stay **bit-identical** to [`crate::Simulator`] by
-//! construction. Under an observing [`TraceSink`] (or per-cycle stall
-//! recording) the engine stands down entirely and runs the decoded
-//! per-cycle loop, producing identical event streams.
+//! re-enters the per-cycle dispatcher at a state it can resume exactly,
+//! so `SimStats`, registers, memory and faults stay **bit-identical** to
+//! stepping the same machine to halt, by construction. Stepping, an
+//! observing [`TraceSink`] and per-cycle stall recording run the
+//! per-cycle loop and never build the translation, so mesh cores,
+//! profile training and stall logs pay nothing for it.
 
 use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
 use crate::decoded::{DecodedBundle, DecodedProgram};
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
 use crate::machine::{Simulator, StepPhase};
-use crate::memory::Memory;
 use crate::semantics::{Action, DecodedOp, Src};
-use crate::stats::{SimStats, StallEvent};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
 use epic_isa::Instruction;
@@ -140,15 +138,24 @@ enum ChainExit {
     Dispatch { executed: bool },
 }
 
-/// The threaded-code simulator: a [`Simulator`] plus translated step
-/// streams with block chaining and trace linking.
+/// What a translation is built from. The shared [`Cfg`] needs the
+/// configuration and the undecoded bundles, so a simulator keeps them,
+/// shared among its clones, until its first unobserved run.
+#[derive(Debug)]
+struct TranslationSource {
+    config: Config,
+    bundles: Vec<Vec<Instruction>>,
+    entry: u32,
+}
+
+/// A simulator's step table and the threaded loop's counters.
 ///
-/// Construction, state accessors and semantics match [`Simulator`]
-/// exactly; only the time-to-result differs. See the module
-/// documentation for the execution model.
-#[derive(Debug, Clone)]
-pub struct ThreadedSimulator {
-    sim: Simulator,
+/// Empty, with its source pending, until the first unobserved run
+/// builds it; kept for every later run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Translation {
+    /// The source of a step table not built yet.
+    pending: Option<Arc<TranslationSource>>,
     /// Pre-bound step per bundle address.
     steps: Vec<Step>,
     /// Arena of translated streams, indexed by [`Step::Enter`].
@@ -158,217 +165,35 @@ pub struct ThreadedSimulator {
     linked: u64,
 }
 
-impl ThreadedSimulator {
-    /// Creates a threaded-code simulator for a configuration, program
-    /// and entry bundle, translating eligible basic blocks into step
-    /// streams up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::IllegalBundle`] exactly when
-    /// [`Simulator::try_new`] does.
-    pub fn try_new(
-        config: &Config,
-        bundles: Vec<Vec<Instruction>>,
-        entry: u32,
-    ) -> Result<Self, SimError> {
-        let cfg = Cfg::build(config, &bundles);
-        let sim = Simulator::try_new(config, bundles, entry)?;
+impl Translation {
+    /// A translation of `bundles` waiting for its first unobserved run.
+    pub(crate) fn pending(config: &Config, bundles: Vec<Vec<Instruction>>, entry: u32) -> Self {
+        Translation {
+            pending: Some(Arc::new(TranslationSource {
+                config: config.clone(),
+                bundles,
+                entry,
+            })),
+            ..Translation::default()
+        }
+    }
+
+    /// Builds the step table, if still pending: every eligible basic
+    /// block becomes a stream.
+    fn build(&mut self, program: &DecodedProgram) {
+        let Some(source) = self.pending.take() else {
+            return;
+        };
+        let cfg = Cfg::build(&source.config, &source.bundles);
         // Translate *every* foldable block: chaining and trace linking
         // amortise the admission cost, and the micro-op runs make even
         // minimal windows profitable.
-        let blocks = compile_blocks(&sim.program, &cfg, entry);
-        let mut steps = vec![Step::Interp; sim.program.bundles.len()];
-        let mut streams = Vec::new();
+        let blocks = compile_blocks(program, &cfg, source.entry);
+        self.steps = vec![Step::Interp; program.bundles.len()];
         for (addr, block) in blocks.into_iter().enumerate() {
             if let Some(block) = block {
-                steps[addr] = Step::Enter(streams.len() as u32);
-                streams.push(translate_stream(&sim.program, block));
-            }
-        }
-        Ok(ThreadedSimulator {
-            sim,
-            steps,
-            streams,
-            fast_blocks: 0,
-            chained: 0,
-            linked: 0,
-        })
-    }
-
-    /// Installs the data memory (e.g. a module's initial image).
-    pub fn set_memory(&mut self, memory: Memory) {
-        self.sim.set_memory(memory);
-    }
-
-    /// Caps the simulated cycles (runaway backstop).
-    pub fn set_cycle_limit(&mut self, limit: u64) {
-        self.sim.set_cycle_limit(limit);
-    }
-
-    /// The data memory.
-    #[must_use]
-    pub fn memory(&self) -> &Memory {
-        self.sim.memory()
-    }
-
-    /// Mutable access to the data memory (see
-    /// [`Simulator::memory_mut`]).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        self.sim.memory_mut()
-    }
-
-    /// Reads a general-purpose register.
-    #[must_use]
-    pub fn gpr(&self, index: usize) -> u32 {
-        self.sim.gpr(index)
-    }
-
-    /// Reads a predicate register (`p0` is hard-wired true).
-    #[must_use]
-    pub fn pred(&self, index: usize) -> bool {
-        self.sim.pred(index)
-    }
-
-    /// Reads a branch target register.
-    #[must_use]
-    pub fn btr(&self, index: usize) -> u32 {
-        self.sim.btr(index)
-    }
-
-    /// Elapsed processor cycles.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.sim.cycle()
-    }
-
-    /// Whether the processor has executed `HALT`.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.sim.is_halted()
-    }
-
-    /// Statistics gathered so far.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        self.sim.stats()
-    }
-
-    /// Enables (or disables) per-cycle stall recording. While recording
-    /// is on the fast path stands down, so the log is complete.
-    pub fn record_stalls(&mut self, on: bool) {
-        self.sim.record_stalls(on);
-    }
-
-    /// The stall events recorded so far.
-    #[must_use]
-    pub fn stall_log(&self) -> &[StallEvent] {
-        self.sim.stall_log()
-    }
-
-    /// How many translated streams executed on the fast path.
-    ///
-    /// Deliberately *not* part of [`SimStats`]: statistics must compare
-    /// equal across engines, and this counter is an engine property.
-    #[must_use]
-    pub fn fast_block_execs(&self) -> u64 {
-        self.fast_blocks
-    }
-
-    /// How many stream executions were entered by chaining — directly
-    /// from a predecessor's terminator, without returning to the
-    /// generic dispatcher. An engine property, not part of `SimStats`.
-    #[must_use]
-    pub fn chained_execs(&self) -> u64 {
-        self.chained
-    }
-
-    /// How many stream entries were admitted by the trace-link memo
-    /// (O(1), no entry-cap scan). Always counted in
-    /// [`chained_execs`](ThreadedSimulator::chained_execs) too.
-    #[must_use]
-    pub fn linked_execs(&self) -> u64 {
-        self.linked
-    }
-
-    /// How many basic blocks translated to a step stream.
-    #[must_use]
-    pub fn translated_blocks(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Unwraps the underlying per-cycle simulator.
-    #[must_use]
-    pub fn into_inner(self) -> Simulator {
-        self.sim
-    }
-
-    /// Advances exactly one processor cycle on the per-cycle decoded
-    /// path. Returns `false` once halted.
-    ///
-    /// The translated fast path only exists for whole-run execution —
-    /// it jumps the cycle counter across entire streams, which a caller
-    /// stepping the machine in lockstep with external agents (the
-    /// many-core array's mesh exchange) must never observe. Results
-    /// stay bit-identical to [`run`](ThreadedSimulator::run) by the
-    /// engine contract; only time-to-result differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised (as [`Simulator::step`]
-    /// does).
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        self.sim.step()
-    }
-
-    /// Runs until `HALT` (or an error), chaining through every
-    /// translated stream whose entry signature is satisfied.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised, with the interrupted
-    /// machine state identical to the decoded engine's.
-    pub fn run(&mut self) -> Result<&SimStats, SimError> {
-        self.run_with_sink(&mut NopSink)
-    }
-
-    /// Runs until `HALT`, streaming per-cycle events into `sink`.
-    ///
-    /// An observing sink (`S::OBSERVED == true`) disables the fast path
-    /// — folded streams have no per-cycle events to report — so such
-    /// runs are plain decoded-engine runs with identical event streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised.
-    pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<&SimStats, SimError> {
-        let program = Arc::clone(&self.sim.program);
-        if S::OBSERVED || self.sim.recording_stalls() {
-            while self.sim.step_program(&program, sink)? {}
-            return Ok(self.sim.stats());
-        }
-        loop {
-            match self.sim.step_front(&program, sink)? {
-                StepPhase::Halted => return Ok(self.sim.stats()),
-                StepPhase::Drained => {}
-                StepPhase::Issue(redirect) => {
-                    if self.sim.pre_issue_stall(&program, redirect, sink) {
-                        self.sim.finish_cycle(sink);
-                        continue;
-                    }
-                    // Cheap pre-filter: only enter the chain loop when a
-                    // stream actually starts here, so untranslated
-                    // regions pay one table load over the decoded path.
-                    if matches!(self.steps.get(self.sim.pc as usize), Some(Step::Enter(_))) {
-                        match self.run_chain(&program)? {
-                            ChainExit::Halted => return Ok(self.sim.stats()),
-                            ChainExit::Dispatch { executed: true } => continue,
-                            ChainExit::Dispatch { executed: false } => {}
-                        }
-                    }
-                    self.sim.try_issue(&program, sink)?;
-                    self.sim.finish_cycle(sink);
-                }
+                self.steps[addr] = Step::Enter(self.streams.len() as u32);
+                self.streams.push(translate_stream(program, block));
             }
         }
     }
@@ -378,13 +203,13 @@ impl ThreadedSimulator {
     ///
     /// Entered with the front end clean at `pc` (nothing in stage 2, no
     /// flush bubbles, `mem_debt < 2`) — exactly the state in which the
-    /// decoded engine would attempt to issue. On `Dispatch` exits the
+    /// per-cycle loop would attempt to issue. On `Dispatch` exits the
     /// machine is always in a state the generic dispatcher resumes
     /// exactly: either at the top of a fresh cycle, or mid-cycle with
     /// stage 2 empty and the pre-issue ladder idempotent, or (on cycle
     /// budget exhaustion) with the pending state intact so
     /// [`Simulator::step_front`] raises [`SimError::CycleLimit`] at the
-    /// same cycle the decoded engine would.
+    /// same cycle the per-cycle loop would.
     ///
     /// # Trace-link soundness
     ///
@@ -402,13 +227,17 @@ impl ThreadedSimulator {
     /// the cycle budget needs checking. ALU occupancy never changes
     /// inside a chain (translated blocks contain no divides) and the
     /// port/flush state is clean by construction.
-    fn run_chain(&mut self, program: &DecodedProgram) -> Result<ChainExit, SimError> {
+    fn run_chain(
+        &mut self,
+        sim: &mut Simulator,
+        program: &DecodedProgram,
+    ) -> Result<ChainExit, SimError> {
         let mut executed = false;
         // The previous transition, when it was a taken back-edge:
         // (stream index, terminator debt) — the trace-link signature.
         let mut from: Option<(u32, u32)> = None;
         loop {
-            let pc = self.sim.pc;
+            let pc = sim.pc;
             let si = match self.steps.get(pc as usize) {
                 Some(&Step::Enter(si)) => si as usize,
                 _ => return Ok(ChainExit::Dispatch { executed }),
@@ -423,16 +252,13 @@ impl ThreadedSimulator {
             }
             let admit = {
                 let stream = &self.streams[si];
-                let budget_ok = self
-                    .sim
+                let budget_ok = sim
                     .cycle
                     .checked_add(stream.block.block_cycles)
-                    .is_some_and(|end| end <= self.sim.cycle_limit);
+                    .is_some_and(|end| end <= sim.cycle_limit);
                 match lap {
                     Some((_, key)) if budget_ok && stream.link == Some(key) => Admit::Linked,
-                    _ if entry_ok(&self.sim, &stream.block) => {
-                        Admit::Verified(lap.map(|(_, key)| key))
-                    }
+                    _ if entry_ok(sim, &stream.block) => Admit::Verified(lap.map(|(_, key)| key)),
                     _ => Admit::Reject,
                 }
             };
@@ -444,7 +270,7 @@ impl ThreadedSimulator {
                 Admit::Verified(None) => {}
             }
 
-            run_stream(&mut self.sim, program, &self.streams[si])?;
+            run_stream(sim, program, &self.streams[si])?;
             self.fast_blocks += 1;
             if executed {
                 self.chained += 1;
@@ -452,51 +278,47 @@ impl ThreadedSimulator {
             executed = true;
 
             // The terminator executes inside the chain, through the
-            // same shared write-back path the decoded engine uses. If
+            // same shared write-back path the per-cycle loop uses. If
             // the cycle budget is exhausted first, hand back with the
             // staged terminator intact: `step_front` raises CycleLimit
-            // at exactly this state, as the decoded engine would.
-            if self.sim.cycle >= self.sim.cycle_limit {
+            // at exactly this state, as the per-cycle loop would.
+            if sim.cycle >= sim.cycle_limit {
                 return Ok(ChainExit::Dispatch { executed });
             }
-            let term = self
-                .sim
-                .stage2
-                .take()
-                .expect("fold_exit staged the terminator");
-            let redirect = self.sim.execute_bundle(program, term, &mut NopSink)?;
-            if self.sim.halted {
+            let term = sim.stage2.take().expect("fold_exit staged the terminator");
+            let redirect = sim.execute_bundle(program, term, &mut NopSink)?;
+            if sim.halted {
                 // Mirror `step_front`'s drain: the halt cycle retires.
-                self.sim.finish_cycle(&mut NopSink);
+                sim.finish_cycle(&mut NopSink);
                 return Ok(ChainExit::Halted);
             }
             // The trace-link signature: debt before the stall ladder.
-            let key = self.sim.mem_debt;
+            let key = sim.mem_debt;
             match redirect {
                 Some(target) => {
                     // Taken branch: the squashed fetch plus the deeper-
                     // pipeline bubbles, each a full front-end cycle, then
-                    // any contention stalls — the decoded pre-issue
+                    // any contention stalls — the per-cycle pre-issue
                     // ladder, paid in place.
-                    self.sim.pc = target;
-                    self.sim.stats.stalls.branch_flush += 1;
-                    self.sim.flush_wait = program.flush_penalty;
-                    self.sim.finish_cycle(&mut NopSink);
-                    while self.sim.flush_wait > 0 {
-                        if self.sim.cycle >= self.sim.cycle_limit {
+                    sim.pc = target;
+                    sim.stats.stalls.branch_flush += 1;
+                    sim.flush_wait = program.flush_penalty;
+                    sim.finish_cycle(&mut NopSink);
+                    while sim.flush_wait > 0 {
+                        if sim.cycle >= sim.cycle_limit {
                             return Ok(ChainExit::Dispatch { executed });
                         }
-                        self.sim.flush_wait -= 1;
-                        self.sim.stats.stalls.branch_flush += 1;
-                        self.sim.finish_cycle(&mut NopSink);
+                        sim.flush_wait -= 1;
+                        sim.stats.stalls.branch_flush += 1;
+                        sim.finish_cycle(&mut NopSink);
                     }
-                    while self.sim.mem_debt >= 2 {
-                        if self.sim.cycle >= self.sim.cycle_limit {
+                    while sim.mem_debt >= 2 {
+                        if sim.cycle >= sim.cycle_limit {
                             return Ok(ChainExit::Dispatch { executed });
                         }
-                        self.sim.mem_debt -= 2;
-                        self.sim.stats.stalls.memory_contention += 1;
-                        self.sim.finish_cycle(&mut NopSink);
+                        sim.mem_debt -= 2;
+                        sim.stats.stalls.memory_contention += 1;
+                        sim.finish_cycle(&mut NopSink);
                     }
                     from = Some((si as u32, key));
                 }
@@ -506,9 +328,97 @@ impl ThreadedSimulator {
                     // pre-issue ladder passes untouched. A pending
                     // contention stall goes back to the dispatcher,
                     // whose ladder pays it identically.
-                    if self.sim.mem_debt >= 2 {
+                    if sim.mem_debt >= 2 {
                         return Ok(ChainExit::Dispatch { executed });
                     }
+                }
+            }
+        }
+    }
+}
+
+impl Simulator {
+    /// How many translated streams executed on the threaded loop's fast
+    /// path.
+    ///
+    /// Deliberately *not* part of [`crate::SimStats`]: statistics must compare
+    /// equal across engines and run modes, and this counter is a
+    /// property of the threaded loop.
+    #[must_use]
+    pub fn fast_block_execs(&self) -> u64 {
+        self.translation.fast_blocks
+    }
+
+    /// How many stream executions were entered by chaining — directly
+    /// from a predecessor's terminator, without returning to the
+    /// generic dispatcher. A loop property, not part of `SimStats`.
+    #[must_use]
+    pub fn chained_execs(&self) -> u64 {
+        self.translation.chained
+    }
+
+    /// How many stream entries were admitted by the trace-link memo
+    /// (O(1), no entry-cap scan). Always counted in
+    /// [`chained_execs`](Simulator::chained_execs) too.
+    #[must_use]
+    pub fn linked_execs(&self) -> u64 {
+        self.translation.linked
+    }
+
+    /// How many basic blocks translated to a step stream: 0 until the
+    /// first unobserved [`run`](Simulator::run) builds the translation.
+    #[must_use]
+    pub fn translated_blocks(&self) -> usize {
+        self.translation.streams.len()
+    }
+
+    /// The threaded run loop: the per-cycle dispatcher, chaining through
+    /// every translated stream whose entry signature is satisfied.
+    /// Builds the translation on first use.
+    pub(crate) fn run_threaded<S: TraceSink>(
+        &mut self,
+        program: &DecodedProgram,
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        // The chain loop mutates the machine and the table's link memo
+        // together, so the table leaves `self` for the run.
+        let mut translation = std::mem::take(&mut self.translation);
+        translation.build(program);
+        let result = self.run_translated(&mut translation, program, sink);
+        self.translation = translation;
+        result
+    }
+
+    fn run_translated<S: TraceSink>(
+        &mut self,
+        translation: &mut Translation,
+        program: &DecodedProgram,
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        loop {
+            match self.step_front(program, sink)? {
+                StepPhase::Halted => return Ok(()),
+                StepPhase::Drained => {}
+                StepPhase::Issue(redirect) => {
+                    if self.pre_issue_stall(program, redirect, sink) {
+                        self.finish_cycle(sink);
+                        continue;
+                    }
+                    // Cheap pre-filter: only enter the chain loop when a
+                    // stream actually starts here, so untranslated
+                    // regions pay one table load over the per-cycle loop.
+                    if matches!(
+                        translation.steps.get(self.pc as usize),
+                        Some(Step::Enter(_))
+                    ) {
+                        match translation.run_chain(self, program)? {
+                            ChainExit::Halted => return Ok(()),
+                            ChainExit::Dispatch { executed: true } => continue,
+                            ChainExit::Dispatch { executed: false } => {}
+                        }
+                    }
+                    self.try_issue(program, sink)?;
+                    self.finish_cycle(sink);
                 }
             }
         }
@@ -754,19 +664,29 @@ fn run_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::StallCause;
+    use crate::memory::Memory;
+    use crate::stats::{SimStats, StallCause};
     use epic_asm::assemble;
 
-    fn build_pair(src: &str, config: &Config, mem: u32) -> (Simulator, ThreadedSimulator) {
+    fn build(src: &str, config: &Config, mem: u32) -> Simulator {
         let program = assemble(src, config).expect("assembles");
-        let mut decoded = Simulator::try_new(config, program.bundles().to_vec(), program.entry())
+        let mut sim = Simulator::try_new(config, program.bundles().to_vec(), program.entry())
             .expect("legal program");
-        let mut threaded =
-            ThreadedSimulator::try_new(config, program.bundles().to_vec(), program.entry())
-                .expect("legal program");
-        decoded.set_memory(Memory::new(mem));
-        threaded.set_memory(Memory::new(mem));
-        (decoded, threaded)
+        sim.set_memory(Memory::new(mem));
+        sim
+    }
+
+    /// Two copies of one loaded program: the first is stepped to halt
+    /// on the per-cycle loop, the second runs.
+    fn build_pair(src: &str, config: &Config, mem: u32) -> (Simulator, Simulator) {
+        (build(src, config, mem), build(src, config, mem))
+    }
+
+    /// Steps to halt on the per-cycle loop: the oracle every threaded
+    /// run is held to.
+    fn step_to_halt(sim: &mut Simulator) -> Result<SimStats, SimError> {
+        while sim.step()? {}
+        Ok(sim.stats)
     }
 
     const LOOP_SRC: &str = "    MOVE r1, #0\n    MOVE r2, #10\n    PBR b1, @loop\n;;\n\
@@ -777,13 +697,13 @@ mod tests {
     #[test]
     fn hot_loop_chains_and_links() {
         let config = Config::default();
-        let (mut decoded, mut threaded) = build_pair(LOOP_SRC, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
+        let (mut stepped, mut threaded) = build_pair(LOOP_SRC, &config, 64);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
         let got = *threaded.run().expect("threaded runs");
         assert_eq!(got, want, "stats must be bit-identical");
         assert_eq!(threaded.gpr(1), 55, "sum 1..=10");
-        assert_eq!(threaded.gpr(1), decoded.gpr(1));
-        assert_eq!(threaded.memory().bytes(), decoded.memory().bytes());
+        assert_eq!(threaded.gpr(1), stepped.gpr(1));
+        assert_eq!(threaded.memory().bytes(), stepped.memory().bytes());
         assert!(
             threaded.fast_block_execs() >= 9,
             "the loop body must run translated (got {})",
@@ -799,6 +719,31 @@ mod tests {
             "steady-state laps must be link-admitted (got {})",
             threaded.linked_execs()
         );
+    }
+
+    #[test]
+    fn run_after_any_number_of_steps_matches_stepping() {
+        // The translation is built from a stepped, mid-run state: every
+        // cycle of the run is a possible hand-over point, including the
+        // halt itself.
+        let config = Config::default();
+        let mut full = build(LOOP_SRC, &config, 64);
+        let want = step_to_halt(&mut full).expect("steps to halt");
+        assert_eq!(full.translated_blocks(), 0, "stepping never translates");
+        for k in 0..=want.cycles {
+            let mut sim = build(LOOP_SRC, &config, 64);
+            for _ in 0..k {
+                sim.step().expect("steps");
+            }
+            assert_eq!(sim.translated_blocks(), 0, "k {k}");
+            let got = *sim.run().expect("runs");
+            assert!(sim.translated_blocks() > 0, "k {k}");
+            assert_eq!(got, want, "k {k}");
+            assert_eq!(sim.gprs, full.gprs, "k {k}");
+            assert_eq!(sim.preds, full.preds, "k {k}");
+            assert_eq!(sim.btrs, full.btrs, "k {k}");
+            assert_eq!(sim.memory.bytes(), full.memory.bytes(), "k {k}");
+        }
     }
 
     #[test]
@@ -819,22 +764,20 @@ mod tests {
                            SW r2, r9, #0\n;;\n    ADD r3, r2, #1\n;;\n    HALT\n;;\n";
         let config = Config::default();
         for (src, chains) in [(looped, true), (entry_block, false)] {
-            let (mut decoded, mut threaded) = build_pair(src, &config, 64);
-            let want_err = decoded.run().expect_err("store faults");
-            let got_err = threaded.run().expect_err("store faults");
+            let (mut want, mut got) = build_pair(src, &config, 64);
+            let want_err = step_to_halt(&mut want).expect_err("store faults");
+            let got_err = got.run().expect_err("store faults");
             assert_eq!(format!("{got_err}"), format!("{want_err}"));
             assert!(
-                threaded.translated_blocks() > 0,
+                got.translated_blocks() > 0,
                 "the faulting block must be translated"
             );
             if chains {
                 assert!(
-                    threaded.chained_execs() > 0,
+                    got.chained_execs() > 0,
                     "the loop must have chained before the fault"
                 );
             }
-            let want = decoded;
-            let got = threaded.into_inner();
             assert_eq!(got.stats, want.stats, "interrupted stats must match");
             assert_eq!(got.cycle, want.cycle);
             assert_eq!(got.pc, want.pc);
@@ -859,11 +802,11 @@ mod tests {
             .issue_width(1)
             .build()
             .unwrap();
-        let (mut decoded, mut threaded) = build_pair(src, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
+        let (mut stepped, mut threaded) = build_pair(src, &config, 64);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
         let got = *threaded.run().expect("threaded runs");
         assert_eq!(got, want);
-        assert_eq!(threaded.gpr(1), decoded.gpr(1));
+        assert_eq!(threaded.gpr(1), stepped.gpr(1));
         assert!(threaded.chained_execs() > 0);
     }
 
@@ -871,8 +814,8 @@ mod tests {
     fn deeper_pipelines_pay_bubbles_in_the_chain() {
         // flush_penalty > 0 exercises the in-chain bubble ladder.
         let config = Config::builder().pipeline_stages(4).build().unwrap();
-        let (mut decoded, mut threaded) = build_pair(LOOP_SRC, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
+        let (mut stepped, mut threaded) = build_pair(LOOP_SRC, &config, 64);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
         let got = *threaded.run().expect("threaded runs");
         assert_eq!(got, want);
         assert!(want.stalls.branch_flush >= 27, "3 bubbles per taken branch");
@@ -884,18 +827,15 @@ mod tests {
         // Every prefix of the run must be interrupted identically: sweep
         // the limit across fill, chained laps and the drain.
         let config = Config::default();
-        let (full, _) = build_pair(LOOP_SRC, &config, 64);
-        let mut full = full;
-        let total = full.run().expect("full run").cycles;
+        let mut full = build(LOOP_SRC, &config, 64);
+        let total = step_to_halt(&mut full).expect("full run").cycles;
         for limit in 1..total {
-            let (mut decoded, mut threaded) = build_pair(LOOP_SRC, &config, 64);
-            decoded.set_cycle_limit(limit);
-            threaded.set_cycle_limit(limit);
-            let want_err = decoded.run().expect_err("limit hit");
-            let got_err = threaded.run().expect_err("limit hit");
+            let (mut want, mut got) = build_pair(LOOP_SRC, &config, 64);
+            want.set_cycle_limit(limit);
+            got.set_cycle_limit(limit);
+            let want_err = step_to_halt(&mut want).expect_err("limit hit");
+            let got_err = got.run().expect_err("limit hit");
             assert_eq!(format!("{got_err}"), format!("{want_err}"), "limit {limit}");
-            let want = decoded;
-            let got = threaded.into_inner();
             assert_eq!(got.stats, want.stats, "limit {limit}");
             assert_eq!(got.cycle, want.cycle, "limit {limit}");
             assert_eq!(got.pc, want.pc, "limit {limit}");
@@ -912,31 +852,41 @@ mod tests {
             }
         }
         let config = Config::default();
-        let (mut decoded, mut threaded) = build_pair(LOOP_SRC, &config, 64);
-        let want = *decoded.run().expect("decoded runs");
+        let (mut stepped, mut observed) = build_pair(LOOP_SRC, &config, 64);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
         let mut sink = Counter(0);
-        let got = *threaded.run_with_sink(&mut sink).expect("threaded runs");
+        let got = *observed.run_with_sink(&mut sink).expect("observed run");
         assert_eq!(got, want);
         assert_eq!(
             sink.0, want.cycles,
             "observed runs must retire every cycle individually"
         );
-        assert_eq!(threaded.fast_block_execs(), 0);
-        assert_eq!(threaded.chained_execs(), 0);
+        assert_eq!(observed.fast_block_execs(), 0);
+        assert_eq!(observed.chained_execs(), 0);
+        assert_eq!(observed.translated_blocks(), 0);
+
+        // Profile training observes through a `ProfileSink`.
+        let mut profiled = build(LOOP_SRC, &config, 64);
+        let got = *profiled
+            .run_with_sink(&mut crate::ProfileSink::default())
+            .expect("profiled run");
+        assert_eq!(got, want);
+        assert_eq!(profiled.translated_blocks(), 0);
     }
 
     #[test]
     fn stall_recording_disables_the_fast_path() {
         let config = Config::default();
-        let (mut decoded, mut threaded) = build_pair(LOOP_SRC, &config, 64);
-        decoded.record_stalls(true);
-        threaded.record_stalls(true);
-        let want = *decoded.run().expect("decoded runs");
-        let got = *threaded.run().expect("threaded runs");
+        let (mut stepped, mut recorded) = build_pair(LOOP_SRC, &config, 64);
+        stepped.record_stalls(true);
+        recorded.record_stalls(true);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
+        let got = *recorded.run().expect("recorded run");
         assert_eq!(got, want);
-        assert_eq!(threaded.fast_block_execs(), 0);
-        assert_eq!(threaded.stall_log(), decoded.stall_log());
-        assert!(threaded
+        assert_eq!(recorded.fast_block_execs(), 0);
+        assert_eq!(recorded.translated_blocks(), 0);
+        assert_eq!(recorded.stall_log(), stepped.stall_log());
+        assert!(recorded
             .stall_log()
             .iter()
             .any(|e| e.cause == StallCause::BranchFlush));
@@ -947,10 +897,10 @@ mod tests {
         let src = "    MOVE r1, #40\n    MOVE r2, #4\n;;\n    DIV r3, r1, r2\n;;\n\
                    ADD r4, r3, #1\n;;\n    HALT\n;;\n";
         let config = Config::default();
-        let (mut decoded, mut threaded) = build_pair(src, &config, 0);
-        assert_eq!(threaded.translated_blocks(), 0, "the divide poisons it");
-        let want = *decoded.run().expect("decoded runs");
+        let (mut stepped, mut threaded) = build_pair(src, &config, 0);
+        let want = step_to_halt(&mut stepped).expect("steps to halt");
         let got = *threaded.run().expect("threaded runs");
+        assert_eq!(threaded.translated_blocks(), 0, "the divide poisons it");
         assert_eq!(got, want);
         assert_eq!(threaded.gpr(3), 10);
     }

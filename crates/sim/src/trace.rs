@@ -3,10 +3,11 @@
 //! [`TraceSink`] is the contract between the execution engines and any
 //! observer — a metrics registry, a Perfetto trace writer, a profiler
 //! (all in `epic-obs`). The engines are **monomorphised** over the sink:
-//! [`crate::Simulator::run_with_sink`] instantiates the per-cycle loop
-//! once per sink type, so with [`NopSink`] every event call inlines to
-//! nothing and the plain [`crate::Simulator::run`] path keeps its
-//! decode-once throughput (the `sim_throughput` bench pins the claim).
+//! [`crate::Simulator::run_with_sink`] is instantiated once per sink
+//! type. An observing sink gets the per-cycle loop and every event; a
+//! blind one such as [`NopSink`] gets the threaded loop, where every
+//! event call inlines to nothing, so the plain [`crate::Simulator::run`]
+//! path pays nothing for the seam.
 //!
 //! Every event carries the processor cycle it happened in and the bundle
 //! address the front end was working on, so sinks can reconstruct the
@@ -31,13 +32,13 @@ use crate::stats::StallCause;
 pub trait TraceSink {
     /// Whether this sink observes events.
     ///
-    /// The threaded-code engine ([`crate::ThreadedSimulator`]) folds
-    /// whole basic blocks into single state updates and chains them into
-    /// translated step streams, eliding the per-cycle event stream. It
-    /// only does so when the sink statically declares itself blind
-    /// (`OBSERVED == false`); observing sinks get the ordinary
-    /// per-cycle engine and therefore the exact event sequence. Leave
-    /// this `true` unless every method is a no-op.
+    /// The threaded run loop of [`crate::Simulator::run_with_sink`]
+    /// folds whole basic blocks into single state updates and chains
+    /// them into translated step streams, eliding the per-cycle event
+    /// stream. It only does so when the sink statically declares itself
+    /// blind (`OBSERVED == false`); observing sinks get the per-cycle
+    /// loop and therefore the exact event sequence, and never build the
+    /// translation. Leave this `true` unless every method is a no-op.
     const OBSERVED: bool = true;
 
     /// A bundle left the Fetch/Decode/Issue stage this cycle.

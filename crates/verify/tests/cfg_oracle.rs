@@ -1,7 +1,7 @@
 //! Differential CFG oracle: every dataflow result over the shared
 //! control-flow graph ([`Cfg`]) is only sound if the graph
 //! over-approximates what the hardware can do. The verifier, `epic-bound`,
-//! the threaded engine and `epic-isx` all run on it. This test drives the
+//! `Simulator`'s threaded loop and `epic-isx` all run on it. This test drives the
 //! reference simulator one cycle at a time over every compiled workload
 //! and asserts that **every** bundle-to-bundle transition it actually
 //! takes is an edge of [`Cfg::build`] whose `delta` is at most the cycle

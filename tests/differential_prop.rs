@@ -12,7 +12,7 @@
 use epic_core::config::Config;
 use epic_core::ir::ast::{Expr, FunctionDef, Program, Stmt};
 use epic_core::ir::{lower, Global, Interpreter};
-use epic_core::sim::{Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_core::sim::{Memory, ReferenceSimulator, Simulator};
 use epic_core::{run_sa110, Toolchain};
 use proptest::prelude::*;
 
@@ -199,8 +199,9 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The three execution engines — reference oracle, decode-once,
-    /// threaded-code — must be bit-identical (statistics, every
+    /// The three execution paths — the reference oracle, and
+    /// [`Simulator`] stepped on its per-cycle loop and run on its
+    /// threaded loop — must be bit-identical (statistics, every
     /// architectural register, the full memory image) on random
     /// programs, at both a narrow and a wide machine.
     /// This is the property the folded cycle accounting and the chained
@@ -229,24 +230,21 @@ proptest! {
             let mut decoded = Simulator::try_new(&config, bundles.clone(), entry)
                 .expect("decode accepts legal programs");
             decoded.set_memory(Memory::from_image(image.clone()));
-            decoded.run().expect("decoded engine runs");
+            let mut threaded = decoded.clone();
+            while decoded.step().expect("per-cycle loop runs") {}
+            threaded.run().expect("threaded loop runs");
 
-            let mut reference = ReferenceSimulator::new(&config, bundles.clone(), entry);
-            reference.set_memory(Memory::from_image(image.clone()));
+            let mut reference = ReferenceSimulator::new(&config, bundles, entry);
+            reference.set_memory(Memory::from_image(image));
             reference.run().expect("reference engine runs");
-
-            let mut threaded = ThreadedSimulator::try_new(&config, bundles, entry)
-                .expect("threaded translation accepts legal programs");
-            threaded.set_memory(Memory::from_image(image));
-            threaded.run().expect("threaded engine runs");
 
             prop_assert_eq!(
                 decoded.stats(), reference.stats(),
-                "stats diverged (decoded vs reference, {} ALU / {}-wide)", alus, width
+                "stats diverged (per-cycle vs reference, {} ALU / {}-wide)", alus, width
             );
             prop_assert_eq!(
                 decoded.stats(), threaded.stats(),
-                "stats diverged (decoded vs threaded, {} ALU / {}-wide)", alus, width
+                "stats diverged (per-cycle vs threaded, {} ALU / {}-wide)", alus, width
             );
             for r in 0..config.num_gprs() {
                 prop_assert_eq!(decoded.gpr(r), threaded.gpr(r), "threaded r{} diverged", r);

@@ -1,6 +1,6 @@
 //! Differential regression: the scheduler's stall-freedom claims, enforced,
-//! and the decode-once engine pinned bit-identical to the interpretive
-//! oracle.
+//! and both of the decode-once engine's run modes pinned bit-identical to
+//! the interpretive oracle.
 //!
 //! `crates/compiler/src/sched.rs` documents that scheduled code respects
 //! the register-file port budget "so the scheduled code never provokes
@@ -11,22 +11,22 @@
 //! `regfile_port` and zero `unit_busy` stalls — cross-validated against
 //! the static verifier, which must accept exactly these programs.
 //!
-//! The second test runs the same grid through all three execution
-//! engines — the decode-once [`Simulator`], the frozen
-//! [`ReferenceSimulator`] oracle and the threaded-code
-//! [`ThreadedSimulator`] — and demands bit-identical statistics,
-//! register files and memory images. Any divergence in the decoded fast
-//! path, the folded block accounting or the chained step streams fails
-//! here before it can skew a single paper number.
+//! The second test runs the same grid through three execution paths —
+//! [`Simulator`] stepped to halt on its per-cycle loop, the same machine
+//! run on its threaded loop, and the frozen [`ReferenceSimulator`]
+//! oracle — and demands bit-identical statistics, register files and
+//! memory images. Any divergence in the decoded per-cycle path, the
+//! folded block accounting or the chained step streams fails here
+//! before it can skew a single paper number.
 //!
-//! The remaining tests pin the threaded engine's *raison d'être*: on
+//! The remaining tests pin the threaded loop's *raison d'être*: on
 //! real workloads it must actually take its folded fast path and chain
 //! blocks, not silently fall back to per-cycle stepping everywhere.
 
 use epic_core::config::Config;
 use epic_core::experiments::run_epic_workload_with_engine;
 use epic_core::ir::lower;
-use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
+use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator};
 use epic_core::workloads::{self, Scale};
 use epic_core::Toolchain;
 
@@ -85,83 +85,59 @@ fn all_three_engines_are_bit_identical_across_the_grid() {
                     });
                 let label = format!("{} alus={alus} iw={issue_width}", workload.name);
 
-                // Re-run the exact same binary on the decoded engine
-                // (from scratch, not the toolchain's simulator, so the
-                // comparison covers the whole decode path) and on the
+                // Re-run the exact same binary from scratch (not the
+                // toolchain's simulator, so the comparison covers the
+                // whole decode path): stepped, run, and on the
                 // interpretive oracle.
                 let image = module.initial_memory(&layout);
                 let bundles = run.program.bundles().to_vec();
                 let entry = run.program.entry();
 
-                let mut decoded = Simulator::try_new(&config, bundles.clone(), entry)
+                let mut stepped = Simulator::try_new(&config, bundles.clone(), entry)
                     .unwrap_or_else(|e| panic!("{label}: decode rejected legal program: {e}"));
-                decoded.set_memory(Memory::from_image(image.clone()));
-                decoded
-                    .run()
-                    .unwrap_or_else(|e| panic!("{label}: decoded run failed: {e}"));
-
-                let mut oracle = ReferenceSimulator::new(&config, bundles.clone(), entry);
-                oracle.set_memory(Memory::from_image(image.clone()));
-                oracle
-                    .run()
-                    .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
-
-                let mut threaded = ThreadedSimulator::try_new(&config, bundles, entry)
-                    .unwrap_or_else(|e| panic!("{label}: threaded translation rejected: {e}"));
-                threaded.set_memory(Memory::from_image(image));
+                stepped.set_memory(Memory::from_image(image.clone()));
+                let mut threaded = stepped.clone();
+                while stepped
+                    .step()
+                    .unwrap_or_else(|e| panic!("{label}: per-cycle run failed: {e}"))
+                {
+                }
                 threaded
                     .run()
                     .unwrap_or_else(|e| panic!("{label}: threaded run failed: {e}"));
 
+                let mut oracle = ReferenceSimulator::new(&config, bundles, entry);
+                oracle.set_memory(Memory::from_image(image));
+                oracle
+                    .run()
+                    .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
+
                 assert_eq!(
-                    decoded.stats(),
-                    oracle.stats(),
-                    "{label}: SimStats diverged between decoded and reference"
-                );
-                assert_eq!(
-                    decoded.stats(),
-                    threaded.stats(),
-                    "{label}: SimStats diverged between decoded and threaded"
-                );
-                assert_eq!(
-                    decoded.stats(),
                     run.stats(),
+                    oracle.stats(),
                     "{label}: toolchain-embedded simulator diverged"
                 );
-                for r in 0..config.num_gprs() {
-                    assert_eq!(decoded.gpr(r), oracle.gpr(r), "{label}: r{r} diverged");
+                for (path, sim) in [("per-cycle", &stepped), ("threaded", &threaded)] {
                     assert_eq!(
-                        decoded.gpr(r),
-                        threaded.gpr(r),
-                        "{label}: threaded r{r} diverged"
+                        sim.stats(),
+                        oracle.stats(),
+                        "{label}: {path} SimStats diverged from reference"
+                    );
+                    for r in 0..config.num_gprs() {
+                        assert_eq!(sim.gpr(r), oracle.gpr(r), "{label}: {path} r{r} diverged");
+                    }
+                    for p in 0..config.num_pred_regs() {
+                        assert_eq!(sim.pred(p), oracle.pred(p), "{label}: {path} p{p} diverged");
+                    }
+                    for b in 0..config.num_btrs() {
+                        assert_eq!(sim.btr(b), oracle.btr(b), "{label}: {path} b{b} diverged");
+                    }
+                    assert_eq!(
+                        sim.memory().bytes(),
+                        oracle.memory().bytes(),
+                        "{label}: {path} final memory image diverged"
                     );
                 }
-                for p in 0..config.num_pred_regs() {
-                    assert_eq!(decoded.pred(p), oracle.pred(p), "{label}: p{p} diverged");
-                    assert_eq!(
-                        decoded.pred(p),
-                        threaded.pred(p),
-                        "{label}: threaded p{p} diverged"
-                    );
-                }
-                for b in 0..config.num_btrs() {
-                    assert_eq!(decoded.btr(b), oracle.btr(b), "{label}: b{b} diverged");
-                    assert_eq!(
-                        decoded.btr(b),
-                        threaded.btr(b),
-                        "{label}: threaded b{b} diverged"
-                    );
-                }
-                assert_eq!(
-                    decoded.memory().bytes(),
-                    oracle.memory().bytes(),
-                    "{label}: final memory images diverged"
-                );
-                assert_eq!(
-                    decoded.memory().bytes(),
-                    threaded.memory().bytes(),
-                    "{label}: threaded final memory image diverged"
-                );
             }
         }
     }
@@ -175,27 +151,28 @@ fn threaded_engine_chains_blocks_on_every_workload() {
             .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
         assert!(
             run.outcome.fast_block_execs > 0,
-            "{}: the threaded engine never entered a step stream",
+            "{}: the threaded run never entered a step stream",
             workload.name
         );
         assert!(
             run.outcome.chained_execs > 0,
-            "{}: the threaded engine never chained from one stream into \
+            "{}: the threaded run never chained from one stream into \
              the next (every block bounced through the dispatcher)",
             workload.name
         );
     }
 }
 
-/// Throughput smoke gate, run explicitly in CI (`--ignored`): the
-/// threaded engine may not be slower than the decoded engine on
-/// Dijkstra — the branchiest workload, i.e. the one with the least
-/// straight-line code to fold. Interleaved best-of-5 timing on
-/// identical cloned machines, with a 5% tolerance so the gate trips on
-/// regressions, not on noise.
+/// Throughput smoke gate, run explicitly in CI (`--ignored`): a
+/// threaded run, translation included, may not be slower than stepping
+/// the same machine to halt on Dijkstra — the branchiest workload, i.e.
+/// the one with the least straight-line code to fold. Interleaved
+/// best-of-5 timing on identical cloned machines, each starting
+/// untranslated, with a 5% tolerance so the gate trips on regressions,
+/// not on noise.
 #[test]
 #[ignore = "timing-sensitive; CI runs it on a quiet runner"]
-fn threaded_engine_is_not_slower_than_decoded_on_dijkstra() {
+fn threaded_run_is_not_slower_than_stepping_on_dijkstra() {
     let workload = workloads::all(Scale::Test)
         .into_iter()
         .find(|w| w.name == "dijkstra")
@@ -207,41 +184,32 @@ fn threaded_engine_is_not_slower_than_decoded_on_dijkstra() {
         .run_module(&module, &workload.entry, &[], &workload.inline_hints())
         .expect("pipeline runs");
     let image = module.initial_memory(&layout);
-    let bundles = run.program.bundles().to_vec();
-    let entry = run.program.entry();
-
-    let decoded = {
-        let mut sim = Simulator::try_new(&config, bundles.clone(), entry).expect("decodes");
-        sim.set_memory(Memory::from_image(image.clone()));
-        sim
-    };
-    let threaded = {
-        let mut sim = ThreadedSimulator::try_new(&config, bundles, entry).expect("translates");
-        sim.set_memory(Memory::from_image(image));
-        sim
-    };
+    let mut machine =
+        Simulator::try_new(&config, run.program.bundles().to_vec(), run.program.entry())
+            .expect("decodes");
+    machine.set_memory(Memory::from_image(image));
 
     let mut best = [u128::MAX; 2];
     for rep in 0..=5 {
-        let mut sim = decoded.clone();
+        let mut sim = machine.clone();
         let start = std::time::Instant::now();
-        sim.run().expect("runs");
-        let decoded_ns = start.elapsed().as_nanos();
+        while sim.step().expect("steps") {}
+        let stepped_ns = start.elapsed().as_nanos();
 
-        let mut sim = threaded.clone();
+        let mut sim = machine.clone();
         let start = std::time::Instant::now();
         sim.run().expect("runs");
         let threaded_ns = start.elapsed().as_nanos();
 
-        // Rep 0 is a warm-up for all engines.
+        // Rep 0 is a warm-up for both paths.
         if rep > 0 {
-            best[0] = best[0].min(decoded_ns);
+            best[0] = best[0].min(stepped_ns);
             best[1] = best[1].min(threaded_ns);
         }
     }
     assert!(
         best[1] as f64 <= best[0] as f64 * 1.05,
-        "threaded engine slower than decoded on dijkstra: {}ns vs {}ns",
+        "threaded run slower than stepping on dijkstra: {}ns vs {}ns",
         best[1],
         best[0]
     );

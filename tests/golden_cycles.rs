@@ -14,10 +14,10 @@
 //! and commit the updated `tests/golden/cycles.txt` alongside the
 //! change that caused it.
 //!
-//! `EPIC_ENGINE=reference|decoded|threaded` selects the simulation engine
-//! the corpus is measured on. The golden file is engine-independent —
-//! all three engines are bit-identical by contract — so CI runs this
-//! test once per engine against the *same* committed corpus.
+//! `EPIC_ENGINE=reference|threaded` selects the simulation engine the
+//! corpus is measured on (default threaded: `Simulator::run`). The
+//! golden file is engine-independent — both engines are bit-identical
+//! by contract — so the same committed corpus serves both.
 
 use epic_core::config::Config;
 use epic_core::experiments::run_epic_workload_with_engine;
@@ -53,7 +53,7 @@ fn stats_line(workload: &str, alus: usize, width: usize, s: &SimStats) -> String
     )
 }
 
-/// The engine under test (`EPIC_ENGINE`, default decoded).
+/// The engine under test (`EPIC_ENGINE`, default threaded).
 fn engine_under_test() -> Engine {
     match std::env::var("EPIC_ENGINE") {
         Ok(name) => name

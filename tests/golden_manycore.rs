@@ -12,10 +12,10 @@
 //! EPIC_BLESS=1 cargo test --test golden_manycore
 //! ```
 //!
-//! `EPIC_ENGINE=reference|decoded` selects the core engine (the array
-//! refuses threaded cores); the file is engine-independent because the
-//! engines are bit-identical by contract, so CI can replay the same
-//! corpus on both.
+//! `EPIC_ENGINE=reference|threaded` selects the core engine (default
+//! threaded: `Simulator`, stepped per cycle); the file is
+//! engine-independent because the engines are bit-identical by
+//! contract, so the same corpus serves both.
 //!
 //! [`SimStats`]: epic_core::sim::SimStats
 
@@ -31,7 +31,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manycore.txt")
 }
 
-/// The engine under test (`EPIC_ENGINE`, default decoded).
+/// The engine under test (`EPIC_ENGINE`, default threaded).
 fn engine_under_test() -> Engine {
     match std::env::var("EPIC_ENGINE") {
         Ok(name) => name

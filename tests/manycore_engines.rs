@@ -1,7 +1,7 @@
 //! Per-core engine identity inside the array: a mesh run must produce
 //! identical per-core statistics, architectural registers and final
-//! memories whether the reference interpreter or the decoded simulator
-//! powers the cores.
+//! memories whether the reference interpreter or the production
+//! `Simulator`, stepped on its per-cycle loop, powers the cores.
 //!
 //! This extends the single-core engine contract (see
 //! `tests/differential_regression.rs`) to the lockstep world: the NoC
@@ -9,7 +9,7 @@
 //! any engine that buffered stores across a cycle boundary or retired
 //! them early would diverge here.
 
-use epic_core::array::MeshSpec;
+use epic_core::array::{CoreSim, MeshSpec};
 use epic_core::config::Config;
 use epic_core::experiments::{run_mesh_workload, MeshRun};
 use epic_core::sim::Engine;
@@ -42,15 +42,25 @@ fn snapshot(run: &MeshRun, config: &Config) -> String {
 fn engines_agree_on_a_2x2_mesh() {
     let config = Config::builder().num_alus(2).build().expect("valid config");
     for workload in mesh::all(Scale::Test) {
-        let [reference, decoded] = [Engine::Reference, Engine::Decoded].map(|engine| {
+        let [reference, threaded] = [Engine::Reference, Engine::Threaded].map(|engine| {
             let spec = MeshSpec::new(2, 2).with_engine(engine);
             let run = run_mesh_workload(&workload, &config, &spec)
                 .unwrap_or_else(|e| panic!("{} on {engine} cores: {e}", workload.name));
+            for core in 0..run.outcome.per_core.len() {
+                if let CoreSim::Threaded(sim) = run.array.core(core) {
+                    assert_eq!(
+                        sim.translated_blocks(),
+                        0,
+                        "{}: stepped core {core} built a translation",
+                        workload.name
+                    );
+                }
+            }
             snapshot(&run, &config)
         });
         assert_eq!(
-            reference, decoded,
-            "{}: decoded cores diverged from reference cores",
+            reference, threaded,
+            "{}: threaded cores diverged from reference cores",
             workload.name
         );
     }
