@@ -33,16 +33,18 @@
 //! `--check` (on `bench --throughput`, `isx` and `array`) regenerates
 //! the command's committed JSON and compares it byte for byte with the
 //! file instead of rewriting it.
+//!
+//! Any other `--` argument is an error.
 
 use epic_bench::sweep::sweep_grid_observed;
 use epic_bench::{render_headline, render_resources};
 use epic_core::config::{Config, CustomOp, CustomSemantics};
 use epic_core::experiments::{
     figure_series, headline_checks, prepare_epic_workload, resource_usage, run_epic_workload,
-    run_epic_workload_with_engine, table1, Table1,
+    table1, verify_workload_memory, Table1,
 };
 use epic_core::explore::{pareto, render, sweep, sweep_alus};
-use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator};
+use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator, TraceSink};
 use epic_core::workloads::{self, Scale};
 use std::path::Path;
 use std::process::ExitCode;
@@ -52,6 +54,10 @@ const ALUS: [usize; 4] = [1, 2, 3, 4];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let full = args.iter().any(|a| a == "--full");
     let threads = match parse_threads(&args) {
         Ok(n) => n,
@@ -113,6 +119,24 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Rejects any `--` argument that is not one of the flags above, so a
+/// stale invocation fails instead of running as if the flag were absent.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    const SWITCHES: [&str; 3] = ["--full", "--throughput", "--check"];
+    const VALUED: [&str; 2] = ["--threads", "--out"];
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUED.contains(&arg.as_str()) {
+            args.next();
+        } else if arg.starts_with("--") && !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown flag `{arg}`; see the module docs for usage"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Parses `--threads N` (0 or absent = use every core).
@@ -269,27 +293,27 @@ fn cmd_bench(scale: Scale, out: Option<std::path::PathBuf>) -> Result<(), String
                     .issue_width(width)
                     .build()
                     .expect("valid grid configuration");
+                let at = |e: &dyn std::fmt::Display| {
+                    format!("{} at {alus} ALU / {width}-wide: {e}", workload.name)
+                };
+                let (toolchain, prepared) =
+                    prepare_epic_workload(workload, &config).map_err(|e| at(&e))?;
+                let check = toolchain
+                    .run_prepared(&prepared, Engine::Threaded)
+                    .map_err(|e| at(&format_args!("threaded: {e}")))?;
                 let mut sink = epic_obs::ProfileSink::default();
-                let run = epic_core::experiments::run_epic_workload_observed(
-                    workload, &config, &mut sink,
-                )
-                .map_err(|e| format!("{} at {alus} ALU / {width}-wide: {e}", workload.name))?;
+                let run = toolchain
+                    .run_prepared_observed(prepared, &mut sink)
+                    .map_err(|e| at(&e))?;
+                verify_workload_memory(workload, run.simulator.memory().bytes())
+                    .map_err(|e| at(&e))?;
                 let stats = run.stats();
-                let check = run_epic_workload_with_engine(workload, &config, Engine::Threaded)
-                    .map_err(|e| {
-                        format!(
-                            "{} at {alus} ALU / {width}-wide, threaded: {e}",
-                            workload.name
-                        )
-                    })?;
-                if check.stats() != stats {
-                    return Err(format!(
-                        "{} at {alus} ALU / {width}-wide: the threaded run disagrees with \
-                         the observed per-cycle run ({} vs {} cycles)",
-                        workload.name,
-                        check.stats().cycles,
-                        stats.cycles
-                    ));
+                if check.stats != *stats {
+                    return Err(at(&format_args!(
+                        "the threaded run disagrees with the observed per-cycle run \
+                         ({} vs {} cycles)",
+                        check.stats.cycles, stats.cycles
+                    )));
                 }
                 let sched = run.compiled.stats().sched;
                 let counts: std::collections::BTreeMap<u32, u64> =
@@ -652,11 +676,18 @@ fn cmd_array(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Resu
     write_or_check(&out, &json, check, "repro -- array")
 }
 
+/// A sink that declares itself observing and records nothing, so
+/// `Simulator::run_with_sink` takes the per-cycle loop to halt.
+struct PerCycle;
+
+impl TraceSink for PerCycle {}
+
 /// Engine throughput race: every workload × the four corners of the
 /// (ALUs, issue-width) grid, each binary prepared once (compile,
 /// assemble, profile training) and then simulated to completion in
 /// three lanes from identical cloned machines: the reference engine's
-/// `run`, `Simulator` stepped to halt on its per-cycle loop, and
+/// `run`, `Simulator` run to halt on its per-cycle loop (under
+/// [`PerCycle`], the loop every stepped or observed run takes), and
 /// `Simulator::run` on its threaded loop. Every clone starts without a
 /// translation, so the `run` lane's time includes translating the
 /// program. Timing is interleaved rep-major — reference, per-cycle,
@@ -695,9 +726,9 @@ fn cmd_bench_throughput(
         "iw",
         "cycles",
         "ref Mc/s",
-        "step Mc/s",
+        "cycle Mc/s",
         "run Mc/s",
-        "run/step",
+        "run/cyc",
         "fast blks",
         "chained"
     );
@@ -743,7 +774,8 @@ fn cmd_bench_throughput(
                 let mut sim = machine.clone();
                 let start = Instant::now();
                 if lane == 1 {
-                    while sim.step().expect("verified workloads never fault") {}
+                    sim.run_with_sink(&mut PerCycle)
+                        .expect("verified workloads never fault");
                 } else {
                     sim.run().expect("verified workloads never fault");
                 }

@@ -291,7 +291,12 @@ pub(crate) fn workload_options(workload: &Workload) -> epic_compiler::Options {
 }
 
 /// Checks a run's final data memory against the workload's golden model.
-fn verify_workload_memory(workload: &Workload, bytes: &[u8]) -> Result<(), ExperimentError> {
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Verify`] naming the first byte that
+/// differs.
+pub fn verify_workload_memory(workload: &Workload, bytes: &[u8]) -> Result<(), ExperimentError> {
     workload
         .verify_memory(|addr, len| {
             memory_window(bytes, addr, len)

@@ -312,7 +312,11 @@ impl Toolchain {
     /// Runs a prepared program on [`Simulator`] under `sink` — the
     /// threaded loop unless the sink observes — keeping the final
     /// machine.
-    pub(crate) fn run_prepared_observed<S: TraceSink>(
+    ///
+    /// # Errors
+    ///
+    /// Returns the first simulation error.
+    pub fn run_prepared_observed<S: TraceSink>(
         &self,
         prepared: PreparedProgram,
         sink: &mut S,

@@ -24,7 +24,7 @@
 //! [`crate::Simulator`] by construction.
 
 use crate::decoded::DecodedProgram;
-use crate::machine::Simulator;
+use crate::machine::Machine;
 use crate::semantics::Action;
 use crate::stats::{StallBreakdown, StallCause};
 use epic_mdes::cfg::Cfg;
@@ -92,7 +92,7 @@ pub(crate) struct CompiledBlock {
 /// Called with the front end clean at the leader: nothing in stage 2,
 /// no flush bubbles pending and `mem_debt < 2` (the pre-issue ladder
 /// just passed).
-pub(crate) fn entry_ok(sim: &Simulator, block: &CompiledBlock) -> bool {
+pub(crate) fn entry_ok(sim: &Machine, block: &CompiledBlock) -> bool {
     let c = sim.cycle;
     // A pending or already-paid port wait for the leader would change
     // the replayed port accounting.
@@ -132,7 +132,7 @@ pub(crate) fn entry_ok(sim: &Simulator, block: &CompiledBlock) -> bool {
 /// the exact per-cycle machine state: the per-cycle loop would have
 /// died in the execute stage of relative cycle `issue_rel[i] + 1`, with
 /// bundles `0..=i` issued and their stalls counted.
-pub(crate) fn fault_unwind(sim: &mut Simulator, block: &CompiledBlock, entry_cycle: u64, i: usize) {
+pub(crate) fn fault_unwind(sim: &mut Machine, block: &CompiledBlock, entry_cycle: u64, i: usize) {
     let fault_rel = block.issue_rel[i];
     for bundle in &block.bookings[..=i] {
         apply_bookings(sim, entry_cycle, bundle);
@@ -161,7 +161,7 @@ pub(crate) fn fault_unwind(sim: &mut Simulator, block: &CompiledBlock, entry_cyc
 /// Applies a folded block's exit state after its body executed: the
 /// flat scoreboard bookings, the folded stall counters, the cycle jump,
 /// and the staged terminator.
-pub(crate) fn fold_exit(sim: &mut Simulator, block: &CompiledBlock, entry_cycle: u64) {
+pub(crate) fn fold_exit(sim: &mut Machine, block: &CompiledBlock, entry_cycle: u64) {
     apply_bookings(sim, entry_cycle, &block.flat_bookings);
     let folded = &block.folded;
     sim.stats.stalls.data_hazard += folded.data_hazard;
@@ -183,7 +183,7 @@ pub(crate) fn fold_exit(sim: &mut Simulator, block: &CompiledBlock, entry_cycle:
     }
 }
 
-fn apply_bookings(sim: &mut Simulator, entry_cycle: u64, bookings: &[Booking]) {
+fn apply_bookings(sim: &mut Machine, entry_cycle: u64, bookings: &[Booking]) {
     for &booking in bookings {
         match booking {
             Booking::Gpr(r, rel) => sim.gpr_ready[r as usize] = entry_cycle + rel,
@@ -396,7 +396,7 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
             continue;
         }
         armed = None;
-        // Issue: book destinations exactly as `Simulator::try_issue`.
+        // Issue: book destinations exactly as `Machine::try_issue`.
         for &(r, ready_after) in bundle.gpr_writes.iter() {
             bookings[next].push(Booking::Gpr(r, exec + ready_after));
             gpr_rel.insert(r, exec + ready_after);

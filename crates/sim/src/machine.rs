@@ -50,7 +50,21 @@ pub(crate) enum StepPhase {
 /// [`crate::ReferenceSimulator`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
+    /// The decoded program, shared with clones.
     pub(crate) program: Arc<DecodedProgram>,
+    /// Registers, scoreboard, memory and statistics.
+    pub(crate) machine: Machine,
+    /// The threaded run loop's step table, built by the first
+    /// unobserved run.
+    pub(crate) translation: Translation,
+}
+
+/// The state both loops advance: everything a [`Simulator`] holds apart
+/// from its program and its translation. Kept apart so a cycle borrows
+/// the shared program and the mutable state side by side, without
+/// touching the program's reference count.
+#[derive(Debug, Clone)]
+pub(crate) struct Machine {
     pub(crate) memory: Memory,
     pub(crate) pc: u32,
     pub(crate) gprs: Vec<u32>,
@@ -85,9 +99,6 @@ pub struct Simulator {
     stall_log: Vec<StallEvent>,
     /// Reused write-back buffer (no per-bundle allocation).
     write_buf: Vec<Write>,
-    /// The threaded run loop's step table, built by the first
-    /// unobserved run.
-    pub(crate) translation: Translation,
 }
 
 impl Simulator {
@@ -109,7 +120,7 @@ impl Simulator {
         entry: u32,
     ) -> Result<Self, SimError> {
         let program = DecodedProgram::decode(config, &bundles)?;
-        Ok(Simulator {
+        let machine = Machine {
             gprs: vec![0; config.num_gprs()],
             preds: vec![false; config.num_pred_regs()],
             btrs: vec![0; config.num_btrs()],
@@ -131,38 +142,41 @@ impl Simulator {
             record_stalls: false,
             stall_log: Vec::new(),
             write_buf: Vec::new(),
+        };
+        Ok(Simulator {
             program: Arc::new(program),
+            machine,
             translation: Translation::pending(config, bundles, entry),
         })
     }
 
     /// Installs the data memory (e.g. a module's initial image).
     pub fn set_memory(&mut self, memory: Memory) {
-        self.memory = memory;
+        self.machine.memory = memory;
     }
 
     /// Caps the simulated cycles (runaway backstop).
     pub fn set_cycle_limit(&mut self, limit: u64) {
-        self.cycle_limit = limit;
+        self.machine.cycle_limit = limit;
     }
 
     /// The data memory.
     #[must_use]
     pub fn memory(&self) -> &Memory {
-        &self.memory
+        &self.machine.memory
     }
 
     /// Mutable access to the data memory, for host-side agents (a mesh
     /// interconnect delivering into a memory-mapped mailbox) that patch
     /// words between cycles via [`Memory::poke_word`].
     pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
+        &mut self.machine.memory
     }
 
     /// Reads a general-purpose register.
     #[must_use]
     pub fn gpr(&self, index: usize) -> u32 {
-        self.gprs[index]
+        self.machine.gprs[index]
     }
 
     /// Reads a predicate register (`p0` is hard-wired true).
@@ -171,32 +185,32 @@ impl Simulator {
         if index == 0 {
             true
         } else {
-            self.preds[index]
+            self.machine.preds[index]
         }
     }
 
     /// Reads a branch target register.
     #[must_use]
     pub fn btr(&self, index: usize) -> u32 {
-        self.btrs[index]
+        self.machine.btrs[index]
     }
 
     /// Elapsed processor cycles.
     #[must_use]
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.machine.cycle
     }
 
     /// Whether the processor has executed `HALT`.
     #[must_use]
     pub fn is_halted(&self) -> bool {
-        self.halted
+        self.machine.halted
     }
 
     /// Statistics gathered so far.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.machine.stats
     }
 
     /// Enables (or disables) per-cycle stall recording.
@@ -205,24 +219,14 @@ impl Simulator {
     /// cycle, which long runs cannot afford. The verifier's differential
     /// oracle turns it on to attribute every stall to a bundle address.
     pub fn record_stalls(&mut self, on: bool) {
-        self.record_stalls = on;
+        self.machine.record_stalls = on;
     }
 
     /// The stall events recorded so far (empty unless
     /// [`record_stalls`](Simulator::record_stalls) was enabled).
     #[must_use]
     pub fn stall_log(&self) -> &[StallEvent] {
-        &self.stall_log
-    }
-
-    fn note_stall(&mut self, pc: u32, cause: StallCause) {
-        if self.record_stalls {
-            self.stall_log.push(StallEvent {
-                cycle: self.cycle,
-                pc,
-                cause,
-            });
-        }
+        &self.machine.stall_log
     }
 
     /// Runs until `HALT` (or an error) on the threaded loop, building
@@ -249,13 +253,12 @@ impl Simulator {
     ///
     /// Returns the first [`SimError`] raised.
     pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<&SimStats, SimError> {
-        let program = Arc::clone(&self.program);
-        if S::OBSERVED || self.record_stalls {
-            while self.step_program(&program, sink)? {}
+        if S::OBSERVED || self.machine.record_stalls {
+            while self.machine.step_program(&self.program, sink)? {}
         } else {
-            self.run_threaded(&program, sink)?;
+            self.run_threaded(sink)?;
         }
-        Ok(&self.stats)
+        Ok(&self.machine.stats)
     }
 
     /// Advances one processor cycle on the per-cycle loop. Returns
@@ -281,10 +284,22 @@ impl Simulator {
     ///
     /// Returns the first [`SimError`] raised (see [`step`](Simulator::step)).
     pub fn step_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<bool, SimError> {
-        let program = Arc::clone(&self.program);
-        self.step_program(&program, sink)
+        self.machine.step_program(&self.program, sink)
+    }
+}
+
+impl Machine {
+    fn note_stall(&mut self, pc: u32, cause: StallCause) {
+        if self.record_stalls {
+            self.stall_log.push(StallEvent {
+                cycle: self.cycle,
+                pc,
+                cause,
+            });
+        }
     }
 
+    /// One cycle of the per-cycle loop. Returns `false` once halted.
     pub(crate) fn step_program<S: TraceSink>(
         &mut self,
         program: &DecodedProgram,
@@ -527,17 +542,83 @@ impl Simulator {
 }
 
 #[cfg(test)]
+impl Machine {
+    /// Asserts that two machines hold the same state, field by field
+    /// (the write-back scratch buffer aside): the contract between the
+    /// per-cycle and the threaded loop, for finished and for
+    /// interrupted runs alike.
+    pub(crate) fn assert_same(&self, want: &Machine, label: &str) {
+        assert_eq!(self.stats, want.stats, "{label}: stats");
+        assert_eq!(self.cycle, want.cycle, "{label}: cycle");
+        assert_eq!(self.pc, want.pc, "{label}: pc");
+        assert_eq!(self.halted, want.halted, "{label}: halted");
+        assert_eq!(self.stage2, want.stage2, "{label}: stage 2");
+        assert_eq!(self.gprs, want.gprs, "{label}: GPRs");
+        assert_eq!(self.preds, want.preds, "{label}: predicates");
+        assert_eq!(self.btrs, want.btrs, "{label}: BTRs");
+        assert_eq!(self.gpr_ready, want.gpr_ready, "{label}: GPR readiness");
+        assert_eq!(
+            self.pred_ready, want.pred_ready,
+            "{label}: predicate readiness"
+        );
+        assert_eq!(self.btr_ready, want.btr_ready, "{label}: BTR readiness");
+        assert_eq!(self.alu_busy, want.alu_busy, "{label}: ALU occupancy");
+        assert_eq!(self.port_wait, want.port_wait, "{label}: port wait");
+        assert_eq!(
+            self.port_wait_pc, want.port_wait_pc,
+            "{label}: port wait pc"
+        );
+        assert_eq!(self.mem_debt, want.mem_debt, "{label}: memory debt");
+        assert_eq!(self.flush_wait, want.flush_wait, "{label}: flush wait");
+        assert_eq!(self.stall_log, want.stall_log, "{label}: stall log");
+        assert_eq!(self.memory.bytes(), want.memory.bytes(), "{label}: memory");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use epic_asm::assemble;
 
-    fn run_asm(src: &str, config: &Config) -> Simulator {
+    fn load(src: &str, config: &Config, memory: u32) -> Simulator {
         let program = assemble(src, config).expect("assembles");
         let mut sim = Simulator::try_new(config, program.bundles().to_vec(), program.entry())
             .expect("legal program");
-        sim.set_memory(Memory::new(4096));
-        sim.run().expect("runs");
+        sim.set_memory(Memory::new(memory));
         sim
+    }
+
+    /// Steps `sim` to halt on the per-cycle loop and `run`s an
+    /// untranslated clone of it; both must end in the same state.
+    /// Returns the stepped copy.
+    fn halt_both_ways(mut sim: Simulator) -> Simulator {
+        let mut run = sim.clone();
+        while sim.step().expect("steps") {}
+        run.run().expect("runs");
+        run.machine.assert_same(&sim.machine, "run vs step");
+        sim
+    }
+
+    /// Steps `sim` to its first error on the per-cycle loop and `run`s
+    /// an untranslated clone of it; both must fail with the same error
+    /// and leave the same interrupted state. Returns the error.
+    fn fail_both_ways(mut sim: Simulator) -> SimError {
+        let mut run = sim.clone();
+        let stepped = loop {
+            match sim.step() {
+                Ok(true) => {}
+                Ok(false) => panic!("halted without an error"),
+                Err(e) => break e,
+            }
+        };
+        let ran = run.run().expect_err("run fails too");
+        assert_eq!(ran, stepped, "run vs step: error");
+        run.machine.assert_same(&sim.machine, "run vs step");
+        stepped
+    }
+
+    fn run_asm(src: &str, config: &Config) -> Simulator {
+        halt_both_ways(load(src, config, 4096))
     }
 
     #[test]
@@ -841,9 +922,8 @@ callee:
     #[test]
     fn runaway_pc_is_reported() {
         let c = Config::default();
-        let program = assemble("    MOVE r1, #1\n;;\n", &c).unwrap();
-        let mut sim = Simulator::try_new(&c, program.bundles().to_vec(), 0).unwrap();
-        assert!(matches!(sim.run(), Err(SimError::PcOutOfRange { .. })));
+        let err = fail_both_ways(load("    MOVE r1, #1\n;;\n", &c, 0));
+        assert!(matches!(err, SimError::PcOutOfRange { pc: 1, .. }), "{err}");
     }
 
     #[test]
@@ -856,23 +936,17 @@ spin:
     BR b1
 ;;
 ";
-        let program = assemble(spin, &c).unwrap();
-        let mut sim = Simulator::try_new(&c, program.bundles().to_vec(), 0).unwrap();
+        let mut sim = load(spin, &c, 0);
         sim.set_cycle_limit(100);
-        assert!(matches!(
-            sim.run(),
-            Err(SimError::CycleLimit { limit: 100 })
-        ));
+        let err = fail_both_ways(sim);
+        assert_eq!(err, SimError::CycleLimit { limit: 100 });
     }
 
     #[test]
     fn memory_fault_reports_pc() {
         let c = Config::default();
         let src = "    MOVIL r1, #100000\n;;\n    LW r2, r1, #0\n;;\n    HALT\n;;\n";
-        let program = assemble(src, &c).unwrap();
-        let mut sim = Simulator::try_new(&c, program.bundles().to_vec(), 0).unwrap();
-        sim.set_memory(Memory::new(64));
-        let err = sim.run().unwrap_err();
+        let err = fail_both_ways(load(src, &c, 64));
         assert!(matches!(err, SimError::MemoryFault { pc: 1, .. }), "{err}");
     }
 
@@ -880,10 +954,7 @@ spin:
     fn speculative_load_dismisses_faults() {
         let c = Config::default();
         let src = "    MOVIL r1, #100000\n;;\n    LWS r2, r1, #0\n;;\n    HALT\n;;\n";
-        let program = assemble(src, &c).unwrap();
-        let mut sim = Simulator::try_new(&c, program.bundles().to_vec(), 0).unwrap();
-        sim.set_memory(Memory::new(64));
-        sim.run().unwrap();
+        let sim = halt_both_ways(load(src, &c, 64));
         assert_eq!(sim.gpr(2), 0);
     }
 

@@ -29,7 +29,7 @@
 //!   substrate's exact fault unwinding.
 //! * **Block chaining** — after a stream's folded body executes, the
 //!   terminator bundle runs *inside the chain loop* (through the shared
-//!   [`Simulator::execute_bundle`] write-back path), its redirect and
+//!   `Machine::execute_bundle` write-back path), its redirect and
 //!   flush bubbles are paid in place, and control jumps directly into
 //!   the successor's step stream when its entry-readiness caps hold —
 //!   without ever returning to the generic dispatcher. The
@@ -58,7 +58,7 @@ use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBl
 use crate::decoded::{DecodedBundle, DecodedProgram};
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
-use crate::machine::{Simulator, StepPhase};
+use crate::machine::{Machine, Simulator, StepPhase};
 use crate::semantics::{Action, DecodedOp, Src};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
@@ -76,7 +76,7 @@ enum Step {
 }
 
 /// Statistics a pure micro-op run folds at translation time: every
-/// counter [`Simulator::execute_bundle`] bumps unconditionally, summed
+/// counter `Machine::execute_bundle` bumps unconditionally, summed
 /// over the run's bundles and applied in one shot per execution. Only
 /// the squash counter is runtime-dependent (guards) and stays live.
 #[derive(Debug, Clone, Copy, Default)]
@@ -208,7 +208,7 @@ impl Translation {
     /// exactly: either at the top of a fresh cycle, or mid-cycle with
     /// stage 2 empty and the pre-issue ladder idempotent, or (on cycle
     /// budget exhaustion) with the pending state intact so
-    /// [`Simulator::step_front`] raises [`SimError::CycleLimit`] at the
+    /// `Machine::step_front` raises [`SimError::CycleLimit`] at the
     /// same cycle the per-cycle loop would.
     ///
     /// # Trace-link soundness
@@ -229,7 +229,7 @@ impl Translation {
     /// port/flush state is clean by construction.
     fn run_chain(
         &mut self,
-        sim: &mut Simulator,
+        sim: &mut Machine,
         program: &DecodedProgram,
     ) -> Result<ChainExit, SimError> {
         let mut executed = false;
@@ -372,53 +372,43 @@ impl Simulator {
         self.translation.streams.len()
     }
 
-    /// The threaded run loop: the per-cycle dispatcher, chaining through
-    /// every translated stream whose entry signature is satisfied.
-    /// Builds the translation on first use.
-    pub(crate) fn run_threaded<S: TraceSink>(
-        &mut self,
-        program: &DecodedProgram,
-        sink: &mut S,
-    ) -> Result<(), SimError> {
-        // The chain loop mutates the machine and the table's link memo
-        // together, so the table leaves `self` for the run.
-        let mut translation = std::mem::take(&mut self.translation);
-        translation.build(program);
-        let result = self.run_translated(&mut translation, program, sink);
-        self.translation = translation;
-        result
+    /// The threaded run loop. Builds the translation on first use.
+    pub(crate) fn run_threaded<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), SimError> {
+        self.translation.build(&self.program);
+        self.translation.run(&mut self.machine, &self.program, sink)
     }
+}
 
-    fn run_translated<S: TraceSink>(
+impl Translation {
+    /// The per-cycle dispatcher, chaining through every translated
+    /// stream whose entry signature is satisfied.
+    fn run<S: TraceSink>(
         &mut self,
-        translation: &mut Translation,
+        sim: &mut Machine,
         program: &DecodedProgram,
         sink: &mut S,
     ) -> Result<(), SimError> {
         loop {
-            match self.step_front(program, sink)? {
+            match sim.step_front(program, sink)? {
                 StepPhase::Halted => return Ok(()),
                 StepPhase::Drained => {}
                 StepPhase::Issue(redirect) => {
-                    if self.pre_issue_stall(program, redirect, sink) {
-                        self.finish_cycle(sink);
+                    if sim.pre_issue_stall(program, redirect, sink) {
+                        sim.finish_cycle(sink);
                         continue;
                     }
                     // Cheap pre-filter: only enter the chain loop when a
                     // stream actually starts here, so untranslated
                     // regions pay one table load over the per-cycle loop.
-                    if matches!(
-                        translation.steps.get(self.pc as usize),
-                        Some(Step::Enter(_))
-                    ) {
-                        match translation.run_chain(self, program)? {
+                    if matches!(self.steps.get(sim.pc as usize), Some(Step::Enter(_))) {
+                        match self.run_chain(sim, program)? {
                             ChainExit::Halted => return Ok(()),
                             ChainExit::Dispatch { executed: true } => continue,
                             ChainExit::Dispatch { executed: false } => {}
                         }
                     }
-                    self.try_issue(program, sink)?;
-                    self.finish_cycle(sink);
+                    sim.try_issue(program, sink)?;
+                    sim.finish_cycle(sink);
                 }
             }
         }
@@ -540,7 +530,7 @@ fn bundle_is_pure(bundle: &DecodedBundle) -> bool {
 }
 
 #[inline]
-fn src(sim: &Simulator, s: Src) -> u32 {
+fn src(sim: &Machine, s: Src) -> u32 {
     match s {
         Src::Gpr(r) => sim.gprs[r as usize],
         Src::Lit(v) => v,
@@ -553,7 +543,7 @@ fn src(sim: &Simulator, s: Src) -> u32 {
 /// subset [`bundle_is_pure`] admits. Purity makes the write buffer
 /// unnecessary (no same-bundle reader of these writes exists) and
 /// faults impossible; only the squash counter is runtime-dependent.
-fn exec_direct(sim: &mut Simulator, program: &DecodedProgram, op: &DecodedOp) {
+fn exec_direct(sim: &mut Machine, program: &DecodedProgram, op: &DecodedOp) {
     if !(op.guard == 0 || sim.preds[op.guard as usize]) {
         sim.stats.squashed += 1;
         return;
@@ -623,7 +613,7 @@ fn exec_direct(sim: &mut Simulator, program: &DecodedProgram, op: &DecodedOp) {
 /// through the shared write-buffered path, then the folded exit state.
 /// Faults unwind to the exact per-cycle machine state.
 fn run_stream(
-    sim: &mut Simulator,
+    sim: &mut Machine,
     program: &DecodedProgram,
     stream: &Stream,
 ) -> Result<(), SimError> {
@@ -686,7 +676,7 @@ mod tests {
     /// run is held to.
     fn step_to_halt(sim: &mut Simulator) -> Result<SimStats, SimError> {
         while sim.step()? {}
-        Ok(sim.stats)
+        Ok(*sim.stats())
     }
 
     const LOOP_SRC: &str = "    MOVE r1, #0\n    MOVE r2, #10\n    PBR b1, @loop\n;;\n\
@@ -739,10 +729,7 @@ mod tests {
             let got = *sim.run().expect("runs");
             assert!(sim.translated_blocks() > 0, "k {k}");
             assert_eq!(got, want, "k {k}");
-            assert_eq!(sim.gprs, full.gprs, "k {k}");
-            assert_eq!(sim.preds, full.preds, "k {k}");
-            assert_eq!(sim.btrs, full.btrs, "k {k}");
-            assert_eq!(sim.memory.bytes(), full.memory.bytes(), "k {k}");
+            sim.machine.assert_same(&full.machine, &format!("k {k}"));
         }
     }
 
@@ -778,16 +765,7 @@ mod tests {
                     "the loop must have chained before the fault"
                 );
             }
-            assert_eq!(got.stats, want.stats, "interrupted stats must match");
-            assert_eq!(got.cycle, want.cycle);
-            assert_eq!(got.pc, want.pc);
-            assert_eq!(got.stage2, want.stage2);
-            assert_eq!(got.gprs, want.gprs);
-            assert_eq!(got.gpr_ready, want.gpr_ready);
-            assert_eq!(got.pred_ready, want.pred_ready);
-            assert_eq!(got.mem_debt, want.mem_debt);
-            assert_eq!(got.port_wait, want.port_wait);
-            assert_eq!(got.memory.bytes(), want.memory.bytes());
+            got.machine.assert_same(&want.machine, "interrupted");
         }
     }
 
@@ -836,10 +814,8 @@ mod tests {
             let want_err = step_to_halt(&mut want).expect_err("limit hit");
             let got_err = got.run().expect_err("limit hit");
             assert_eq!(format!("{got_err}"), format!("{want_err}"), "limit {limit}");
-            assert_eq!(got.stats, want.stats, "limit {limit}");
-            assert_eq!(got.cycle, want.cycle, "limit {limit}");
-            assert_eq!(got.pc, want.pc, "limit {limit}");
-            assert_eq!(got.gprs, want.gprs, "limit {limit}");
+            got.machine
+                .assert_same(&want.machine, &format!("limit {limit}"));
         }
     }
 
