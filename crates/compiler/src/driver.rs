@@ -299,31 +299,13 @@ impl FrontHalf {
         let (assembly, stats, trace) =
             self.emit(compiler, superblock, profile, &Mutation::default())?;
 
-        // The scheduler claims its output respects the machine contract
-        // (port budget, unit occupancy, prepared branches); make the
-        // claim load-bearing by running the static verifier over the
-        // assembled bundles. Warnings (scoreboard-covered hazards) are
-        // expected across block boundaries; errors are compiler bugs.
         // The checked program rides along, so nobody assembles twice.
         let config = &compiler.config;
-        let mut program = None;
-        if verify {
-            let assembled =
-                epic_asm::assemble(&assembly, config).map_err(|e| CompileError::Internal {
-                    message: format!("emitted assembly does not assemble: {e}"),
-                })?;
-            let report = epic_verify::check(&assembled, config);
-            if report.has_errors() {
-                let errors: String = report
-                    .diagnostics()
-                    .iter()
-                    .filter(|d| d.severity == epic_asm::Severity::Error)
-                    .map(|d| d.render("<scheduled output>", None))
-                    .collect();
-                return Err(CompileError::Verification { report: errors });
-            }
-            program = Some(assembled);
-        }
+        let program = if verify {
+            Some(assemble_verified(&assembly, config)?)
+        } else {
+            None
+        };
 
         Ok(CompiledProgram {
             assembly,
@@ -447,6 +429,30 @@ impl FrontHalf {
         }
         Ok((assembly, stats, trace))
     }
+}
+
+/// Assembles the emitted text and runs `epic-verify`'s error pass over
+/// it.
+///
+/// The scheduler claims its output respects the machine contract (port
+/// budget, unit occupancy, prepared branches); this makes the claim
+/// load-bearing. Warnings (scoreboard-covered hazards) are expected
+/// across block boundaries and would be discarded, so only the error
+/// pass runs: it reports exactly the errors the full check would.
+fn assemble_verified(assembly: &str, config: &Config) -> Result<epic_asm::Program, CompileError> {
+    let program = epic_asm::assemble(assembly, config).map_err(|e| CompileError::Internal {
+        message: format!("emitted assembly does not assemble: {e}"),
+    })?;
+    let report = epic_verify::check_errors(&program, config);
+    if report.has_errors() {
+        let report = report
+            .diagnostics()
+            .iter()
+            .map(|d| d.render("<scheduled output>", None))
+            .collect();
+        return Err(CompileError::Verification { report });
+    }
+    Ok(program)
 }
 
 /// Fails with [`CompileError::BranchTargetOutOfRange`] when a `PBR`
@@ -921,6 +927,34 @@ mod tests {
                 "verify {verify}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn verifier_errors_fail_the_compile_and_warnings_do_not() {
+        let config = Config::default();
+        let verdict = |text: &str| assemble_verified(text, &config);
+        for (text, code) in [
+            // VER005: a branch through a BTR no `PBR` prepares.
+            ("ADD r1, r1, #1\n;;\nBR b2\n;;\nHALT\n;;\n", "VER005"),
+            // VER003: nine register-file operations against a budget of
+            // eight, which the assembler itself accepts.
+            (
+                "ADD r1, r2, r3\nADD r4, r5, r6\nADD r7, r8, r9\n;;\nHALT\n;;\n",
+                "VER003",
+            ),
+        ] {
+            let err = verdict(text).unwrap_err();
+            assert!(
+                matches!(&err, CompileError::Verification { report } if report.contains(code)),
+                "{code}: {err}"
+            );
+        }
+        // VER004 alone: the consumer races the load's latency, which the
+        // scoreboard covers, so the program is returned.
+        let hazard = "MOVIL r1, #0\n;;\nLW r2, r1, #0\n;;\nADD r3, r2, #1\n;;\nHALT\n;;\n";
+        let program = epic_asm::assemble(hazard, &config).unwrap();
+        assert!(epic_verify::check(&program, &config).has_code("VER004"));
+        assert_eq!(verdict(hazard).unwrap().bundles(), program.bundles());
     }
 
     #[test]

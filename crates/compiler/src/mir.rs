@@ -375,6 +375,78 @@ impl MTerm {
     }
 }
 
+/// A set of register resources `(kind, number)`, one bit each, for the
+/// per-block liveness of the scheduler and of its checker. The kind is
+/// below 4 (they use 0 = GPR, 1 = predicate, 2 = BTR).
+#[derive(Debug, Clone, Default)]
+pub struct RegSet {
+    words: Vec<u64>,
+}
+
+impl RegSet {
+    fn locate((kind, number): (u8, u32)) -> (usize, u64) {
+        debug_assert!(kind < 4, "register kind {kind} out of range");
+        let bit = (number as usize) << 2 | usize::from(kind);
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// Adds a resource.
+    pub fn insert(&mut self, res: (u8, u32)) {
+        let (word, mask) = Self::locate(res);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= mask;
+    }
+
+    /// Removes a resource.
+    pub fn remove(&mut self, res: (u8, u32)) {
+        let (word, mask) = Self::locate(res);
+        if let Some(w) = self.words.get_mut(word) {
+            *w &= !mask;
+        }
+    }
+
+    /// Whether the set holds a resource.
+    #[must_use]
+    pub fn contains(&self, res: (u8, u32)) -> bool {
+        let (word, mask) = Self::locate(res);
+        self.words.get(word).is_some_and(|w| w & mask != 0)
+    }
+
+    /// Adds every resource of `other`.
+    pub fn union_with(&mut self, other: &RegSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Removes every resource of `other`.
+    pub fn subtract(&mut self, other: &RegSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= !o;
+        }
+    }
+}
+
+/// Sets are equal when they hold the same resources, however many
+/// trailing empty words either carries.
+impl PartialEq for RegSet {
+    fn eq(&self, other: &RegSet) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for RegSet {}
+
 /// A machine basic block.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MBlock {

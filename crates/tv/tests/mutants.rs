@@ -64,13 +64,14 @@ fn options(entry: &str, args: &[u32]) -> Options {
 
 /// The corpus driver: honest build is clean and runs; mutated build is
 /// statically flagged with `expected_code` and differentially confirmed.
+/// Returns the mutant's report.
 fn assert_mutant(
     ast: &Program,
     entry: &str,
     args: &[u32],
     mutation: &Mutation<'_>,
     expected_code: &str,
-) {
+) -> epic_tv::Report {
     assert_mutant_with(
         ast,
         entry,
@@ -78,7 +79,7 @@ fn assert_mutant(
         &Config::default(),
         mutation,
         expected_code,
-    );
+    )
 }
 
 fn assert_mutant_with(
@@ -88,7 +89,7 @@ fn assert_mutant_with(
     config: &Config,
     mutation: &Mutation<'_>,
     expected_code: &str,
-) {
+) -> epic_tv::Report {
     let module = epic_ir::lower::lower(ast).expect("program lowers");
     let opts = options(entry, args);
     let compiler = Compiler::new(config.clone());
@@ -137,6 +138,16 @@ fn assert_mutant_with(
             "mutant executed to the same final state as the honest build — not a miscompile"
         ),
     }
+    report1
+}
+
+/// Whether `report` holds a TV006 error naming a `kind` dependence.
+fn reorders(report: &epic_tv::Report, kind: &str) -> bool {
+    report.diagnostics().iter().any(|d| {
+        d.code == "TV006"
+            && d.severity == epic_asm::Severity::Error
+            && d.message.contains(&format!("reorders a {kind} dependence"))
+    })
 }
 
 // --------------------------------------------------------------------
@@ -335,6 +346,28 @@ fn store_load() -> Program {
             Stmt::let_("y", Expr::global("g").load_word()),
             Stmt::ret(Expr::var("y") * Expr::lit(2)),
         ]))
+}
+
+/// Two calls in one block, the second fed by the first.
+fn two_calls() -> Program {
+    Program::new()
+        .function(FunctionDef::new("f", ["x"]).body([Stmt::ret(Expr::var("x") * Expr::lit(3))]))
+        .function(FunctionDef::new("main", ["a"]).body([
+            Stmt::let_("u", Expr::call("f", [Expr::var("a")])),
+            Stmt::let_("v", Expr::call("f", [Expr::var("u") + Expr::lit(1)])),
+            Stmt::ret(Expr::var("v")),
+        ]))
+}
+
+/// A store through one pointer parameter and a load through another.
+fn store_load_through_pointers() -> Program {
+    Program::new().global(Global::zeroed("g", 4)).function(
+        FunctionDef::new("main", ["a", "p", "q"]).body([
+            Stmt::store_word(Expr::var("p"), Expr::var("a") + Expr::lit(50)),
+            Stmt::let_("y", Expr::var("q").load_word()),
+            Stmt::ret(Expr::var("y") * Expr::lit(2)),
+        ]),
+    )
 }
 
 fn two_sided_return() -> Program {
@@ -941,6 +974,82 @@ fn sched_load_hoisted_above_store() {
         ..Default::default()
     };
     assert_mutant(&store_load(), "main", &[3], &m, "TV006");
+}
+
+#[test]
+fn sched_load_through_one_base_hoisted_above_store_through_another() {
+    // `store_load_through_pointers`: `SW [p]` then `LW [q]`, with p and
+    // q both the global's address. Different base registers may alias,
+    // so the memory edge must hold.
+    let ast = store_load_through_pointers();
+    let module = epic_ir::lower::lower(&ast).expect("program lowers");
+    let g = module.layout().expect("layout").address_of("g").expect("g");
+    let mdes = MachineDescription::new(&Config::default());
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
+        // Move the load into a bundle of its own just above the store.
+        let (b, j, k) = find_slot(blocks, |op| op.opcode == Opcode::Lw).expect("load");
+        let (sb, sj, _) = find_slot(blocks, |op| op.opcode == Opcode::Sw).expect("store");
+        assert!(b == sb && sj < j, "the store precedes the load");
+        let op = blocks[b].bundles[j].remove(k);
+        assert!(
+            matches!(op.src1, MSrc::Gpr(_)),
+            "the load goes through a register"
+        );
+        blocks[b].bundles.insert(sj, vec![op]);
+        rebuild(blocks, &mdes);
+    };
+    let m = Mutation {
+        function: "main",
+        post_sched: Some(&mutate),
+        ..Default::default()
+    };
+    let report = assert_mutant(&ast, "main", &[3, g, g], &m, "TV006");
+    assert!(
+        reorders(&report, "memory"),
+        "{}",
+        report.render("mutant", None)
+    );
+}
+
+#[test]
+fn sched_second_call_hoisted_above_the_first() {
+    // Move the block's second `BRL` into a bundle of its own at the top,
+    // above the ops that precede the first call. The branch-order edges
+    // from those ops to the second call are implied by the chain through
+    // the first call, and the kept edges must still catch it.
+    let mdes = MachineDescription::new(&Config::default());
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
+        let is_call = |op: &MOp| op.opcode == Opcode::Brl;
+        let b = blocks
+            .iter()
+            .position(|sb| sb.bundles.iter().flatten().filter(|op| is_call(op)).count() == 2)
+            .expect("a block with two calls");
+        let slots: Vec<(usize, usize)> = (blocks[b].bundles.iter().enumerate())
+            .flat_map(|(j, bundle)| {
+                bundle
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, op)| is_call(op))
+                    .map(move |(k, _)| (j, k))
+            })
+            .collect();
+        let ((first, _), (j, k)) = (slots[0], slots[1]);
+        assert!(first > 0, "ops precede the first call");
+        let op = blocks[b].bundles[j].remove(k);
+        blocks[b].bundles.insert(0, vec![op]);
+        rebuild(blocks, &mdes);
+    };
+    let m = Mutation {
+        function: "main",
+        post_sched: Some(&mutate),
+        ..Default::default()
+    };
+    let report = assert_mutant(&two_calls(), "main", &[3], &m, "TV006");
+    assert!(
+        reorders(&report, "branch-order"),
+        "{}",
+        report.render("mutant", None)
+    );
 }
 
 #[test]

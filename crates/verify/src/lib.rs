@@ -67,6 +67,21 @@
 //! element-wise maximum for the timed components (worst case over
 //! predecessors) and set union for the reachability components
 //! (prepared BTRs, written predicates).
+//!
+//! # Error pass and warning pass
+//!
+//! The checks split by what they need. The *error pass*
+//! ([`check_errors`]) is VER012, the per-bundle structural checks and
+//! VER005, which reads only the set of BTRs some `PBR` may have prepared
+//! (its own union-join analysis, untimed). The *warning pass* is the
+//! timed flow (VER004, VER006, VER011) and VER013. [`check`] runs both
+//! and reports in one order: per bundle the structural findings, VER011,
+//! then per slot VER004, VER005 and VER006; VER013 last. The prepared-BTR
+//! join and transfer never read the timed components, and both analyses
+//! run on the same graph, entry and solver, so they reach the same
+//! bundles with the same prepared sets: the error pass returns exactly
+//! [`check`]'s errors, in order, at a fraction of its cost. The compiler
+//! driver, which fails only on errors, runs the error pass.
 
 use epic_bound::{solve_forward, Analysis, Cfg, Direction, Lattice};
 use epic_config::Config;
@@ -175,8 +190,15 @@ pub fn check(program: &epic_asm::Program, config: &Config) -> Report {
     check_program(program.bundles(), program.entry(), config)
 }
 
-/// Dataflow state at a bundle boundary, relative to that bundle's
-/// execute cycle.
+/// Runs only the error pass over an assembled [`epic_asm::Program`]:
+/// exactly the error diagnostics of [`check`], in the same order.
+#[must_use]
+pub fn check_errors(program: &epic_asm::Program, config: &Config) -> Report {
+    Verifier::new(config).check_errors(program.bundles(), program.entry())
+}
+
+/// Timed dataflow state at a bundle boundary, relative to that bundle's
+/// execute cycle: what the warning pass reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Flow {
     /// Cycles until each GPR's pending write is readable (0 = ready).
@@ -184,8 +206,6 @@ struct Flow {
     /// Cycles each ALU instance remains occupied by a blocking divide,
     /// sorted descending (instances are interchangeable).
     alu_busy: Vec<u32>,
-    /// BTRs prepared by some `PBR` on some path from the entry.
-    prepared: Vec<bool>,
     /// Predicates written on some path from the entry (`p0` always).
     pred_def: Vec<bool>,
 }
@@ -199,7 +219,6 @@ impl Flow {
         Flow {
             gpr_wait: vec![0; config.num_gprs()],
             alu_busy: vec![0; config.num_alus()],
-            prepared: vec![false; config.num_btrs()],
             pred_def,
         }
     }
@@ -228,14 +247,14 @@ impl Lattice for Flow {
                 changed = true;
             }
         }
-        changed |= self.prepared.join(&other.prepared);
         changed |= self.pred_def.join(&other.pred_def);
         changed
     }
 }
 
-/// The VER004/005/006/011 dataflow as an `epic-bound` analysis: forward,
-/// aged by each edge's cycle distance, through [`Verifier::transfer`].
+/// The warning pass's VER004/006/011 dataflow as an `epic-bound`
+/// analysis: forward, aged by each edge's cycle distance, through
+/// [`Verifier::transfer`].
 struct Hazards<'a>(&'a Verifier);
 
 impl Analysis for Hazards<'_> {
@@ -249,12 +268,39 @@ impl Analysis for Hazards<'_> {
         Flow::entry(&self.0.config)
     }
 
-    fn transfer(&self, bi: usize, bundle: &[Instruction], state: &Flow) -> Flow {
-        self.0.transfer(bi, bundle, state, None)
+    fn transfer(&self, _bi: usize, bundle: &[Instruction], state: &Flow) -> Flow {
+        self.0.transfer(bundle, state)
     }
 
     fn age(&self, state: &mut Flow, delta: u32) {
         state.age(delta);
+    }
+}
+
+/// The error pass's VER005 dataflow: the BTRs prepared by some `PBR` on
+/// some path from the entry, joined by union. Untimed, so edges do not
+/// age it.
+struct Prepared(usize);
+
+impl Analysis for Prepared {
+    type State = Vec<bool>;
+
+    fn direction(&self) -> Direction {
+        Direction::Forward
+    }
+
+    fn boundary(&self) -> Vec<bool> {
+        vec![false; self.0]
+    }
+
+    fn transfer(&self, _bi: usize, bundle: &[Instruction], state: &Vec<bool>) -> Vec<bool> {
+        let mut out = state.clone();
+        for btr in bundle.iter().filter_map(Instruction::btr_write) {
+            if let Some(prepared) = out.get_mut(btr.0 as usize) {
+                *prepared = true;
+            }
+        }
+        out
     }
 }
 
@@ -275,9 +321,22 @@ impl Verifier {
     }
 
     /// Runs every check over `bundles` with the entry at bundle address
-    /// `entry` and returns the collected diagnostics.
+    /// `entry` and returns the collected diagnostics: the error pass and
+    /// the warning pass, merged in bundle order.
     #[must_use]
     pub fn check(&self, bundles: &[Vec<Instruction>], entry: u32) -> Report {
+        self.run(bundles, entry, true)
+    }
+
+    /// Runs the error pass alone: exactly [`Verifier::check`]'s error
+    /// diagnostics, in the same order, without the timed flow or VER013.
+    #[must_use]
+    pub fn check_errors(&self, bundles: &[Vec<Instruction>], entry: u32) -> Report {
+        self.run(bundles, entry, false)
+    }
+
+    /// The error pass and, with `warnings`, the warning pass.
+    fn run(&self, bundles: &[Vec<Instruction>], entry: u32, warnings: bool) -> Report {
         let mut diags = Vec::new();
 
         if entry as usize >= bundles.len() {
@@ -290,23 +349,23 @@ impl Verifier {
             ));
         }
 
-        let structural: Vec<Vec<Diagnostic>> = bundles
-            .iter()
-            .enumerate()
-            .map(|(bi, bundle)| self.check_bundle_structure(bi, bundle))
-            .collect();
-
         let cfg = Cfg::build(&self.config, bundles);
-        let flow_in = solve_forward(&Hazards(self), &cfg, bundles, entry as usize);
+        let start = entry as usize;
+        let prepared_in = solve_forward(&Prepared(self.config.num_btrs()), &cfg, bundles, start);
+        let flow_in = warnings.then(|| solve_forward(&Hazards(self), &cfg, bundles, start));
 
         for (bi, bundle) in bundles.iter().enumerate() {
-            diags.extend(structural[bi].iter().cloned());
-            if let Some(input) = &flow_in[bi] {
-                self.transfer(bi, bundle, input, Some(&mut diags));
+            diags.extend(self.check_bundle_structure(bi, bundle));
+            // Both solves reach the same bundles: one graph, one entry.
+            if let Some(prepared) = &prepared_in[bi] {
+                let flow = flow_in.as_ref().and_then(|flow_in| flow_in[bi].as_ref());
+                self.check_bundle_flow(bi, bundle, prepared, flow, &mut diags);
             }
         }
 
-        self.check_gpr_definedness(&cfg, bundles, entry, &mut diags);
+        if warnings {
+            self.check_gpr_definedness(&cfg, bundles, entry, &mut diags);
+        }
 
         Report { diagnostics: diags }
     }
@@ -514,28 +573,27 @@ impl Verifier {
         diags
     }
 
-    /// Applies one bundle to the flow state. With a diagnostic sink the
-    /// hazard checks report (VER004/VER005/VER006/VER011); without one
-    /// this is the pure transfer function for the fixpoint.
-    fn transfer(
+    /// Reports one reachable bundle's dataflow findings from its input
+    /// states: VER011, then per slot VER004, VER005 and VER006. VER005,
+    /// the only error, reads `prepared`; the warnings read the timed
+    /// `flow`, which the error pass leaves out.
+    fn check_bundle_flow(
         &self,
         bi: usize,
         bundle: &[Instruction],
-        input: &Flow,
-        mut diags: Option<&mut Vec<Diagnostic>>,
-    ) -> Flow {
-        let mut out = input.clone();
-        let forwarding_extra = u32::from(!self.config.forwarding());
-
+        prepared: &[bool],
+        flow: Option<&Flow>,
+        diags: &mut Vec<Diagnostic>,
+    ) {
         // VER011: ALU demand against instances still held by a divide.
         // The issue stage interlocks (a `unit_busy` stall), so this is a
         // warning, like the scoreboard hazards. Demand comes from the
         // shared static cost model, exactly as the simulator's decoder
         // precomputes it.
-        let alu_wanted = self.mdes.bundle_cost(bundle).demand(Unit::Alu);
-        let alu_free = out.alu_busy.iter().filter(|&&c| c == 0).count();
-        if alu_wanted > alu_free {
-            if let Some(diags) = diags.as_deref_mut() {
+        if let Some(flow) = flow {
+            let alu_wanted = self.mdes.bundle_cost(bundle).demand(Unit::Alu);
+            let alu_free = flow.alu_busy.iter().filter(|&&c| c == 0).count();
+            if alu_wanted > alu_free {
                 diags.push(
                     Diagnostic::warning(
                         "VER011",
@@ -543,8 +601,8 @@ impl Verifier {
                             "bundle issues {alu_wanted} ALU operation(s) but {} of {} \
                              ALU(s) may still be busy with a blocking divide; issue \
                              will stall",
-                            out.alu_busy.len() - alu_free,
-                            out.alu_busy.len()
+                            flow.alu_busy.len() - alu_free,
+                            flow.alu_busy.len()
                         ),
                     )
                     .with_bundle(bi, None),
@@ -553,11 +611,11 @@ impl Verifier {
         }
 
         for (slot, instr) in bundle.iter().enumerate() {
-            if let Some(diags) = diags.as_deref_mut() {
-                // VER004: reads racing a producer's latency. The
-                // scoreboard interlocks, so this is a warning.
+            // VER004: reads racing a producer's latency. The scoreboard
+            // interlocks, so this is a warning.
+            if let Some(flow) = flow {
                 for gpr in instr.gpr_reads() {
-                    let Some(&wait) = input.gpr_wait.get(gpr.0 as usize) else {
+                    let Some(&wait) = flow.gpr_wait.get(gpr.0 as usize) else {
                         continue; // out-of-range index, already VER007
                     };
                     if wait > 0 {
@@ -565,47 +623,45 @@ impl Verifier {
                             Diagnostic::warning(
                                 "VER004",
                                 format!(
-                                    "{gpr} is read {wait} cycle(s) before its \
-                                     producer's result is ready; the scoreboard \
-                                     will interlock"
+                                    "{gpr} is read {wait} cycle(s) before its producer's \
+                                     result is ready; the scoreboard will interlock"
                                 ),
                             )
                             .with_bundle(bi, Some(slot)),
                         );
                     }
                 }
+            }
 
-                // VER005: branches must go through a prepared BTR.
-                if instr.opcode.is_branch() {
-                    if let Some(btr) = instr.btr_read() {
-                        let prepared = input.prepared.get(btr.0 as usize).copied().unwrap_or(false);
-                        if !prepared {
-                            diags.push(
-                                Diagnostic::error(
-                                    "VER005",
-                                    format!(
-                                        "{} branches through {btr}, which no \
-                                         preceding PBR prepares on any path from \
-                                         the entry",
-                                        instr.opcode
-                                    ),
-                                )
-                                .with_bundle(bi, Some(slot)),
-                            );
-                        }
+            // VER005: branches must go through a prepared BTR.
+            if instr.opcode.is_branch() {
+                if let Some(btr) = instr.btr_read() {
+                    if !prepared.get(btr.0 as usize).copied().unwrap_or(false) {
+                        diags.push(
+                            Diagnostic::error(
+                                "VER005",
+                                format!(
+                                    "{} branches through {btr}, which no preceding PBR \
+                                     prepares on any path from the entry",
+                                    instr.opcode
+                                ),
+                            )
+                            .with_bundle(bi, Some(slot)),
+                        );
                     }
                 }
+            }
 
-                // VER006: predicates consumed but never produced.
+            // VER006: predicates consumed but never produced.
+            if let Some(flow) = flow {
                 for pred in instr.pred_reads() {
-                    let defined = input.pred_def.get(pred.0 as usize).copied().unwrap_or(true);
-                    if !defined {
+                    if !flow.pred_def.get(pred.0 as usize).copied().unwrap_or(true) {
                         diags.push(
                             Diagnostic::warning(
                                 "VER006",
                                 format!(
-                                    "{pred} is read but never written on any path \
-                                     from the entry"
+                                    "{pred} is read but never written on any path from \
+                                     the entry"
                                 ),
                             )
                             .with_bundle(bi, Some(slot)),
@@ -613,16 +669,19 @@ impl Verifier {
                     }
                 }
             }
+        }
+    }
 
-            // Transfer: book results, preparations and definitions.
+    /// The warning pass's transfer: applies one bundle to the timed flow
+    /// state, booking results, predicate definitions and divider
+    /// occupancy.
+    fn transfer(&self, bundle: &[Instruction], input: &Flow) -> Flow {
+        let mut out = input.clone();
+        let forwarding_extra = u32::from(!self.config.forwarding());
+        for instr in bundle {
             if let Some(gpr) = instr.gpr_write() {
                 if let Some(wait) = out.gpr_wait.get_mut(gpr.0 as usize) {
                     *wait = self.mdes.latency(instr.opcode) + forwarding_extra;
-                }
-            }
-            if let Some(btr) = instr.btr_write() {
-                if let Some(prepared) = out.prepared.get_mut(btr.0 as usize) {
-                    *prepared = true;
                 }
             }
             for pred in instr.pred_writes() {

@@ -32,6 +32,14 @@ fn cross_validate(workload: &workloads::Workload, config: &Config) {
         .expect("toolchain run succeeds");
 
     let report = epic_verify::check(&run.program, config);
+    let errors = epic_verify::check_errors(&run.program, config);
+    assert!(
+        errors.diagnostics().iter().eq(report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.severity == epic_verify::Severity::Error)),
+        "the error pass must return exactly check's errors"
+    );
     let stats = run.stats();
     let label = format!(
         "{} @ {} ALUs, issue width {}",

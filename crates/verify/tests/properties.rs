@@ -38,6 +38,16 @@ fn instr() -> impl Strategy<Value = Instruction> {
         })
 }
 
+/// Whether the error pass alone returns exactly `report`'s error
+/// diagnostics, in order.
+fn error_pass_matches(report: &epic_verify::Report, bundles: &[Vec<Instruction>]) -> bool {
+    let errors = epic_verify::Verifier::new(&Config::default()).check_errors(bundles, 0);
+    errors.diagnostics().iter().eq(report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.severity == epic_verify::Severity::Error))
+}
+
 /// One instruction per bundle, terminated by `HALT`.
 fn to_bundles(instrs: &[Instruction]) -> Vec<Vec<Instruction>> {
     let mut bundles: Vec<Vec<Instruction>> = instrs.iter().map(|i| vec![*i]).collect();
@@ -58,6 +68,7 @@ proptest! {
             "legal program rejected:\n{}",
             report.render("generated", None)
         );
+        prop_assert!(error_pass_matches(&report, &bundles));
     }
 
     #[test]
@@ -114,6 +125,10 @@ proptest! {
             report.has_code(expected),
             "mutation {mutation} should raise {expected}:\n{}",
             report.render("mutated", None)
+        );
+        prop_assert!(
+            error_pass_matches(&report, &bundles),
+            "mutation {mutation}: the error pass differs from check's errors"
         );
     }
 }

@@ -11,6 +11,20 @@ fn assemble(source: &str, config: &Config) -> epic_core::asm::Program {
     epic_core::asm::assemble(source, config).expect("seed source assembles")
 }
 
+/// `epic_verify::check_program`, asserting that the error pass alone
+/// returns exactly its error diagnostics, in order.
+fn check(bundles: &[Vec<Instruction>], entry: u32, config: &Config) -> epic_verify::Report {
+    let report = epic_verify::check_program(bundles, entry, config);
+    let errors = epic_verify::Verifier::new(config).check_errors(bundles, entry);
+    let expected: Vec<_> = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.severity == epic_verify::Severity::Error)
+        .collect();
+    assert_eq!(errors.diagnostics().iter().collect::<Vec<_>>(), expected);
+    report
+}
+
 /// Port budget (VER003): nine register-file operations against the
 /// default budget of eight. The simulator serialises the excess over an
 /// extra controller cycle.
@@ -21,7 +35,7 @@ fn seeded_port_budget_violation() {
     ADD r1, r2, r3\n    ADD r4, r5, r6\n    ADD r7, r8, r9\n;;\n    HALT\n;;\n";
     let program = assemble(source, &config);
 
-    let report = epic_verify::check(&program, &config);
+    let report = check(program.bundles(), program.entry(), &config);
     assert!(report.has_code("VER003"), "{}", report.render("seed", None));
     assert!(report.has_errors());
 
@@ -48,7 +62,7 @@ fn seeded_unit_overcommit() {
         vec![Instruction::halt()],
     ];
 
-    let report = epic_verify::check_program(&bundles, 0, &config);
+    let report = check(&bundles, 0, &config);
     assert!(report.has_code("VER002"), "{}", report.render("seed", None));
     assert!(report.has_errors());
 
@@ -74,7 +88,7 @@ fn seeded_latency_hazard() {
     MULL r1, r2, r3\n;;\n    ADD r4, r1, r1\n;;\n    HALT\n;;\n";
     let program = assemble(source, &config);
 
-    let report = epic_verify::check(&program, &config);
+    let report = check(program.bundles(), program.entry(), &config);
     assert!(report.has_code("VER004"), "{}", report.render("seed", None));
     assert!(!report.has_errors(), "interlocked hazards warn, not error");
 
@@ -97,7 +111,7 @@ fn seeded_unprepared_btr() {
     ADD r1, r1, #1\n;;\nloop:\n    BR b1\n;;\n    HALT\n;;\n";
     let program = assemble(source, &config);
 
-    let report = epic_verify::check(&program, &config);
+    let report = check(program.bundles(), program.entry(), &config);
     assert!(report.has_code("VER005"), "{}", report.render("seed", None));
     assert!(report.has_errors());
 }
@@ -119,7 +133,7 @@ fn seeded_unencodable_literal() {
         vec![Instruction::halt()],
     ];
 
-    let report = epic_verify::check_program(&bundles, 0, &config);
+    let report = check(&bundles, 0, &config);
     assert!(report.has_code("VER008"), "{}", report.render("seed", None));
     assert!(report.has_errors());
 
