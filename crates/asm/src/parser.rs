@@ -5,7 +5,9 @@ use crate::program::Program;
 use epic_config::Config;
 use epic_isa::{Btr, Dest, DestKind, Gpr, Instruction, Opcode, Operand, PredReg, SrcKind};
 use epic_mdes::MachineDescription;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Assembles source text into a program for the given configuration.
 ///
@@ -17,19 +19,18 @@ use std::collections::HashMap;
 /// cannot execute (excluded ALU features, out-of-range registers).
 pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
     let mdes = MachineDescription::new(config);
-    let mnemonics = mnemonic_table(config);
+    let width = config.issue_width();
 
-    struct Pending {
-        instr: Instruction,
-        line: usize,
-        label_ref: Option<String>,
-    }
-
-    let mut bundles: Vec<Vec<Pending>> = Vec::new();
-    let mut current: Vec<Pending> = Vec::new();
+    // Parsed bundles, padded once every label is known; the source line
+    // of every instruction in order, and the label each `@label`
+    // operand names, by instruction index.
+    let mut bundles: Vec<Vec<Instruction>> = Vec::new();
+    let mut current: Vec<Instruction> = Vec::with_capacity(width);
+    let mut lines: Vec<usize> = Vec::new();
+    let mut label_refs: Vec<(usize, &str)> = Vec::new();
     let mut current_first_line = 0usize;
     let mut labels: HashMap<String, u32> = HashMap::new();
-    let mut entry_label: Option<(String, usize)> = None;
+    let mut entry_label: Option<(&str, usize)> = None;
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -38,14 +39,12 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
             if current.is_empty() {
                 return Err(AsmError::EmptyBundle { line: line_no });
             }
-            let b = std::mem::take(&mut current);
-            let instrs: Vec<Instruction> = b.iter().map(|p| p.instr).collect();
-            mdes.check_bundle(&instrs)
+            mdes.check_bundle(&current)
                 .map_err(|source| AsmError::IllegalBundle {
                     line: line_no,
                     source,
                 })?;
-            bundles.push(b);
+            bundles.push(std::mem::replace(&mut current, Vec::with_capacity(width)));
             continue;
         }
         // Strip comments (a single `;` introduces one).
@@ -57,7 +56,7 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
             continue;
         }
         if let Some(rest) = code.strip_prefix(".entry") {
-            entry_label = Some((rest.trim().to_owned(), line_no));
+            entry_label = Some((rest.trim(), line_no));
             continue;
         }
         if let Some(label) = code.strip_suffix(':') {
@@ -89,12 +88,12 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
         if current.is_empty() {
             current_first_line = line_no;
         }
-        let (instr, label_ref) = parse_instruction(code, line_no, config, &mnemonics)?;
-        current.push(Pending {
-            instr,
-            line: line_no,
-            label_ref,
-        });
+        let (instr, label_ref) = parse_instruction(code, line_no, config)?;
+        if let Some(label) = label_ref {
+            label_refs.push((lines.len(), label));
+        }
+        lines.push(line_no);
+        current.push(instr);
     }
     if !current.is_empty() {
         return Err(AsmError::UnterminatedBundle {
@@ -105,51 +104,61 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
         return Err(AsmError::EmptyProgram);
     }
 
-    // Resolve labels and validate instructions.
-    let mut resolved: Vec<Vec<Instruction>> = Vec::with_capacity(bundles.len());
-    for bundle in bundles {
-        let mut out = Vec::with_capacity(config.issue_width());
-        for pending in bundle {
-            let mut instr = pending.instr;
-            if let Some(label) = &pending.label_ref {
+    // Resolve labels and validate instructions, in source order.
+    let mut label_refs = label_refs.into_iter().peekable();
+    let mut index = 0;
+    for bundle in &mut bundles {
+        for instr in bundle.iter_mut() {
+            let line = lines[index];
+            if let Some((_, label)) = label_refs.next_if(|&(at, _)| at == index) {
                 let addr = labels.get(label).ok_or_else(|| AsmError::UnknownLabel {
-                    line: pending.line,
-                    label: label.clone(),
+                    line,
+                    label: label.to_owned(),
                 })?;
                 instr.src1 = Operand::Lit(i64::from(*addr));
             }
-            instr.validate(config).map_err(|source| AsmError::Isa {
-                line: pending.line,
-                source,
-            })?;
-            out.push(instr);
+            instr
+                .validate(config)
+                .map_err(|source| AsmError::Isa { line, source })?;
+            index += 1;
         }
         // NOP padding up to the issue width (paper §4.2).
-        while out.len() < config.issue_width() {
-            out.push(Instruction::nop());
-        }
-        resolved.push(out);
+        bundle.resize(width, Instruction::nop());
     }
 
     let entry = match entry_label {
-        Some((label, line)) => *labels
-            .get(&label)
-            .ok_or(AsmError::UnknownLabel { line, label })?,
+        Some((label, line)) => *labels.get(label).ok_or_else(|| AsmError::UnknownLabel {
+            line,
+            label: label.to_owned(),
+        })?,
         None => 0,
     };
-    Ok(Program::new(resolved, entry, labels))
+    Ok(Program::new(bundles, entry, labels))
 }
 
-fn mnemonic_table(config: &Config) -> HashMap<String, Opcode> {
-    let mut table = HashMap::new();
-    for op in Opcode::all_fixed() {
-        table.insert(op.mnemonic(), op);
+/// The opcode a mnemonic names on `config`'s machine. A custom op's
+/// configured name and its `CUSTOM_<n>` form both name slot `n`; a
+/// later registration shadows an earlier one, and any registration
+/// shadows a fixed mnemonic.
+fn opcode_named(mnemonic: &str, config: &Config) -> Option<Opcode> {
+    let slot = mnemonic
+        .strip_prefix("CUSTOM_")
+        .filter(|n| n.bytes().all(|b| b.is_ascii_digit()) && (*n == "0" || !n.starts_with('0')))
+        .and_then(|n| n.parse::<usize>().ok());
+    let mut custom = config.custom_ops().iter().enumerate().rev();
+    if let Some((i, _)) = custom.find(|(i, op)| slot == Some(*i) || op.name() == mnemonic) {
+        return Some(Opcode::Custom(i as u16));
     }
-    for (i, custom) in config.custom_ops().iter().enumerate() {
-        table.insert(custom.name().to_owned(), Opcode::Custom(i as u16));
-        table.insert(format!("CUSTOM_{i}"), Opcode::Custom(i as u16));
-    }
-    table
+    static FIXED: OnceLock<HashMap<&'static str, Opcode>> = OnceLock::new();
+    let fixed = FIXED.get_or_init(|| {
+        (Opcode::all_fixed().into_iter())
+            .map(|op| match op.mnemonic() {
+                Cow::Borrowed(name) => (name, op),
+                Cow::Owned(_) => unreachable!("fixed opcodes have static mnemonics"),
+            })
+            .collect()
+    });
+    fixed.get(mnemonic).copied()
 }
 
 fn is_ident(s: &str) -> bool {
@@ -159,12 +168,11 @@ fn is_ident(s: &str) -> bool {
         && !s.chars().next().expect("nonempty").is_ascii_digit()
 }
 
-fn parse_instruction(
-    code: &str,
+fn parse_instruction<'s>(
+    code: &'s str,
     line: usize,
     config: &Config,
-    mnemonics: &HashMap<String, Opcode>,
-) -> Result<(Instruction, Option<String>), AsmError> {
+) -> Result<(Instruction, Option<&'s str>), AsmError> {
     // Split off a trailing guard `(pN)`.
     let (body, guard) = match code.rfind('(') {
         Some(pos) if code.ends_with(')') => {
@@ -177,55 +185,59 @@ fn parse_instruction(
         Some((m, rest)) => (m.trim(), rest.trim()),
         None => (body, ""),
     };
-    let opcode = *mnemonics
-        .get(mnemonic)
-        .ok_or_else(|| AsmError::UnknownMnemonic {
-            line,
-            mnemonic: mnemonic.to_owned(),
-        })?;
-
-    let operands: Vec<&str> = if operand_text.is_empty() {
-        Vec::new()
+    let opcode = opcode_named(mnemonic, config).ok_or_else(|| AsmError::UnknownMnemonic {
+        line,
+        mnemonic: mnemonic.to_owned(),
+    })?;
+    let operands = || operand_text.split(',').map(str::trim);
+    let found = if operand_text.is_empty() {
+        0
     } else {
-        operand_text.split(',').map(str::trim).collect()
+        operands().count()
     };
 
     let sig = opcode.signature();
     // Field slots in printing order.
+    #[derive(Clone, Copy)]
     enum Slot {
         Dest(DestKind, bool), // bool: is dest2
         Src(SrcKind, bool),   // bool: is src2
     }
-    let mut slots: Vec<Slot> = Vec::new();
+    let mut slots = [Slot::Dest(DestKind::None, false); 4];
+    let mut expected = 0;
+    let mut add = |slot| {
+        slots[expected] = slot;
+        expected += 1;
+    };
     if sig.dest1 != DestKind::None {
-        slots.push(Slot::Dest(sig.dest1, false));
+        add(Slot::Dest(sig.dest1, false));
     }
     if sig.dest2 != DestKind::None {
-        slots.push(Slot::Dest(sig.dest2, true));
+        add(Slot::Dest(sig.dest2, true));
     }
     if opcode == Opcode::Movil {
-        slots.push(Slot::Src(SrcKind::LongLit, false));
+        add(Slot::Src(SrcKind::LongLit, false));
     } else {
         if sig.src1 != SrcKind::None {
-            slots.push(Slot::Src(sig.src1, false));
+            add(Slot::Src(sig.src1, false));
         }
         if sig.src2 != SrcKind::None {
-            slots.push(Slot::Src(sig.src2, true));
+            add(Slot::Src(sig.src2, true));
         }
     }
-    if operands.len() != slots.len() {
+    if found != expected {
         return Err(AsmError::WrongOperandCount {
             line,
             mnemonic: mnemonic.to_owned(),
-            expected: slots.len(),
-            found: operands.len(),
+            expected,
+            found,
         });
     }
 
     let mut instr = Instruction::new(opcode, Dest::None, Dest::None, Operand::None, Operand::None);
     let mut label_ref = None;
 
-    for (slot, text) in slots.iter().zip(&operands) {
+    for (slot, text) in slots[..expected].iter().zip(operands()) {
         match slot {
             Slot::Dest(kind, is_second) => {
                 let dest = parse_dest(text, *kind, line)?;
@@ -259,7 +271,6 @@ fn parse_instruction(
         };
         instr = instr.with_pred(PredReg(index));
     }
-    let _ = config;
     Ok((instr, label_ref))
 }
 
@@ -299,11 +310,7 @@ fn parse_dest(text: &str, kind: DestKind, line: usize) -> Result<Dest, AsmError>
     }
 }
 
-fn parse_src(
-    text: &str,
-    kind: SrcKind,
-    line: usize,
-) -> Result<(Operand, Option<String>), AsmError> {
+fn parse_src(text: &str, kind: SrcKind, line: usize) -> Result<(Operand, Option<&str>), AsmError> {
     let bad = |expected: &'static str| AsmError::BadOperand {
         line,
         operand: text.to_owned(),
@@ -318,7 +325,7 @@ fn parse_src(
                 Ok((Operand::Lit(v), None))
             } else if let Some(label) = text.strip_prefix('@') {
                 if is_ident(label) {
-                    Ok((Operand::Lit(0), Some(label.to_owned())))
+                    Ok((Operand::Lit(0), Some(label)))
                 } else {
                     Err(bad("a label like @loop_head"))
                 }

@@ -4,6 +4,7 @@ use crate::error::AsmError;
 use epic_config::Config;
 use epic_isa::{decode, encode_into, Instruction};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A fully assembled program image.
 ///
@@ -13,7 +14,7 @@ use std::collections::HashMap;
 /// map to bundle addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    bundles: Vec<Vec<Instruction>>,
+    bundles: Arc<[Vec<Instruction>]>,
     entry: u32,
     labels: HashMap<String, u32>,
 }
@@ -25,7 +26,7 @@ impl Program {
         labels: HashMap<String, u32>,
     ) -> Self {
         Program {
-            bundles,
+            bundles: bundles.into(),
             entry,
             labels,
         }
@@ -35,6 +36,13 @@ impl Program {
     #[must_use]
     pub fn bundles(&self) -> &[Vec<Instruction>] {
         &self.bundles
+    }
+
+    /// The issue bundles, shared: a simulator loads them without a copy
+    /// (`epic_sim::Simulator::try_new` accepts them as they are).
+    #[must_use]
+    pub fn shared_bundles(&self) -> Arc<[Vec<Instruction>]> {
+        Arc::clone(&self.bundles)
     }
 
     /// The entry bundle address.
@@ -72,7 +80,7 @@ impl Program {
         let width = config.instruction_format().width_bytes();
         let mut out = vec![0u8; self.image_bytes(config)];
         let mut cursor = 0;
-        for bundle in &self.bundles {
+        for bundle in self.bundles.iter() {
             for instr in bundle {
                 encode_into(instr, config, &mut out[cursor..cursor + width])
                     .map_err(|source| AsmError::Isa { line: 0, source })?;
@@ -105,11 +113,7 @@ impl Program {
             }
             bundles.push(bundle);
         }
-        Ok(Program {
-            bundles,
-            entry: 0,
-            labels: HashMap::new(),
-        })
+        Ok(Program::new(bundles, 0, HashMap::new()))
     }
 }
 

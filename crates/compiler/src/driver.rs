@@ -356,8 +356,10 @@ impl FrontHalf {
         let stub_layout = finalize_control(&mut stub, &abi);
         let (blocks, s) = schedule_function(&stub, &stub_layout, mdes);
         absorb_sched(&mut stats.sched, &s);
+        names.push(stub.name.clone());
         if let Some(trace) = &mut trace {
             // The stub is born allocated; only the back-end stages exist.
+            // Its schedule joins the trace once emitted.
             trace.functions.push(FunctionTrace {
                 name: stub.name.clone(),
                 post_select: None,
@@ -367,13 +369,12 @@ impl FrontHalf {
                 origin: None,
                 traces: Vec::new(),
                 post_regalloc: None,
-                post_finalize: stub.clone(),
-                layout: stub_layout.clone(),
-                scheduled: blocks.clone(),
+                post_finalize: stub,
+                layout: stub_layout,
+                scheduled: Vec::new(),
             });
         }
         scheduled.push(blocks);
-        names.push(stub.name);
 
         let mut snapshots = snapshots.into_iter();
         for mut mf in functions {
@@ -402,6 +403,7 @@ impl FrontHalf {
             let (mut blocks, s) = schedule_function_regions(&mf, &fl, &trace_groups, mdes);
             absorb_sched(&mut stats.sched, &s);
             apply(mutation.post_sched, targeted, &mut blocks);
+            names.push(mf.name.clone());
             if let Some(trace) = &mut trace {
                 trace.functions.push(FunctionTrace {
                     name: mf.name.clone(),
@@ -410,15 +412,14 @@ impl FrontHalf {
                     post_fuse: snapshot.post_fuse,
                     post_superblock,
                     origin,
-                    traces: trace_groups.clone(),
+                    traces: trace_groups,
                     post_regalloc,
-                    post_finalize: mf.clone(),
-                    layout: fl.clone(),
-                    scheduled: blocks.clone(),
+                    post_finalize: mf,
+                    layout: fl,
+                    scheduled: Vec::new(),
                 });
             }
             scheduled.push(blocks);
-            names.push(mf.name);
         }
 
         let config = &compiler.config;
@@ -426,6 +427,11 @@ impl FrontHalf {
         let mut assembly = emit_program(&scheduled, config);
         if let Some(edit) = mutation.post_emit {
             edit(&mut assembly);
+        }
+        if let Some(trace) = &mut trace {
+            for (function, blocks) in trace.functions.iter_mut().zip(scheduled) {
+                function.scheduled = blocks;
+            }
         }
         Ok((assembly, stats, trace))
     }

@@ -18,6 +18,7 @@ use crate::regalloc::Abi;
 use crate::sched::{block_label, ScheduledBlock};
 use epic_config::Config;
 use epic_isa::Opcode;
+use std::fmt::Write as _;
 
 /// BTR used for taken-branch targets within a function.
 pub const BRANCH_BTR: u16 = 1;
@@ -123,18 +124,17 @@ fn branch(opcode: Opcode, btr: u16, guard: u32) -> MInst {
     MInst::Op(op)
 }
 
-/// Renders one operation in assembler syntax (labels kept symbolic).
-#[must_use]
-pub fn format_op(op: &MOp, config: &Config) -> String {
+/// Appends one operation in assembler syntax (labels kept symbolic).
+pub fn write_op(out: &mut String, op: &MOp, config: &Config) {
     if let MSrc::Label(l) = &op.src1 {
         // Only PBR carries labels.
         let MDest::Btr(b) = op.dest1 else {
             unreachable!("label source outside PBR")
         };
-        return format!("PBR b{b}, @{l}");
+        write!(out, "PBR b{b}, @{l}").expect("writing to a String cannot fail");
+        return;
     }
-    let instr = crate::sched::to_instruction(op);
-    epic_isa::disassemble(&instr, config)
+    epic_isa::write_disassembly(out, &crate::sched::to_instruction(op), config);
 }
 
 /// Renders scheduled functions into the complete assembly module.
@@ -146,7 +146,9 @@ pub fn emit_program(functions: &[Vec<ScheduledBlock>], config: &Config) -> Strin
     let mut out = String::new();
     out.push_str("; EPIC assembly (generated)\n");
     if let Some(first) = functions.first().and_then(|f| f.first()) {
-        out.push_str(&format!(".entry {}\n", first.label));
+        out.push_str(".entry ");
+        out.push_str(&first.label);
+        out.push('\n');
     }
     for function in functions {
         for block in function {
@@ -156,7 +158,7 @@ pub fn emit_program(functions: &[Vec<ScheduledBlock>], config: &Config) -> Strin
             for bundle in &block.bundles {
                 for op in bundle {
                     out.push_str("    ");
-                    out.push_str(&format_op(op, config));
+                    write_op(&mut out, op, config);
                     out.push('\n');
                 }
                 out.push_str(";;\n");

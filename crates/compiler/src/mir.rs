@@ -9,7 +9,7 @@
 //! [`MFunction::allocated`] is set), and the scheduler finally reorders
 //! instructions into bundles.
 
-use epic_isa::Opcode;
+use epic_isa::{Opcode, RegList};
 use std::fmt;
 
 /// Identifier of a machine basic block (index into [`MFunction::blocks`]).
@@ -113,8 +113,8 @@ impl MOp {
 
     /// GPRs read by this operation.
     #[must_use]
-    pub fn gpr_uses(&self) -> Vec<u32> {
-        let mut uses = Vec::with_capacity(3);
+    pub fn gpr_uses(&self) -> RegList<u32, 3> {
+        let mut uses = RegList::new();
         if let MSrc::Gpr(r) = &self.src1 {
             uses.push(*r);
         }
@@ -153,8 +153,8 @@ impl MOp {
 
     /// Predicates read: the guard (if not 0) plus any predicate source.
     #[must_use]
-    pub fn pred_uses(&self) -> Vec<u32> {
-        let mut uses = Vec::with_capacity(2);
+    pub fn pred_uses(&self) -> RegList<u32, 2> {
+        let mut uses = RegList::new();
         if self.guard != 0 {
             uses.push(self.guard);
         }
@@ -166,8 +166,8 @@ impl MOp {
 
     /// Predicates written (excluding the discarding predicate 0).
     #[must_use]
-    pub fn pred_defs(&self) -> Vec<u32> {
-        let mut defs = Vec::with_capacity(2);
+    pub fn pred_defs(&self) -> RegList<u32, 2> {
+        let mut defs = RegList::new();
         if let MDest::Pred(p) = self.dest1 {
             if p != 0 {
                 defs.push(p);
@@ -263,11 +263,11 @@ pub enum MInst {
 }
 
 impl MInst {
-    /// GPRs read.
+    /// GPRs read (a call reads any number of arguments).
     #[must_use]
     pub fn gpr_uses(&self) -> Vec<u32> {
         match self {
-            MInst::Op(op) => op.gpr_uses(),
+            MInst::Op(op) => op.gpr_uses().to_vec(),
             MInst::Call { args, .. } => args.clone(),
         }
     }
@@ -292,19 +292,19 @@ impl MInst {
 
     /// Predicates read.
     #[must_use]
-    pub fn pred_uses(&self) -> Vec<u32> {
+    pub fn pred_uses(&self) -> RegList<u32, 2> {
         match self {
             MInst::Op(op) => op.pred_uses(),
-            MInst::Call { .. } => vec![],
+            MInst::Call { .. } => RegList::new(),
         }
     }
 
     /// Predicates written.
     #[must_use]
-    pub fn pred_defs(&self) -> Vec<u32> {
+    pub fn pred_defs(&self) -> RegList<u32, 2> {
         match self {
             MInst::Op(op) => op.pred_defs(),
-            MInst::Call { .. } => vec![],
+            MInst::Call { .. } => RegList::new(),
         }
     }
 
@@ -384,6 +384,17 @@ pub struct RegSet {
 }
 
 impl RegSet {
+    /// The empty set.
+    #[must_use]
+    pub const fn new() -> RegSet {
+        RegSet { words: Vec::new() }
+    }
+
+    /// Removes every resource, keeping the storage.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     fn locate((kind, number): (u8, u32)) -> (usize, u64) {
         debug_assert!(kind < 4, "register kind {kind} out of range");
         let bit = (number as usize) << 2 | usize::from(kind);
@@ -557,7 +568,7 @@ mod tests {
         op.dest1 = MDest::Gpr(5);
         op.src1 = MSrc::Gpr(1);
         op.src2 = MSrc::Lit(3);
-        assert_eq!(op.gpr_uses(), vec![1]);
+        assert_eq!(op.gpr_uses()[..], [1]);
         assert_eq!(op.gpr_def(), Some(5));
         assert!(op.pred_uses().is_empty());
 
@@ -566,9 +577,9 @@ mod tests {
         store.src1 = MSrc::Gpr(8);
         store.src2 = MSrc::Lit(0);
         store.guard = 2;
-        assert_eq!(store.gpr_uses(), vec![8, 7]);
+        assert_eq!(store.gpr_uses()[..], [8, 7]);
         assert_eq!(store.gpr_def(), None);
-        assert_eq!(store.pred_uses(), vec![2]);
+        assert_eq!(store.pred_uses()[..], [2]);
         assert!(store.is_conditional());
     }
 
@@ -579,7 +590,7 @@ mod tests {
         cmp.dest2 = MDest::Pred(0);
         cmp.src1 = MSrc::Gpr(1);
         cmp.src2 = MSrc::Gpr(2);
-        assert_eq!(cmp.pred_defs(), vec![3]);
+        assert_eq!(cmp.pred_defs()[..], [3]);
     }
 
     #[test]

@@ -456,14 +456,14 @@ enum Space {
 fn inst_uses(inst: &MInst, space: Space) -> Vec<u32> {
     match space {
         Space::Gpr => inst.gpr_uses(),
-        Space::Pred => inst.pred_uses(),
+        Space::Pred => inst.pred_uses().to_vec(),
     }
 }
 
 fn inst_defs(inst: &MInst, space: Space) -> Vec<u32> {
     match space {
         Space::Gpr => inst.gpr_def().into_iter().collect(),
-        Space::Pred => inst.pred_defs(),
+        Space::Pred => inst.pred_defs().to_vec(),
     }
 }
 

@@ -401,11 +401,12 @@ impl Toolchain {
         prepared: &PreparedProgram,
         engine: Engine,
     ) -> Result<EngineOutcome, ToolchainError> {
-        let bundles = prepared.program.bundles().to_vec();
-        let entry = prepared.program.entry();
+        let program = &prepared.program;
+        let entry = program.entry();
         let memory = Memory::from_image(prepared.initial_memory.clone());
         match engine {
             Engine::Reference => {
+                let bundles = program.bundles().to_vec();
                 let mut sim = ReferenceSimulator::new(&self.config, bundles, entry);
                 sim.set_memory(memory);
                 let stats = *sim.run()?;
@@ -418,7 +419,7 @@ impl Toolchain {
                 })
             }
             Engine::Threaded => {
-                let mut sim = Simulator::try_new(&self.config, bundles, entry)?;
+                let mut sim = Simulator::try_new(&self.config, program.shared_bundles(), entry)?;
                 sim.set_memory(memory);
                 let stats = *sim.run()?;
                 Ok(EngineOutcome {

@@ -268,7 +268,7 @@ fn decode_src(
     let reg_only = || {
         if is_literal {
             Err(IsaError::OperandKind {
-                opcode: opcode.mnemonic(),
+                opcode: opcode.mnemonic().into_owned(),
                 field: name,
             })
         } else {

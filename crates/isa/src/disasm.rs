@@ -1,8 +1,9 @@
 //! Textual form of instructions (the assembler's canonical syntax).
 
-use crate::instr::{Dest, Instruction, Operand};
+use crate::instr::{Instruction, Operand};
 use crate::op::{DestKind, Opcode, SrcKind};
 use epic_config::Config;
+use std::fmt;
 
 /// Renders an instruction in assembler syntax, resolving custom opcode
 /// names through the configuration.
@@ -22,46 +23,67 @@ use epic_config::Config;
 /// ```
 #[must_use]
 pub fn disassemble(instr: &Instruction, config: &Config) -> String {
-    format_instruction(instr, Some(config))
+    let mut out = String::new();
+    write_disassembly(&mut out, instr, config);
+    out
 }
 
-pub(crate) fn format_instruction(instr: &Instruction, config: Option<&Config>) -> String {
-    let mnemonic = match config {
-        Some(c) => instr.opcode.mnemonic_in(c),
-        None => instr.opcode.mnemonic(),
-    };
-    let sig = instr.opcode.signature();
-    let mut operands: Vec<String> = Vec::with_capacity(4);
+/// Appends [`disassemble`]'s text to `out`, so a caller rendering many
+/// instructions formats each in place.
+///
+/// # Examples
+///
+/// ```
+/// use epic_config::Config;
+/// use epic_isa::{disassemble, write_disassembly, Instruction};
+///
+/// let config = Config::default();
+/// let mut text = String::from("    ");
+/// write_disassembly(&mut text, &Instruction::halt(), &config);
+/// assert_eq!(text, format!("    {}", disassemble(&Instruction::halt(), &config)));
+/// ```
+pub fn write_disassembly(out: &mut String, instr: &Instruction, config: &Config) {
+    write_instruction(out, instr, Some(config)).expect("writing to a String cannot fail");
+}
 
-    let dest_str = |d: &Dest| d.to_string();
+pub(crate) fn write_instruction(
+    out: &mut impl fmt::Write,
+    instr: &Instruction,
+    config: Option<&Config>,
+) -> fmt::Result {
+    match config {
+        Some(c) => out.write_str(&instr.opcode.mnemonic_in(c))?,
+        None => out.write_str(&instr.opcode.mnemonic())?,
+    }
+    let sig = instr.opcode.signature();
+    let mut separator = " ";
+    let mut operand = |out: &mut dyn fmt::Write, text: &dyn fmt::Display| {
+        write!(out, "{separator}{text}")?;
+        separator = ", ";
+        Ok::<(), fmt::Error>(())
+    };
     if sig.dest1 != DestKind::None {
-        operands.push(dest_str(&instr.dest1));
+        operand(out, &instr.dest1)?;
     }
     if sig.dest2 != DestKind::None {
-        operands.push(dest_str(&instr.dest2));
+        operand(out, &instr.dest2)?;
     }
     if instr.opcode == Opcode::Movil {
         if let Operand::Lit(v) = instr.src1 {
-            operands.push(format!("#{v}"));
+            operand(out, &format_args!("#{v}"))?;
         }
     } else {
         if sig.src1 != SrcKind::None {
-            operands.push(instr.src1.to_string());
+            operand(out, &instr.src1)?;
         }
         if sig.src2 != SrcKind::None {
-            operands.push(instr.src2.to_string());
+            operand(out, &instr.src2)?;
         }
     }
-
-    let mut out = mnemonic;
-    if !operands.is_empty() {
-        out.push(' ');
-        out.push_str(&operands.join(", "));
-    }
     if instr.pred.0 != 0 {
-        out.push_str(&format!(" ({})", instr.pred));
+        write!(out, " ({})", instr.pred)?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,15 +2,16 @@
 
 use crate::error::IsaError;
 use crate::op::{DestKind, Opcode, SrcKind};
+use crate::RegList;
 use epic_config::Config;
 use std::fmt;
 
 /// Index of a general-purpose register (`r<n>`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Gpr(pub u16);
 
 /// Index of a one-bit predicate register (`p<n>`); `p0` is hard-wired true.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredReg(pub u16);
 
 /// Index of a branch target register (`b<n>`).
@@ -293,8 +294,8 @@ impl Instruction {
     /// cycle (paper §3.2), and both the scheduler and the simulator use
     /// this accounting to respect the port budget.
     #[must_use]
-    pub fn gpr_reads(&self) -> Vec<Gpr> {
-        let mut reads = Vec::with_capacity(3);
+    pub fn gpr_reads(&self) -> RegList<Gpr, 3> {
+        let mut reads = RegList::new();
         if let Operand::Gpr(r) = self.src1 {
             reads.push(r);
         }
@@ -323,8 +324,8 @@ impl Instruction {
     /// Predicate registers written by this instruction (p0 writes are
     /// discarded by hardware but still listed here).
     #[must_use]
-    pub fn pred_writes(&self) -> Vec<PredReg> {
-        let mut writes = Vec::with_capacity(2);
+    pub fn pred_writes(&self) -> RegList<PredReg, 2> {
+        let mut writes = RegList::new();
         let sig = self.opcode.signature();
         if sig.dest1 == DestKind::Pred {
             if let Dest::Pred(p) = self.dest1 {
@@ -341,8 +342,8 @@ impl Instruction {
 
     /// Predicate registers read: the guard, plus `MOVPG`'s source.
     #[must_use]
-    pub fn pred_reads(&self) -> Vec<PredReg> {
-        let mut reads = Vec::with_capacity(2);
+    pub fn pred_reads(&self) -> RegList<PredReg, 2> {
+        let mut reads = RegList::new();
         if self.pred.0 != 0 {
             reads.push(self.pred);
         }
@@ -387,7 +388,7 @@ impl Instruction {
         if let Some(feature) = self.opcode.required_feature() {
             if !config.alu_features().contains(feature) {
                 return Err(IsaError::FeatureDisabled {
-                    opcode: self.opcode.mnemonic(),
+                    opcode: self.opcode.mnemonic().into_owned(),
                     feature,
                 });
             }
@@ -407,7 +408,7 @@ impl Instruction {
             let width = config.datapath_width();
             let Operand::Lit(v) = self.src1 else {
                 return Err(IsaError::OperandKind {
-                    opcode: self.opcode.mnemonic(),
+                    opcode: self.opcode.mnemonic().into_owned(),
                     field: "SRC1",
                 });
             };
@@ -443,7 +444,7 @@ fn validate_dest(
     config: &Config,
 ) -> Result<(), IsaError> {
     let bad = || IsaError::OperandKind {
-        opcode: opcode.mnemonic(),
+        opcode: opcode.mnemonic().into_owned(),
         field,
     };
     let range = |kind, index: u16, count| {
@@ -472,7 +473,7 @@ fn validate_src(
     config: &Config,
 ) -> Result<(), IsaError> {
     let bad = || IsaError::OperandKind {
-        opcode: opcode.mnemonic(),
+        opcode: opcode.mnemonic().into_owned(),
         field,
     };
     let range = |kind, index: u16, count| {
@@ -512,7 +513,7 @@ impl fmt::Display for Instruction {
     /// [`disassemble`](crate::disassemble) for configuration-aware output
     /// (custom-op names).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::disasm::format_instruction(self, None))
+        crate::disasm::write_instruction(f, self, None)
     }
 }
 
@@ -533,11 +534,11 @@ mod tests {
             Operand::Gpr(Gpr(2)),
             Operand::Gpr(Gpr(3)),
         );
-        assert_eq!(add.gpr_reads(), vec![Gpr(2), Gpr(3)]);
+        assert_eq!(add.gpr_reads()[..], [Gpr(2), Gpr(3)]);
         assert_eq!(add.gpr_write(), Some(Gpr(1)));
 
         let sw = Instruction::store(Opcode::Sw, Gpr(7), Operand::Gpr(Gpr(8)), Operand::Lit(4));
-        assert_eq!(sw.gpr_reads(), vec![Gpr(8), Gpr(7)]);
+        assert_eq!(sw.gpr_reads()[..], [Gpr(8), Gpr(7)]);
         assert_eq!(sw.gpr_write(), None);
 
         let cmp = Instruction::cmp(
@@ -547,14 +548,14 @@ mod tests {
             Operand::Gpr(Gpr(3)),
             Operand::Lit(0),
         );
-        assert_eq!(cmp.pred_writes(), vec![PredReg(1), PredReg(2)]);
-        assert_eq!(cmp.gpr_reads(), vec![Gpr(3)]);
+        assert_eq!(cmp.pred_writes()[..], [PredReg(1), PredReg(2)]);
+        assert_eq!(cmp.gpr_reads()[..], [Gpr(3)]);
     }
 
     #[test]
     fn guard_is_a_predicate_read() {
         let i = Instruction::nop().with_pred(PredReg(5));
-        assert_eq!(i.pred_reads(), vec![PredReg(5)]);
+        assert_eq!(i.pred_reads()[..], [PredReg(5)]);
         assert!(Instruction::nop().pred_reads().is_empty());
     }
 

@@ -38,12 +38,14 @@ mod disasm;
 mod error;
 mod instr;
 mod op;
+mod regs;
 
 pub use codec::{decode, encode, encode_into};
-pub use disasm::disassemble;
+pub use disasm::{disassemble, write_disassembly};
 pub use error::IsaError;
 pub use instr::{Btr, Dest, Gpr, Instruction, Operand, PredReg};
 pub use op::{opcode_hamming_distance, CmpCond, DestKind, OpSignature, Opcode, SrcKind, Unit};
+pub use regs::RegList;
 
 /// The always-true predicate register.
 ///

@@ -2,6 +2,7 @@
 
 use crate::error::IsaError;
 use epic_config::{AluFeature, Config};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Functional unit classes of the datapath (paper Fig. 2).
@@ -583,64 +584,77 @@ impl Opcode {
     }
 
     /// The assembly mnemonic (custom opcodes resolve their configured
-    /// name through [`Opcode::mnemonic_in`]).
+    /// name through [`Opcode::mnemonic_in`]). Fixed opcodes borrow a
+    /// static string; only `CUSTOM_<n>` is formatted.
     #[must_use]
-    pub fn mnemonic(self) -> String {
-        match self {
-            Opcode::Add => "ADD".into(),
-            Opcode::Sub => "SUB".into(),
-            Opcode::Mull => "MULL".into(),
-            Opcode::Div => "DIV".into(),
-            Opcode::Rem => "REM".into(),
-            Opcode::And => "AND".into(),
-            Opcode::Or => "OR".into(),
-            Opcode::Xor => "XOR".into(),
-            Opcode::Shl => "SHL".into(),
-            Opcode::Shr => "SHR".into(),
-            Opcode::Shra => "SHRA".into(),
-            Opcode::Min => "MIN".into(),
-            Opcode::Max => "MAX".into(),
-            Opcode::Abs => "ABS".into(),
-            Opcode::Sxtb => "SXTB".into(),
-            Opcode::Sxth => "SXTH".into(),
-            Opcode::Zxtb => "ZXTB".into(),
-            Opcode::Zxth => "ZXTH".into(),
-            Opcode::Move => "MOVE".into(),
-            Opcode::Movil => "MOVIL".into(),
-            Opcode::Cmp(c) => format!("CMP_{}", c.suffix()),
-            Opcode::PredSet => "PSET".into(),
-            Opcode::PredClr => "PCLR".into(),
-            Opcode::MovGp => "MOVGP".into(),
-            Opcode::MovPg => "MOVPG".into(),
-            Opcode::Lw => "LW".into(),
-            Opcode::Lh => "LH".into(),
-            Opcode::Lhu => "LHU".into(),
-            Opcode::Lb => "LB".into(),
-            Opcode::Lbu => "LBU".into(),
-            Opcode::LwS => "LWS".into(),
-            Opcode::Sw => "SW".into(),
-            Opcode::Sh => "SH".into(),
-            Opcode::Sb => "SB".into(),
-            Opcode::Pbr => "PBR".into(),
-            Opcode::Br => "BR".into(),
-            Opcode::Brct => "BRCT".into(),
-            Opcode::Brcf => "BRCF".into(),
-            Opcode::Brl => "BRL".into(),
-            Opcode::Halt => "HALT".into(),
-            Opcode::Nop => "NOP".into(),
-            Opcode::Custom(i) => format!("CUSTOM_{i}"),
-        }
+    pub fn mnemonic(self) -> Cow<'static, str> {
+        let fixed = match self {
+            Opcode::Add => "ADD",
+            Opcode::Sub => "SUB",
+            Opcode::Mull => "MULL",
+            Opcode::Div => "DIV",
+            Opcode::Rem => "REM",
+            Opcode::And => "AND",
+            Opcode::Or => "OR",
+            Opcode::Xor => "XOR",
+            Opcode::Shl => "SHL",
+            Opcode::Shr => "SHR",
+            Opcode::Shra => "SHRA",
+            Opcode::Min => "MIN",
+            Opcode::Max => "MAX",
+            Opcode::Abs => "ABS",
+            Opcode::Sxtb => "SXTB",
+            Opcode::Sxth => "SXTH",
+            Opcode::Zxtb => "ZXTB",
+            Opcode::Zxth => "ZXTH",
+            Opcode::Move => "MOVE",
+            Opcode::Movil => "MOVIL",
+            Opcode::Cmp(c) => match c {
+                CmpCond::Eq => "CMP_EQ",
+                CmpCond::Ne => "CMP_NE",
+                CmpCond::Lt => "CMP_LT",
+                CmpCond::Le => "CMP_LE",
+                CmpCond::Gt => "CMP_GT",
+                CmpCond::Ge => "CMP_GE",
+                CmpCond::Ltu => "CMP_LTU",
+                CmpCond::Leu => "CMP_LEU",
+                CmpCond::Gtu => "CMP_GTU",
+                CmpCond::Geu => "CMP_GEU",
+            },
+            Opcode::PredSet => "PSET",
+            Opcode::PredClr => "PCLR",
+            Opcode::MovGp => "MOVGP",
+            Opcode::MovPg => "MOVPG",
+            Opcode::Lw => "LW",
+            Opcode::Lh => "LH",
+            Opcode::Lhu => "LHU",
+            Opcode::Lb => "LB",
+            Opcode::Lbu => "LBU",
+            Opcode::LwS => "LWS",
+            Opcode::Sw => "SW",
+            Opcode::Sh => "SH",
+            Opcode::Sb => "SB",
+            Opcode::Pbr => "PBR",
+            Opcode::Br => "BR",
+            Opcode::Brct => "BRCT",
+            Opcode::Brcf => "BRCF",
+            Opcode::Brl => "BRL",
+            Opcode::Halt => "HALT",
+            Opcode::Nop => "NOP",
+            Opcode::Custom(i) => return Cow::Owned(format!("CUSTOM_{i}")),
+        };
+        Cow::Borrowed(fixed)
     }
 
     /// The assembly mnemonic, resolving custom slots to their configured
     /// names (e.g. `Custom(0)` → `sha_rotr`).
     #[must_use]
-    pub fn mnemonic_in(self, config: &Config) -> String {
+    pub fn mnemonic_in(self, config: &Config) -> Cow<'_, str> {
         match self {
             Opcode::Custom(i) => config
                 .custom_ops()
                 .get(i as usize)
-                .map_or_else(|| format!("CUSTOM_{i}"), |op| op.name().to_owned()),
+                .map_or_else(|| self.mnemonic(), |op| Cow::Borrowed(op.name())),
             other => other.mnemonic(),
         }
     }

@@ -33,10 +33,16 @@ pub struct Edge {
 }
 
 /// The control-flow graph of one program against one configuration.
+///
+/// The edges live in one array, each bundle's outgoing edges then each
+/// bundle's incoming ones, addressed by per-bundle offsets.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    succs: Vec<Vec<Edge>>,
-    preds: Vec<Vec<Edge>>,
+    /// `edges[at[b]..at[b + 1]]` leave bundle `b`; past the outgoing
+    /// edges of all `len` bundles, `edges[at[len + b]..at[len + b + 1]]`
+    /// enter it (`Edge::to` naming the predecessor).
+    edges: Vec<Edge>,
+    at: Vec<usize>,
     /// Bundles containing a `HALT` (guarded or not).
     halts: Vec<usize>,
     branch_delta: u32,
@@ -50,7 +56,9 @@ impl Cfg {
         let num_btrs = config.num_btrs();
         let branch_delta = config.pipeline_stages() as u32;
 
-        let mut literal_targets: Vec<Vec<usize>> = vec![Vec::new(); num_btrs];
+        // The literal targets `PBR`s load into each BTR, as
+        // `(btr, target)` pairs sorted by BTR.
+        let mut literal_targets: Vec<(u16, usize)> = Vec::new();
         let mut unknown_target: Vec<bool> = vec![false; num_btrs];
         let mut return_points: Vec<usize> = Vec::new();
         for (bi, bundle) in bundles.iter().enumerate() {
@@ -59,12 +67,12 @@ impl Cfg {
                     let Some(btr) = instr.btr_write() else {
                         continue;
                     };
-                    let Some(slot) = literal_targets.get_mut(btr.0 as usize) else {
+                    if usize::from(btr.0) >= num_btrs {
                         continue;
-                    };
+                    }
                     match instr.src1 {
                         epic_isa::Operand::Lit(v) if (0..len as i64).contains(&v) => {
-                            slot.push(v as usize);
+                            literal_targets.push((btr.0, v as usize));
                         }
                         _ => unknown_target[btr.0 as usize] = true,
                     }
@@ -74,12 +82,16 @@ impl Cfg {
                 }
             }
         }
+        // Stable: each BTR's targets stay in program order.
+        literal_targets.sort_by_key(|&(btr, _)| btr);
 
-        let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); len];
+        let mut edges: Vec<Edge> = Vec::new();
+        let mut at = Vec::with_capacity(2 * len + 1);
         let mut halts = Vec::new();
         for (bi, bundle) in bundles.iter().enumerate() {
+            let first = edges.len();
+            at.push(first);
             let mut fall_through = bi + 1 < len;
-            let edges = &mut succs[bi];
             if bundle.iter().any(|i| i.opcode == Opcode::Halt) {
                 halts.push(bi);
             }
@@ -87,13 +99,15 @@ impl Cfg {
                 let always = instr.pred.0 == 0;
                 let branch_edges = |edges: &mut Vec<Edge>| {
                     if let Some(btr) = instr.btr_read() {
-                        if let Some(targets) = literal_targets.get(btr.0 as usize) {
-                            for &t in targets {
-                                edges.push(Edge {
-                                    to: t,
-                                    delta: branch_delta,
-                                });
-                            }
+                        let from = literal_targets.partition_point(|&(b, _)| b < btr.0);
+                        let targets = literal_targets[from..]
+                            .iter()
+                            .take_while(|&&(b, _)| b == btr.0);
+                        for &(_, t) in targets {
+                            edges.push(Edge {
+                                to: t,
+                                delta: branch_delta,
+                            });
                         }
                         if unknown_target.get(btr.0 as usize).copied().unwrap_or(false) {
                             for &rp in &return_points {
@@ -110,7 +124,7 @@ impl Cfg {
                         // `BRCT`'s predicate is the tested condition, and
                         // a false guard squashes `BR`/`BRL`: either way
                         // `p0` means the branch is always taken.
-                        branch_edges(edges);
+                        branch_edges(&mut edges);
                         if always {
                             fall_through = false;
                         }
@@ -118,7 +132,7 @@ impl Cfg {
                     // `BRCF` branches when the guard is *false*; `p0` is
                     // hard-wired true, so a `p0` BRCF never leaves the
                     // fall-through path.
-                    Opcode::Brcf if !always => branch_edges(edges),
+                    Opcode::Brcf if !always => branch_edges(&mut edges),
                     Opcode::Halt if always => fall_through = false,
                     _ => {}
                 }
@@ -129,23 +143,39 @@ impl Cfg {
                     delta: 1,
                 });
             }
-            edges.sort_unstable();
-            edges.dedup();
+            let out = &mut edges[first..];
+            out.sort_unstable();
+            let kept = dedup_sorted(out);
+            edges.truncate(first + kept);
         }
+        at.push(edges.len());
 
-        let mut preds: Vec<Vec<Edge>> = vec![Vec::new(); len];
-        for (bi, edges) in succs.iter().enumerate() {
-            for edge in edges {
-                preds[edge.to].push(Edge {
+        // The incoming edges, grouped by target in source order.
+        let succ_count = edges.len();
+        let mut in_at = vec![0usize; len + 1];
+        for e in &edges {
+            in_at[e.to + 1] += 1;
+        }
+        for b in 0..len {
+            in_at[b + 1] += in_at[b];
+        }
+        edges.resize(2 * succ_count, Edge { to: 0, delta: 0 });
+        let mut fill = in_at.clone();
+        for bi in 0..len {
+            for k in at[bi]..at[bi + 1] {
+                let e = edges[k];
+                edges[succ_count + fill[e.to]] = Edge {
                     to: bi,
-                    delta: edge.delta,
-                });
+                    delta: e.delta,
+                };
+                fill[e.to] += 1;
             }
         }
+        at.extend(in_at[1..].iter().map(|&k| succ_count + k));
 
         Cfg {
-            succs,
-            preds,
+            edges,
+            at,
             halts,
             branch_delta,
         }
@@ -154,25 +184,28 @@ impl Cfg {
     /// Number of bundles in the program.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.at.len() / 2
     }
 
     /// Whether the program has no bundles.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.len() == 0
     }
 
     /// Outgoing edges of a bundle.
     #[must_use]
     pub fn succs(&self, bi: usize) -> &[Edge] {
-        &self.succs[bi]
+        assert!(bi < self.len(), "bundle {bi} is outside the program");
+        &self.edges[self.at[bi]..self.at[bi + 1]]
     }
 
     /// Incoming edges of a bundle (`Edge::to` names the *predecessor*).
     #[must_use]
     pub fn preds(&self, bi: usize) -> &[Edge] {
-        &self.preds[bi]
+        let len = self.len();
+        assert!(bi < len, "bundle {bi} is outside the program");
+        &self.edges[self.at[len + bi]..self.at[len + bi + 1]]
     }
 
     /// Bundle addresses containing a `HALT`, guarded or not.
@@ -197,7 +230,7 @@ impl Cfg {
         let mut stack = vec![entry];
         seen[entry] = true;
         while let Some(bi) = stack.pop() {
-            for edge in &self.succs[bi] {
+            for edge in self.succs(bi) {
                 if !seen[edge.to] {
                     seen[edge.to] = true;
                     stack.push(edge.to);
@@ -206,6 +239,19 @@ impl Cfg {
         }
         seen
     }
+}
+
+/// Moves the distinct edges of a sorted run to its front; returns how
+/// many there are.
+fn dedup_sorted(run: &mut [Edge]) -> usize {
+    let mut kept = 0;
+    for i in 0..run.len() {
+        if kept == 0 || run[kept - 1] != run[i] {
+            run[kept] = run[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]

@@ -318,35 +318,34 @@ impl MachineDescription {
                 });
             }
         }
-        let mut gpr_writes = Vec::new();
-        let mut pred_writes = Vec::new();
-        let mut btr_writes = Vec::new();
-        for instr in bundle {
+        // The bundle fits the issue width, so each write is compared
+        // with the earlier ones in place instead of collecting them.
+        for (j, instr) in bundle.iter().enumerate() {
+            let earlier = &bundle[..j];
             if let Some(r) = instr.gpr_write() {
-                if gpr_writes.contains(&r) {
+                if earlier.iter().any(|e| e.gpr_write() == Some(r)) {
                     return Err(BundleError::WriteConflict {
                         register: r.to_string(),
                     });
                 }
-                gpr_writes.push(r);
             }
-            for p in instr.pred_writes() {
-                if p.0 != 0 {
-                    if pred_writes.contains(&p) {
-                        return Err(BundleError::WriteConflict {
-                            register: p.to_string(),
-                        });
-                    }
-                    pred_writes.push(p);
+            let preds = instr.pred_writes();
+            for (k, p) in preds.iter().enumerate() {
+                if p.0 != 0
+                    && (preds[..k].contains(p)
+                        || earlier.iter().any(|e| e.pred_writes().contains(p)))
+                {
+                    return Err(BundleError::WriteConflict {
+                        register: p.to_string(),
+                    });
                 }
             }
             if let Some(b) = instr.btr_write() {
-                if btr_writes.contains(&b) {
+                if earlier.iter().any(|e| e.btr_write() == Some(b)) {
                     return Err(BundleError::WriteConflict {
                         register: b.to_string(),
                     });
                 }
-                btr_writes.push(b);
             }
         }
         Ok(())

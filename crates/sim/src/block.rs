@@ -28,7 +28,6 @@ use crate::machine::Machine;
 use crate::semantics::Action;
 use crate::stats::{StallBreakdown, StallCause};
 use epic_mdes::cfg::Cfg;
-use std::collections::HashMap;
 
 /// Upper bound on symbolic-replay cycles per block: a block that takes
 /// longer than this to issue is not worth compiling (and a runaway
@@ -67,17 +66,18 @@ pub(crate) struct CompiledBlock {
     pub(crate) folded_events: Vec<(u64, StallCause)>,
     /// Relative issue cycle of each bundle in the block.
     pub(crate) issue_rel: Vec<u64>,
-    /// Scoreboard bookings per bundle, in issue order (the fault path
-    /// replays the issued prefix bundle by bundle).
-    pub(crate) bookings: Vec<Vec<Booking>>,
-    /// All bookings concatenated in issue order: the success path
-    /// applies them in one flat pass.
+    /// All scoreboard bookings in issue order: the success path applies
+    /// them in one flat pass.
     pub(crate) flat_bookings: Vec<Booking>,
+    /// How many of `flat_bookings` bundles `0..=i` made, per bundle `i`
+    /// (the fault path replays the issued prefix).
+    pub(crate) booked: Vec<u32>,
     /// Entry signature: the replay is exact iff, for each `(reg, cap)`,
-    /// the live ready cycle is at most `entry_cycle + cap`.
-    pub(crate) entry_gpr_caps: Vec<(u16, u64)>,
-    pub(crate) entry_pred_caps: Vec<(u16, u64)>,
-    pub(crate) entry_btr_caps: Vec<(u16, u64)>,
+    /// the live ready cycle is at most `entry_cycle + cap`. GPR caps
+    /// come first, then predicate caps from `cap_split[0]`, then BTR
+    /// caps from `cap_split[1]`, each sorted by register.
+    pub(crate) entry_caps: Vec<(u16, u64)>,
+    pub(crate) cap_split: [usize; 2],
     /// Data-memory operations the body performs (0 when memory
     /// contention is off — debt is then never charged).
     pub(crate) body_mem_ops: u32,
@@ -114,18 +114,12 @@ pub(crate) fn entry_ok(sim: &Machine, block: &CompiledBlock) -> bool {
     if sim.alu_busy.iter().any(|&b| b > c + 1) {
         return false;
     }
-    block
-        .entry_gpr_caps
-        .iter()
-        .all(|&(r, cap)| sim.gpr_ready[r as usize] <= c + cap)
-        && block
-            .entry_pred_caps
-            .iter()
-            .all(|&(p, cap)| sim.pred_ready[p as usize] <= c + cap)
-        && block
-            .entry_btr_caps
-            .iter()
-            .all(|&(b, cap)| sim.btr_ready[b as usize] <= c + cap)
+    let [preds, btrs] = block.cap_split;
+    let (gpr_caps, rest) = block.entry_caps.split_at(preds);
+    let (pred_caps, btr_caps) = rest.split_at(btrs - preds);
+    (gpr_caps.iter()).all(|&(r, cap)| sim.gpr_ready[r as usize] <= c + cap)
+        && (pred_caps.iter()).all(|&(p, cap)| sim.pred_ready[p as usize] <= c + cap)
+        && (btr_caps.iter()).all(|&(b, cap)| sim.btr_ready[b as usize] <= c + cap)
 }
 
 /// Rewinds a folded block interrupted by a fault in body bundle `i` to
@@ -134,9 +128,11 @@ pub(crate) fn entry_ok(sim: &Machine, block: &CompiledBlock) -> bool {
 /// bundles `0..=i` issued and their stalls counted.
 pub(crate) fn fault_unwind(sim: &mut Machine, block: &CompiledBlock, entry_cycle: u64, i: usize) {
     let fault_rel = block.issue_rel[i];
-    for bundle in &block.bookings[..=i] {
-        apply_bookings(sim, entry_cycle, bundle);
-    }
+    apply_bookings(
+        sim,
+        entry_cycle,
+        &block.flat_bookings[..block.booked[i] as usize],
+    );
     let mut contention = 0u64;
     for &(rel, cause) in &block.folded_events {
         if rel > fault_rel {
@@ -229,8 +225,7 @@ pub(crate) fn compile_blocks(
         .bundles
         .iter()
         .map(|b| {
-            b.ops
-                .iter()
+            (program.ops(b).iter())
                 .any(|op| matches!(op.action, Action::Branch { .. } | Action::Halt))
         })
         .collect();
@@ -240,6 +235,7 @@ pub(crate) fn compile_blocks(
         }
     }
 
+    let mut replay = Replay::default();
     (0..len)
         .map(|leader| {
             if !is_leader[leader] {
@@ -252,15 +248,73 @@ pub(crate) fn compile_blocks(
             if term == leader {
                 return None; // No straight-line body to fold.
             }
-            translate(program, leader, term)
+            translate(program, leader, term, &mut replay)
         })
         .collect()
+}
+
+/// Register readiness for one block's replay, one slot per register
+/// index, reset between blocks through the list of slots it touched.
+#[derive(Default)]
+struct RegMap {
+    values: Vec<Option<u64>>,
+    touched: Vec<u16>,
+}
+
+impl RegMap {
+    fn clear(&mut self) {
+        for &r in &self.touched {
+            self.values[usize::from(r)] = None;
+        }
+        self.touched.clear();
+    }
+
+    fn get(&self, r: u16) -> Option<u64> {
+        self.values.get(usize::from(r)).copied().flatten()
+    }
+
+    fn insert(&mut self, r: u16, value: u64) {
+        let i = usize::from(r);
+        if i >= self.values.len() {
+            self.values.resize(i + 1, None);
+        }
+        if self.values[i].replace(value).is_none() {
+            self.touched.push(r);
+        }
+    }
+
+    /// Appends the entries to `out`, sorted by register.
+    fn append_sorted(&mut self, out: &mut Vec<(u16, u64)>) {
+        self.touched.sort_unstable();
+        out.extend(
+            (self.touched.iter()).map(|&r| (r, self.values[usize::from(r)].expect("touched"))),
+        );
+    }
+}
+
+/// The symbolic replay's register state, kept across the blocks of a
+/// program: for each register file, the relative scoreboard of
+/// registers the block has booked, and the entry caps of those it reads
+/// from entry.
+#[derive(Default)]
+struct Replay {
+    gpr_rel: RegMap,
+    pred_rel: RegMap,
+    btr_rel: RegMap,
+    gpr_caps: RegMap,
+    pred_caps: RegMap,
+    btr_caps: RegMap,
 }
 
 /// Symbolically replays the issue logic of bundles `[first..=last]`
 /// and folds the schedule into a [`CompiledBlock`], or `None` when the
 /// block's timing cannot be proven statically.
-fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<CompiledBlock> {
+fn translate(
+    program: &DecodedProgram,
+    first: usize,
+    last: usize,
+    replay: &mut Replay,
+) -> Option<CompiledBlock> {
     let n = last - first + 1;
     let bundles = &program.bundles[first..=last];
 
@@ -270,7 +324,7 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         return None;
     }
     for bundle in &bundles[..n - 1] {
-        for op in bundle.ops.iter() {
+        for op in program.ops(bundle) {
             match op.action {
                 // A body branch/halt would change control mid-window.
                 Action::Branch { .. } | Action::Halt => return None,
@@ -285,19 +339,15 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
             }
         }
     }
-    let mem_ops: Vec<u32> = bundles[..n - 1]
-        .iter()
-        .map(|b| {
-            if program.mem_contention {
-                b.ops
-                    .iter()
-                    .filter(|op| matches!(op.action, Action::Load { .. } | Action::Store { .. }))
-                    .count() as u32
-            } else {
-                0
-            }
-        })
-        .collect();
+    let mem_ops = |bi: usize| -> u32 {
+        if program.mem_contention && bi < n - 1 {
+            (program.ops(&bundles[bi]).iter())
+                .filter(|op| matches!(op.action, Action::Load { .. } | Action::Store { .. }))
+                .count() as u32
+        } else {
+            0
+        }
+    };
 
     // ---- symbolic replay of the per-cycle issue loop -------------------
     // Relative scoreboard for registers the block has booked; registers
@@ -306,16 +356,29 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
     // stall (ready <= rel + 1) nor — with forwarding on, where an exact
     // match would bypass a register-file port — be in flight at all
     // (ready <= rel).
-    let mut gpr_rel: HashMap<u16, u64> = HashMap::new();
-    let mut pred_rel: HashMap<u16, u64> = HashMap::new();
-    let mut btr_rel: HashMap<u16, u64> = HashMap::new();
-    let mut gpr_caps: HashMap<u16, u64> = HashMap::new();
-    let mut pred_caps: HashMap<u16, u64> = HashMap::new();
-    let mut btr_caps: HashMap<u16, u64> = HashMap::new();
+    let Replay {
+        gpr_rel,
+        pred_rel,
+        btr_rel,
+        gpr_caps,
+        pred_caps,
+        btr_caps,
+    } = replay;
+    for map in [
+        &mut *gpr_rel,
+        &mut *pred_rel,
+        &mut *btr_rel,
+        &mut *gpr_caps,
+        &mut *pred_caps,
+        &mut *btr_caps,
+    ] {
+        map.clear();
+    }
     let mut folded = StallBreakdown::default();
     let mut folded_events: Vec<(u64, StallCause)> = Vec::new();
     let mut issue_rel = vec![0u64; n];
-    let mut bookings: Vec<Vec<Booking>> = vec![Vec::new(); n];
+    let mut flat_bookings: Vec<Booking> = Vec::new();
+    let mut booked = vec![0u32; n];
     let mut debt = 0u32;
     let mut port_wait = 0u32;
     let mut armed: Option<usize> = None;
@@ -331,7 +394,7 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         if let Some((bi, at)) = exec_sched {
             debug_assert!(at >= rel, "an execute step was skipped");
             if at == rel {
-                debt += mem_ops[bi];
+                debt += mem_ops(bi);
                 exec_sched = None;
             }
         }
@@ -344,20 +407,16 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
             continue;
         }
         let bundle = &bundles[next];
+        let (gpr_reads, pred_reads, btr_reads) = (
+            program.gpr_reads(bundle),
+            program.pred_reads(bundle),
+            program.btr_reads(bundle),
+        );
         let exec = rel + 1;
         // Operand scoreboard over the block's own bookings.
-        let hazard = bundle
-            .gpr_reads
-            .iter()
-            .any(|r| gpr_rel.get(r).is_some_and(|&v| v > exec))
-            || bundle
-                .pred_reads
-                .iter()
-                .any(|p| pred_rel.get(p).is_some_and(|&v| v > exec))
-            || bundle
-                .btr_reads
-                .iter()
-                .any(|b| btr_rel.get(b).is_some_and(|&v| v > exec));
+        let hazard = (gpr_reads.iter()).any(|&r| gpr_rel.get(r).is_some_and(|v| v > exec))
+            || (pred_reads.iter()).any(|&p| pred_rel.get(p).is_some_and(|v| v > exec))
+            || (btr_reads.iter()).any(|&b| btr_rel.get(b).is_some_and(|v| v > exec));
         if hazard {
             folded.data_hazard += 1;
             folded_events.push((rel, StallCause::DataHazard));
@@ -367,17 +426,17 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         // Entry-carried reads constrain the entry signature at the
         // first cycle the bundle clears the scoreboard.
         let gpr_cap = if program.forwarding { rel } else { exec };
-        constrain(&mut gpr_caps, &gpr_rel, &bundle.gpr_reads, gpr_cap);
-        constrain(&mut pred_caps, &pred_rel, &bundle.pred_reads, exec);
-        constrain(&mut btr_caps, &btr_rel, &bundle.btr_reads, exec);
+        constrain(gpr_caps, gpr_rel, gpr_reads, gpr_cap);
+        constrain(pred_caps, pred_rel, pred_reads, exec);
+        constrain(btr_caps, btr_rel, btr_reads, exec);
         // Functional units: no divides in the block and every ALU free
         // at entry, so availability never stalls.
 
         // Register-file port budget.
         if armed != Some(next) {
             let mut ports = bundle.write_ports;
-            for r in bundle.gpr_reads.iter() {
-                let forwarded = program.forwarding && gpr_rel.get(r).is_some_and(|&v| v == exec);
+            for &r in gpr_reads {
+                let forwarded = program.forwarding && gpr_rel.get(r) == Some(exec);
                 if !forwarded {
                     ports += 1;
                 }
@@ -397,18 +456,19 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         }
         armed = None;
         // Issue: book destinations exactly as `Machine::try_issue`.
-        for &(r, ready_after) in bundle.gpr_writes.iter() {
-            bookings[next].push(Booking::Gpr(r, exec + ready_after));
+        for &(r, ready_after) in program.gpr_writes(bundle) {
+            flat_bookings.push(Booking::Gpr(r, exec + ready_after));
             gpr_rel.insert(r, exec + ready_after);
         }
-        for &p in bundle.pred_writes.iter() {
-            bookings[next].push(Booking::Pred(p, exec + 1));
+        for &p in program.pred_writes(bundle) {
+            flat_bookings.push(Booking::Pred(p, exec + 1));
             pred_rel.insert(p, exec + 1);
         }
-        for &b in bundle.btr_writes.iter() {
-            bookings[next].push(Booking::Btr(b, exec + 1));
+        for &b in program.btr_writes(bundle) {
+            flat_bookings.push(Booking::Btr(b, exec + 1));
             btr_rel.insert(b, exec + 1);
         }
+        booked[next] = flat_bookings.len() as u32;
         issue_rel[next] = rel;
         if next < n - 1 {
             // The terminator's execute happens outside the window.
@@ -421,8 +481,13 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         rel += 1;
     };
 
-    let body_mem_ops = mem_ops.iter().sum();
-    let flat_bookings = bookings.iter().flatten().copied().collect();
+    let body_mem_ops = (0..n - 1).map(mem_ops).sum();
+    let mut entry_caps = Vec::new();
+    gpr_caps.append_sorted(&mut entry_caps);
+    let preds = entry_caps.len();
+    pred_caps.append_sorted(&mut entry_caps);
+    let btrs = entry_caps.len();
+    btr_caps.append_sorted(&mut entry_caps);
     Some(CompiledBlock {
         first: first as u32,
         n,
@@ -430,11 +495,10 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
         folded,
         folded_events,
         issue_rel,
-        bookings,
         flat_bookings,
-        entry_gpr_caps: sorted(gpr_caps),
-        entry_pred_caps: sorted(pred_caps),
-        entry_btr_caps: sorted(btr_caps),
+        booked,
+        entry_caps,
+        cap_split: [preds, btrs],
         body_mem_ops,
         exit_debt: debt,
     })
@@ -442,19 +506,10 @@ fn translate(program: &DecodedProgram, first: usize, last: usize) -> Option<Comp
 
 /// Records `cap` for every read in `reads` not booked by the block
 /// itself, keeping the tightest cap per register.
-fn constrain(caps: &mut HashMap<u16, u64>, booked: &HashMap<u16, u64>, reads: &[u16], cap: u64) {
-    for r in reads {
-        if !booked.contains_key(r) {
-            let slot = caps.entry(*r).or_insert(cap);
-            if cap < *slot {
-                *slot = cap;
-            }
+fn constrain(caps: &mut RegMap, booked: &RegMap, reads: &[u16], cap: u64) {
+    for &r in reads {
+        if booked.get(r).is_none() && caps.get(r).is_none_or(|slot| cap < slot) {
+            caps.insert(r, cap);
         }
     }
-}
-
-fn sorted(caps: HashMap<u16, u64>) -> Vec<(u16, u64)> {
-    let mut v: Vec<(u16, u64)> = caps.into_iter().collect();
-    v.sort_unstable();
-    v
 }

@@ -109,6 +109,9 @@ impl Simulator {
     /// [`set_memory`](Simulator::set_memory) before running programs that
     /// touch memory.
     ///
+    /// `bundles` is a `Vec` of bundles, or an assembled program's
+    /// `shared_bundles()`, which the simulator keeps without copying.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::IllegalBundle`] if a bundle violates the
@@ -116,9 +119,10 @@ impl Simulator {
     /// `epic-asm` output never does; only hand-built bundle vectors can.
     pub fn try_new(
         config: &Config,
-        bundles: Vec<Vec<Instruction>>,
+        bundles: impl Into<Arc<[Vec<Instruction>]>>,
         entry: u32,
     ) -> Result<Self, SimError> {
+        let bundles = bundles.into();
         let program = DecodedProgram::decode(config, &bundles)?;
         let machine = Machine {
             gprs: vec![0; config.num_gprs()],
@@ -407,18 +411,11 @@ impl Machine {
         let exec_cycle = self.cycle + 1;
 
         // Operand scoreboard.
-        let hazard = bundle
-            .gpr_reads
-            .iter()
+        let hazard = (program.gpr_reads(bundle).iter())
             .any(|&r| self.gpr_ready[r as usize] > exec_cycle)
-            || bundle
-                .pred_reads
-                .iter()
+            || (program.pred_reads(bundle).iter())
                 .any(|&p| self.pred_ready[p as usize] > exec_cycle)
-            || bundle
-                .btr_reads
-                .iter()
-                .any(|&b| self.btr_ready[b as usize] > exec_cycle);
+            || (program.btr_reads(bundle).iter()).any(|&b| self.btr_ready[b as usize] > exec_cycle);
         if hazard {
             self.stats.stalls.data_hazard += 1;
             self.note_stall(pc, StallCause::DataHazard);
@@ -438,7 +435,7 @@ impl Machine {
         // Register-file port budget: reads at issue + writes at WB share
         // the controller's slots; forwarded operands bypass the file.
         let mut ports = bundle.write_ports;
-        for &r in &bundle.gpr_reads {
+        for &r in program.gpr_reads(bundle) {
             let forwarded = program.forwarding && self.gpr_ready[r as usize] == exec_cycle;
             if !forwarded {
                 ports += 1;
@@ -463,13 +460,13 @@ impl Machine {
 
         // Issue: book destinations and unit occupancy for the execute
         // stage next cycle.
-        for &(r, ready_after) in &bundle.gpr_writes {
+        for &(r, ready_after) in program.gpr_writes(bundle) {
             self.gpr_ready[r as usize] = exec_cycle + ready_after;
         }
-        for &p in &bundle.pred_writes {
+        for &p in program.pred_writes(bundle) {
             self.pred_ready[p as usize] = exec_cycle + 1;
         }
-        for &b in &bundle.btr_writes {
+        for &b in program.btr_writes(bundle) {
             self.btr_ready[b as usize] = exec_cycle + 1;
         }
         for _ in 0..bundle.div_ops {
@@ -525,7 +522,7 @@ impl Machine {
             mem_contention: program.mem_contention,
             custom_ops: &program.custom_ops,
         };
-        for op in &bundle.ops {
+        for op in program.ops(bundle) {
             if let Err(e) = execute_op(&mut ctx, *op, bpc, cycle, &mut writes, &mut redirect, sink)
             {
                 // The faulting bundle never retires: its buffered writes

@@ -55,14 +55,14 @@
 //! profile training and stall logs pay nothing for it.
 
 use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
-use crate::decoded::{DecodedBundle, DecodedProgram};
+use crate::decoded::DecodedProgram;
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
 use crate::machine::{Machine, Simulator, StepPhase};
 use crate::semantics::{Action, DecodedOp, Src};
 use crate::trace::{NopSink, TraceSink};
-use epic_config::Config;
-use epic_isa::Instruction;
+use epic_config::{Config, MAX_ISSUE_WIDTH};
+use epic_isa::{Instruction, RegList};
 use epic_mdes::cfg::Cfg;
 use std::sync::Arc;
 
@@ -144,7 +144,7 @@ enum ChainExit {
 #[derive(Debug)]
 struct TranslationSource {
     config: Config,
-    bundles: Vec<Vec<Instruction>>,
+    bundles: Arc<[Vec<Instruction>]>,
     entry: u32,
 }
 
@@ -167,7 +167,7 @@ pub(crate) struct Translation {
 
 impl Translation {
     /// A translation of `bundles` waiting for its first unobserved run.
-    pub(crate) fn pending(config: &Config, bundles: Vec<Vec<Instruction>>, entry: u32) -> Self {
+    pub(crate) fn pending(config: &Config, bundles: Arc<[Vec<Instruction>]>, entry: u32) -> Self {
         Translation {
             pending: Some(Arc::new(TranslationSource {
                 config: config.clone(),
@@ -424,7 +424,7 @@ fn translate_stream(program: &DecodedProgram, block: CompiledBlock) -> Stream {
     let mut run: Option<(u32, RunStats)> = None;
     for i in 0..block.n - 1 {
         let bundle = &program.bundles[block.first as usize + i];
-        if bundle_is_pure(bundle) {
+        if bundle_is_pure(program.ops(bundle)) {
             let (_, stats) = run.get_or_insert((fast_ops.len() as u32, RunStats::default()));
             stats.bundles += 1;
             stats.nops += bundle.nops;
@@ -432,7 +432,7 @@ fn translate_stream(program: &DecodedProgram, block: CompiledBlock) -> Stream {
             for (acc, n) in stats.unit_ops.iter_mut().zip(bundle.unit_ops) {
                 *acc += n;
             }
-            fast_ops.extend(bundle.ops.iter().copied());
+            fast_ops.extend_from_slice(program.ops(bundle));
         } else {
             if let Some((from, stats)) = run.take() {
                 body.push(BodyStep::Run {
@@ -471,10 +471,10 @@ fn translate_stream(program: &DecodedProgram, block: CompiledBlock) -> Stream {
 ///   pre-bundle state, which direct writes would otherwise break.
 ///   Write-after-write is safe: direct writes land in the same op order
 ///   the write buffer drains in.
-fn bundle_is_pure(bundle: &DecodedBundle) -> bool {
-    let mut gprs_written: Vec<u16> = Vec::new();
-    let mut preds_written: Vec<u16> = Vec::new();
-    for op in bundle.ops.iter() {
+fn bundle_is_pure(ops: &[DecodedOp]) -> bool {
+    let mut gprs_written: RegList<u16, { MAX_ISSUE_WIDTH }> = RegList::new();
+    let mut preds_written: RegList<u16, { 2 * MAX_ISSUE_WIDTH }> = RegList::new();
+    for op in ops {
         let reads_written_gpr = |s: Src| match s {
             Src::Gpr(r) => gprs_written.contains(&r),
             Src::Lit(_) | Src::Zero => false,

@@ -139,8 +139,11 @@ fn resolve(op: &MOp, program: &epic_asm::Program) -> Result<epic_isa::Instructio
         let Some(addr) = program.label(l) else {
             return Err(l.clone());
         };
-        let mut resolved = op.clone();
-        resolved.src1 = MSrc::Lit(i64::from(addr));
+        let resolved = MOp {
+            src1: MSrc::Lit(i64::from(addr)),
+            src2: op.src2.clone(),
+            ..*op
+        };
         Ok(to_instruction(&resolved))
     } else {
         Ok(to_instruction(op))

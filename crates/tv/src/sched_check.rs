@@ -26,10 +26,9 @@ use epic_compiler::mir::{MBlockId, MDest, MFunction, MInst, MOp, MSrc, MTerm, Re
 use epic_compiler::regalloc::Abi;
 use epic_compiler::sched::block_label;
 use epic_compiler::trace::FunctionTrace;
-use epic_isa::{Opcode, Unit};
+use epic_isa::{Opcode, RegList, Unit};
 use epic_mdes::MachineDescription;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 
 /// A register resource: `(kind, number)` with kind 0 = GPR,
 /// 1 = predicate, 2 = BTR.
@@ -39,8 +38,9 @@ const GPR: u8 = 0;
 const PRED: u8 = 1;
 const BTR: u8 = 2;
 
-fn op_reads(op: &MOp) -> Vec<Res> {
-    let mut reads: Vec<Res> = op.gpr_uses().into_iter().map(|r| (GPR, r)).collect();
+fn op_reads(op: &MOp) -> RegList<Res, 6> {
+    let mut reads = RegList::new();
+    reads.extend(op.gpr_uses().into_iter().map(|r| (GPR, r)));
     reads.extend(op.pred_uses().into_iter().map(|p| (PRED, p)));
     if let Some(b) = op.btr_use() {
         reads.push((BTR, u32::from(b)));
@@ -48,8 +48,8 @@ fn op_reads(op: &MOp) -> Vec<Res> {
     reads
 }
 
-fn op_writes(op: &MOp) -> Vec<Res> {
-    let mut writes: Vec<Res> = Vec::new();
+fn op_writes(op: &MOp) -> RegList<Res, 4> {
+    let mut writes = RegList::new();
     if let Some(r) = op.gpr_def() {
         writes.push((GPR, r));
     }
@@ -276,12 +276,13 @@ fn provably_disjoint(
     o1 + i64::from(size) <= o2 || o2 + i64::from(other.size) <= o1
 }
 
-/// Per-block live-in sets over physical registers on the finalised CFG —
-/// an independent mirror of the scheduler's analysis, used to decide
-/// what may legally hoist above a side exit. `BRL` conservatively uses
-/// every argument register plus the stack pointer; `Ret` keeps the
-/// return value and stack pointer live; guarded definitions do not kill.
-fn block_live_in(mfunc: &MFunction, abi: &Abi) -> HashMap<MBlockId, RegSet> {
+/// Per-block live-in sets over physical registers on the finalised CFG,
+/// indexed by block id — an independent mirror of the scheduler's
+/// analysis, used to decide what may legally hoist above a side exit.
+/// `BRL` conservatively uses every argument register plus the stack
+/// pointer; `Ret` keeps the return value and stack pointer live;
+/// guarded definitions do not kill.
+fn block_live_in(mfunc: &MFunction, abi: &Abi) -> Vec<RegSet> {
     // Each block as `live-in = uses ∪ (live-out − defs)`: `uses` is read
     // before any unconditional write, `defs` written unconditionally.
     let effects: Vec<(RegSet, RegSet)> = (mfunc.blocks.iter())
@@ -308,16 +309,13 @@ fn block_live_in(mfunc: &MFunction, abi: &Abi) -> HashMap<MBlockId, RegSet> {
             (uses, defs)
         })
         .collect();
-    let mut live_in: HashMap<MBlockId, RegSet> = mfunc
-        .blocks
-        .iter()
-        .map(|b| (b.id, RegSet::default()))
-        .collect();
+    let mut live_in = vec![RegSet::default(); mfunc.blocks.len()];
+    let mut live = RegSet::default();
     let mut changed = true;
     while changed {
         changed = false;
         for (block, (uses, defs)) in mfunc.blocks.iter().zip(&effects).rev() {
-            let mut live = RegSet::default();
+            live.clear();
             match &block.term {
                 MTerm::Ret(_) => {
                     live.insert((GPR, abi.ret));
@@ -326,7 +324,7 @@ fn block_live_in(mfunc: &MFunction, abi: &Abi) -> HashMap<MBlockId, RegSet> {
                 MTerm::Halt => {}
                 _ => {
                     for s in block.term.successors() {
-                        if let Some(succ_in) = live_in.get(&s) {
+                        if let Some(succ_in) = live_in.get(s.0 as usize) {
                             live.union_with(succ_in);
                         }
                     }
@@ -334,9 +332,9 @@ fn block_live_in(mfunc: &MFunction, abi: &Abi) -> HashMap<MBlockId, RegSet> {
             }
             live.subtract(defs);
             live.union_with(uses);
-            let entry = live_in.get_mut(&block.id).expect("all blocks seeded");
+            let entry = &mut live_in[block.id.0 as usize];
             if *entry != live {
-                *entry = live;
+                std::mem::swap(entry, &mut live);
                 changed = true;
             }
         }
@@ -346,9 +344,9 @@ fn block_live_in(mfunc: &MFunction, abi: &Abi) -> HashMap<MBlockId, RegSet> {
 
 /// A side exit in a scheduling region: the branch at op index `op` and
 /// the live-ins of its off-trace target.
-struct RegionExit {
+struct RegionExit<'a> {
     op: usize,
-    live: RegSet,
+    live: &'a RegSet,
 }
 
 /// Whether `op` may hoist above a side exit whose target's live-ins are
@@ -377,7 +375,12 @@ fn may_speculate(op: &MOp, live: &RegSet) -> bool {
 /// `j → … → c → i`, for if it satisfied them all, then
 /// `cycle_i ≥ cycle_c + 1 ≥ cycle_j + 1`. So the verdict is unchanged;
 /// only the number of TV006 errors a bad schedule draws may shrink.
-fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> Vec<Dep> {
+fn dependences(
+    ops: &[&MOp],
+    exits: &[RegionExit],
+    mdes: &MachineDescription,
+    scratch: &mut DepScratch,
+) -> Vec<Dep> {
     let mut deps = Vec::new();
     let push = |deps: &mut Vec<Dep>, from: usize, to: usize, latency: u32, kind: DepKind| {
         if from != to {
@@ -389,38 +392,38 @@ fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> 
             });
         }
     };
-    // Per resource: the last writer, the readers since it and the number
-    // of writes (the base version for memory disambiguation).
-    #[derive(Clone, Default)]
-    struct Track {
-        last_write: Option<usize>,
-        readers: Vec<usize>,
-        writes: u32,
-    }
-    let mut track: Vec<Track> = Vec::new();
+    let DepScratch {
+        track,
+        readers,
+        mem,
+        stores,
+        open_exits,
+    } = scratch;
+    track.clear();
+    readers.clear();
+    mem.clear();
+    stores.clear();
+    open_exits.clear();
     let slot = |(kind, number): Res| (number as usize) << 2 | usize::from(kind);
-    // Every memory access so far, and the stores among them.
-    let mut mem: Vec<MemRef> = Vec::new();
-    let mut stores: Vec<MemRef> = Vec::new();
-    let exit_live: HashMap<usize, &RegSet> = exits.iter().map(|e| (e.op, &e.live)).collect();
     let mut barrier: Option<usize> = None;
-    let mut open_exits: Vec<usize> = Vec::new();
     let mut last_ctl = 0;
+    let mut next_exit = 0;
 
-    for (i, op) in ops.iter().enumerate() {
+    for (i, &op) in ops.iter().enumerate() {
         let is_ctl = op.opcode.is_branch() || op.opcode == Opcode::Halt;
         if let Some(b) = barrier {
             push(&mut deps, b, i, 1, DepKind::Branch);
         }
         if !is_ctl {
-            for &e in &open_exits {
-                if !may_speculate(op, exit_live[&e]) {
-                    push(&mut deps, e, i, 1, DepKind::Branch);
+            for &e in open_exits.iter() {
+                let exit = &exits[e];
+                if !may_speculate(op, exit.live) {
+                    push(&mut deps, exit.op, i, 1, DepKind::Branch);
                 }
             }
         }
-        let reads: Vec<Res> = op_reads(op);
-        let writes: Vec<Res> = op_writes(op);
+        let reads = op_reads(op);
+        let writes = op_writes(op);
         let conditional = op.is_conditional();
 
         for &r in &reads {
@@ -435,8 +438,10 @@ fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> 
             if let Some(w) = t.last_write {
                 push(&mut deps, w, i, 1, DepKind::Output);
             }
-            for &r in &t.readers {
-                push(&mut deps, r, i, 0, DepKind::Anti);
+            let mut reader = t.readers[0];
+            while let Some(&(r, next)) = readers.get(reader as usize) {
+                push(&mut deps, r as usize, i, 0, DepKind::Anti);
+                reader = next;
             }
         }
 
@@ -452,7 +457,7 @@ fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> 
             let size = access_size(op.opcode);
             let is_store = op.opcode.is_store();
             // A load orders only against stores.
-            for m in if is_store { &mem } else { &stores } {
+            for m in if is_store { &*mem } else { &*stores } {
                 if !provably_disjoint(base, offset, size, m) {
                     push(&mut deps, m.index, i, 1, DepKind::Mem);
                 }
@@ -475,8 +480,9 @@ fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> 
                 push(&mut deps, j, i, lat, DepKind::Branch);
             }
             last_ctl = i;
-            if exit_live.contains_key(&i) {
-                open_exits.push(i);
+            if exits.get(next_exit).is_some_and(|e| e.op == i) {
+                open_exits.push(next_exit);
+                next_exit += 1;
             } else {
                 barrier = Some(i);
                 open_exits.clear();
@@ -485,84 +491,149 @@ fn dependences(ops: &[MOp], exits: &[RegionExit], mdes: &MachineDescription) -> 
 
         if let Some(top) = reads.iter().chain(&writes).map(|&r| slot(r)).max() {
             if track.len() <= top {
-                track.resize_with(top + 1, Track::default);
+                track.resize(top + 1, Track::default());
             }
         }
         for r in reads {
-            track[slot(r)].readers.push(i);
+            track[slot(r)].add_reader(i, readers);
         }
         for w in writes {
             let t = &mut track[slot(w)];
             t.last_write = Some(i);
             t.writes += 1;
-            t.readers.clear();
+            t.readers = [u32::MAX; 2];
             if conditional {
-                t.readers.push(i);
+                t.add_reader(i, readers);
             }
         }
     }
     deps
 }
 
-/// An op seen with the dismissible-load rewrite undone: it hashes and
-/// compares as its `LW` form, without a copy.
-struct Unrewritten<'a>(&'a MOp);
+/// Per resource while the dependences are rebuilt: the last writer, the
+/// readers since it in program order (the first and last link of a
+/// chain through [`DepScratch::readers`], `u32::MAX` for none) and the
+/// number of writes (the base version for memory disambiguation).
+#[derive(Clone, Copy)]
+struct Track {
+    last_write: Option<usize>,
+    readers: [u32; 2],
+    writes: u32,
+}
 
-impl Unrewritten<'_> {
-    fn opcode(&self) -> Opcode {
-        match self.0.opcode {
-            Opcode::LwS => Opcode::Lw,
-            opcode => opcode,
+impl Track {
+    fn add_reader(&mut self, op: usize, readers: &mut Vec<(u32, u32)>) {
+        let link = readers.len() as u32;
+        readers.push((op as u32, u32::MAX));
+        match self.readers[1] {
+            u32::MAX => self.readers[0] = link,
+            last => readers[last as usize].1 = link,
+        }
+        self.readers[1] = link;
+    }
+}
+
+impl Default for Track {
+    fn default() -> Self {
+        Track {
+            last_write: None,
+            readers: [u32::MAX; 2],
+            writes: 0,
         }
     }
 }
 
-impl PartialEq for Unrewritten<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        let MOp {
-            opcode: _,
-            dest1,
-            dest2,
-            src1,
-            src2,
-            store_value,
-            guard,
-        } = self.0;
-        let o = other.0;
-        self.opcode() == other.opcode()
-            && *dest1 == o.dest1
-            && *dest2 == o.dest2
-            && *src1 == o.src1
-            && *src2 == o.src2
-            && *store_value == o.store_value
-            && *guard == o.guard
+/// The dependence rebuild's buffers, kept across a function's regions:
+/// the trackers (indexed `number << 2 | kind`), the reader chains as
+/// `(op, next)`, the memory accesses so far and the stores among them,
+/// and the open side exits (indices into the region's exits).
+#[derive(Default)]
+struct DepScratch {
+    track: Vec<Track>,
+    readers: Vec<(u32, u32)>,
+    mem: Vec<MemRef>,
+    stores: Vec<MemRef>,
+    open_exits: Vec<usize>,
+}
+
+/// An op's TV005 class: its fields packed into integers, read with the
+/// dismissible-load rewrite undone (`LWS` as `LW`) and with a `PBR`
+/// label replaced by its rank among the region's distinct labels. Ops
+/// are classed by sorting these fixed-size keys, so no string is hashed
+/// and no input can steer collisions.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ClassKey {
+    opcode: u32,
+    dests: [u64; 2],
+    srcs: [(u8, u64); 2],
+    store_value: u64,
+    guard: u32,
+}
+
+impl ClassKey {
+    /// The key of `op` against the region's sorted distinct `labels`;
+    /// `None` when `op` names a label no region op names.
+    fn of(op: &MOp, labels: &[&str]) -> Option<ClassKey> {
+        let opcode = match op.opcode {
+            Opcode::LwS => u32::from(Opcode::Lw.encoding()),
+            Opcode::Custom(i) => 1 << 16 | u32::from(i),
+            fixed => u32::from(fixed.encoding()),
+        };
+        let dest = |d: MDest| match d {
+            MDest::None => 0,
+            MDest::Gpr(r) => 1 << 32 | u64::from(r),
+            MDest::Pred(p) => 2 << 32 | u64::from(p),
+            MDest::Btr(b) => 3 << 32 | u64::from(b),
+        };
+        let src = |s: &MSrc| {
+            Some(match s {
+                MSrc::None => (0, 0),
+                MSrc::Gpr(r) => (1, u64::from(*r)),
+                MSrc::Lit(v) => (2, *v as u64),
+                MSrc::Pred(p) => (3, u64::from(*p)),
+                MSrc::Btr(b) => (4, u64::from(*b)),
+                MSrc::Label(l) => (5, labels.binary_search(&l.as_str()).ok()? as u64),
+            })
+        };
+        Some(ClassKey {
+            opcode,
+            dests: [dest(op.dest1), dest(op.dest2)],
+            srcs: [src(&op.src1)?, src(&op.src2)?],
+            store_value: op.store_value.map_or(0, |v| 1 << 32 | u64::from(v)),
+            guard: op.guard,
+        })
     }
 }
 
-impl Eq for Unrewritten<'_> {}
-
-impl Hash for Unrewritten<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let MOp {
-            opcode: _,
-            dest1,
-            dest2,
-            src1,
-            src2,
-            store_value,
-            guard,
-        } = self.0;
-        self.opcode().hash(state);
-        (dest1, dest2, src1, src2, store_value, guard).hash(state);
-    }
+/// `check_block_schedule`'s buffers, kept across a function's regions
+/// so each region allocates only what it reports.
+#[derive(Default)]
+struct Scratch<'a> {
+    ops: Vec<&'a MOp>,
+    exits: Vec<RegionExit<'a>>,
+    labels: Vec<&'a str>,
+    keyed: Vec<(ClassKey, usize)>,
+    classes: Vec<ClassKey>,
+    want: Vec<usize>,
+    have: Vec<usize>,
+    op_class: Vec<usize>,
+    scheduled: Vec<(usize, usize, usize)>,
+    next: Vec<usize>,
+    bucketed: Vec<(usize, usize)>,
+    cycle_of: Vec<u32>,
+    became_lws: Vec<bool>,
+    deps: DepScratch,
 }
 
 /// Validates the region structure (TV011) and returns the scheduling
 /// groups: each trace one group, every other laid-out block a singleton.
-fn region_groups(func: &FunctionTrace, diags: &mut Vec<Diagnostic>) -> Option<Vec<Vec<MBlockId>>> {
+fn region_groups<'a>(
+    func: &'a FunctionTrace,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<Vec<&'a [MBlockId]>> {
     let fname = &func.name;
     if func.traces.is_empty() {
-        return Some(func.layout.iter().map(|&b| vec![b]).collect());
+        return Some(func.layout.chunks(1).collect());
     }
     let in_layout: HashSet<MBlockId> = func.layout.iter().copied().collect();
     for t in &func.traces {
@@ -630,7 +701,7 @@ fn region_groups(func: &FunctionTrace, diags: &mut Vec<Diagnostic>) -> Option<Ve
                 ));
                 return None;
             }
-            groups.push((*trace).clone());
+            groups.push(trace.as_slice());
             i += trace.len();
         } else {
             if interior.contains(&b) {
@@ -643,7 +714,7 @@ fn region_groups(func: &FunctionTrace, diags: &mut Vec<Diagnostic>) -> Option<Ve
                 ));
                 return None;
             }
-            groups.push(vec![b]);
+            groups.push(std::slice::from_ref(&func.layout[i]));
             i += 1;
         }
     }
@@ -674,7 +745,7 @@ pub fn check_schedule(
         return;
     }
     let live_in = if func.traces.is_empty() {
-        HashMap::new()
+        Vec::new()
     } else if let Some(abi) = abi {
         block_live_in(&func.post_finalize, abi)
     } else {
@@ -684,8 +755,10 @@ pub fn check_schedule(
         ));
         return;
     };
+    static NOTHING_LIVE: RegSet = RegSet::new();
+    let mut scratch = Scratch::default();
     for (k, sb) in func.scheduled.iter().enumerate() {
-        let group = &groups[k];
+        let group = groups[k];
         let want_label = block_label(fname, group[0].0);
         if sb.label != want_label {
             diags.push(Diagnostic::error(
@@ -696,14 +769,15 @@ pub fn check_schedule(
                 ),
             ));
         }
-        let mut ops: Vec<MOp> = Vec::new();
-        let mut exits: Vec<RegionExit> = Vec::new();
+        let (ops, exits) = (&mut scratch.ops, &mut scratch.exits);
+        ops.clear();
+        exits.clear();
         let mut callful = false;
         let mut well_formed = true;
         for (j, &id) in group.iter().enumerate() {
             for inst in &func.post_finalize.block(id).insts {
                 match inst {
-                    MInst::Op(op) => ops.push(op.clone()),
+                    MInst::Op(op) => ops.push(op),
                     MInst::Call { .. } => callful = true,
                 }
             }
@@ -727,7 +801,7 @@ pub fn check_schedule(
                     ) {
                         exits.push(RegionExit {
                             op: ops.len() - 1,
-                            live: live_in.get(&target).cloned().unwrap_or_default(),
+                            live: live_in.get(target.0 as usize).unwrap_or(&NOTHING_LIVE),
                         });
                     } else {
                         diags.push(Diagnostic::error(
@@ -765,19 +839,35 @@ pub fn check_schedule(
         if !well_formed {
             continue;
         }
-        check_block_schedule(fname, &sb.label, &ops, &exits, sb, mdes, diags);
+        check_block_schedule(fname, &sb.label, sb, mdes, &mut scratch, diags);
     }
 }
 
-fn check_block_schedule(
+fn check_block_schedule<'a>(
     fname: &str,
     label: &str,
-    ops: &[MOp],
-    exits: &[RegionExit],
     sb: &epic_compiler::sched::ScheduledBlock,
     mdes: &MachineDescription,
+    scratch: &mut Scratch<'a>,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let Scratch {
+        ops,
+        exits,
+        labels,
+        keyed,
+        classes,
+        want,
+        have,
+        op_class,
+        scheduled,
+        next,
+        bucketed,
+        cycle_of,
+        became_lws,
+        deps,
+    } = scratch;
+    let (ops, exits) = (&ops[..], &exits[..]);
     // TV007: metadata and structural limits first — cycle numbers below
     // depend on it.
     if sb.meta.len() != sb.bundles.len() {
@@ -857,29 +947,47 @@ fn check_block_schedule(
     // TV005: the bundles must hold exactly the region's operations — up
     // to the dismissible-load rewrite (`LW` → `LWS`) for loads that
     // crossed a side exit; TV012 settles each rewrite's legitimacy.
-    // Each distinct op, with that rewrite undone, gets a dense class id;
-    // the region's ops and the scheduled ones must have equal counts per
-    // class.
-    let mut class_of: HashMap<Unrewritten<'_>, usize> = HashMap::new();
-    let mut want: Vec<usize> = Vec::new();
-    let op_class: Vec<usize> = ops
-        .iter()
-        .map(|op| {
-            let class = *class_of.entry(Unrewritten(op)).or_insert(want.len());
-            if class == want.len() {
-                want.push(0);
+    // Each distinct op, with that rewrite undone, gets a dense class id
+    // (its rank among the sorted keys); the region's ops and the
+    // scheduled ones must have equal counts per class.
+    labels.clear();
+    for op in ops {
+        for src in [&op.src1, &op.src2] {
+            if let MSrc::Label(l) = src {
+                labels.push(l);
             }
-            want[class] += 1;
-            class
-        })
-        .collect();
-    let mut have = vec![0usize; want.len()];
-    let mut scheduled: Vec<(usize, usize, usize)> = Vec::with_capacity(ops.len());
+        }
+    }
+    labels.sort_unstable();
+    labels.dedup();
+    keyed.clear();
+    keyed.extend(ops.iter().enumerate().map(|(i, op)| {
+        let key = ClassKey::of(op, labels).expect("the region names its own labels");
+        (key, i)
+    }));
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    classes.clear();
+    want.clear();
+    op_class.clear();
+    op_class.resize(ops.len(), 0);
+    for &(key, i) in keyed.iter() {
+        if classes.last() != Some(&key) {
+            classes.push(key);
+            want.push(0);
+        }
+        op_class[i] = classes.len() - 1;
+        want[classes.len() - 1] += 1;
+    }
+    have.clear();
+    have.resize(want.len(), 0);
+    scheduled.clear();
     let mut permutation = true;
     for (bi, bundle) in sb.bundles.iter().enumerate() {
         for (slot, other) in bundle.iter().enumerate() {
-            match class_of.get(&Unrewritten(other)) {
-                Some(&class) => {
+            let class =
+                ClassKey::of(other, labels).and_then(|key| classes.binary_search(&key).ok());
+            match class {
+                Some(class) => {
                     have[class] += 1;
                     scheduled.push((class, bi, slot));
                 }
@@ -907,22 +1015,26 @@ fn check_block_schedule(
     // matching in bundle (cycle) order is the unique consistent pairing.
     // The only opcode change allowed is the word load's dismissible
     // rewrite (`LW` → `LWS`).
-    let start: Vec<usize> = want
-        .iter()
-        .scan(0, |end, &count| {
-            *end += count;
-            Some(*end - count)
-        })
-        .collect();
-    let mut fill = start.clone();
-    let mut bucketed = vec![(0, 0); scheduled.len()];
-    for &(class, bi, slot) in &scheduled {
-        bucketed[fill[class]] = (bi, slot);
-        fill[class] += 1;
+    next.clear();
+    next.extend(want.iter().scan(0, |end, &count| {
+        *end += count;
+        Some(*end - count)
+    }));
+    bucketed.clear();
+    bucketed.resize(scheduled.len(), (0, 0));
+    for &(class, bi, slot) in scheduled.iter() {
+        bucketed[next[class]] = (bi, slot);
+        next[class] += 1;
     }
-    let mut next = start;
-    let mut cycle_of = vec![0u32; ops.len()];
-    let mut became_lws = vec![false; ops.len()];
+    // Each class's bucket now ends at `next[class]`; step back to its
+    // start, then walk it in program order.
+    for (start, &count) in next.iter_mut().zip(want.iter()) {
+        *start -= count;
+    }
+    cycle_of.clear();
+    cycle_of.resize(ops.len(), 0);
+    became_lws.clear();
+    became_lws.resize(ops.len(), false);
     for (i, op) in ops.iter().enumerate() {
         let (bi, slot) = bucketed[next[op_class[i]]];
         next[op_class[i]] += 1;
@@ -967,7 +1079,7 @@ fn check_block_schedule(
     }
 
     // TV006: every dependence edge against the chosen cycles.
-    for dep in dependences(ops, exits, mdes) {
+    for dep in dependences(ops, exits, mdes, deps) {
         let (ca, cb) = (cycle_of[dep.from], cycle_of[dep.to]);
         let violation = match dep.kind {
             DepKind::Flow | DepKind::Output | DepKind::Mem => cb <= ca,
@@ -1027,7 +1139,8 @@ mod tests {
                     r => add(10 + r),
                 })
                 .collect();
-            let edges = dependences(&ops, &[], &mdes).len();
+            let ops: Vec<&MOp> = ops.iter().collect();
+            let edges = dependences(&ops, &[], &mdes, &mut DepScratch::default()).len();
             assert!(edges <= 4 * ops.len(), "{n} ops built {edges} edges");
         }
     }
