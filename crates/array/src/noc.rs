@@ -25,6 +25,7 @@
 //! phase calls once per cycle in a fixed order, so every run of the
 //! array's lockstep loop replays the same traffic.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Timing/capacity parameters of the mesh.
@@ -63,7 +64,7 @@ pub struct Delivery {
 }
 
 /// A message somewhere between injection and ejection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct InFlight {
     src: usize,
     dst: usize,
@@ -187,10 +188,11 @@ impl Noc {
         &self.stats
     }
 
-    /// Whether no message is in flight anywhere.
+    /// Whether no message is in flight anywhere: every injected message
+    /// has been ejected.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.links.iter().all(VecDeque::is_empty) && self.eject.iter().all(VecDeque::is_empty)
+        self.stats.messages_injected == self.stats.messages_delivered
     }
 
     /// The XY route from `src` to `dst` as output-queue ids: all
@@ -222,32 +224,60 @@ impl Noc {
         out
     }
 
+    /// The first queue of the XY route from `src` to `dst`: its first
+    /// link, or `None` for a self-send, which enters `dst`'s ejection
+    /// queue directly.
+    fn first_hop(&self, src: usize, dst: usize) -> Option<usize> {
+        let (x, y) = (src % self.width, src / self.width);
+        let (dx, dy) = (dst % self.width, dst / self.width);
+        let dir = match (x.cmp(&dx), y.cmp(&dy)) {
+            (Ordering::Less, _) => DIR_EAST,
+            (Ordering::Greater, _) => DIR_WEST,
+            (Ordering::Equal, Ordering::Less) => DIR_SOUTH,
+            (Ordering::Equal, Ordering::Greater) => DIR_NORTH,
+            (Ordering::Equal, Ordering::Equal) => return None,
+        };
+        Some(src * 4 + dir)
+    }
+
+    /// Whether the first queue of the route from `src` to `dst` has
+    /// room, i.e. whether [`try_inject`](Noc::try_inject) would accept a
+    /// message between them now.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src`/`dst` are outside the mesh.
+    pub(crate) fn has_room(&self, src: usize, dst: usize) -> bool {
+        assert!(src < self.nodes() && dst < self.nodes(), "node off-mesh");
+        let queued = match self.first_hop(src, dst) {
+            Some(link) => self.links[link].len(),
+            None => self.eject[dst].len(),
+        };
+        queued < self.config.link_capacity
+    }
+
     /// Offers a message at `src`'s injection port at cycle `now`.
     /// Returns whether the first queue had room (a refused message can
-    /// simply be offered again next cycle).
+    /// simply be offered again next cycle). A refused offer changes
+    /// nothing and allocates nothing; an accepted one copies `payload`.
     ///
     /// # Panics
     ///
     /// Panics when `src`/`dst` are outside the mesh or the payload is
     /// empty — caller bugs, not backpressure.
-    pub fn try_inject(&mut self, now: u64, src: usize, dst: usize, payload: Vec<u32>) -> bool {
-        assert!(src < self.nodes() && dst < self.nodes(), "node off-mesh");
+    pub fn try_inject(&mut self, now: u64, src: usize, dst: usize, payload: &[u32]) -> bool {
         assert!(!payload.is_empty(), "empty payload");
-        let route = self.route(src, dst);
-        let first_has_room = match route.first() {
-            Some(&link) => self.links[link].len() < self.config.link_capacity,
-            None => self.eject[dst].len() < self.config.link_capacity,
-        };
-        if !first_has_room {
+        if !self.has_room(src, dst) {
             return false;
         }
+        let route = self.route(src, dst);
         self.stats.messages_injected += 1;
         self.stats.payload_words += payload.len() as u64;
         self.stats.total_hops += route.len() as u64;
         let msg = InFlight {
             src,
             dst,
-            payload,
+            payload: payload.to_vec(),
             injected_at: now,
             hop: 0,
             ready_at: now + self.config.link_latency,
@@ -326,6 +356,11 @@ mod tests {
     fn drain_one(noc: &mut Noc, dst: usize, cap: u64) -> Delivery {
         let mut now = 0;
         loop {
+            assert_eq!(
+                noc.is_idle(),
+                queues_empty(noc),
+                "idle iff every queue is empty"
+            );
             if let Some(d) = noc.eject(now, dst) {
                 return d;
             }
@@ -335,15 +370,20 @@ mod tests {
         }
     }
 
+    fn queues_empty(noc: &Noc) -> bool {
+        noc.links.iter().chain(&noc.eject).all(VecDeque::is_empty)
+    }
+
     #[test]
     fn self_send_takes_at_least_one_link_latency() {
         let mut noc = Noc::new(1, 1, NocConfig::default());
-        assert!(noc.try_inject(0, 0, 0, vec![42]));
+        assert!(noc.try_inject(0, 0, 0, &[42]));
         let d = drain_one(&mut noc, 0, 100);
         assert_eq!(d.payload, vec![42]);
         assert_eq!(d.hops, 0);
         assert!(d.delivered_at - d.injected_at >= noc.config.link_latency);
         assert!(noc.is_idle());
+        assert!(queues_empty(&noc));
     }
 
     #[test]
@@ -364,7 +404,7 @@ mod tests {
             link_capacity: 2,
         };
         let mut noc = Noc::new(3, 1, cfg);
-        assert!(noc.try_inject(0, 0, 2, vec![1, 2]));
+        assert!(noc.try_inject(0, 0, 2, &[1, 2]));
         let d = drain_one(&mut noc, 2, 1000);
         assert_eq!(d.hops, 2);
         assert!(d.delivered_at - d.injected_at >= (d.hops as u64 + 1) * cfg.link_latency);
@@ -377,11 +417,39 @@ mod tests {
             link_capacity: 1,
         };
         let mut noc = Noc::new(2, 1, cfg);
-        assert!(noc.try_inject(0, 0, 1, vec![1]));
-        // The single east-link slot is taken; a second offer bounces.
-        assert!(!noc.try_inject(0, 0, 1, vec![2]));
+        assert!(noc.try_inject(0, 0, 1, &[1]));
+        // The single east-link slot is taken; a second offer bounces
+        // and leaves every queue and counter as it found them.
+        let before = noc.clone();
+        assert!(!noc.try_inject(0, 0, 1, &[2]));
+        assert_eq!(noc.links, before.links, "link queues");
+        assert_eq!(noc.eject, before.eject, "ejection queues");
+        assert_eq!(noc.stats, before.stats, "NocStats");
+        // The same holds at a full ejection queue (a self-send).
+        assert!(noc.try_inject(0, 1, 1, &[3]));
+        let before = noc.clone();
+        assert!(!noc.try_inject(0, 1, 1, &[4]));
+        assert_eq!(noc.links, before.links, "link queues");
+        assert_eq!(noc.eject, before.eject, "ejection queues");
+        assert_eq!(noc.stats, before.stats, "NocStats");
+        let d = drain_one(&mut noc, 1, 100);
+        assert_eq!(d.payload, vec![3]);
         let d = drain_one(&mut noc, 1, 100);
         assert_eq!(d.payload, vec![1]);
+    }
+
+    #[test]
+    fn first_hop_is_the_routes_first_queue() {
+        let noc = Noc::new(3, 3, NocConfig::default());
+        for src in 0..9 {
+            for dst in 0..9 {
+                assert_eq!(
+                    noc.first_hop(src, dst),
+                    noc.route(src, dst).first().copied(),
+                    "{src} -> {dst}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -395,7 +463,7 @@ mod tests {
                 got.push(d.payload[0]);
             }
             noc.advance(now);
-            if !pending.is_empty() && noc.try_inject(now, 0, 3, pending[0].clone()) {
+            if !pending.is_empty() && noc.try_inject(now, 0, 3, &pending[0]) {
                 pending.remove(0);
             }
             now += 1;

@@ -3,8 +3,8 @@
 //!
 //! # Lockstep schedule
 //!
-//! [`ArraySimulator::run`] is one loop on the calling thread, and every
-//! global cycle has two phases:
+//! The array's semantics are a lockstep schedule in which every global
+//! cycle has two phases:
 //!
 //! 1. **Compute** — every core advances exactly one processor cycle, in
 //!    core index order. Cores share nothing (each owns its memory), so
@@ -14,28 +14,50 @@
 //!    order), then injection from committed TX mailboxes (core index
 //!    order).
 //!
-//! The loop then checks the cycle budget.
+//! Then the cycle budget is checked.
+//!
+//! # The event loop
+//!
+//! [`ArraySimulator::run`] computes exactly that schedule without
+//! stepping every core through every cycle. A core reads mesh state
+//! only through its own loads of its mailbox window, and the exchange
+//! writes window words only between cycles; outside its window, a core
+//! depends on nothing but itself. So each core runs ahead on
+//! `Simulator`'s threaded loop ([`Simulator::run_until_access`]) to the
+//! top of its next cycle that loads or stores a window byte, and waits
+//! there. `run` is one loop over global cycles: a core whose own cycle
+//! equals the global cycle steps that cycle (its window access) and
+//! runs ahead again; then the exchange runs, but only while the NoC
+//! holds a message or a TX window is committed. Otherwise no exchange
+//! can change anything until some core's next event, and the loop jumps
+//! there.
+//!
+//! Every window access thus happens at its lockstep global cycle, with
+//! every exchange before that cycle already applied to the window and
+//! none after it, and every exchange sees each window as the lockstep
+//! loop would: the cycles a core ran ahead of the exchange touch no
+//! window word. Halts and errors take effect at the global cycle the
+//! lockstep loop would have seen them. A core's halt counts from the
+//! cycle after its `HALT`; an error is reported at the cycle that
+//! raised it, lowest core index first and before that cycle's exchange.
+//! The budget times out at `max_cycles`. A core never runs past the
+//! budget: its own cycle limit is the cycle the array times out at.
 //!
 //! # Determinism argument
 //!
 //! The only cross-core state is the NoC. Every NoC transition happens
-//! inside the exchange phase, between two compute phases, in a fixed
-//! iteration order. A run is therefore a pure function of the program,
-//! the memory image and the [`MeshSpec`]: per-core stats, registers and
-//! final memories are byte-identical from run to run, which
-//! `tests/manycore_determinism.rs` pins down.
-//!
-//! The loop steps every core on one host thread: a core-cycle costs
-//! less than synchronising host threads twice per simulated cycle.
-//! Host parallelism belongs at run-ahead granularity, where a core runs
-//! many cycles between synchronisations.
+//! inside the exchange phase, in a fixed iteration order, at a global
+//! cycle fixed by the program. A run is therefore a pure function of
+//! the program, the memory image and the [`MeshSpec`]: per-core stats,
+//! registers and final memories are byte-identical from run to run,
+//! which `tests/manycore_determinism.rs` pins down.
 //!
 //! # Engines
 //!
 //! Cores run the production engine, [`Simulator`], by default, with the
-//! reference engine as the oracle they are checked against. The loop
-//! steps each core one cycle at a time, so cores run `Simulator`'s
-//! per-cycle loop and never build its threaded translation.
+//! reference engine as the oracle they are checked against. Reference
+//! cores do not run ahead: they step every global cycle, which makes a
+//! reference mesh the lockstep loop itself.
 
 use crate::mailbox;
 use crate::noc::{Noc, NocConfig, NocStats};
@@ -43,6 +65,8 @@ use epic_config::Config;
 use epic_isa::Instruction;
 use epic_sim::{Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Geometry, engine and timing parameters of a many-core array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +76,8 @@ pub struct MeshSpec {
     /// Rows of cores.
     pub height: usize,
     /// Execution engine instantiated in every core: threaded (the
-    /// default, [`Simulator`] stepped per cycle) or reference.
+    /// default, [`Simulator`] running ahead between mailbox accesses)
+    /// or reference.
     pub engine: Engine,
     /// Interconnect timing/capacity parameters.
     pub noc: NocConfig,
@@ -108,15 +133,18 @@ impl MeshSpec {
 pub enum CoreSim {
     /// The interpret-every-cycle golden model.
     Reference(Box<ReferenceSimulator>),
-    /// The production engine, stepped on its per-cycle loop.
+    /// The production engine, running ahead on its threaded loop
+    /// between mailbox accesses.
     Threaded(Box<Simulator>),
 }
 
 impl CoreSim {
+    /// The prototype every core clones: decoded once and, for the
+    /// threaded engine, translated once.
     fn build(
         engine: Engine,
         config: &Config,
-        bundles: &[Vec<Instruction>],
+        bundles: Arc<[Vec<Instruction>]>,
         entry: u32,
     ) -> Result<Self, ArrayError> {
         Ok(match engine {
@@ -125,10 +153,12 @@ impl CoreSim {
                 bundles.to_vec(),
                 entry,
             ))),
-            Engine::Threaded => CoreSim::Threaded(Box::new(
-                Simulator::try_new(config, bundles.to_vec(), entry)
-                    .map_err(|source| ArrayError::Core { core: 0, source })?,
-            )),
+            Engine::Threaded => {
+                let mut sim = Simulator::try_new(config, bundles, entry)
+                    .map_err(|source| ArrayError::Core { core: 0, source })?;
+                sim.translate();
+                CoreSim::Threaded(Box::new(sim))
+            }
         })
     }
 
@@ -136,6 +166,16 @@ impl CoreSim {
         match self {
             CoreSim::Reference(s) => s.step(),
             CoreSim::Threaded(s) => s.step(),
+        }
+    }
+
+    /// Runs a threaded core ahead to the top of its next cycle that
+    /// touches `window`; a reference core stays where it is. Returns
+    /// `false` once halted.
+    fn run_ahead(&mut self, window: Range<u32>) -> Result<bool, SimError> {
+        match self {
+            CoreSim::Reference(s) => Ok(!s.is_halted()),
+            CoreSim::Threaded(s) => s.run_until_access(window),
         }
     }
 
@@ -215,26 +255,43 @@ impl CoreSim {
     }
 }
 
-/// One core plus its lockstep bookkeeping.
+/// Where a core stands; its [`Core::next`] cycle says when that matters.
+#[derive(Debug, Clone)]
+enum Status {
+    /// Waiting at the top of its cycle `next`, which the loop steps at
+    /// global cycle `next`.
+    Running,
+    /// Halted; the lockstep loop counts it halted from global cycle
+    /// `next` on.
+    Halted,
+    /// Its cycle `next` raised the error, reported at that global cycle.
+    Failed(SimError),
+}
+
+/// One core plus its event-loop bookkeeping.
 #[derive(Debug, Clone)]
 struct Core {
     sim: CoreSim,
-    halted: bool,
-    error: Option<SimError>,
+    status: Status,
+    /// The global cycle of the core's next event (see [`Status`]): the
+    /// core's own cycle count.
+    next: u64,
+    /// Whether the core's TX window holds a committed message
+    /// (`TX_STATUS == 1`).
+    tx_committed: bool,
 }
 
 impl Core {
-    /// Advances one cycle; halting latches and an error parks the core
-    /// until the exchange phase reports it.
-    fn step_once(&mut self) {
-        if self.halted || self.error.is_some() {
-            return;
-        }
-        match self.sim.step() {
-            Ok(true) => {}
-            Ok(false) => self.halted = true,
-            Err(e) => self.error = Some(e),
-        }
+    /// Records where a step or a run left the core.
+    fn settle(&mut self, ran: Result<bool, SimError>, mailbox_base: u32) {
+        self.next = self.sim.stats().cycles;
+        self.status = match ran {
+            Ok(true) => Status::Running,
+            Ok(false) => Status::Halted,
+            Err(e) => Status::Failed(e),
+        };
+        let tx_status = mb_peek(self.sim.memory(), mailbox_base, mailbox::TX_STATUS);
+        self.tx_committed = tx_status == 1;
     }
 }
 
@@ -322,7 +379,7 @@ impl ArrayOutcome {
 }
 
 /// An N×M array of EPIC cores with private memories, joined by a mesh
-/// NoC and stepped in cycle lockstep (see the module docs).
+/// NoC, with cycle-lockstep semantics (see the module docs).
 ///
 /// ```
 /// use epic_array::{ArraySimulator, MeshSpec};
@@ -367,12 +424,16 @@ fn mb_poke(memory: &mut Memory, base: u32, offset: u32, value: u32) {
 }
 
 impl ArraySimulator {
-    /// Builds a mesh of identical cores: the program is decoded
-    /// **once**, then cloned per core; every core gets a private copy
-    /// of `initial_memory` with its identity words
-    /// ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
+    /// Builds a mesh of identical cores: the program is decoded (and,
+    /// for threaded cores, translated) **once**, then cloned per core;
+    /// every core gets a private copy of `initial_memory` with its
+    /// identity words ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
     /// [`mailbox::MESH_HEIGHT`]) poked into the mailbox window at
     /// `mailbox_base`.
+    ///
+    /// `bundles` is a slice or `Vec` of bundles, or an assembled
+    /// program's `shared_bundles()`, which the cores share without
+    /// copying.
     ///
     /// # Errors
     ///
@@ -382,7 +443,7 @@ impl ArraySimulator {
     /// configuration.
     pub fn new(
         config: &Config,
-        bundles: &[Vec<Instruction>],
+        bundles: impl Into<Arc<[Vec<Instruction>]>>,
         entry: u32,
         initial_memory: &[u8],
         mailbox_base: u32,
@@ -413,14 +474,15 @@ impl ArraySimulator {
             )));
         }
         let ncores = spec.cores();
-        let prototype = CoreSim::build(spec.engine, config, bundles, entry)?;
+        let prototype = CoreSim::build(spec.engine, config, bundles.into(), entry)?;
         let mut cores = Vec::with_capacity(ncores);
         for idx in 0..ncores {
             let mut sim = prototype.clone();
             sim.set_memory(Memory::from_image(initial_memory.to_vec()));
-            // The array's own budget must fire first so timeouts are
-            // reported as a global condition, not a per-core fault.
-            sim.set_cycle_limit(spec.max_cycles.saturating_add(2));
+            // A core runs ahead no further than the cycle the array
+            // times out at, where its own limit would raise: the
+            // array's timeout comes first, as a global condition.
+            sim.set_cycle_limit(spec.max_cycles.max(1));
             let memory = sim.memory_mut();
             mb_poke(memory, mailbox_base, mailbox::CORE_ID, idx as u32);
             mb_poke(memory, mailbox_base, mailbox::MESH_WIDTH, spec.width as u32);
@@ -432,8 +494,9 @@ impl ArraySimulator {
             );
             cores.push(Core {
                 sim,
-                halted: false,
-                error: None,
+                status: Status::Running,
+                next: 0,
+                tx_committed: false,
             });
         }
         Ok(ArraySimulator {
@@ -468,8 +531,8 @@ impl ArraySimulator {
         &self.cores[core].sim
     }
 
-    /// Runs the array to completion: loops the lockstep schedule until
-    /// every core halts and the NoC drains. Call once per array.
+    /// Runs the array to completion: computes the lockstep schedule
+    /// until every core halts and the NoC drains. Call once per array.
     ///
     /// # Errors
     ///
@@ -478,17 +541,65 @@ impl ArraySimulator {
     /// [`ArrayError::Timeout`] when `max_cycles` runs out, and
     /// [`ArrayError::Undelivered`] if every core halts with messages
     /// still in flight. All are deterministic for a given program and
-    /// mesh.
+    /// mesh, and so is [`cycles`](Self::cycles) after them. After an
+    /// error, a core may have run past the error's cycle: its state is
+    /// not the lockstep loop's.
     pub fn run(&mut self) -> Result<ArrayOutcome, ArrayError> {
+        let base = self.mailbox_base;
+        let window = base..base + mailbox::MAILBOX_BYTES;
+        for core in &mut self.cores {
+            let ran = core.sim.run_ahead(window.clone());
+            core.settle(ran, base);
+        }
         loop {
-            for core in &mut self.cores {
-                core.step_once();
-            }
             let now = self.cycle;
-            self.cycle += 1;
-            if self.exchange(now)? {
+            for core in &mut self.cores {
+                if core.next == now && matches!(core.status, Status::Running) {
+                    // The core's cycle `now`, then on to its next event.
+                    let ran = (core.sim.step()).and_then(|_| core.sim.run_ahead(window.clone()));
+                    core.settle(ran, base);
+                }
+            }
+            self.cycle = now + 1;
+            for (idx, core) in self.cores.iter().enumerate() {
+                match &core.status {
+                    Status::Failed(source) if core.next == now => {
+                        return Err(ArrayError::Core {
+                            core: idx,
+                            source: source.clone(),
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            if self.exchange_pending() {
+                self.exchange(now)?;
+            }
+            let all_halted =
+                (self.cores.iter()).all(|c| matches!(c.status, Status::Halted) && c.next <= now);
+            if all_halted {
+                // Every TX window still committed on a fully-halted mesh
+                // counts as in flight: nobody is left to receive it.
+                let stats = self.noc.stats();
+                let refused = self.cores.iter().filter(|c| c.tx_committed).count() as u64;
+                let in_flight = stats.messages_injected - stats.messages_delivered + refused;
+                if in_flight > 0 {
+                    return Err(ArrayError::Undelivered { in_flight });
+                }
                 break;
             }
+            // With nothing for the exchange to do, no cycle before the
+            // next core event changes any state: jump there.
+            let next = if self.exchange_pending() {
+                now + 1
+            } else {
+                (self.cores.iter())
+                    .filter(|c| !matches!(c.status, Status::Halted) || c.next > now)
+                    .map(|c| c.next)
+                    .min()
+                    .expect("a core that has not halted has an event")
+            };
+            self.cycle = next.min(self.spec.max_cycles.max(now + 1));
             if self.cycle >= self.spec.max_cycles {
                 return Err(ArrayError::Timeout { cycle: self.cycle });
             }
@@ -501,20 +612,20 @@ impl ArraySimulator {
         })
     }
 
-    /// The per-cycle mesh phase: report core faults, eject into free
-    /// RX mailboxes, advance the links, inject from committed TX
-    /// mailboxes. Returns `Ok(true)` when every core has halted and the
-    /// NoC is drained.
-    fn exchange(&mut self, now: u64) -> Result<bool, ArrayError> {
+    /// Whether the exchange has work: a message in the NoC or a
+    /// committed TX window.
+    fn exchange_pending(&self) -> bool {
+        !self.noc.is_idle() || self.cores.iter().any(|c| c.tx_committed)
+    }
+
+    /// The mesh phase of global cycle `now`: eject into free RX
+    /// mailboxes, advance the links, inject from committed TX mailboxes
+    /// (a refused injection stays committed and retries next cycle).
+    fn exchange(&mut self, now: u64) -> Result<(), ArrayError> {
         let base = self.mailbox_base;
         let ncores = self.cores.len();
         let noc = &mut self.noc;
-        let mut all_halted = true;
         for (idx, core) in self.cores.iter_mut().enumerate() {
-            if let Some(source) = core.error.take() {
-                return Err(ArrayError::Core { core: idx, source });
-            }
-            all_halted &= core.halted;
             let memory = core.sim.memory_mut();
             if mb_peek(memory, base, mailbox::RX_STATUS) == 0 {
                 if let Some(delivery) = noc.eject(now, idx) {
@@ -528,12 +639,12 @@ impl ArraySimulator {
             }
         }
         noc.advance(now);
-        let mut refused_tx = 0u64;
+        let mut payload = [0u32; mailbox::MAX_PAYLOAD_WORDS as usize];
         for (idx, core) in self.cores.iter_mut().enumerate() {
-            let memory = core.sim.memory_mut();
-            if mb_peek(memory, base, mailbox::TX_STATUS) != 1 {
+            if !core.tx_committed {
                 continue;
             }
+            let memory = core.sim.memory_mut();
             let dest = mb_peek(memory, base, mailbox::TX_DEST);
             let len = mb_peek(memory, base, mailbox::TX_LEN);
             if dest as usize >= ncores {
@@ -553,26 +664,19 @@ impl ArraySimulator {
                     ),
                 });
             }
-            let payload: Vec<u32> = (0..len)
-                .map(|i| mb_peek(memory, base, mailbox::TX_DATA + i))
-                .collect();
-            if noc.try_inject(now, idx, dest as usize, payload) {
-                mb_poke(memory, base, mailbox::TX_STATUS, 0);
-            } else {
-                // A refused injection stays committed; retried next cycle.
-                refused_tx += 1;
+            // A refused injection stays committed and reads nothing more.
+            if !noc.has_room(idx, dest as usize) {
+                continue;
             }
-        }
-        if all_halted {
-            let stats = noc.stats();
-            // Every TX window still committed on a fully-halted mesh
-            // counts as in flight: nobody is left to receive it.
-            let in_flight = stats.messages_injected - stats.messages_delivered + refused_tx;
-            if in_flight > 0 || !noc.is_idle() {
-                return Err(ArrayError::Undelivered { in_flight });
+            let payload = &mut payload[..len as usize];
+            for (i, word) in payload.iter_mut().enumerate() {
+                *word = mb_peek(memory, base, mailbox::TX_DATA + i as u32);
             }
-            return Ok(true);
+            let accepted = noc.try_inject(now, idx, dest as usize, payload);
+            assert!(accepted, "the first hop had room");
+            mb_poke(memory, base, mailbox::TX_STATUS, 0);
+            core.tx_committed = false;
         }
-        Ok(false)
+        Ok(())
     }
 }

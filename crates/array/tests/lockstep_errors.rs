@@ -9,6 +9,7 @@
 
 use epic_array::{ArrayError, ArraySimulator, MeshSpec, NocConfig};
 use epic_config::Config;
+use epic_sim::{Engine, Memory, Simulator};
 
 const MEMORY_BYTES: usize = 4096;
 
@@ -96,6 +97,70 @@ fn an_off_mesh_destination_is_a_bad_message() {
             assert!(detail.contains("destination 5"), "{detail}");
         }
         other => panic!("want core 0's off-mesh destination, got {other:?}"),
+    }
+}
+
+/// The verdict and [`ArraySimulator::cycles`] of `source` on threaded
+/// cores, checked against reference cores, which step every cycle as
+/// the lockstep loop does.
+fn verdict(source: &str, spec: &MeshSpec) -> (ArrayError, u64) {
+    let [threaded, reference] = [Engine::Threaded, Engine::Reference].map(|engine| {
+        let mut array = build(source, &spec.with_engine(engine)).expect("array builds");
+        let err = array.run().expect_err("the run must fail");
+        (err, array.cycles())
+    });
+    assert_eq!(threaded, reference, "threaded vs reference cores");
+    threaded
+}
+
+#[test]
+fn an_earlier_fault_on_a_higher_index_core_is_reported_first() {
+    // Every core reads its CORE_ID, counts down from 40 on core 0 and
+    // from 1 elsewhere, then loads past the end of its memory: core 1
+    // faults long before core 0, whose loop it would otherwise wait for.
+    let staggered = ".entry main\nmain:\n    LW r1, r0, #0\n    MOVE r2, #1\n    PBR b1, @count\n;;\n\
+                         MOVIL r9, #100000\n;;\n    CMP_EQ p1, p2, r1, #0\n;;\n    MOVE r2, #40 (p1)\n;;\n\
+                     count:\n    SUB r2, r2, #1\n;;\n    CMP_GT p3, p4, r2, #0\n;;\n    BRCT b1 (p3)\n;;\n\
+                         LW r3, r9, #0\n;;\n    HALT\n;;\n";
+    // Each core alone: the cycle its load faults at, and the fault.
+    let config = Config::default();
+    let program = epic_asm::assemble(staggered, &config).expect("assembles");
+    let alone = |core_id: u8| {
+        let mut image = vec![0u8; MEMORY_BYTES];
+        image[3] = core_id;
+        let mut sim = Simulator::try_new(&config, program.bundles(), program.entry()).unwrap();
+        sim.set_memory(Memory::from_image(image));
+        loop {
+            if let Err(e) = sim.step() {
+                break (sim.cycle(), e);
+            }
+        }
+    };
+    let ((core0_cycle, _), (core1_cycle, core1_fault)) = (alone(0), alone(1));
+    assert!(core1_cycle < core0_cycle, "{core1_cycle} vs {core0_cycle}");
+    let (err, cycles) = verdict(staggered, &MeshSpec::new(2, 1));
+    assert_eq!(
+        err,
+        ArrayError::Core {
+            core: 1,
+            source: core1_fault
+        }
+    );
+    assert_eq!(cycles, core1_cycle + 1, "reported at core 1's own cycle");
+    assert_eq!(cycles, 9);
+}
+
+#[test]
+fn a_core_that_never_touches_its_mailbox_spins_to_the_budget() {
+    // Core 1 spins in a loop that never loads or stores; the others halt.
+    let spin = ".entry main\nmain:\n    LW r1, r0, #0\n    PBR b1, @spin\n;;\n\
+                    CMP_EQ p1, p2, r1, #1\n;;\n    BRCT b1 (p1)\n;;\n    HALT\n;;\n\
+                spin:\n    ADD r5, r5, #1\n;;\n    BR b1\n;;\n";
+    for max_cycles in [1, 5, 100, 20_000] {
+        let spec = MeshSpec::new(2, 2).with_max_cycles(max_cycles);
+        let (err, cycles) = verdict(spin, &spec);
+        assert_eq!(err, ArrayError::Timeout { cycle: max_cycles });
+        assert_eq!(cycles, max_cycles);
     }
 }
 

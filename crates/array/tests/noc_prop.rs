@@ -98,7 +98,7 @@ proptest! {
             noc.advance(now);
             for (src, queue) in queues.iter_mut().enumerate() {
                 let ready = queue.first().is_some_and(|m| m.earliest <= now);
-                if ready && noc.try_inject(now, src, queue[0].dst, queue[0].payload.clone()) {
+                if ready && noc.try_inject(now, src, queue[0].dst, &queue[0].payload) {
                     queue.remove(0);
                 }
             }

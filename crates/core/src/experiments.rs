@@ -252,7 +252,7 @@ pub fn instantiate_mesh(
 ) -> Result<ArraySimulator, ExperimentError> {
     ArraySimulator::new(
         config,
-        mesh.prepared.program.bundles(),
+        mesh.prepared.program.shared_bundles(),
         mesh.prepared.program.entry(),
         &mesh.prepared.initial_memory,
         mesh.mailbox_base,

@@ -31,10 +31,13 @@
 //! stepping and observed runs go cycle by cycle, and an unobserved
 //! [`Simulator::run`] folds each straight-line basic block's issue
 //! schedule and chains the folded blocks into threaded step streams,
-//! translated on the first such run. The original interpret-every-cycle
-//! engine survives as [`ReferenceSimulator`], the golden model the
-//! differential tests hold both modes bit-identical to. [`Engine`] names
-//! the two engines.
+//! translated on the first such run. [`Simulator::run_until_access`]
+//! runs the same loop but stops, exactly where stepping would, before
+//! the first cycle that touches an address window: the many-core array
+//! runs its cores ahead to their mailbox accesses this way. The
+//! original interpret-every-cycle engine survives as
+//! [`ReferenceSimulator`], the golden model the differential tests hold
+//! both modes bit-identical to. [`Engine`] names the two engines.
 //!
 //! # Examples
 //!

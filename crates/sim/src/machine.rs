@@ -5,10 +5,11 @@ use crate::error::SimError;
 use crate::memory::Memory;
 use crate::semantics::{apply_writes, execute_op, ExecCtx, Write};
 use crate::stats::{SimStats, StallCause, StallEvent};
-use crate::threaded::Translation;
+use crate::threaded::{BeforeAccess, ToHalt, Translation};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
 use epic_isa::Instruction;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default cycle budget before a run is declared runaway.
@@ -42,20 +43,21 @@ pub(crate) enum StepPhase {
 /// The machine runs in one of two modes, with bit-identical results.
 /// [`step`](Simulator::step), an observing [`TraceSink`] and stall
 /// recording run the **per-cycle** loop. An unobserved
-/// [`run`](Simulator::run) runs the **threaded** loop (`threaded.rs`):
-/// the first such run translates the program's basic blocks into
-/// chained step streams and keeps the translation for later runs, so a
-/// simulator that is only stepped or observed never builds one. Both
-/// modes are bit-identical to the interpretive
-/// [`crate::ReferenceSimulator`].
+/// [`run`](Simulator::run) or
+/// [`run_until_access`](Simulator::run_until_access) runs the
+/// **threaded** loop (`threaded.rs`): the first such run translates the
+/// program's basic blocks into chained step streams and keeps the
+/// translation for later runs, so a simulator that is only stepped or
+/// observed never builds one. Both modes are bit-identical to the
+/// interpretive [`crate::ReferenceSimulator`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// The decoded program, shared with clones.
     pub(crate) program: Arc<DecodedProgram>,
     /// Registers, scoreboard, memory and statistics.
     pub(crate) machine: Machine,
-    /// The threaded run loop's step table, built by the first
-    /// unobserved run.
+    /// The threaded run loop's step table, built by
+    /// [`translate`](Simulator::translate) or the first unobserved run.
     pub(crate) translation: Translation,
 }
 
@@ -95,7 +97,7 @@ pub(crate) struct Machine {
     pub(crate) stats: SimStats,
     pub(crate) cycle_limit: u64,
     /// Opt-in per-cycle stall log (see [`Simulator::record_stalls`]).
-    record_stalls: bool,
+    pub(crate) record_stalls: bool,
     stall_log: Vec<StallEvent>,
     /// Reused write-back buffer (no per-bundle allocation).
     write_buf: Vec<Write>,
@@ -257,20 +259,37 @@ impl Simulator {
     ///
     /// Returns the first [`SimError`] raised.
     pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> Result<&SimStats, SimError> {
-        if S::OBSERVED || self.machine.record_stalls {
-            while self.machine.step_program(&self.program, sink)? {}
-        } else {
-            self.run_threaded(sink)?;
-        }
+        self.run_until(sink, &ToHalt)?;
         Ok(&self.machine.stats)
+    }
+
+    /// Runs until `HALT`, an error, or the top of the first cycle whose
+    /// execute stage would load or store a byte of `window`, on the
+    /// threaded loop (per cycle while stall recording is on). Returns
+    /// `true` at such a cycle and `false` once halted.
+    ///
+    /// A stop leaves the machine exactly where stepping would, so the
+    /// next [`step`](Simulator::step) performs the access. The check
+    /// ignores guards, so a run may stop before an access its guard
+    /// squashes; stepping that cycle and running on is exact all the
+    /// same. A caller sharing a memory-mapped window with an external
+    /// agent (the many-core array's mailbox) runs ahead this way and
+    /// steps each access at the agent's time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SimError`] raised, with the interrupted
+    /// machine state identical to the per-cycle loop's.
+    pub fn run_until_access(&mut self, window: Range<u32>) -> Result<bool, SimError> {
+        self.run_until(&mut NopSink, &BeforeAccess(window))
     }
 
     /// Advances one processor cycle on the per-cycle loop. Returns
     /// `false` once halted.
     ///
     /// A caller stepping the machine in lockstep with external agents
-    /// (the many-core array's mesh exchange) sees every cycle; stepping
-    /// never builds the threaded translation.
+    /// sees every cycle; stepping never builds the threaded
+    /// translation.
     ///
     /// # Errors
     ///

@@ -51,8 +51,33 @@
 //! so `SimStats`, registers, memory and faults stay **bit-identical** to
 //! stepping the same machine to halt, by construction. Stepping, an
 //! observing [`TraceSink`] and per-cycle stall recording run the
-//! per-cycle loop and never build the translation, so mesh cores,
-//! profile training and stall logs pay nothing for it.
+//! per-cycle loop and never build the translation, so profile training
+//! and stall logs pay nothing for it.
+//!
+//! # Stopping before a window access
+//!
+//! [`Simulator::run_until_access`] runs the same loop with one exact
+//! stop: the top of the first cycle whose execute stage would load or
+//! store a byte of a given address window, left exactly as stepping
+//! leaves it, so the next [`Simulator::step`] performs the access. The
+//! mesh array runs its cores ahead this way, between two accesses to
+//! their mailbox windows. Each part of the loop checks the bundles it
+//! is about to execute:
+//!
+//! * the dispatcher checks the bundle in stage 2 at the top of every
+//!   cycle;
+//! * a stream checks each body bundle with memory traffic before
+//!   executing it, and on a hit rewinds through the shared
+//!   `fault_unwind` — the state in which the per-cycle loop would have
+//!   begun that bundle's execute cycle — with the bundle restored to
+//!   stage 2;
+//! * the chain checks a terminator before taking it.
+//!
+//! The check computes each load's and store's address from the
+//! registers the execute stage would read and ignores guards: stopping
+//! before a squashed access is still exact, since a stop is only ever a
+//! state stepping passes through. [`run`](Simulator::run) shares this
+//! code with a stop that never fires and compiles the checks away.
 
 use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
 use crate::decoded::DecodedProgram;
@@ -64,6 +89,7 @@ use crate::trace::{NopSink, TraceSink};
 use epic_config::{Config, MAX_ISSUE_WIDTH};
 use epic_isa::{Instruction, RegList};
 use epic_mdes::cfg::Cfg;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One entry of the translated step table, pre-bound per bundle address.
@@ -110,10 +136,9 @@ enum BodyStep {
     Exec(u32),
 }
 
-/// A translated stream: the folded block schedule, its body re-bound as
-/// micro-op steps, plus the trace-link memo that admits steady-state
-/// laps in O(1).
-#[derive(Debug, Clone)]
+/// A translated stream: the folded block schedule and its body re-bound
+/// as micro-op steps.
+#[derive(Debug)]
 struct Stream {
     block: CompiledBlock,
     /// The body translated into pure micro-op runs and exact-path
@@ -121,21 +146,74 @@ struct Stream {
     body: Box<[BodyStep]>,
     /// Flat arena of the pure runs' pre-bound ops.
     fast_ops: Box<[DecodedOp]>,
-    /// Memoised scoreboard signature of a verified self-loop lap: the
-    /// fetch-bandwidth debt the terminator left behind. A later lap
-    /// arriving with the same signature is admissible without
-    /// re-scanning the entry caps.
-    link: Option<u32>,
 }
 
 /// How a chain run handed control back.
 enum ChainExit {
     /// `HALT` executed and its cycle retired; the run is complete.
     Halted,
+    /// The run's stop fired: the machine is at the top of a cycle whose
+    /// execute stage the stop must not run.
+    Stopped,
     /// Control left the translated streams. `executed` reports whether
     /// any stream ran (if not, the dispatcher still owns this cycle and
     /// must issue per-cycle).
     Dispatch { executed: bool },
+}
+
+/// Where a run of the threaded loop stops short of halt: at the top of
+/// a cycle whose execute stage would run a bundle the caller must see
+/// executed on its own.
+pub(crate) trait Stop {
+    /// Whether the run stops before executing bundle `bpc` on `sim` now.
+    fn before(&self, sim: &Machine, program: &DecodedProgram, bpc: u32) -> bool;
+
+    /// Whether the run stops at the top of this cycle, before the
+    /// execute stage runs the bundle in stage 2.
+    #[inline]
+    fn at_top(&self, sim: &Machine, program: &DecodedProgram) -> bool {
+        sim.stage2.is_some_and(|bpc| self.before(sim, program, bpc))
+    }
+}
+
+/// Runs to halt or an error: never stops early.
+pub(crate) struct ToHalt;
+
+impl Stop for ToHalt {
+    #[inline(always)]
+    fn before(&self, _: &Machine, _: &DecodedProgram, _: u32) -> bool {
+        false
+    }
+}
+
+/// Stops before the first execute stage that would load or store a byte
+/// of an address window, guards ignored.
+pub(crate) struct BeforeAccess(pub(crate) Range<u32>);
+
+impl Stop for BeforeAccess {
+    fn before(&self, sim: &Machine, program: &DecodedProgram, bpc: u32) -> bool {
+        let bundle = &program.bundles[bpc as usize];
+        // `unit_ops[1]` counts the bundle's loads and stores.
+        bundle.unit_ops[1] > 0
+            && program.ops(bundle).iter().any(|op| match op.action {
+                Action::Load {
+                    base,
+                    offset,
+                    width,
+                    ..
+                }
+                | Action::Store {
+                    base,
+                    offset,
+                    width,
+                    ..
+                } => {
+                    let at = u64::from(src(sim, base).wrapping_add(src(sim, offset)));
+                    at < u64::from(self.0.end) && at + u64::from(width) > u64::from(self.0.start)
+                }
+                _ => false,
+            })
+    }
 }
 
 /// What a translation is built from. The shared [`Cfg`] needs the
@@ -150,16 +228,23 @@ struct TranslationSource {
 
 /// A simulator's step table and the threaded loop's counters.
 ///
-/// Empty, with its source pending, until the first unobserved run
-/// builds it; kept for every later run.
+/// Empty, with its source pending, until [`Simulator::translate`] or
+/// the first unobserved run builds it; kept for every later run. The
+/// tables never change once built, so clones share them and keep their
+/// own trace-link memos and counters.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Translation {
     /// The source of a step table not built yet.
     pending: Option<Arc<TranslationSource>>,
     /// Pre-bound step per bundle address.
-    steps: Vec<Step>,
+    steps: Arc<[Step]>,
     /// Arena of translated streams, indexed by [`Step::Enter`].
-    streams: Vec<Stream>,
+    streams: Arc<[Stream]>,
+    /// Per stream, the memoised scoreboard signature of a verified
+    /// self-loop lap: the fetch-bandwidth debt the terminator left
+    /// behind. A later lap arriving with the same signature is
+    /// admissible without re-scanning the entry caps.
+    links: Vec<Option<u32>>,
     fast_blocks: u64,
     chained: u64,
     linked: u64,
@@ -189,13 +274,17 @@ impl Translation {
         // amortise the admission cost, and the micro-op runs make even
         // minimal windows profitable.
         let blocks = compile_blocks(program, &cfg, source.entry);
-        self.steps = vec![Step::Interp; program.bundles.len()];
+        let mut steps = vec![Step::Interp; program.bundles.len()];
+        let mut streams = Vec::new();
         for (addr, block) in blocks.into_iter().enumerate() {
             if let Some(block) = block {
-                self.steps[addr] = Step::Enter(self.streams.len() as u32);
-                self.streams.push(translate_stream(program, block));
+                steps[addr] = Step::Enter(streams.len() as u32);
+                streams.push(translate_stream(program, block));
             }
         }
+        self.links = vec![None; streams.len()];
+        self.steps = steps.into();
+        self.streams = streams.into();
     }
 
     /// The chain loop: executes translated streams back to back from
@@ -227,10 +316,11 @@ impl Translation {
     /// the cycle budget needs checking. ALU occupancy never changes
     /// inside a chain (translated blocks contain no divides) and the
     /// port/flush state is clean by construction.
-    fn run_chain(
+    fn run_chain<W: Stop>(
         &mut self,
         sim: &mut Machine,
         program: &DecodedProgram,
+        stop: &W,
     ) -> Result<ChainExit, SimError> {
         let mut executed = false;
         // The previous transition, when it was a taken back-edge:
@@ -251,14 +341,14 @@ impl Translation {
                 Reject,
             }
             let admit = {
-                let stream = &self.streams[si];
+                let block = &self.streams[si].block;
                 let budget_ok = sim
                     .cycle
-                    .checked_add(stream.block.block_cycles)
+                    .checked_add(block.block_cycles)
                     .is_some_and(|end| end <= sim.cycle_limit);
                 match lap {
-                    Some((_, key)) if budget_ok && stream.link == Some(key) => Admit::Linked,
-                    _ if entry_ok(sim, &stream.block) => Admit::Verified(lap.map(|(_, key)| key)),
+                    Some((_, key)) if budget_ok && self.links[si] == Some(key) => Admit::Linked,
+                    _ if entry_ok(sim, block) => Admit::Verified(lap.map(|(_, key)| key)),
                     _ => Admit::Reject,
                 }
             };
@@ -266,11 +356,13 @@ impl Translation {
                 Admit::Reject => return Ok(ChainExit::Dispatch { executed }),
                 Admit::Linked => self.linked += 1,
                 // One full self-loop lap verified: memoise its signature.
-                Admit::Verified(Some(key)) => self.streams[si].link = Some(key),
+                Admit::Verified(Some(key)) => self.links[si] = Some(key),
                 Admit::Verified(None) => {}
             }
 
-            run_stream(sim, program, &self.streams[si])?;
+            if !run_stream(sim, program, &self.streams[si], stop)? {
+                return Ok(ChainExit::Stopped);
+            }
             self.fast_blocks += 1;
             if executed {
                 self.chained += 1;
@@ -278,10 +370,15 @@ impl Translation {
             executed = true;
 
             // The terminator executes inside the chain, through the
-            // same shared write-back path the per-cycle loop uses. If
-            // the cycle budget is exhausted first, hand back with the
-            // staged terminator intact: `step_front` raises CycleLimit
-            // at exactly this state, as the per-cycle loop would.
+            // same shared write-back path the per-cycle loop uses,
+            // unless the stop claims it: the machine is at the top of
+            // the terminator's execute cycle. If the cycle budget is
+            // exhausted first, hand back with the staged terminator
+            // intact: `step_front` raises CycleLimit at exactly this
+            // state, as the per-cycle loop would.
+            if stop.at_top(sim, program) {
+                return Ok(ChainExit::Stopped);
+            }
             if sim.cycle >= sim.cycle_limit {
                 return Ok(ChainExit::Dispatch { executed });
             }
@@ -365,32 +462,63 @@ impl Simulator {
         self.translation.linked
     }
 
-    /// How many basic blocks translated to a step stream: 0 until the
-    /// first unobserved [`run`](Simulator::run) builds the translation.
+    /// How many basic blocks translated to a step stream: 0 until
+    /// [`translate`](Simulator::translate) or the first unobserved
+    /// [`run`](Simulator::run) builds the translation.
     #[must_use]
     pub fn translated_blocks(&self) -> usize {
         self.translation.streams.len()
     }
 
-    /// The threaded run loop. Builds the translation on first use.
-    pub(crate) fn run_threaded<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), SimError> {
+    /// Builds the threaded loop's translation now rather than on the
+    /// first unobserved run; a no-op once built. Clones made afterwards
+    /// share it, so a caller that runs many copies of one program (the
+    /// mesh array's cores) translates it once.
+    pub fn translate(&mut self) {
         self.translation.build(&self.program);
-        self.translation.run(&mut self.machine, &self.program, sink)
+    }
+
+    /// Runs until halt, an error or `stop`: on the per-cycle loop when
+    /// `sink` observes or stalls are recorded, else on the threaded
+    /// loop, translating on first use. Returns `false` once halted.
+    pub(crate) fn run_until<S: TraceSink, W: Stop>(
+        &mut self,
+        sink: &mut S,
+        stop: &W,
+    ) -> Result<bool, SimError> {
+        if S::OBSERVED || self.machine.record_stalls {
+            loop {
+                if stop.at_top(&self.machine, &self.program) {
+                    return Ok(true);
+                }
+                if !self.machine.step_program(&self.program, sink)? {
+                    return Ok(false);
+                }
+            }
+        }
+        self.translation.build(&self.program);
+        self.translation
+            .run(&mut self.machine, &self.program, sink, stop)
     }
 }
 
 impl Translation {
     /// The per-cycle dispatcher, chaining through every translated
-    /// stream whose entry signature is satisfied.
-    fn run<S: TraceSink>(
+    /// stream whose entry signature is satisfied. Returns `false` once
+    /// halted, `true` when `stop` fired.
+    fn run<S: TraceSink, W: Stop>(
         &mut self,
         sim: &mut Machine,
         program: &DecodedProgram,
         sink: &mut S,
-    ) -> Result<(), SimError> {
+        stop: &W,
+    ) -> Result<bool, SimError> {
         loop {
+            if stop.at_top(sim, program) {
+                return Ok(true);
+            }
             match sim.step_front(program, sink)? {
-                StepPhase::Halted => return Ok(()),
+                StepPhase::Halted => return Ok(false),
                 StepPhase::Drained => {}
                 StepPhase::Issue(redirect) => {
                     if sim.pre_issue_stall(program, redirect, sink) {
@@ -401,8 +529,9 @@ impl Translation {
                     // stream actually starts here, so untranslated
                     // regions pay one table load over the per-cycle loop.
                     if matches!(self.steps.get(sim.pc as usize), Some(Step::Enter(_))) {
-                        match self.run_chain(sim, program)? {
-                            ChainExit::Halted => return Ok(()),
+                        match self.run_chain(sim, program, stop)? {
+                            ChainExit::Halted => return Ok(false),
+                            ChainExit::Stopped => return Ok(true),
                             ChainExit::Dispatch { executed: true } => continue,
                             ChainExit::Dispatch { executed: false } => {}
                         }
@@ -455,7 +584,6 @@ fn translate_stream(program: &DecodedProgram, block: CompiledBlock) -> Stream {
         block,
         body: body.into_boxed_slice(),
         fast_ops: fast_ops.into_boxed_slice(),
-        link: None,
     }
 }
 
@@ -611,12 +739,15 @@ fn exec_direct(sim: &mut Machine, program: &DecodedProgram, op: &DecodedOp) {
 /// Executes one translated stream body: pure runs as direct-write
 /// micro-ops with one folded statistics delta each, impure bundles
 /// through the shared write-buffered path, then the folded exit state.
-/// Faults unwind to the exact per-cycle machine state.
-fn run_stream(
+/// Faults unwind to the exact per-cycle machine state. Returns `false`
+/// when `stop` claims an impure bundle: the stream is unwound to the
+/// top of that bundle's execute cycle, the bundle back in stage 2.
+fn run_stream<W: Stop>(
     sim: &mut Machine,
     program: &DecodedProgram,
     stream: &Stream,
-) -> Result<(), SimError> {
+    stop: &W,
+) -> Result<bool, SimError> {
     let block = &stream.block;
     let c = sim.cycle;
     for step in stream.body.iter() {
@@ -635,6 +766,14 @@ fn run_stream(
             }
             BodyStep::Exec(i) => {
                 let addr = block.first + i;
+                if stop.before(sim, program, addr) {
+                    // The per-cycle loop reaches this bundle's execute
+                    // cycle in the state a fault in it unwinds to, with
+                    // the bundle still in stage 2.
+                    fault_unwind(sim, block, c, i as usize);
+                    sim.stage2 = Some(addr);
+                    return Ok(false);
+                }
                 match sim.execute_bundle(program, addr, &mut NopSink) {
                     Ok(redirect) => {
                         debug_assert!(redirect.is_none(), "body bundles cannot branch");
@@ -648,7 +787,7 @@ fn run_stream(
         }
     }
     fold_exit(sim, block, c);
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -866,6 +1005,154 @@ mod tests {
             .stall_log()
             .iter()
             .any(|e| e.cause == StallCause::BranchFlush));
+    }
+
+    /// Whether the bundle in `sim`'s stage 2 loads or stores a byte of
+    /// `window` when it executes now, guards ignored: the stop's
+    /// contract, derived from the assembled instructions rather than
+    /// the decoded program.
+    fn touches(sim: &Simulator, bundles: &[Vec<Instruction>], window: &Range<u32>) -> bool {
+        use epic_isa::{Opcode, Operand};
+        let Some(pc) = sim.machine.stage2 else {
+            return false;
+        };
+        let value = |operand: Operand| match operand {
+            Operand::Gpr(r) => sim.gpr(usize::from(r.0)),
+            Operand::Lit(v) => v as u32,
+            _ => 0,
+        };
+        bundles[pc as usize].iter().any(|instr| {
+            let width = match instr.opcode {
+                Opcode::Lw | Opcode::LwS | Opcode::Sw => 4,
+                Opcode::Lh | Opcode::Lhu | Opcode::Sh => 2,
+                Opcode::Lb | Opcode::Lbu | Opcode::Sb => 1,
+                _ => return false,
+            };
+            let at = u64::from(value(instr.src1).wrapping_add(value(instr.src2)));
+            at < u64::from(window.end) && at + width > u64::from(window.start)
+        })
+    }
+
+    /// Drives `src` to halt by alternating `run_until_access(window)`
+    /// and one `step`, beside a clone that only steps. At every stop the
+    /// two machines must be identical, no cycle the run went through may
+    /// touch the window, and the stopped cycle must. A run that ends
+    /// without a stop must end where `run()` does. Returns the run copy
+    /// and the cycles it stopped at.
+    fn drive(src: &str, config: &Config, window: Range<u32>) -> (Simulator, Vec<u64>) {
+        let bundles = assemble(src, config).expect("assembles").bundles().to_vec();
+        let mut fast = build(src, config, 64);
+        let mut slow = fast.clone();
+        let mut stops = Vec::new();
+        loop {
+            let stopped = fast.run_until_access(window.clone()).expect("runs");
+            while slow.cycle() < fast.cycle() {
+                assert!(
+                    !touches(&slow, &bundles, &window),
+                    "cycle {} touches {window:?}, but the run went past it",
+                    slow.cycle()
+                );
+                slow.step().expect("steps");
+            }
+            let label = format!("{window:?}, stop {}", stops.len());
+            fast.machine.assert_same(&slow.machine, &label);
+            if !stopped {
+                assert!(fast.is_halted(), "{label}");
+                break;
+            }
+            assert!(
+                touches(&slow, &bundles, &window),
+                "{label}: cycle {} does not touch the window",
+                slow.cycle()
+            );
+            stops.push(fast.cycle());
+            fast.step().expect("steps");
+            slow.step().expect("steps");
+        }
+        if stops.is_empty() {
+            let mut ran = build(src, config, 64);
+            ran.run().expect("runs");
+            fast.machine.assert_same(&ran.machine, "no access vs run");
+        }
+        (fast, stops)
+    }
+
+    #[test]
+    fn run_until_access_stops_in_the_dispatcher() {
+        // The entry block is translated; the divide keeps the second
+        // block per-cycle, so its load of address 64 stops in the
+        // dispatcher, after one stream.
+        let src = "    MOVE r1, #60\n;;\n    MOVE r2, #7\n;;\n    PBR b1, @next\n;;\n\
+                   BR b1\n;;\nnext:\n    DIV r3, r2, #1\n;;\n    LW r4, r1, #0\n;;\n\
+                   ADD r5, r4, #1\n;;\n    HALT\n;;\n";
+        let config = Config::default();
+        let (sim, stops) = drive(src, &config, 60..64);
+        assert_eq!(stops.len(), 1, "one load touches the window");
+        assert_eq!(
+            sim.translated_blocks(),
+            1,
+            "the divide's block stays per-cycle"
+        );
+        assert_eq!(sim.fast_block_execs(), 1);
+        // A window the load misses by a byte on either side.
+        assert!(drive(src, &config, 56..60).1.is_empty());
+        assert!(drive(src, &config, 64..68).1.is_empty());
+    }
+
+    /// A counted loop whose body stores the running sum to `4 * i` for
+    /// i = 0..10 (address 36 last) and the count to address 60, through
+    /// the stream's write-buffered path. Two stores a lap leave the
+    /// terminator no debt, so the laps chain and link.
+    const STORE_LOOP: &str =
+        "    MOVE r1, #0\n    MOVE r2, #10\n    MOVE r4, #0\n    PBR b1, @loop\n;;\n\
+                              loop:\n    ADD r1, r1, r2\n;;\n    SW r1, r4, #0\n;;\n\
+                                  SW r2, r0, #60\n    ADD r4, r4, #4\n    SUB r2, r2, #1\n;;\n\
+                                  CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n    HALT\n;;\n";
+
+    #[test]
+    fn run_until_access_stops_in_a_stream_body() {
+        let config = Config::default();
+        // The sixth lap's store, after five laps on the fast path.
+        let (sim, stops) = drive(STORE_LOOP, &config, 20..24);
+        assert_eq!(stops.len(), 1);
+        assert!(sim.linked_execs() > 0, "the loop ran linked laps");
+        // Every lap's first store, every lap's second, and a window two
+        // stores straddle.
+        assert_eq!(drive(STORE_LOOP, &config, 0..40).1.len(), 10);
+        assert_eq!(drive(STORE_LOOP, &config, 60..64).1.len(), 10);
+        assert_eq!(drive(STORE_LOOP, &config, 22..26).1.len(), 2);
+        // Without forwarding, and between the stores.
+        let unforwarded = Config::builder().forwarding(false).build().unwrap();
+        assert_eq!(drive(STORE_LOOP, &unforwarded, 8..12).1.len(), 1);
+        assert!(drive(STORE_LOOP, &config, 40..60).1.is_empty());
+    }
+
+    #[test]
+    fn run_until_access_stops_before_a_chained_terminator() {
+        // The loop's terminator bundle loads `4 * i` beside its branch.
+        let src = "    MOVE r1, #0\n    MOVE r2, #10\n    MOVE r4, #0\n    PBR b1, @loop\n;;\n\
+                   loop:\n    ADD r1, r1, r2\n;;\n    SUB r2, r2, #1\n    ADD r4, r4, #4\n;;\n\
+                       CMP_GT p1, p0, r2, #0\n;;\n    LW r5, r4, #0\n    BRCT b1 (p1)\n;;\n\
+                       HALT\n;;\n";
+        let config = Config::default();
+        let (sim, stops) = drive(src, &config, 20..24);
+        assert_eq!(stops.len(), 1);
+        assert!(
+            sim.chained_execs() > 0,
+            "the terminator runs inside the chain"
+        );
+        assert_eq!(drive(src, &config, 0..64).1.len(), 10);
+        let deep = Config::builder().pipeline_stages(4).build().unwrap();
+        assert_eq!(drive(src, &deep, 36..40).1.len(), 1);
+    }
+
+    #[test]
+    fn run_until_access_without_a_hit_matches_run() {
+        let config = Config::default();
+        for src in [LOOP_SRC, STORE_LOOP] {
+            assert!(drive(src, &config, 1000..1004).1.is_empty());
+            assert!(drive(src, &config, 0..0).1.is_empty(), "an empty window");
+        }
     }
 
     #[test]

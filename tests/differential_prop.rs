@@ -15,6 +15,7 @@ use epic_core::ir::{lower, Global, Interpreter};
 use epic_core::sim::{Memory, ReferenceSimulator, Simulator};
 use epic_core::{run_sa110, Toolchain};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Number of scalar locals every generated program declares.
 const NUM_VARS: usize = 6;
@@ -193,6 +194,38 @@ proptest! {
     }
 }
 
+/// Steps `sim` one cycle, and reports whether that cycle left the
+/// bytes of `window` alone: a copy stepped with those bytes inverted
+/// must end in `sim`'s state once they are inverted back. A load from
+/// the window would read other values, a store into it would overwrite
+/// the inverted bytes.
+fn step_untouched(sim: &mut Simulator, window: &Range<u32>, config: &Config) -> bool {
+    let invert = |sim: &mut Simulator| {
+        for at in window.clone().step_by(4) {
+            let memory = sim.memory_mut();
+            let word = memory.peek_word(at).expect("window inside memory");
+            memory.poke_word(at, !word);
+        }
+    };
+    let mut inverted = sim.clone();
+    invert(&mut inverted);
+    inverted.step().expect("per-cycle loop runs");
+    invert(&mut inverted);
+    sim.step().expect("per-cycle loop runs");
+    same_state(sim, &inverted, config)
+}
+
+/// Whether two simulators hold the same statistics, registers and
+/// memory image.
+fn same_state(a: &Simulator, b: &Simulator, config: &Config) -> bool {
+    a.cycle() == b.cycle()
+        && a.stats() == b.stats()
+        && (0..config.num_gprs()).all(|r| a.gpr(r) == b.gpr(r))
+        && (0..config.num_pred_regs()).all(|p| a.pred(p) == b.pred(p))
+        && (0..config.num_btrs()).all(|r| a.btr(r) == b.btr(r))
+        && a.memory().bytes() == b.memory().bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -206,14 +239,22 @@ proptest! {
     /// programs, at both a narrow and a wide machine.
     /// This is the property the folded cycle accounting and the chained
     /// step streams are held to on inputs nobody hand-picked.
+    ///
+    /// The threaded loop's stop is held to the same standard: a copy
+    /// that runs ahead to each access of a random word range of `buf`
+    /// and steps it must match a stepped copy at every stop and at
+    /// halt.
     #[test]
     fn engines_are_bit_identical_on_random_programs(
         seeds in prop::collection::vec(-1000i32..1000, NUM_VARS),
         ops in prop::collection::vec(op_strategy(), 1..24),
+        (lo, hi) in (0..BUF_WORDS).prop_flat_map(|lo| (Just(lo), lo + 1..=BUF_WORDS)),
     ) {
         let program = build_program(&seeds, &ops);
         let module = lower::lower(&program).expect("generated programs lower");
         let layout = module.layout().expect("layout");
+        let base = layout.address_of("buf").expect("buffer exists");
+        let window = base + (lo * 4) as u32..base + (hi * 4) as u32;
         for (alus, width) in [(1usize, 1usize), (4, 4)] {
             let config = Config::builder()
                 .num_alus(alus)
@@ -231,8 +272,37 @@ proptest! {
                 .expect("decode accepts legal programs");
             decoded.set_memory(Memory::from_image(image.clone()));
             let mut threaded = decoded.clone();
+            let mut ahead = decoded.clone();
+            let mut paced = decoded.clone();
             while decoded.step().expect("per-cycle loop runs") {}
             threaded.run().expect("threaded loop runs");
+
+            let mut stops = 0u32;
+            loop {
+                let running = ahead.run_until_access(window.clone()).expect("runs ahead");
+                while paced.cycle() < ahead.cycle() {
+                    prop_assert!(
+                        step_untouched(&mut paced, &window, &config),
+                        "cycle {} touches {:?}, but the run went past it ({} ALU / {}-wide)",
+                        paced.cycle(), window, alus, width
+                    );
+                }
+                prop_assert!(
+                    same_state(&ahead, &paced, &config),
+                    "stop {} in {:?} at cycle {} diverged ({} ALU / {}-wide)",
+                    stops, window, ahead.cycle(), alus, width
+                );
+                if !running {
+                    break;
+                }
+                stops += 1;
+                ahead.step().expect("steps the access");
+                paced.step().expect("steps the access");
+            }
+            prop_assert!(
+                same_state(&ahead, &decoded, &config),
+                "running ahead to halt diverged ({} ALU / {}-wide)", alus, width
+            );
 
             let mut reference = ReferenceSimulator::new(&config, bundles, entry);
             reference.set_memory(Memory::from_image(image));

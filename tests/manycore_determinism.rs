@@ -3,9 +3,9 @@
 //! NoC counters and every core's final data memory — must be
 //! byte-identical across repeated runs and across host thread counts.
 //!
-//! The array steps every core and runs the NoC exchange in a fixed
-//! order on the calling thread, so a run is a pure function of its
-//! inputs. This test proves that no state outside the array — allocator
+//! The array computes its lockstep schedule in one event loop on the
+//! calling thread, stepping cores and running the NoC exchange in a
+//! fixed order, so a run is a pure function of its inputs. This test proves that no state outside the array — allocator
 //! state, hash seeds, anything cached between runs or shared between
 //! host threads — leaks into the result: a second run in the same
 //! thread, and runs on 1, 2, 3 or 8 concurrent host threads, must all

@@ -1,19 +1,21 @@
 //! Per-core engine identity inside the array: a mesh run must produce
 //! identical per-core statistics, architectural registers and final
-//! memories whether the reference interpreter or the production
-//! `Simulator`, stepped on its per-cycle loop, powers the cores.
+//! memories whether the reference interpreter, stepped every cycle, or
+//! the production `Simulator`, running ahead on its threaded loop
+//! between mailbox accesses, powers the cores.
 //!
 //! This extends the single-core engine contract (see
 //! `tests/differential_regression.rs`) to the lockstep world: the NoC
 //! exchange phase reads and writes core memories *between* cycles, so
 //! any engine that buffered stores across a cycle boundary or retired
-//! them early would diverge here.
+//! them early would diverge here, and so would a core that ran ahead
+//! over a mailbox access.
 
 use epic_core::array::{CoreSim, MeshSpec};
 use epic_core::config::Config;
 use epic_core::experiments::{run_mesh_workload, MeshRun};
 use epic_core::sim::Engine;
-use epic_core::workloads::{mesh, Scale};
+use epic_core::workloads::{mesh, Scale, Workload};
 
 /// Full architectural state of every core plus the aggregate outcome.
 fn snapshot(run: &MeshRun, config: &Config) -> String {
@@ -38,30 +40,50 @@ fn snapshot(run: &MeshRun, config: &Config) -> String {
     out
 }
 
+/// Runs `workload` on reference and on threaded cores of a
+/// `width`×`height` mesh, requires the two snapshots to be identical
+/// and the threaded cores to have run ahead on translated streams.
+fn engines_agree(workload: &Workload, config: &Config, width: usize, height: usize) {
+    let [reference, threaded] = [Engine::Reference, Engine::Threaded].map(|engine| {
+        let spec = MeshSpec::new(width, height).with_engine(engine);
+        let run = run_mesh_workload(workload, config, &spec)
+            .unwrap_or_else(|e| panic!("{} on {engine} cores: {e}", workload.name));
+        if engine == Engine::Threaded {
+            let fast_blocks: u64 = (0..run.outcome.per_core.len())
+                .map(|core| match run.array.core(core) {
+                    CoreSim::Threaded(sim) => sim.fast_block_execs(),
+                    CoreSim::Reference(_) => panic!("a threaded mesh built a reference core"),
+                })
+                .sum();
+            assert!(
+                fast_blocks > 0,
+                "{} on {width}x{height}: threaded cores never ran ahead",
+                workload.name
+            );
+        }
+        snapshot(&run, config)
+    });
+    assert_eq!(
+        reference, threaded,
+        "{} on {width}x{height}: threaded cores diverged from reference cores",
+        workload.name
+    );
+}
+
 #[test]
 fn engines_agree_on_a_2x2_mesh() {
     let config = Config::builder().num_alus(2).build().expect("valid config");
     for workload in mesh::all(Scale::Test) {
-        let [reference, threaded] = [Engine::Reference, Engine::Threaded].map(|engine| {
-            let spec = MeshSpec::new(2, 2).with_engine(engine);
-            let run = run_mesh_workload(&workload, &config, &spec)
-                .unwrap_or_else(|e| panic!("{} on {engine} cores: {e}", workload.name));
-            for core in 0..run.outcome.per_core.len() {
-                if let CoreSim::Threaded(sim) = run.array.core(core) {
-                    assert_eq!(
-                        sim.translated_blocks(),
-                        0,
-                        "{}: stepped core {core} built a translation",
-                        workload.name
-                    );
-                }
-            }
-            snapshot(&run, &config)
-        });
-        assert_eq!(
-            reference, threaded,
-            "{}: threaded cores diverged from reference cores",
-            workload.name
-        );
+        engines_agree(&workload, &config, 2, 2);
+    }
+}
+
+#[test]
+fn engines_agree_on_a_4x4_mesh() {
+    let config = Config::builder().num_alus(2).build().expect("valid config");
+    for workload in mesh::all(Scale::Test) {
+        if matches!(workload.name.as_str(), "mesh_dct" | "mesh_aesctr") {
+            engines_agree(&workload, &config, 4, 4);
+        }
     }
 }
