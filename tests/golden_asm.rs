@@ -12,24 +12,36 @@
 //! The golden cycle corpus pins schedules only through the cycles they
 //! cost; this one pins the schedules themselves, so a rewrite of the
 //! scheduler, the verifier or translation validation that claims to
-//! change no output can prove it. To accept a deliberate change,
-//! regenerate the corpus with
+//! change no output can prove it.
+//!
+//! The same loop pins the full `epic_verify::check` report of every
+//! `final` compile in `tests/golden/verify.txt`: the count of each
+//! diagnostic code and a digest of the rendered report, once against
+//! the machine the program was compiled for and once against a slower
+//! one (longer load, multiply and divide latencies, no forwarding), on
+//! which the schedule races its producers and the warning pass has
+//! hazards to report. The compiler driver runs only the verifier's
+//! error pass, so this corpus is what shows that the warning pass did
+//! not move. To accept a deliberate change, regenerate both corpora with
 //!
 //! ```text
 //! EPIC_BLESS=1 cargo test --test golden_asm
 //! ```
 //!
-//! and commit the updated `tests/golden/asm.txt` alongside it.
+//! and commit the updated files under `tests/golden/` alongside it.
 
 use epic_core::compiler::{CompileStats, Compiler, Options};
 use epic_core::config::Config;
 use epic_core::experiments::prepare_epic_workload;
 use epic_core::workloads::{self, Scale};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/asm.txt")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 /// FNV-1a, 64-bit: a stable digest that does not depend on the host,
@@ -83,7 +95,32 @@ fn compile_line(point: &str, kind: &str, assembly: &str, stats: &CompileStats) -
     )
 }
 
-fn corpus() -> String {
+/// Appends one verifier report to a corpus line: the digest of the
+/// rendered report, then the count of each diagnostic code, in code
+/// order.
+fn push_report(line: &mut String, label: &str, report: &epic_verify::Report) {
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for diagnostic in report.diagnostics() {
+        *counts.entry(diagnostic.code).or_default() += 1;
+    }
+    let rendered = report.render(label, None);
+    let _ = write!(line, " {label}={:016x}", fnv1a64(rendered.as_bytes()));
+    for (code, count) in counts {
+        let _ = write!(line, " {code}={count}");
+    }
+}
+
+/// The assembly corpus and the verifier corpus, built in one pass over
+/// the grid.
+fn corpora() -> (String, String) {
+    let mut verify = String::from(
+        "# Golden verifier corpus (Test scale): the full epic_verify::check\n\
+         # report of every final compile. Regenerate with\n\
+         # EPIC_BLESS=1 cargo test --test golden_asm\n\
+         # own = the report against the compiled-for machine, slow = against the same\n\
+         # machine with load/mul/div latencies 4/6/12 and no forwarding; each is the\n\
+         # FNV-1a 64 of the rendered report, then the count of each code\n",
+    );
     let mut out = String::from(
         "# Golden assembly corpus (Test scale). Regenerate with\n\
          # EPIC_BLESS=1 cargo test --test golden_asm\n\
@@ -119,24 +156,43 @@ fn corpus() -> String {
                     let line = compile_line(&point, kind, compiled.assembly(), compiled.stats());
                     let _ = writeln!(out, "{line}");
                 }
+                let slow = (config.to_builder())
+                    .load_latency(4)
+                    .mul_latency(6)
+                    .div_latency(12)
+                    .forwarding(false)
+                    .build()
+                    .expect("valid slow configuration");
+                let mut line = point.clone();
+                push_report(
+                    &mut line,
+                    "own",
+                    &epic_verify::check(&prepared.program, &config),
+                );
+                push_report(
+                    &mut line,
+                    "slow",
+                    &epic_verify::check(&prepared.program, &slow),
+                );
+                let _ = writeln!(verify, "{line}");
             }
         }
     }
-    out
+    (out, verify)
 }
 
-#[test]
-fn assembly_corpus_matches_golden_file() {
-    let path = golden_path();
-    let current = corpus();
+/// Compares one corpus with its golden file (or rewrites the file under
+/// `EPIC_BLESS`); returns the drift report, empty when they match.
+fn check_corpus(name: &str, current: &str) -> String {
+    let path = golden_path(name);
     if std::env::var_os("EPIC_BLESS").is_some() {
-        std::fs::write(&path, &current).expect("write golden corpus");
+        std::fs::write(&path, current).expect("write golden corpus");
         eprintln!(
             "blessed {} ({} lines)",
             path.display(),
             current.lines().count()
         );
-        return;
+        return String::new();
     }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -145,9 +201,9 @@ fn assembly_corpus_matches_golden_file() {
         )
     });
     if golden == current {
-        return;
+        return String::new();
     }
-    let mut diff = String::new();
+    let mut diff = format!("{} drifted:\n", path.display());
     for (want, got) in golden.lines().zip(current.lines()) {
         if want != got {
             let _ = writeln!(diff, "- {want}\n+ {got}");
@@ -157,10 +213,16 @@ fn assembly_corpus_matches_golden_file() {
     if w != g {
         let _ = writeln!(diff, "line count changed: golden {w}, current {g}");
     }
-    panic!(
-        "assembly corpus drifted from {}:\n{diff}\
-         If this output change is intentional, regenerate with \
-         `EPIC_BLESS=1 cargo test --test golden_asm` and commit the diff.",
-        path.display()
+    diff
+}
+
+#[test]
+fn assembly_corpus_matches_golden_file() {
+    let (asm, verify) = corpora();
+    let drift = check_corpus("asm.txt", &asm) + &check_corpus("verify.txt", &verify);
+    assert!(
+        drift.is_empty(),
+        "{drift}If this output change is intentional, regenerate with \
+         `EPIC_BLESS=1 cargo test --test golden_asm` and commit the diff."
     );
 }
