@@ -148,11 +148,9 @@ impl CoreSim {
         entry: u32,
     ) -> Result<Self, ArrayError> {
         Ok(match engine {
-            Engine::Reference => CoreSim::Reference(Box::new(ReferenceSimulator::new(
-                config,
-                bundles.to_vec(),
-                entry,
-            ))),
+            Engine::Reference => {
+                CoreSim::Reference(Box::new(ReferenceSimulator::new(config, bundles, entry)))
+            }
             Engine::Threaded => {
                 let mut sim = Simulator::try_new(config, bundles, entry)
                     .map_err(|source| ArrayError::Core { core: 0, source })?;

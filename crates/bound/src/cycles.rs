@@ -7,14 +7,13 @@
 //! halt-execute cycle. The analysis therefore bounds cycles by bounding
 //! issues and stalls separately:
 //!
-//! * **Per-execution stall bounds** come from a forward residual
-//!   fixpoint over the CFG mirroring the scoreboard: GPR writes book
-//!   `latency (+1 without forwarding)` cycles, divider ops book their
-//!   ALU for the division latency, and states age by each edge's
-//!   *minimum* execute-to-execute distance — the actual distance is
-//!   never smaller, so aged residuals upper-bound the live scoreboard.
-//!   Port and branch costs are per-bundle constants from the
-//!   [`CostModel`].
+//! * **Per-execution stall bounds** come from the scoreboard fixpoint
+//!   ([`ScoreboardAnalysis`]): GPR writes book `latency (+1 without
+//!   forwarding)` cycles, divider ops book their ALU for the division
+//!   latency, and states age by each edge's *minimum*
+//!   execute-to-execute distance — the actual distance is never
+//!   smaller, so aged residuals upper-bound the live scoreboard. Port
+//!   and branch costs are per-bundle constants from the [`CostModel`].
 //! * **Execution counts** either come from a profiling run (exact), or
 //!   from the static loop analysis (trip bounds folded over the SCC
 //!   condensation). An unbounded loop leaves the upper end open.
@@ -30,10 +29,9 @@
 
 use crate::cfg::Cfg;
 use crate::cost::CostModel;
-use crate::lattice::Lattice;
 use crate::loops::LoopAnalysis;
 use crate::ranges::ValueAnalysis;
-use crate::solver::{solve_forward, Analysis, Direction};
+use crate::scoreboard::ScoreboardAnalysis;
 use epic_config::Config;
 use epic_isa::{Instruction, Opcode, Unit, TRUE_PRED};
 use std::collections::BTreeMap;
@@ -121,12 +119,9 @@ impl CycleBounds {
     }
 }
 
-/// Per-bundle static facts the timing fixpoint and the fold consume.
+/// Per-bundle static facts the fold consumes.
 struct BundleFacts {
-    gpr_reads: Vec<u16>,
-    gpr_writes: Vec<(u16, u64)>,
     alu_wanted: usize,
-    div_ops: usize,
     port_hi: u64,
     port_lo: u64,
     mem_ops: u64,
@@ -138,10 +133,7 @@ impl BundleFacts {
     fn build(bundle: &[Instruction], model: &CostModel) -> BundleFacts {
         let cost = model.mdes().bundle_cost(bundle);
         let mut facts = BundleFacts {
-            gpr_reads: Vec::new(),
-            gpr_writes: Vec::new(),
             alu_wanted: cost.demand(Unit::Alu),
-            div_ops: 0,
             port_hi: model.port_stall_hi(&cost),
             port_lo: 0,
             mem_ops: 0,
@@ -150,17 +142,8 @@ impl BundleFacts {
         };
         let mut write_ports = 0;
         for instr in bundle {
-            for r in instr.gpr_reads() {
-                facts.gpr_reads.push(r.0);
-            }
-            if let Some(r) = instr.gpr_write() {
-                facts
-                    .gpr_writes
-                    .push((r.0, model.ready_after(instr.opcode)));
+            if instr.gpr_write().is_some() {
                 write_ports += 1;
-            }
-            if matches!(instr.opcode, Opcode::Div | Opcode::Rem) {
-                facts.div_ops += 1;
             }
             if instr.opcode.is_load() || instr.opcode.is_store() {
                 facts.mem_ops += 1;
@@ -178,84 +161,6 @@ impl BundleFacts {
         }
         facts.port_lo = model.port_stall_lo(&cost, write_ports);
         facts
-    }
-}
-
-/// Scoreboard residuals relative to the current bundle's execute cycle.
-#[derive(Clone, PartialEq, Eq)]
-struct Timing {
-    /// Remaining cycles until each GPR's pending result is consumable.
-    gpr: Vec<u64>,
-    /// Remaining busy cycles per ALU instance, sorted descending.
-    alu: Vec<u64>,
-}
-
-impl Lattice for Timing {
-    fn join(&mut self, other: &Timing) -> bool {
-        let mut changed = false;
-        for (a, b) in self.gpr.iter_mut().zip(&other.gpr) {
-            if *b > *a {
-                *a = *b;
-                changed = true;
-            }
-        }
-        // Both sides sorted descending: the pointwise max dominates
-        // every "w-th busiest instance" query of either operand.
-        for (a, b) in self.alu.iter_mut().zip(&other.alu) {
-            if *b > *a {
-                *a = *b;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
-struct TimingAnalysis<'a> {
-    facts: &'a [BundleFacts],
-    num_gprs: usize,
-    num_alus: usize,
-    div_occupancy: u64,
-}
-
-impl Analysis for TimingAnalysis<'_> {
-    type State = Timing;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> Timing {
-        Timing {
-            gpr: vec![0; self.num_gprs],
-            alu: vec![0; self.num_alus],
-        }
-    }
-
-    fn transfer(&self, bi: usize, _bundle: &[Instruction], state: &Timing) -> Timing {
-        let facts = &self.facts[bi];
-        let mut out = state.clone();
-        for &(r, ready_after) in &facts.gpr_writes {
-            // The scoreboard overwrites the booking unconditionally.
-            out.gpr[r as usize] = ready_after;
-        }
-        if facts.div_ops > 0 {
-            // Each divider op claims a free ALU; abstractly, occupy the
-            // least-busy instances. Residuals never exceed the division
-            // occupancy, so this preserves sorted dominance.
-            let n = out.alu.len();
-            for slot in out.alu[n.saturating_sub(facts.div_ops)..].iter_mut() {
-                *slot = self.div_occupancy;
-            }
-            out.alu.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        out
-    }
-
-    fn age(&self, state: &mut Timing, delta: u32) {
-        for v in state.gpr.iter_mut().chain(state.alu.iter_mut()) {
-            *v = v.saturating_sub(u64::from(delta));
-        }
     }
 }
 
@@ -281,13 +186,7 @@ pub fn analyze_cycles(
         .collect();
 
     // Residual fixpoint for data-hazard and busy-unit stall bounds.
-    let timing = TimingAnalysis {
-        facts: &facts,
-        num_gprs: config.num_gprs(),
-        num_alus: config.num_alus(),
-        div_occupancy: model.div_occupancy(),
-    };
-    let flows = solve_forward(&timing, &cfg, bundles, entry);
+    let scoreboards = ScoreboardAnalysis::new(model).solve(&cfg, bundles, entry);
 
     let mut notes = Vec::new();
     let per_count: Vec<Option<u64>> = match counts {
@@ -315,24 +214,15 @@ pub fn analyze_cycles(
     let per_pc: Vec<PcBound> = (0..bundles.len())
         .map(|bi| {
             let f = &facts[bi];
-            let (data_hi, unit_hi) = match &flows[bi] {
+            let (data_hi, unit_hi) = match &scoreboards[bi] {
                 None => (0, 0), // unreachable
                 Some(state) => {
-                    let data = f
-                        .gpr_reads
-                        .iter()
-                        .map(|&r| state.gpr[r as usize])
+                    let data = (bundles[bi].iter().flat_map(Instruction::gpr_reads))
+                        .map(|r| state.read_wait(r.0))
                         .max()
                         .unwrap_or(0);
-                    let unit = if f.alu_wanted == 0 {
-                        0
-                    } else {
-                        // Issue waits until the w-th least-busy ALU
-                        // frees: the w-th smallest residual.
-                        let w = f.alu_wanted.min(state.alu.len());
-                        state.alu[state.alu.len() - w]
-                    };
-                    (data, unit)
+                    // Issue waits until enough ALUs are free at once.
+                    (data, state.alu_wait(f.alu_wanted))
                 }
             };
             PcBound {
@@ -437,27 +327,6 @@ impl PcBound {
     }
 }
 
-/// Expands per-block weights (block leader pc, weight) into a per-pc
-/// count map: every pc inherits its enclosing block's weight. Control
-/// only enters a block at its leader, so the leader's execution count
-/// upper-bounds every member's.
-#[must_use]
-pub fn counts_from_block_weights(starts: &[(u32, u64)], len: usize) -> BTreeMap<u32, u64> {
-    let mut sorted: Vec<(u32, u64)> = starts.to_vec();
-    sorted.sort_unstable();
-    let mut map = BTreeMap::new();
-    let mut current = 0u64;
-    let mut next_ix = 0usize;
-    for pc in 0..len as u32 {
-        while next_ix < sorted.len() && sorted[next_ix].0 == pc {
-            current = sorted[next_ix].1;
-            next_ix += 1;
-        }
-        map.insert(pc, current);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,14 +425,5 @@ mod tests {
         // branches of 1 penalty cycle each.
         assert!(b.lower >= 33, "lower = {}", b.lower);
         assert_eq!(b.upper, Some(43), "32 issues + 10 flushes + 1");
-    }
-
-    #[test]
-    fn block_weights_expand_to_member_pcs() {
-        let counts = counts_from_block_weights(&[(0, 1), (2, 50)], 5);
-        assert_eq!(counts[&0], 1);
-        assert_eq!(counts[&1], 1);
-        assert_eq!(counts[&2], 50);
-        assert_eq!(counts[&4], 50);
     }
 }

@@ -18,6 +18,9 @@
 //! * [`ValueAnalysis`] — interval ranges for GPRs plus three-valued
 //!   predicate constants, with capped widening.
 //! * [`gpr_liveness`] — backward may-liveness (all-live at exits).
+//! * [`ScoreboardAnalysis`] — result residuals and divider occupancy
+//!   per bundle, the one scoreboard fixpoint behind both the stall
+//!   bounds and the verifier's VER004/VER011 warnings.
 //! * [`LoopAnalysis`] — Kosaraju SCCs, counted-loop recognition and
 //!   closed-form trip bounds, folded into per-bundle execution counts.
 //! * [`analyze_cycles`] — the cycle-interval analysis itself, priced by
@@ -49,17 +52,17 @@ mod lints;
 mod liveness;
 mod loops;
 mod ranges;
+mod scoreboard;
 mod solver;
 
 pub use cfg::{Cfg, Edge};
 pub use cost::{CostModel, Mutation};
-pub use cycles::{
-    analyze_cycles, counts_from_block_weights, BoundOptions, CountSource, CycleBounds, PcBound,
-};
+pub use cycles::{analyze_cycles, BoundOptions, CountSource, CycleBounds, PcBound};
 pub use defs::{DefSites, Definedness, GprDefs, ReachingDefs};
 pub use lattice::{Interval, Lattice, MustDef, PredVal};
 pub use lints::{lint_bundles, LintOptions};
 pub use liveness::{gpr_liveness, LiveSet};
 pub use loops::{LoopAnalysis, LoopSummary};
 pub use ranges::{compare_intervals, ValueAnalysis, Values};
+pub use scoreboard::{Scoreboard, ScoreboardAnalysis};
 pub use solver::{solve_backward, solve_forward, Analysis, BackwardSolution, Direction};

@@ -323,7 +323,7 @@ impl Toolchain {
     ) -> Result<EpicRun, ToolchainError> {
         let mut simulator = Simulator::try_new(
             &self.config,
-            prepared.program.bundles().to_vec(),
+            prepared.program.shared_bundles(),
             prepared.program.entry(),
         )?;
         simulator.set_memory(Memory::from_image(prepared.initial_memory));
@@ -406,8 +406,8 @@ impl Toolchain {
         let memory = Memory::from_image(prepared.initial_memory.clone());
         match engine {
             Engine::Reference => {
-                let bundles = program.bundles().to_vec();
-                let mut sim = ReferenceSimulator::new(&self.config, bundles, entry);
+                let mut sim =
+                    ReferenceSimulator::new(&self.config, program.shared_bundles(), entry);
                 sim.set_memory(memory);
                 let stats = *sim.run()?;
                 Ok(EngineOutcome {

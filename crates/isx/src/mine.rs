@@ -132,53 +132,6 @@ struct BlockDfg {
     succs: Vec<u32>,
 }
 
-/// Partitions `bundles` into basic blocks exactly as the simulator's
-/// compiled-block substrate does: leaders are the entry, every
-/// over-approximate branch target and every bundle following a
-/// terminator.
-fn block_ranges(cfg: &Cfg, bundles: &[Vec<Instruction>], entry: u32) -> Vec<(usize, usize)> {
-    let len = bundles.len();
-    let mut is_leader = vec![false; len];
-    if (entry as usize) < len {
-        is_leader[entry as usize] = true;
-    }
-    for bi in 0..len {
-        for edge in cfg.succs(bi) {
-            if edge.delta > 1 {
-                is_leader[edge.to] = true;
-            }
-        }
-    }
-    let is_term: Vec<bool> = bundles
-        .iter()
-        .map(|b| {
-            b.iter().any(|i| {
-                matches!(
-                    i.opcode,
-                    Opcode::Br | Opcode::Brct | Opcode::Brcf | Opcode::Brl | Opcode::Halt
-                )
-            })
-        })
-        .collect();
-    for (t, &term) in is_term.iter().enumerate() {
-        if term && t + 1 < len {
-            is_leader[t + 1] = true;
-        }
-    }
-    let mut ranges = Vec::new();
-    for leader in 0..len {
-        if !is_leader[leader] {
-            continue;
-        }
-        let mut term = leader;
-        while !(is_term[term] || term + 1 == len || is_leader[term + 1]) {
-            term += 1;
-        }
-        ranges.push((leader, term + 1));
-    }
-    ranges
-}
-
 fn build_dfg(cfg: &Cfg, bundles: &[Vec<Instruction>], leader: usize, end: usize) -> BlockDfg {
     let mut ops = Vec::new();
     let mut uses: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -338,10 +291,8 @@ pub fn mine(
     options: &MinerOptions,
 ) -> Vec<Discovery> {
     let cfg = Cfg::build(config, bundles);
-    let ranges = block_ranges(&cfg, bundles, entry);
-    let dfgs: Vec<BlockDfg> = ranges
-        .iter()
-        .map(|&(leader, end)| build_dfg(&cfg, bundles, leader, end))
+    let dfgs: Vec<BlockDfg> = (cfg.basic_blocks(bundles, entry as usize).into_iter())
+        .map(|block| build_dfg(&cfg, bundles, block.start, block.end))
         .collect();
     let live_out = live_out_sets(&dfgs);
 

@@ -1,13 +1,20 @@
-//! Over-approximate control-flow graph over bundle addresses.
+//! Over-approximate control-flow graph over bundle addresses, and the
+//! basic-block partition derived from it.
 //!
-//! Every consumer of program shape — `epic-bound`'s dataflow analyses,
-//! `epic-verify`'s fixpoint (solved by `epic-bound`'s solver), the
-//! threaded run loop's compiled blocks and `epic-isx`'s miner — runs over
-//! this one successor relation: for each bundle address, the bundle
-//! addresses the hardware may fetch next, each with the *minimum*
-//! number of processor cycles between the two bundles' execute stages
-//! (1 for fall-through, `pipeline_stages` for a taken branch, which is
-//! the redirect cycle plus the flush bubbles).
+//! Every consumer of program shape — `epic-bound`'s dataflow analyses
+//! (among them the scoreboard fixpoint that `epic-verify`'s timing
+//! warnings read), `epic-verify`'s own fixpoints (solved by
+//! `epic-bound`'s solver), the threaded run loop's compiled blocks and
+//! `epic-isx`'s miner — runs over this one successor relation: for each
+//! bundle address, the bundle addresses the hardware may fetch next,
+//! each with the *minimum* number of processor cycles between the two
+//! bundles' execute stages (1 for fall-through, `pipeline_stages` for a
+//! taken branch, which is the redirect cycle plus the flush bubbles).
+//!
+//! [`Cfg::basic_blocks`] is the one partition of a program into basic
+//! blocks: the threaded run loop folds each block of two or more
+//! bundles into a compiled stream, and `epic-isx` mines each block's
+//! dataflow graph, so the miner's blocks are exactly the simulator's.
 //!
 //! The graph over-approximates the dynamic successor relation: a branch
 //! through a BTR may land on any bundle a `PBR` literal anywhere in the
@@ -20,6 +27,7 @@
 
 use epic_config::Config;
 use epic_isa::{Instruction, Opcode};
+use std::ops::Range;
 
 /// One outgoing edge: target bundle address and the minimum cycle
 /// distance between the source and target execute stages.
@@ -220,6 +228,54 @@ impl Cfg {
         self.branch_delta
     }
 
+    /// The basic blocks of `bundles` (the program this graph was built
+    /// from) with the entry at `entry`, as bundle ranges in address
+    /// order.
+    ///
+    /// Leaders are the entry, every target of an edge with `delta > 1`
+    /// (a taken branch) and every bundle after a terminator, a bundle
+    /// holding a branch or `HALT`. A block runs from its leader to its
+    /// first terminator, or to the bundle before the next leader, or to
+    /// the end of the program. Bundles before the first leader belong
+    /// to no block.
+    #[must_use]
+    pub fn basic_blocks(&self, bundles: &[Vec<Instruction>], entry: usize) -> Vec<Range<usize>> {
+        let len = self.len();
+        assert_eq!(
+            bundles.len(),
+            len,
+            "the graph was built from another program"
+        );
+        let is_term: Vec<bool> = bundles
+            .iter()
+            .map(|b| (b.iter()).any(|i| i.opcode.is_branch() || i.opcode == Opcode::Halt))
+            .collect();
+        let mut is_leader = vec![false; len];
+        if entry < len {
+            is_leader[entry] = true;
+        }
+        for bi in 0..len {
+            for edge in self.succs(bi) {
+                if edge.delta > 1 {
+                    is_leader[edge.to] = true;
+                }
+            }
+            if is_term[bi] && bi + 1 < len {
+                is_leader[bi + 1] = true;
+            }
+        }
+        (0..len)
+            .filter(|&leader| is_leader[leader])
+            .map(|leader| {
+                let mut end = leader + 1;
+                while !is_term[end - 1] && end < len && !is_leader[end] {
+                    end += 1;
+                }
+                leader..end
+            })
+            .collect()
+    }
+
     /// Bundles reachable from `entry`, as a boolean mask.
     #[must_use]
     pub fn reachable_from(&self, entry: usize) -> Vec<bool> {
@@ -287,6 +343,28 @@ mod tests {
             &[Edge { to: 1, delta: 2 }, Edge { to: 4, delta: 1 }]
         );
         assert_eq!(cfg.branch_delta(), 2);
+    }
+
+    #[test]
+    fn blocks_end_at_terminators_and_before_leaders() {
+        let source = "MOVE r9, #0\n;;\nPBR b1, @head\n;;\nhead:\nADD r1, r1, #1\n;;\n\
+                      CMP_LT p1, p0, r1, #5\n;;\nBRCT b1 (p1)\n;;\nMOVE r2, #1\n;;\n\
+                      HALT\n;;\nMOVE r3, #1\n;;\n";
+        let config = Config::default();
+        let program = assemble(source, &config).expect("assembles");
+        let cfg = Cfg::build(&config, program.bundles());
+        // The entry starts a block, the loop head (a taken-branch target)
+        // starts another, and the bundles after the branch and the HALT
+        // each start one; the last runs to the end of the program.
+        assert_eq!(
+            cfg.basic_blocks(program.bundles(), 0),
+            vec![0..2, 2..5, 5..7, 7..8]
+        );
+        // Bundles before the first leader belong to no block.
+        assert_eq!(
+            cfg.basic_blocks(program.bundles(), 1),
+            vec![1..2, 2..5, 5..7, 7..8]
+        );
     }
 
     #[test]

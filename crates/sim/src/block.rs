@@ -9,9 +9,10 @@
 //! constant: how many cycles the block takes, which stall counters it
 //! bumps, and what every scoreboard entry reads after it.
 //!
-//! [`compile_blocks`] does exactly that. It partitions the program into
-//! basic blocks over the shared [`epic_mdes::cfg::Cfg`], symbolically
-//! replays each block's issue logic against the decoded arrays, and
+//! [`compile_blocks`] does exactly that. It takes the program's basic
+//! blocks from the shared partition
+//! ([`epic_mdes::cfg::Cfg::basic_blocks`]), symbolically replays each
+//! block's issue logic against the decoded arrays, and
 //! stores the result as a [`CompiledBlock`]: a folded cycle count, a
 //! folded [`StallBreakdown`], the scoreboard bookings to apply, and the
 //! *entry signature* — per-register readiness caps under which the
@@ -27,7 +28,7 @@ use crate::decoded::DecodedProgram;
 use crate::machine::Machine;
 use crate::semantics::Action;
 use crate::stats::{StallBreakdown, StallCause};
-use epic_mdes::cfg::Cfg;
+use std::ops::Range;
 
 /// Upper bound on symbolic-replay cycles per block: a block that takes
 /// longer than this to issue is not worth compiling (and a runaway
@@ -199,57 +200,17 @@ fn add_stall(stalls: &mut StallBreakdown, cause: StallCause) {
     }
 }
 
-/// Partitions the program into basic blocks and compiles each eligible
-/// one. Leaders are the entry bundle, every (over-approximate) branch
-/// target and every bundle following a terminator; a block runs from
-/// its leader to the first terminator (a bundle containing a branch or
-/// halt, the last bundle, or a bundle whose successor is a leader).
+/// Compiles each eligible block of the program's basic-block partition,
+/// in partition order. A one-bundle block has no straight-line body to
+/// fold and is skipped.
 pub(crate) fn compile_blocks(
     program: &DecodedProgram,
-    cfg: &Cfg,
-    entry: u32,
-) -> Vec<Option<CompiledBlock>> {
-    let len = program.bundles.len();
-    let mut is_leader = vec![false; len];
-    if (entry as usize) < len {
-        is_leader[entry as usize] = true;
-    }
-    for bi in 0..len {
-        for edge in cfg.succs(bi) {
-            if edge.delta > 1 {
-                is_leader[edge.to] = true;
-            }
-        }
-    }
-    let is_term: Vec<bool> = program
-        .bundles
-        .iter()
-        .map(|b| {
-            (program.ops(b).iter())
-                .any(|op| matches!(op.action, Action::Branch { .. } | Action::Halt))
-        })
-        .collect();
-    for (t, &term) in is_term.iter().enumerate() {
-        if term && t + 1 < len {
-            is_leader[t + 1] = true;
-        }
-    }
-
+    blocks: &[Range<usize>],
+) -> Vec<CompiledBlock> {
     let mut replay = Replay::default();
-    (0..len)
-        .map(|leader| {
-            if !is_leader[leader] {
-                return None;
-            }
-            let mut term = leader;
-            while !(is_term[term] || term + 1 == len || is_leader[term + 1]) {
-                term += 1;
-            }
-            if term == leader {
-                return None; // No straight-line body to fold.
-            }
-            translate(program, leader, term, &mut replay)
-        })
+    (blocks.iter())
+        .filter(|block| block.len() > 1)
+        .filter_map(|block| translate(program, block.start, block.end - 1, &mut replay))
         .collect()
 }
 

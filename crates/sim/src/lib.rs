@@ -79,7 +79,7 @@ pub use machine::Simulator;
 pub use memory::Memory;
 pub use profile::{PcProfile, ProfileSink};
 pub use reference::ReferenceSimulator;
-pub use stats::{SimStats, StallBreakdown, StallCause, StallEvent};
+pub use stats::{SimStats, StallBreakdown, StallCause};
 pub use trace::{NopSink, TeeSink, TraceSink};
 
 /// The name `perfbench` uses for [`Simulator`]: the threaded engine was

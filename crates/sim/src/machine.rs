@@ -4,7 +4,7 @@ use crate::decoded::DecodedProgram;
 use crate::error::SimError;
 use crate::memory::Memory;
 use crate::semantics::{apply_writes, execute_op, ExecCtx, Write};
-use crate::stats::{SimStats, StallCause, StallEvent};
+use crate::stats::{SimStats, StallCause};
 use crate::threaded::{BeforeAccess, ToHalt, Translation};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
@@ -96,9 +96,6 @@ pub(crate) struct Machine {
     pub(crate) halted: bool,
     pub(crate) stats: SimStats,
     pub(crate) cycle_limit: u64,
-    /// Opt-in per-cycle stall log (see [`Simulator::record_stalls`]).
-    pub(crate) record_stalls: bool,
-    stall_log: Vec<StallEvent>,
     /// Reused write-back buffer (no per-bundle allocation).
     write_buf: Vec<Write>,
 }
@@ -145,8 +142,6 @@ impl Simulator {
             halted: false,
             stats: SimStats::default(),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
-            record_stalls: false,
-            stall_log: Vec::new(),
             write_buf: Vec::new(),
         };
         Ok(Simulator {
@@ -219,25 +214,8 @@ impl Simulator {
         &self.machine.stats
     }
 
-    /// Enables (or disables) per-cycle stall recording.
-    ///
-    /// Off by default: the log grows by one [`StallEvent`] per stall
-    /// cycle, which long runs cannot afford. The verifier's differential
-    /// oracle turns it on to attribute every stall to a bundle address.
-    pub fn record_stalls(&mut self, on: bool) {
-        self.machine.record_stalls = on;
-    }
-
-    /// The stall events recorded so far (empty unless
-    /// [`record_stalls`](Simulator::record_stalls) was enabled).
-    #[must_use]
-    pub fn stall_log(&self) -> &[StallEvent] {
-        &self.machine.stall_log
-    }
-
     /// Runs until `HALT` (or an error) on the threaded loop, building
-    /// the translation on the first call (unless stall recording is on,
-    /// which keeps the per-cycle loop).
+    /// the translation on the first call.
     ///
     /// # Errors
     ///
@@ -265,8 +243,8 @@ impl Simulator {
 
     /// Runs until `HALT`, an error, or the top of the first cycle whose
     /// execute stage would load or store a byte of `window`, on the
-    /// threaded loop (per cycle while stall recording is on). Returns
-    /// `true` at such a cycle and `false` once halted.
+    /// threaded loop. Returns `true` at such a cycle and `false` once
+    /// halted.
     ///
     /// A stop leaves the machine exactly where stepping would, so the
     /// next [`step`](Simulator::step) performs the access. The check
@@ -312,16 +290,6 @@ impl Simulator {
 }
 
 impl Machine {
-    fn note_stall(&mut self, pc: u32, cause: StallCause) {
-        if self.record_stalls {
-            self.stall_log.push(StallEvent {
-                cycle: self.cycle,
-                pc,
-                cause,
-            });
-        }
-    }
-
     /// One cycle of the per-cycle loop. Returns `false` once halted.
     pub(crate) fn step_program<S: TraceSink>(
         &mut self,
@@ -385,14 +353,12 @@ impl Machine {
             // pipelining parameter).
             self.pc = target;
             self.stats.stalls.branch_flush += 1;
-            self.note_stall(target, StallCause::BranchFlush);
             sink.stall(self.cycle, target, StallCause::BranchFlush);
             self.flush_wait = program.flush_penalty;
             true
         } else if self.flush_wait > 0 {
             self.flush_wait -= 1;
             self.stats.stalls.branch_flush += 1;
-            self.note_stall(self.pc, StallCause::BranchFlush);
             sink.stall(self.cycle, self.pc, StallCause::BranchFlush);
             true
         } else if self.mem_debt >= 2 {
@@ -400,7 +366,6 @@ impl Machine {
             // data accesses; fetch resumes next cycle.
             self.mem_debt -= 2;
             self.stats.stalls.memory_contention += 1;
-            self.note_stall(self.pc, StallCause::MemoryContention);
             sink.stall(self.cycle, self.pc, StallCause::MemoryContention);
             true
         } else {
@@ -437,7 +402,6 @@ impl Machine {
             || (program.btr_reads(bundle).iter()).any(|&b| self.btr_ready[b as usize] > exec_cycle);
         if hazard {
             self.stats.stalls.data_hazard += 1;
-            self.note_stall(pc, StallCause::DataHazard);
             sink.stall(self.cycle, pc, StallCause::DataHazard);
             return Ok(());
         }
@@ -446,7 +410,6 @@ impl Machine {
         let alu_free = self.alu_busy.iter().filter(|&&b| b <= exec_cycle).count();
         if bundle.alu_wanted > alu_free {
             self.stats.stalls.unit_busy += 1;
-            self.note_stall(pc, StallCause::UnitBusy);
             sink.stall(self.cycle, pc, StallCause::UnitBusy);
             return Ok(());
         }
@@ -470,7 +433,6 @@ impl Machine {
         if self.port_wait > 0 {
             self.port_wait -= 1;
             self.stats.stalls.regfile_port += 1;
-            self.note_stall(pc, StallCause::RegfilePort);
             sink.stall(self.cycle, pc, StallCause::RegfilePort);
             return Ok(());
         }
@@ -586,7 +548,6 @@ impl Machine {
         );
         assert_eq!(self.mem_debt, want.mem_debt, "{label}: memory debt");
         assert_eq!(self.flush_wait, want.flush_wait, "{label}: flush wait");
-        assert_eq!(self.stall_log, want.stall_log, "{label}: stall log");
         assert_eq!(self.memory.bytes(), want.memory.bytes(), "{label}: memory");
     }
 }

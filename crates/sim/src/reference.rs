@@ -22,6 +22,7 @@ use crate::stats::{SimStats, StallCause};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
 use epic_isa::{Instruction, Opcode, Unit};
+use std::sync::Arc;
 
 /// Default cycle budget before a run is declared runaway.
 const DEFAULT_CYCLE_LIMIT: u64 = 20_000_000_000;
@@ -35,7 +36,7 @@ const DEFAULT_CYCLE_LIMIT: u64 = 20_000_000_000;
 #[derive(Debug, Clone)]
 pub struct ReferenceSimulator {
     config: Config,
-    bundles: Vec<Vec<Instruction>>,
+    bundles: Arc<[Vec<Instruction>]>,
     memory: Memory,
     pc: u32,
     gprs: Vec<u32>,
@@ -54,7 +55,6 @@ pub struct ReferenceSimulator {
     halted: bool,
     stats: SimStats,
     cycle_limit: u64,
-    last_executed: Option<u32>,
 }
 
 impl ReferenceSimulator {
@@ -65,7 +65,8 @@ impl ReferenceSimulator {
     /// Panics if a bundle violates the machine description or names an
     /// unregistered custom-op slot.
     #[must_use]
-    pub fn new(config: &Config, bundles: Vec<Vec<Instruction>>, entry: u32) -> Self {
+    pub fn new(config: &Config, bundles: impl Into<Arc<[Vec<Instruction>]>>, entry: u32) -> Self {
+        let bundles = bundles.into();
         let mdes = epic_mdes::MachineDescription::new(config);
         for (pc, bundle) in bundles.iter().enumerate() {
             if let Err(e) = mdes.check_bundle(bundle) {
@@ -96,7 +97,6 @@ impl ReferenceSimulator {
             halted: false,
             stats: SimStats::default(),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
-            last_executed: None,
             config: config.clone(),
             bundles,
         }
@@ -156,16 +156,6 @@ impl ReferenceSimulator {
     #[must_use]
     pub fn stats(&self) -> &SimStats {
         &self.stats
-    }
-
-    /// Address of the most recently executed bundle, if any. Paired
-    /// with [`SimStats::bundles`] this exposes the dynamic bundle trace
-    /// one execution event at a time (the counter ticks exactly when
-    /// this updates), which the verifier's CFG tests replay against the
-    /// static successor relation.
-    #[must_use]
-    pub fn last_executed(&self) -> Option<u32> {
-        self.last_executed
     }
 
     /// Runs until `HALT` (or an error).
@@ -368,7 +358,6 @@ impl ReferenceSimulator {
         let mut writes: Vec<Write> = Vec::with_capacity(bundle.len());
         let mut redirect: Option<u32> = None;
         self.stats.bundles += 1;
-        self.last_executed = Some(bpc);
 
         // Pre-count the bundle's shape so the execute event fires before
         // the per-instruction squash/memory events, exactly as in

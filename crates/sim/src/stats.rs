@@ -61,17 +61,6 @@ impl StallBreakdown {
     }
 }
 
-/// One recorded stall cycle (opt-in; see `Simulator::record_stalls`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallEvent {
-    /// Processor cycle in which the stall was taken.
-    pub cycle: u64,
-    /// Bundle address the front end was stalled on.
-    pub pc: u32,
-    /// Why the cycle was lost.
-    pub cause: StallCause,
-}
-
 /// Stall cycles broken down by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {

@@ -49,10 +49,9 @@
 //! faults, cycle budget, untranslated addresses — leaves the chain and
 //! re-enters the per-cycle dispatcher at a state it can resume exactly,
 //! so `SimStats`, registers, memory and faults stay **bit-identical** to
-//! stepping the same machine to halt, by construction. Stepping, an
-//! observing [`TraceSink`] and per-cycle stall recording run the
-//! per-cycle loop and never build the translation, so profile training
-//! and stall logs pay nothing for it.
+//! stepping the same machine to halt, by construction. Stepping and an
+//! observing [`TraceSink`] run the per-cycle loop and never build the
+//! translation, so profile training and traces pay nothing for it.
 //!
 //! # Stopping before a window access
 //!
@@ -270,17 +269,15 @@ impl Translation {
             return;
         };
         let cfg = Cfg::build(&source.config, &source.bundles);
+        let blocks = cfg.basic_blocks(&source.bundles, source.entry as usize);
         // Translate *every* foldable block: chaining and trace linking
         // amortise the admission cost, and the micro-op runs make even
         // minimal windows profitable.
-        let blocks = compile_blocks(program, &cfg, source.entry);
         let mut steps = vec![Step::Interp; program.bundles.len()];
         let mut streams = Vec::new();
-        for (addr, block) in blocks.into_iter().enumerate() {
-            if let Some(block) = block {
-                steps[addr] = Step::Enter(streams.len() as u32);
-                streams.push(translate_stream(program, block));
-            }
+        for block in compile_blocks(program, &blocks) {
+            steps[block.first as usize] = Step::Enter(streams.len() as u32);
+            streams.push(translate_stream(program, block));
         }
         self.links = vec![None; streams.len()];
         self.steps = steps.into();
@@ -479,14 +476,14 @@ impl Simulator {
     }
 
     /// Runs until halt, an error or `stop`: on the per-cycle loop when
-    /// `sink` observes or stalls are recorded, else on the threaded
-    /// loop, translating on first use. Returns `false` once halted.
+    /// `sink` observes, else on the threaded loop, translating on first
+    /// use. Returns `false` once halted.
     pub(crate) fn run_until<S: TraceSink, W: Stop>(
         &mut self,
         sink: &mut S,
         stop: &W,
     ) -> Result<bool, SimError> {
-        if S::OBSERVED || self.machine.record_stalls {
+        if S::OBSERVED {
             loop {
                 if stop.at_top(&self.machine, &self.program) {
                     return Ok(true);
@@ -794,7 +791,7 @@ fn run_stream<W: Stop>(
 mod tests {
     use super::*;
     use crate::memory::Memory;
-    use crate::stats::{SimStats, StallCause};
+    use crate::stats::SimStats;
     use epic_asm::assemble;
 
     fn build(src: &str, config: &Config, mem: u32) -> Simulator {
@@ -987,24 +984,6 @@ mod tests {
             .expect("profiled run");
         assert_eq!(got, want);
         assert_eq!(profiled.translated_blocks(), 0);
-    }
-
-    #[test]
-    fn stall_recording_disables_the_fast_path() {
-        let config = Config::default();
-        let (mut stepped, mut recorded) = build_pair(LOOP_SRC, &config, 64);
-        stepped.record_stalls(true);
-        recorded.record_stalls(true);
-        let want = step_to_halt(&mut stepped).expect("steps to halt");
-        let got = *recorded.run().expect("recorded run");
-        assert_eq!(got, want);
-        assert_eq!(recorded.fast_block_execs(), 0);
-        assert_eq!(recorded.translated_blocks(), 0);
-        assert_eq!(recorded.stall_log(), stepped.stall_log());
-        assert!(recorded
-            .stall_log()
-            .iter()
-            .any(|e| e.cause == StallCause::BranchFlush));
     }
 
     /// Whether the bundle in `sim`'s stage 2 loads or stores a byte of

@@ -17,7 +17,7 @@ use epic_core::ir::lower;
 use epic_core::workloads::{self, Scale};
 use epic_core::Toolchain;
 use epic_mdes::cfg::Cfg;
-use epic_sim::{Memory, ReferenceSimulator};
+use epic_sim::{Memory, ReferenceSimulator, TraceSink};
 
 const CYCLE_LIMIT: u64 = 2_000_000;
 
@@ -36,44 +36,43 @@ fn points() -> Vec<(usize, usize, usize, bool)> {
     points
 }
 
-/// Replays one program in the reference simulator and collects every
-/// consecutive pair of executed bundle addresses, with the fewest cycles
-/// seen between the two execution events. `SimStats::bundles` ticks
-/// exactly once per execution event, so stall cycles (where
-/// `last_executed` goes stale) contribute no edge, while a bundle
-/// re-executing — a tight self-loop — still does.
+/// Collects every consecutive pair of executed bundle addresses, with
+/// the fewest cycles seen between the two execution events. The execute
+/// event fires once per bundle execution, so stall cycles contribute no
+/// edge, while a bundle re-executing — a tight self-loop — still does.
+#[derive(Default)]
+struct EdgeSink {
+    edges: BTreeMap<(usize, usize), u64>,
+    prev: Option<(u32, u64)>,
+}
+
+impl TraceSink for EdgeSink {
+    fn bundle_execute(&mut self, cycle: u64, pc: u32, _: u64, _: u64, _: &[u64; 4]) {
+        if let Some((from, at)) = self.prev {
+            let distance = self
+                .edges
+                .entry((from as usize, pc as usize))
+                .or_insert(u64::MAX);
+            *distance = (*distance).min(cycle - at);
+        }
+        self.prev = Some((pc, cycle));
+    }
+}
+
+/// Replays one program in the reference simulator, one cycle at a time,
+/// and returns its dynamic edges.
 fn dynamic_edges(
     program: &epic_asm::Program,
     module: &epic_core::ir::Module,
     config: &Config,
 ) -> BTreeMap<(usize, usize), u64> {
     let layout = module.layout().expect("module layout");
-    let mut sim = ReferenceSimulator::new(config, program.bundles().to_vec(), program.entry());
+    let mut sim = ReferenceSimulator::new(config, program.shared_bundles(), program.entry());
     sim.set_memory(Memory::from_image(module.initial_memory(&layout)));
     sim.set_cycle_limit(CYCLE_LIMIT);
-
-    let mut edges = BTreeMap::new();
-    let mut prev: Option<(u32, u64)> = None;
-    let mut executed = 0u64;
-    loop {
-        let more = sim.step().expect("workload simulates");
-        if sim.stats().bundles > executed {
-            executed = sim.stats().bundles;
-            let cur = sim
-                .last_executed()
-                .expect("an executed bundle has an address");
-            let cycle = sim.stats().cycles;
-            if let Some((p, at)) = prev {
-                let distance = edges.entry((p as usize, cur as usize)).or_insert(u64::MAX);
-                *distance = (*distance).min(cycle - at);
-            }
-            prev = Some((cur, cycle));
-        }
-        if !more {
-            break;
-        }
-    }
-    edges
+    let mut sink = EdgeSink::default();
+    sim.run_with_sink(&mut sink).expect("workload simulates");
+    sink.edges
 }
 
 #[test]

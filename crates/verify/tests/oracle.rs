@@ -82,11 +82,21 @@ fn all_workloads_verify_and_match_the_simulator() {
     }
 }
 
-/// The opt-in stall log attributes every counted stall to a bundle
-/// address, with totals agreeing with the aggregate breakdown.
+/// Stall events attribute every counted stall to a bundle address,
+/// with totals agreeing with the aggregate breakdown.
 #[test]
 fn stall_log_attributes_stalls_to_bundles() {
-    use epic_core::sim::{Simulator, StallCause};
+    use epic_core::sim::{Simulator, StallCause, TraceSink};
+
+    /// Records each stall event as `(pc, cause)`.
+    #[derive(Default)]
+    struct StallLog(Vec<(u32, StallCause)>);
+
+    impl TraceSink for StallLog {
+        fn stall(&mut self, _cycle: u64, pc: u32, cause: StallCause) {
+            self.0.push((pc, cause));
+        }
+    }
 
     let config = Config::default();
     // Nine register-file reads/writes in one bundle exceed the default
@@ -94,22 +104,20 @@ fn stall_log_attributes_stalls_to_bundles() {
     let source = "\
     ADD r1, r2, r3\n    ADD r4, r5, r6\n    ADD r7, r8, r9\n;;\n    HALT\n;;\n";
     let program = epic_core::asm::assemble(source, &config).expect("assembles");
-    let mut sim = Simulator::try_new(&config, program.bundles().to_vec(), program.entry())
+    let mut sim = Simulator::try_new(&config, program.shared_bundles(), program.entry())
         .expect("assembler output is always legal");
-    sim.record_stalls(true);
-    sim.run().expect("runs to HALT");
+    let mut log = StallLog::default();
+    sim.run_with_sink(&mut log).expect("runs to HALT");
 
     let stats = *sim.stats();
     assert_eq!(stats.stalls.regfile_port, 1);
-    let port_events: Vec<_> = sim
-        .stall_log()
-        .iter()
-        .filter(|e| e.cause == StallCause::RegfilePort)
+    let port_events: Vec<_> = (log.0.iter())
+        .filter(|&&(_, cause)| cause == StallCause::RegfilePort)
         .collect();
     assert_eq!(port_events.len(), 1, "one event per counted port stall");
-    assert_eq!(port_events[0].pc, 0, "the wide bundle is at address 0");
+    assert_eq!(port_events[0].0, 0, "the wide bundle is at address 0");
     assert_eq!(
-        sim.stall_log().len() as u64,
+        log.0.len() as u64,
         stats.stalls.total(),
         "the log records every counted stall cycle"
     );
