@@ -147,13 +147,13 @@ impl CoreSim {
         bundles: Arc<[Vec<Instruction>]>,
         entry: u32,
     ) -> Result<Self, ArrayError> {
+        let illegal = |source| ArrayError::Core { core: 0, source };
         Ok(match engine {
-            Engine::Reference => {
-                CoreSim::Reference(Box::new(ReferenceSimulator::new(config, bundles, entry)))
-            }
+            Engine::Reference => CoreSim::Reference(Box::new(
+                ReferenceSimulator::try_new(config, bundles, entry).map_err(illegal)?,
+            )),
             Engine::Threaded => {
-                let mut sim = Simulator::try_new(config, bundles, entry)
-                    .map_err(|source| ArrayError::Core { core: 0, source })?;
+                let mut sim = Simulator::try_new(config, bundles, entry).map_err(illegal)?;
                 sim.translate();
                 CoreSim::Threaded(Box::new(sim))
             }

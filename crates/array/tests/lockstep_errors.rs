@@ -9,7 +9,8 @@
 
 use epic_array::{ArrayError, ArraySimulator, MeshSpec, NocConfig};
 use epic_config::Config;
-use epic_sim::{Engine, Memory, Simulator};
+use epic_isa::{Gpr, Instruction, Opcode, Operand};
+use epic_sim::{Engine, Memory, SimError, Simulator};
 
 const MEMORY_BYTES: usize = 4096;
 
@@ -216,6 +217,48 @@ wait:
             },
             "{width}x1 mesh"
         );
+    }
+}
+
+/// A program illegal for the configuration is refused when the mesh is
+/// built, as core 0's error, and the same error on threaded and on
+/// reference cores.
+#[test]
+fn an_illegal_program_is_core_0s_error_on_either_engine() {
+    let config = Config::default();
+    let add = Instruction::alu3(Opcode::Add, Gpr(1), Operand::Gpr(Gpr(2)), Operand::Lit(1));
+    let custom = Instruction::alu3(
+        Opcode::Custom(0),
+        Gpr(1),
+        Operand::Gpr(Gpr(2)),
+        Operand::Lit(1),
+    );
+    let programs = [
+        // Five instructions in one bundle of a 4-wide machine.
+        (
+            vec![vec![add; 5], vec![Instruction::halt()]],
+            "exceeds the issue width",
+        ),
+        // A custom-op slot the configuration does not register.
+        (
+            vec![vec![custom], vec![Instruction::halt()]],
+            "custom slot 0",
+        ),
+    ];
+    for (bundles, needle) in programs {
+        let [threaded, reference] = [Engine::Threaded, Engine::Reference].map(|engine| {
+            let spec = MeshSpec::new(2, 1).with_engine(engine);
+            ArraySimulator::new(&config, bundles.clone(), 0, &[0u8; MEMORY_BYTES], 0, &spec)
+                .expect_err("an illegal program is refused")
+        });
+        assert_eq!(threaded, reference, "threaded vs reference cores");
+        match threaded {
+            ArrayError::Core {
+                core: 0,
+                source: SimError::IllegalBundle { pc: 0, message },
+            } => assert!(message.contains(needle), "want {needle:?} in {message:?}"),
+            other => panic!("want core 0's illegal bundle 0, got {other:?}"),
+        }
     }
 }
 

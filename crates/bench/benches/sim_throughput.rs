@@ -7,8 +7,8 @@
 //! `tests/differential_regression.rs`); this bench reports how many
 //! simulated cycles each path retires per wall-clock second, i.e. the
 //! speedup bought by decoding the program once at load time, and by
-//! folding straight-line basic blocks into single state updates chained
-//! into translated step streams. Every run starts from an untranslated
+//! folding straight-line basic blocks into single state updates run as
+//! translated step streams. Every run starts from an untranslated
 //! machine, so the threaded time includes translation.
 //!
 //! ```text
@@ -75,7 +75,8 @@ fn bench_throughput(c: &mut Criterion) {
         // Headline number: simulated cycles per second for each path,
         // measured over one run outside the criterion loop.
         let (cycles, step_s) = timed(&mut template.clone(), step_to_halt);
-        let mut reference = ReferenceSimulator::new(&p.config, p.bundles.clone(), p.entry);
+        let mut reference = ReferenceSimulator::try_new(&p.config, p.bundles.clone(), p.entry)
+            .expect("toolchain output is always legal");
         reference.set_memory(Memory::from_image(p.image.clone()));
         let (ref_cycles, ref_s) = timed(&mut reference, |s| {
             s.run().expect("runs");
@@ -126,7 +127,8 @@ fn bench_throughput(c: &mut Criterion) {
         );
         group.bench_function(BenchmarkId::new(&workload.name, "reference"), |b| {
             b.iter(|| {
-                let mut sim = ReferenceSimulator::new(&p.config, p.bundles.clone(), p.entry);
+                let mut sim = ReferenceSimulator::try_new(&p.config, p.bundles.clone(), p.entry)
+                    .expect("toolchain output is always legal");
                 sim.set_memory(Memory::from_image(p.image.clone()));
                 sim.run().expect("runs");
                 sim.stats().cycles

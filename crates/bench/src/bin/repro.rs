@@ -750,7 +750,8 @@ fn cmd_bench_throughput(
             let image = prepared.initial_memory;
 
             let reference = {
-                let mut sim = ReferenceSimulator::new(&config, bundles.clone(), entry);
+                let mut sim = ReferenceSimulator::try_new(&config, bundles.clone(), entry)
+                    .map_err(|e| e.to_string())?;
                 sim.set_memory(Memory::from_image(image.clone()));
                 sim
             };

@@ -1,130 +1,16 @@
-//! Reaching definitions and predicate-aware definedness of GPRs.
-//!
-//! Two related forward analyses over the same solver:
-//!
-//! * [`ReachingDefs`] — the textbook analysis: for every bundle, which
-//!   write sites (bundle address, slot) may have produced each GPR's
-//!   current value. Small per-register site sets, capped to keep the
-//!   lattice finite.
-//! * [`Definedness`] — the condensation `epic-verify`'s VER013 needs,
-//!   refined with guard predicates: per GPR a *may* bit (some path
-//!   writes it) and a [`MustDef`] fact (on every path it is written
-//!   unconditionally, written only under one guard, or possibly not at
-//!   all). Sequential writes under the two complementary targets of one
-//!   compare promote to `Always` — the if-conversion pattern
-//!   (`CMP p1,p2,…; MOVE r (p1); MOVE r (p2)`) a path-insensitive
-//!   analysis cannot see through.
+//! Predicate-aware definedness of GPRs: per GPR a *may* bit (some path
+//! writes it) and a [`MustDef`] fact (on every path it is written
+//! unconditionally, written only under one guard, or possibly not at
+//! all), the condensation `epic-verify`'s VER013 needs. Sequential
+//! writes under the two complementary targets of one compare promote to
+//! `Always` — the if-conversion pattern (`CMP p1,p2,…; MOVE r (p1);
+//! MOVE r (p2)`) a path-insensitive analysis cannot see through.
 
 use crate::cfg::Cfg;
 use crate::lattice::{Lattice, MustDef};
 use crate::solver::{solve_forward, Analysis, Direction};
 use epic_config::Config;
 use epic_isa::{Instruction, Opcode, PredReg, TRUE_PRED};
-
-/// Cap on tracked write sites per register; larger sets widen to `Top`.
-const MAX_SITES: usize = 8;
-
-/// The write sites that may reach a point, for one GPR.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum DefSites {
-    /// No write reaches (the register still holds its reset value).
-    #[default]
-    None,
-    /// Exactly these `(bundle, slot)` sites may reach.
-    Sites(Vec<(u32, u32)>),
-    /// Too many sites to track.
-    Top,
-}
-
-impl Lattice for DefSites {
-    fn join(&mut self, other: &DefSites) -> bool {
-        match (&mut *self, other) {
-            (_, DefSites::None) => false,
-            (DefSites::Top, _) => false,
-            (slot @ DefSites::None, _) => {
-                *slot = other.clone();
-                true
-            }
-            (slot @ DefSites::Sites(_), DefSites::Top) => {
-                *slot = DefSites::Top;
-                true
-            }
-            (DefSites::Sites(mine), DefSites::Sites(theirs)) => {
-                let mut changed = false;
-                for site in theirs {
-                    if !mine.contains(site) {
-                        mine.push(*site);
-                        changed = true;
-                    }
-                }
-                if mine.len() > MAX_SITES {
-                    *self = DefSites::Top;
-                    return true;
-                }
-                if changed {
-                    mine.sort_unstable();
-                }
-                changed
-            }
-        }
-    }
-}
-
-/// Per-bundle state of [`ReachingDefs`]: one [`DefSites`] per GPR.
-pub type ReachingState = Vec<DefSites>;
-
-/// The classic reaching-definitions analysis over GPRs.
-pub struct ReachingDefs {
-    num_gprs: usize,
-}
-
-impl Analysis for ReachingDefs {
-    type State = ReachingState;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> ReachingState {
-        vec![DefSites::None; self.num_gprs]
-    }
-
-    fn transfer(&self, bi: usize, bundle: &[Instruction], state: &ReachingState) -> ReachingState {
-        let mut out = state.clone();
-        for (slot, instr) in bundle.iter().enumerate() {
-            if let Some(r) = instr.gpr_write() {
-                if let Some(sites) = out.get_mut(r.0 as usize) {
-                    let site = (bi as u32, slot as u32);
-                    if instr.pred == TRUE_PRED {
-                        // An unconditional write kills everything before.
-                        *sites = DefSites::Sites(vec![site]);
-                    } else {
-                        // A guarded write may or may not land: add it.
-                        sites.join(&DefSites::Sites(vec![site]));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-impl ReachingDefs {
-    /// Solves reaching definitions; index result by bundle address for
-    /// each bundle's *input* state (`None` = unreachable).
-    #[must_use]
-    pub fn solve(
-        config: &Config,
-        cfg: &Cfg,
-        bundles: &[Vec<Instruction>],
-        entry: usize,
-    ) -> Vec<Option<ReachingState>> {
-        let analysis = ReachingDefs {
-            num_gprs: config.num_gprs(),
-        };
-        solve_forward(&analysis, cfg, bundles, entry)
-    }
-}
 
 /// Per-GPR definedness facts at one bundle's input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,29 +199,5 @@ mod tests {
              MOVE r1, #1 (p1)\n;;\nMOVE r1, #2 (p2)\n;;\nHALT\n;;\n",
         );
         assert_eq!(d.must[1], MustDef::Under(PredReg(1)));
-    }
-
-    #[test]
-    fn reaching_defs_tracks_kill_and_merge() {
-        let config = Config::default();
-        let program = assemble(
-            "MOVE r1, #1\n;;\nMOVE r1, #2\n;;\nMOVE r2, #3 (p1)\n;;\nHALT\n;;\n",
-            &config,
-        )
-        .expect("assembles");
-        let cfg = Cfg::build(&config, program.bundles());
-        let states = ReachingDefs::solve(&config, &cfg, program.bundles(), 0);
-        let at_halt = states[3].as_ref().expect("reachable");
-        assert_eq!(
-            at_halt[1],
-            DefSites::Sites(vec![(1, 0)]),
-            "second write killed the first"
-        );
-        assert_eq!(
-            at_halt[2],
-            DefSites::Sites(vec![(2, 0)]),
-            "guarded write reaches without killing"
-        );
-        assert_eq!(at_halt[3], DefSites::None);
     }
 }

@@ -105,16 +105,6 @@ impl PredVal {
         }
     }
 
-    /// Lifts a concrete boolean.
-    #[must_use]
-    pub fn from_bool(value: bool) -> PredVal {
-        if value {
-            PredVal::True
-        } else {
-            PredVal::False
-        }
-    }
-
     /// The negated value. Not `std::ops::Not`: unknown stays unknown, so
     /// this is deliberately an inherent method, not the operator.
     #[must_use]

@@ -12,9 +12,9 @@
 //!   — join-semilattice states, transfer functions and a worklist
 //!   fixpoint solver over the bundle [`Cfg`], with edge-distance aging
 //!   and widening hooks.
-//! * [`ReachingDefs`] and [`Definedness`] — predicate-aware definition
-//!   tracking (a write under `p` plus a write under its complement is a
-//!   definition on every path), consumed by the verifier's `VER013`.
+//! * [`Definedness`] — predicate-aware definition tracking (a write
+//!   under `p` plus a write under its complement is a definition on
+//!   every path), consumed by the verifier's `VER013`.
 //! * [`ValueAnalysis`] — interval ranges for GPRs plus three-valued
 //!   predicate constants, with capped widening.
 //! * [`gpr_liveness`] — backward may-liveness (all-live at exits).
@@ -58,7 +58,7 @@ mod solver;
 pub use cfg::{Cfg, Edge};
 pub use cost::{CostModel, Mutation};
 pub use cycles::{analyze_cycles, BoundOptions, CountSource, CycleBounds, PcBound};
-pub use defs::{DefSites, Definedness, GprDefs, ReachingDefs};
+pub use defs::{Definedness, GprDefs};
 pub use lattice::{Interval, Lattice, MustDef, PredVal};
 pub use lints::{lint_bundles, LintOptions};
 pub use liveness::{gpr_liveness, LiveSet};

@@ -96,16 +96,6 @@ impl LoopAnalysis {
         }
     }
 
-    /// The loop summary owning a bundle, if the bundle is in one.
-    #[must_use]
-    pub fn loop_of(&self, bi: usize) -> Option<&LoopSummary> {
-        self.loop_of_scc
-            .get(self.scc_of.get(bi).copied()?)
-            .copied()
-            .flatten()
-            .map(|ix| &self.loops[ix])
-    }
-
     /// Upper bound on each bundle's execution count over a whole run
     /// (`None` = unbounded). Loops without a proven trip bound use
     /// `assume_trips` body executions per entry when supplied.

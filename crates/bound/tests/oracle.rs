@@ -46,11 +46,12 @@ fn run_grid(alu_counts: &[usize], widths: &[usize]) -> Vec<Point> {
                     .expect("workload runs and verifies");
                 let per_cycle_cycles = run.stats().cycles;
 
-                let mut reference = ReferenceSimulator::new(
+                let mut reference = ReferenceSimulator::try_new(
                     &config,
                     run.program.bundles().to_vec(),
                     run.program.entry(),
-                );
+                )
+                .expect("the reference engine accepts legal programs");
                 reference.set_memory(Memory::from_image(module.initial_memory(&layout)));
                 let reference_cycles = reference.run().expect("reference engine runs").cycles;
 

@@ -169,9 +169,10 @@ pub struct EngineOutcome {
     /// Basic blocks the threaded run loop replayed on its folded fast
     /// path (always zero on the reference engine).
     pub fast_block_execs: u64,
-    /// Fast-path executions the threaded run loop entered by chaining —
-    /// directly from a predecessor's terminator, without returning to
-    /// its dispatcher (always zero on the reference engine).
+    /// Fast-path executions the threaded run loop chained: entered with
+    /// no per-cycle issue since the previous one, only that stream's
+    /// terminator, flush bubbles and contention stalls between them
+    /// (always zero on the reference engine).
     pub chained_execs: u64,
 }
 
@@ -394,7 +395,7 @@ impl Toolchain {
     ///
     /// # Errors
     ///
-    /// Returns a simulation fault, or [`Simulator`]'s load-time bundle
+    /// Returns a simulation fault, or either engine's load-time bundle
     /// rejection.
     pub fn run_prepared(
         &self,
@@ -407,7 +408,7 @@ impl Toolchain {
         match engine {
             Engine::Reference => {
                 let mut sim =
-                    ReferenceSimulator::new(&self.config, program.shared_bundles(), entry);
+                    ReferenceSimulator::try_new(&self.config, program.shared_bundles(), entry)?;
                 sim.set_memory(memory);
                 let stats = *sim.run()?;
                 Ok(EngineOutcome {

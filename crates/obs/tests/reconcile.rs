@@ -85,8 +85,12 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                 );
 
                 // Frozen reference engine.
-                let mut reference =
-                    ReferenceSimulator::new(&config, program.bundles().to_vec(), program.entry());
+                let mut reference = ReferenceSimulator::try_new(
+                    &config,
+                    program.bundles().to_vec(),
+                    program.entry(),
+                )
+                .unwrap_or_else(|e| panic!("{point}: decode: {e}"));
                 reference.set_memory(Memory::from_image(image));
                 let mut reference_sink =
                     TeeSink(MetricsRegistry::default(), RecordingSink::default());

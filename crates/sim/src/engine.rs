@@ -14,9 +14,9 @@ pub enum Engine {
     /// ([`crate::ReferenceSimulator`]).
     Reference,
     /// The production engine ([`crate::Simulator`]): per-cycle when
-    /// stepped or observed, and threaded on an unobserved run, which
-    /// chains translated basic blocks and falls back to the per-cycle
-    /// loop per bundle.
+    /// stepped or observed, and threaded on an unobserved run, whose
+    /// per-cycle dispatcher runs translated basic blocks wherever their
+    /// entry caps hold.
     #[default]
     Threaded,
 }

@@ -30,8 +30,9 @@
 //! arrays. [`Simulator`] has two run modes with bit-identical results:
 //! stepping and observed runs go cycle by cycle, and an unobserved
 //! [`Simulator::run`] folds each straight-line basic block's issue
-//! schedule and chains the folded blocks into threaded step streams,
-//! translated on the first such run. [`Simulator::run_until_access`]
+//! schedule into a threaded step stream, translated on the first such
+//! run, and enters it from the per-cycle dispatcher at the block's
+//! leader. [`Simulator::run_until_access`]
 //! runs the same loop but stops, exactly where stepping would, before
 //! the first cycle that touches an address window: the many-core array
 //! runs its cores ahead to their mailbox accesses this way. The

@@ -41,15 +41,16 @@ pub(crate) enum StepPhase {
 /// per-cycle loop touches only dense arrays.
 ///
 /// The machine runs in one of two modes, with bit-identical results.
-/// [`step`](Simulator::step), an observing [`TraceSink`] and stall
-/// recording run the **per-cycle** loop. An unobserved
-/// [`run`](Simulator::run) or
+/// [`step`](Simulator::step) and an observing [`TraceSink`] run the
+/// **per-cycle** loop. An unobserved [`run`](Simulator::run) or
 /// [`run_until_access`](Simulator::run_until_access) runs the
-/// **threaded** loop (`threaded.rs`): the first such run translates the
-/// program's basic blocks into chained step streams and keeps the
-/// translation for later runs, so a simulator that is only stepped or
-/// observed never builds one. Both modes are bit-identical to the
-/// interpretive [`crate::ReferenceSimulator`].
+/// **threaded** loop (`threaded.rs`): the same per-cycle dispatcher,
+/// which runs a translated step stream wherever it reaches a basic
+/// block's leader with the block's entry caps met. The first such run
+/// translates the program's basic blocks and keeps the translation for
+/// later runs, so a simulator that is only stepped or observed never
+/// builds one. Both modes are bit-identical to the interpretive
+/// [`crate::ReferenceSimulator`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// The decoded program, shared with clones.

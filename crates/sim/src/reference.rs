@@ -60,25 +60,30 @@ pub struct ReferenceSimulator {
 impl ReferenceSimulator {
     /// Creates a reference simulator (see [`crate::Simulator::try_new`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a bundle violates the machine description or names an
-    /// unregistered custom-op slot.
-    #[must_use]
-    pub fn new(config: &Config, bundles: impl Into<Arc<[Vec<Instruction>]>>, entry: u32) -> Self {
+    /// Returns [`SimError::IllegalBundle`] if a bundle violates the
+    /// machine description or names an unregistered custom-op slot, the
+    /// error [`crate::Simulator::try_new`] returns for the same bundles.
+    pub fn try_new(
+        config: &Config,
+        bundles: impl Into<Arc<[Vec<Instruction>]>>,
+        entry: u32,
+    ) -> Result<Self, SimError> {
         let bundles = bundles.into();
         let mdes = epic_mdes::MachineDescription::new(config);
         for (pc, bundle) in bundles.iter().enumerate() {
-            if let Err(e) = mdes.check_bundle(bundle) {
-                panic!("illegal bundle at address {pc}: {e}");
-            }
+            let pc = pc as u32;
+            mdes.check_bundle(bundle)
+                .map_err(|e| SimError::IllegalBundle {
+                    pc,
+                    message: e.to_string(),
+                })?;
             for instr in bundle {
-                if let Err(e) = decode_action(config, pc as u32, instr) {
-                    panic!("{e}");
-                }
+                decode_action(config, pc, instr)?;
             }
         }
-        ReferenceSimulator {
+        Ok(ReferenceSimulator {
             gprs: vec![0; config.num_gprs()],
             preds: vec![false; config.num_pred_regs()],
             btrs: vec![0; config.num_btrs()],
@@ -99,7 +104,7 @@ impl ReferenceSimulator {
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             config: config.clone(),
             bundles,
-        }
+        })
     }
 
     /// Installs the data memory.

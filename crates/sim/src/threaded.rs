@@ -2,56 +2,44 @@
 //!
 //! The per-cycle loop (`machine.rs`) re-derives the whole issue
 //! negotiation — scoreboard scan, unit availability, port accounting,
-//! stall ladder — on every cycle, and returns to its generic dispatch
-//! loop after every bundle. Inside a straight-line basic block that
-//! negotiation is a constant: the compiled-block substrate (`block.rs`)
-//! replays it once per block and folds it into a [`CompiledBlock`] with
-//! an exact entry signature.
+//! stall ladder — on every cycle. Inside a straight-line basic block
+//! that negotiation is a constant: the compiled-block substrate
+//! (`block.rs`) replays it once per block and folds it into a
+//! [`CompiledBlock`] with an exact entry signature.
 //!
-//! The threaded loop builds on that table and removes the dispatcher
-//! from the hot path. The first unobserved run translates the decoded
-//! program plus the [`CompiledBlock`] table into a flat **step table**
-//! and keeps it for later runs: one pre-bound [`Step`] per bundle
-//! address, resolving at translation time which addresses head a folded
-//! stream and which fall back to per-cycle interpretation. The run loop
-//! is then a tight `loop { match steps[pc] { ... } }` over that table
-//! with no per-cycle scoreboard re-derivation on the fast path:
+//! The first unobserved run translates the decoded program plus the
+//! [`CompiledBlock`] table into a flat **step table** and keeps it for
+//! later runs: one pre-bound [`Step`] per bundle address, resolving at
+//! translation time which addresses head a folded stream. Each stream's
+//! body is re-bound as **micro-op runs**: maximal runs of *pure* bundles
+//! (no memory traffic, no op reading a register an earlier op of the
+//! same bundle writes) become flat arrays of pre-bound micro-ops
+//! executed with direct register writes — no write buffer, no `ExecCtx`
+//! construction — and their static statistics (bundles, nops,
+//! instructions, unit-busy cycles) fold into one delta applied per run.
+//! Pure runs cannot fault, so exactness is free; impure bundles (memory
+//! traffic) stay on the shared write-buffered path with the substrate's
+//! exact fault unwinding.
 //!
-//! * **Micro-op runs** — each stream's body is re-bound at translation
-//!   time: maximal runs of *pure* bundles (no memory traffic, no op
-//!   reading a register an earlier op of the same bundle writes)
-//!   become flat arrays of pre-bound micro-ops executed with direct
-//!   register writes — no write buffer, no `ExecCtx` construction —
-//!   and their static statistics (bundles, nops, instructions,
-//!   unit-busy cycles) fold into one delta applied per run. Pure runs
-//!   cannot fault, so exactness is free; impure bundles (memory
-//!   traffic) stay on the shared write-buffered path with the
-//!   substrate's exact fault unwinding.
-//! * **Block chaining** — after a stream's folded body executes, the
-//!   terminator bundle runs *inside the chain loop* (through the shared
-//!   `Machine::execute_bundle` write-back path), its redirect and
-//!   flush bubbles are paid in place, and control jumps directly into
-//!   the successor's step stream when its entry-readiness caps hold —
-//!   without ever returning to the generic dispatcher. The
-//!   [`chained_execs`](Simulator::chained_execs) counter records every
-//!   such direct hand-off.
-//! * **Trace linking** — a hot self-loop settles into a steady state:
-//!   after one verified lap (leader → taken back-edge → same leader),
-//!   every scoreboard residue at the next entry is a pure function of
-//!   the block's own bookings and the lap length, so the loop memoises
-//!   (block, scoreboard signature) and admits subsequent laps in O(1) —
-//!   a cycle-budget compare — instead of re-scanning the entry caps.
-//!   The signature is the fetch-bandwidth debt left by the terminator,
-//!   the only lap-to-lap input that can change the lap's stall
-//!   schedule; see `run_chain` for the full soundness argument.
+//! There is one run loop, the per-cycle dispatcher. Where the front end
+//! would try to issue a stream's leader and the stream's entry signature
+//! holds, the dispatcher runs the stream instead; the stream leaves its
+//! terminator staged at the top of the terminator's execute cycle. From
+//! there every cycle is the dispatcher's own per-cycle code, exactly as
+//! stepping runs it: the terminator executes, a halt drains, a taken
+//! branch pays its flush bubbles, pending contention stalls are paid,
+//! the cycle budget is checked, and the next stream is entered wherever
+//! the front end next reaches a leader. [`Simulator::chained_execs`]
+//! counts the streams entered with no per-cycle issue since the
+//! previous one.
 //!
-//! Everything irregular — entry caps violated, mid-flush, divides,
-//! faults, cycle budget, untranslated addresses — leaves the chain and
-//! re-enters the per-cycle dispatcher at a state it can resume exactly,
-//! so `SimStats`, registers, memory and faults stay **bit-identical** to
-//! stepping the same machine to halt, by construction. Stepping and an
-//! observing [`TraceSink`] run the per-cycle loop and never build the
-//! translation, so profile training and traces pay nothing for it.
+//! Everything irregular — entry caps violated, divides, untranslated
+//! addresses — stays on the dispatcher, and a fault in a stream body
+//! unwinds to the state the per-cycle loop dies in, so `SimStats`,
+//! registers, memory and faults stay **bit-identical** to stepping the
+//! same machine to halt, by construction. Stepping and an observing
+//! [`TraceSink`] never enter a stream and never build the translation,
+//! so profile training and traces pay nothing for it.
 //!
 //! # Stopping before a window access
 //!
@@ -64,13 +52,12 @@
 //! is about to execute:
 //!
 //! * the dispatcher checks the bundle in stage 2 at the top of every
-//!   cycle;
+//!   cycle, which includes the terminator a stream leaves staged;
 //! * a stream checks each body bundle with memory traffic before
 //!   executing it, and on a hit rewinds through the shared
 //!   `fault_unwind` — the state in which the per-cycle loop would have
 //!   begun that bundle's execute cycle — with the bundle restored to
-//!   stage 2;
-//! * the chain checks a terminator before taking it.
+//!   stage 2.
 //!
 //! The check computes each load's and store's address from the
 //! registers the execute stage would read and ignores guards: stopping
@@ -147,19 +134,6 @@ struct Stream {
     fast_ops: Box<[DecodedOp]>,
 }
 
-/// How a chain run handed control back.
-enum ChainExit {
-    /// `HALT` executed and its cycle retired; the run is complete.
-    Halted,
-    /// The run's stop fired: the machine is at the top of a cycle whose
-    /// execute stage the stop must not run.
-    Stopped,
-    /// Control left the translated streams. `executed` reports whether
-    /// any stream ran (if not, the dispatcher still owns this cycle and
-    /// must issue per-cycle).
-    Dispatch { executed: bool },
-}
-
 /// Where a run of the threaded loop stops short of halt: at the top of
 /// a cycle whose execute stage would run a bundle the caller must see
 /// executed on its own.
@@ -230,7 +204,7 @@ struct TranslationSource {
 /// Empty, with its source pending, until [`Simulator::translate`] or
 /// the first unobserved run builds it; kept for every later run. The
 /// tables never change once built, so clones share them and keep their
-/// own trace-link memos and counters.
+/// own counters.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Translation {
     /// The source of a step table not built yet.
@@ -239,14 +213,8 @@ pub(crate) struct Translation {
     steps: Arc<[Step]>,
     /// Arena of translated streams, indexed by [`Step::Enter`].
     streams: Arc<[Stream]>,
-    /// Per stream, the memoised scoreboard signature of a verified
-    /// self-loop lap: the fetch-bandwidth debt the terminator left
-    /// behind. A later lap arriving with the same signature is
-    /// admissible without re-scanning the entry caps.
-    links: Vec<Option<u32>>,
     fast_blocks: u64,
     chained: u64,
-    linked: u64,
 }
 
 impl Translation {
@@ -270,161 +238,64 @@ impl Translation {
         };
         let cfg = Cfg::build(&source.config, &source.bundles);
         let blocks = cfg.basic_blocks(&source.bundles, source.entry as usize);
-        // Translate *every* foldable block: chaining and trace linking
-        // amortise the admission cost, and the micro-op runs make even
-        // minimal windows profitable.
+        // Translate *every* foldable block: admission is one step-table
+        // load and one entry-cap scan.
         let mut steps = vec![Step::Interp; program.bundles.len()];
         let mut streams = Vec::new();
         for block in compile_blocks(program, &blocks) {
             steps[block.first as usize] = Step::Enter(streams.len() as u32);
             streams.push(translate_stream(program, block));
         }
-        self.links = vec![None; streams.len()];
         self.steps = steps.into();
         self.streams = streams.into();
     }
 
-    /// The chain loop: executes translated streams back to back from
-    /// the current dispatch point until control leaves the tables.
-    ///
-    /// Entered with the front end clean at `pc` (nothing in stage 2, no
-    /// flush bubbles, `mem_debt < 2`) — exactly the state in which the
-    /// per-cycle loop would attempt to issue. On `Dispatch` exits the
-    /// machine is always in a state the generic dispatcher resumes
-    /// exactly: either at the top of a fresh cycle, or mid-cycle with
-    /// stage 2 empty and the pre-issue ladder idempotent, or (on cycle
-    /// budget exhaustion) with the pending state intact so
-    /// `Machine::step_front` raises [`SimError::CycleLimit`] at the
-    /// same cycle the per-cycle loop would.
-    ///
-    /// # Trace-link soundness
-    ///
-    /// For a self-loop lap (stream S, taken back-edge to S's leader),
-    /// the entry caps at the next arrival depend only on (a) S's own
-    /// bookings — every booked register's readiness is `entry + rel`,
-    /// so its residue at the next entry is `rel - lap_len`, independent
-    /// of prior state — and (b) entry-carried registers, whose residues
-    /// only decay as cycles pass. The lap length is `block_cycles + 1 +
-    /// flush_penalty + contention stalls`, where only the contention
-    /// stalls vary — and they are a pure function of the debt the
-    /// terminator leaves behind. Hence: once a lap has been *verified*
-    /// (entry caps re-checked after one full lap), any later lap
-    /// arriving with the same terminator debt is admissible, and only
-    /// the cycle budget needs checking. ALU occupancy never changes
-    /// inside a chain (translated blocks contain no divides) and the
-    /// port/flush state is clean by construction.
-    fn run_chain<W: Stop>(
+    /// The run loop: the per-cycle dispatcher, which runs the stream
+    /// that starts at `pc`, when its entry signature holds, where it
+    /// would otherwise try to issue the stream's leader. Returns `false`
+    /// once halted, `true` when `stop` fired.
+    fn run<S: TraceSink, W: Stop>(
         &mut self,
         sim: &mut Machine,
         program: &DecodedProgram,
+        sink: &mut S,
         stop: &W,
-    ) -> Result<ChainExit, SimError> {
-        let mut executed = false;
-        // The previous transition, when it was a taken back-edge:
-        // (stream index, terminator debt) — the trace-link signature.
-        let mut from: Option<(u32, u32)> = None;
+    ) -> Result<bool, SimError> {
+        // Whether a stream ran and no per-cycle issue has run since.
+        let mut chaining = false;
         loop {
-            let pc = sim.pc;
-            let si = match self.steps.get(pc as usize) {
-                Some(&Step::Enter(si)) => si as usize,
-                _ => return Ok(ChainExit::Dispatch { executed }),
-            };
-            let lap = from.take().filter(|&(p, _)| p as usize == si);
-            // Admission: O(1) via the link memo on a repeated verified
-            // lap, else the full entry-cap scan.
-            enum Admit {
-                Linked,
-                Verified(Option<u32>),
-                Reject,
-            }
-            let admit = {
-                let block = &self.streams[si].block;
-                let budget_ok = sim
-                    .cycle
-                    .checked_add(block.block_cycles)
-                    .is_some_and(|end| end <= sim.cycle_limit);
-                match lap {
-                    Some((_, key)) if budget_ok && self.links[si] == Some(key) => Admit::Linked,
-                    _ if entry_ok(sim, block) => Admit::Verified(lap.map(|(_, key)| key)),
-                    _ => Admit::Reject,
-                }
-            };
-            match admit {
-                Admit::Reject => return Ok(ChainExit::Dispatch { executed }),
-                Admit::Linked => self.linked += 1,
-                // One full self-loop lap verified: memoise its signature.
-                Admit::Verified(Some(key)) => self.links[si] = Some(key),
-                Admit::Verified(None) => {}
-            }
-
-            if !run_stream(sim, program, &self.streams[si], stop)? {
-                return Ok(ChainExit::Stopped);
-            }
-            self.fast_blocks += 1;
-            if executed {
-                self.chained += 1;
-            }
-            executed = true;
-
-            // The terminator executes inside the chain, through the
-            // same shared write-back path the per-cycle loop uses,
-            // unless the stop claims it: the machine is at the top of
-            // the terminator's execute cycle. If the cycle budget is
-            // exhausted first, hand back with the staged terminator
-            // intact: `step_front` raises CycleLimit at exactly this
-            // state, as the per-cycle loop would.
             if stop.at_top(sim, program) {
-                return Ok(ChainExit::Stopped);
+                return Ok(true);
             }
-            if sim.cycle >= sim.cycle_limit {
-                return Ok(ChainExit::Dispatch { executed });
-            }
-            let term = sim.stage2.take().expect("fold_exit staged the terminator");
-            let redirect = sim.execute_bundle(program, term, &mut NopSink)?;
-            if sim.halted {
-                // Mirror `step_front`'s drain: the halt cycle retires.
-                sim.finish_cycle(&mut NopSink);
-                return Ok(ChainExit::Halted);
-            }
-            // The trace-link signature: debt before the stall ladder.
-            let key = sim.mem_debt;
-            match redirect {
-                Some(target) => {
-                    // Taken branch: the squashed fetch plus the deeper-
-                    // pipeline bubbles, each a full front-end cycle, then
-                    // any contention stalls — the per-cycle pre-issue
-                    // ladder, paid in place.
-                    sim.pc = target;
-                    sim.stats.stalls.branch_flush += 1;
-                    sim.flush_wait = program.flush_penalty;
-                    sim.finish_cycle(&mut NopSink);
-                    while sim.flush_wait > 0 {
-                        if sim.cycle >= sim.cycle_limit {
-                            return Ok(ChainExit::Dispatch { executed });
+            match sim.step_front(program, sink)? {
+                StepPhase::Halted => return Ok(false),
+                StepPhase::Drained => {}
+                StepPhase::Issue(redirect) => {
+                    if sim.pre_issue_stall(program, redirect, sink) {
+                        sim.finish_cycle(sink);
+                        continue;
+                    }
+                    // An observing sink sees every cycle: no streams.
+                    if !S::OBSERVED {
+                        if let Some(&Step::Enter(si)) = self.steps.get(sim.pc as usize) {
+                            let stream = &self.streams[si as usize];
+                            if entry_ok(sim, &stream.block) {
+                                // The stream leaves its terminator staged
+                                // at the top of its execute cycle, which
+                                // the next iteration runs.
+                                if !run_stream(sim, program, stream, stop)? {
+                                    return Ok(true);
+                                }
+                                self.fast_blocks += 1;
+                                self.chained += u64::from(chaining);
+                                chaining = true;
+                                continue;
+                            }
                         }
-                        sim.flush_wait -= 1;
-                        sim.stats.stalls.branch_flush += 1;
-                        sim.finish_cycle(&mut NopSink);
                     }
-                    while sim.mem_debt >= 2 {
-                        if sim.cycle >= sim.cycle_limit {
-                            return Ok(ChainExit::Dispatch { executed });
-                        }
-                        sim.mem_debt -= 2;
-                        sim.stats.stalls.memory_contention += 1;
-                        sim.finish_cycle(&mut NopSink);
-                    }
-                    from = Some((si as u32, key));
-                }
-                None => {
-                    // Fall-through: the next bundle may issue in the same
-                    // cycle the terminator executed — but only when the
-                    // pre-issue ladder passes untouched. A pending
-                    // contention stall goes back to the dispatcher,
-                    // whose ladder pays it identically.
-                    if sim.mem_debt >= 2 {
-                        return Ok(ChainExit::Dispatch { executed });
-                    }
+                    chaining = false;
+                    sim.try_issue(program, sink)?;
+                    sim.finish_cycle(sink);
                 }
             }
         }
@@ -443,20 +314,13 @@ impl Simulator {
         self.translation.fast_blocks
     }
 
-    /// How many stream executions were entered by chaining — directly
-    /// from a predecessor's terminator, without returning to the
-    /// generic dispatcher. A loop property, not part of `SimStats`.
+    /// How many stream executions were chained: entered with no
+    /// per-cycle issue since the previous stream of the same run, only
+    /// that stream's terminator, flush bubbles and contention stalls
+    /// between them. A loop property, not part of `SimStats`.
     #[must_use]
     pub fn chained_execs(&self) -> u64 {
         self.translation.chained
-    }
-
-    /// How many stream entries were admitted by the trace-link memo
-    /// (O(1), no entry-cap scan). Always counted in
-    /// [`chained_execs`](Simulator::chained_execs) too.
-    #[must_use]
-    pub fn linked_execs(&self) -> u64 {
-        self.translation.linked
     }
 
     /// How many basic blocks translated to a step stream: 0 until
@@ -475,69 +339,19 @@ impl Simulator {
         self.translation.build(&self.program);
     }
 
-    /// Runs until halt, an error or `stop`: on the per-cycle loop when
-    /// `sink` observes, else on the threaded loop, translating on first
+    /// Runs until halt, an error or `stop`, entering translated streams
+    /// unless `sink` observes; an unobserved run translates on first
     /// use. Returns `false` once halted.
     pub(crate) fn run_until<S: TraceSink, W: Stop>(
         &mut self,
         sink: &mut S,
         stop: &W,
     ) -> Result<bool, SimError> {
-        if S::OBSERVED {
-            loop {
-                if stop.at_top(&self.machine, &self.program) {
-                    return Ok(true);
-                }
-                if !self.machine.step_program(&self.program, sink)? {
-                    return Ok(false);
-                }
-            }
+        if !S::OBSERVED {
+            self.translation.build(&self.program);
         }
-        self.translation.build(&self.program);
         self.translation
             .run(&mut self.machine, &self.program, sink, stop)
-    }
-}
-
-impl Translation {
-    /// The per-cycle dispatcher, chaining through every translated
-    /// stream whose entry signature is satisfied. Returns `false` once
-    /// halted, `true` when `stop` fired.
-    fn run<S: TraceSink, W: Stop>(
-        &mut self,
-        sim: &mut Machine,
-        program: &DecodedProgram,
-        sink: &mut S,
-        stop: &W,
-    ) -> Result<bool, SimError> {
-        loop {
-            if stop.at_top(sim, program) {
-                return Ok(true);
-            }
-            match sim.step_front(program, sink)? {
-                StepPhase::Halted => return Ok(false),
-                StepPhase::Drained => {}
-                StepPhase::Issue(redirect) => {
-                    if sim.pre_issue_stall(program, redirect, sink) {
-                        sim.finish_cycle(sink);
-                        continue;
-                    }
-                    // Cheap pre-filter: only enter the chain loop when a
-                    // stream actually starts here, so untranslated
-                    // regions pay one table load over the per-cycle loop.
-                    if matches!(self.steps.get(sim.pc as usize), Some(Step::Enter(_))) {
-                        match self.run_chain(sim, program, stop)? {
-                            ChainExit::Halted => return Ok(false),
-                            ChainExit::Stopped => return Ok(true),
-                            ChainExit::Dispatch { executed: true } => continue,
-                            ChainExit::Dispatch { executed: false } => {}
-                        }
-                    }
-                    sim.try_issue(program, sink)?;
-                    sim.finish_cycle(sink);
-                }
-            }
-        }
     }
 }
 
@@ -821,7 +635,7 @@ mod tests {
                                 SW r1, r3, #0\n;;\n    HALT\n;;\n";
 
     #[test]
-    fn hot_loop_chains_and_links() {
+    fn hot_loop_runs_translated_and_chains() {
         let config = Config::default();
         let (mut stepped, mut threaded) = build_pair(LOOP_SRC, &config, 64);
         let want = step_to_halt(&mut stepped).expect("steps to halt");
@@ -837,13 +651,8 @@ mod tests {
         );
         assert!(
             threaded.chained_execs() >= 8,
-            "back-edges must chain without the dispatcher (got {})",
+            "back-edges must chain with no per-cycle issue (got {})",
             threaded.chained_execs()
-        );
-        assert!(
-            threaded.linked_execs() >= 1,
-            "steady-state laps must be link-admitted (got {})",
-            threaded.linked_execs()
         );
     }
 
@@ -925,8 +734,9 @@ mod tests {
     }
 
     #[test]
-    fn deeper_pipelines_pay_bubbles_in_the_chain() {
-        // flush_penalty > 0 exercises the in-chain bubble ladder.
+    fn deeper_pipelines_chain_across_flush_bubbles() {
+        // flush_penalty > 0: the dispatcher pays each taken back-edge's
+        // bubbles between two streams of a chain.
         let config = Config::builder().pipeline_stages(4).build().unwrap();
         let (mut stepped, mut threaded) = build_pair(LOOP_SRC, &config, 64);
         let want = step_to_halt(&mut stepped).expect("steps to halt");
@@ -939,19 +749,25 @@ mod tests {
     #[test]
     fn cycle_limit_interrupts_the_chain_exactly() {
         // Every prefix of the run must be interrupted identically: sweep
-        // the limit across fill, chained laps and the drain.
-        let config = Config::default();
-        let mut full = build(LOOP_SRC, &config, 64);
-        let total = step_to_halt(&mut full).expect("full run").cycles;
-        for limit in 1..total {
-            let (mut want, mut got) = build_pair(LOOP_SRC, &config, 64);
-            want.set_cycle_limit(limit);
-            got.set_cycle_limit(limit);
-            let want_err = step_to_halt(&mut want).expect_err("limit hit");
-            let got_err = got.run().expect_err("limit hit");
-            assert_eq!(format!("{got_err}"), format!("{want_err}"), "limit {limit}");
-            got.machine
-                .assert_same(&want.machine, &format!("limit {limit}"));
+        // the limit across fill, chained laps, every flush bubble and
+        // contention stall the dispatcher pays after a stream's
+        // terminator, and the drain, on 2-, 3- and 4-stage pipelines.
+        for stages in 2..=4 {
+            let config = Config::builder().pipeline_stages(stages).build().unwrap();
+            for src in [LOOP_SRC, STORE_LOOP] {
+                let mut full = build(src, &config, 64);
+                let total = step_to_halt(&mut full).expect("full run").cycles;
+                for limit in 1..total {
+                    let label = format!("{stages} stages, limit {limit}");
+                    let (mut want, mut got) = build_pair(src, &config, 64);
+                    want.set_cycle_limit(limit);
+                    got.set_cycle_limit(limit);
+                    let want_err = step_to_halt(&mut want).expect_err("limit hit");
+                    let got_err = got.run().expect_err("limit hit");
+                    assert_eq!(format!("{got_err}"), format!("{want_err}"), "{label}");
+                    got.machine.assert_same(&want.machine, &label);
+                }
+            }
         }
     }
 
@@ -1081,7 +897,7 @@ mod tests {
     /// A counted loop whose body stores the running sum to `4 * i` for
     /// i = 0..10 (address 36 last) and the count to address 60, through
     /// the stream's write-buffered path. Two stores a lap leave the
-    /// terminator no debt, so the laps chain and link.
+    /// terminator no debt, so the laps chain.
     const STORE_LOOP: &str =
         "    MOVE r1, #0\n    MOVE r2, #10\n    MOVE r4, #0\n    PBR b1, @loop\n;;\n\
                               loop:\n    ADD r1, r1, r2\n;;\n    SW r1, r4, #0\n;;\n\
@@ -1092,9 +908,7 @@ mod tests {
     fn run_until_access_stops_in_a_stream_body() {
         let config = Config::default();
         // The sixth lap's store, after five laps on the fast path.
-        let (sim, stops) = drive(STORE_LOOP, &config, 20..24);
-        assert_eq!(stops.len(), 1);
-        assert!(sim.linked_execs() > 0, "the loop ran linked laps");
+        assert_eq!(drive(STORE_LOOP, &config, 20..24).1.len(), 1);
         // Every lap's first store, every lap's second, and a window two
         // stores straddle.
         assert_eq!(drive(STORE_LOOP, &config, 0..40).1.len(), 10);
@@ -1107,8 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_access_stops_before_a_chained_terminator() {
-        // The loop's terminator bundle loads `4 * i` beside its branch.
+    fn run_until_access_stops_before_a_streams_staged_terminator() {
+        // The loop's terminator bundle loads `4 * i` beside its branch:
+        // the dispatcher's check at the top of the cycle catches it in
+        // stage 2, where the stream left it.
         let src = "    MOVE r1, #0\n    MOVE r2, #10\n    MOVE r4, #0\n    PBR b1, @loop\n;;\n\
                    loop:\n    ADD r1, r1, r2\n;;\n    SUB r2, r2, #1\n    ADD r4, r4, #4\n;;\n\
                        CMP_GT p1, p0, r2, #0\n;;\n    LW r5, r4, #0\n    BRCT b1 (p1)\n;;\n\
@@ -1116,10 +932,7 @@ mod tests {
         let config = Config::default();
         let (sim, stops) = drive(src, &config, 20..24);
         assert_eq!(stops.len(), 1);
-        assert!(
-            sim.chained_execs() > 0,
-            "the terminator runs inside the chain"
-        );
+        assert!(sim.chained_execs() > 0, "the laps chain");
         assert_eq!(drive(src, &config, 0..64).1.len(), 10);
         let deep = Config::builder().pipeline_stages(4).build().unwrap();
         assert_eq!(drive(src, &deep, 36..40).1.len(), 1);

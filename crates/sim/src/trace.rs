@@ -33,12 +33,12 @@ pub trait TraceSink {
     /// Whether this sink observes events.
     ///
     /// The threaded run loop of [`crate::Simulator::run_with_sink`]
-    /// folds whole basic blocks into single state updates and chains
-    /// them into translated step streams, eliding the per-cycle event
-    /// stream. It only does so when the sink statically declares itself
-    /// blind (`OBSERVED == false`); observing sinks get the per-cycle
-    /// loop and therefore the exact event sequence, and never build the
-    /// translation. Leave this `true` unless every method is a no-op.
+    /// runs whole basic blocks as translated step streams, folded into
+    /// single state updates, eliding the per-cycle event stream. It
+    /// only does so when the sink statically declares itself blind
+    /// (`OBSERVED == false`); for observing sinks the stream branch
+    /// compiles out, so they get every cycle and therefore the exact
+    /// event sequence, and never build the translation. Leave this `true` unless every method is a no-op.
     const OBSERVED: bool = true;
 
     /// A bundle left the Fetch/Decode/Issue stage this cycle.

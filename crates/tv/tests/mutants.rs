@@ -44,7 +44,8 @@ fn execute(asm: &str, module: &epic_ir::Module, config: &Config) -> Result<Run, 
     }
     let abi = Abi::new(config).expect("abi");
     let layout = module.layout().expect("layout");
-    let mut sim = ReferenceSimulator::new(config, program.bundles().to_vec(), program.entry());
+    let mut sim = ReferenceSimulator::try_new(config, program.bundles().to_vec(), program.entry())
+        .map_err(|e| format!("load: {e}"))?;
     sim.set_memory(Memory::from_image(module.initial_memory(&layout)));
     sim.set_cycle_limit(CYCLE_LIMIT);
     sim.run().map_err(|e| format!("simulate: {e}"))?;

@@ -67,7 +67,8 @@ fn dynamic_edges(
     config: &Config,
 ) -> BTreeMap<(usize, usize), u64> {
     let layout = module.layout().expect("module layout");
-    let mut sim = ReferenceSimulator::new(config, program.shared_bundles(), program.entry());
+    let mut sim = ReferenceSimulator::try_new(config, program.shared_bundles(), program.entry())
+        .expect("the reference engine accepts legal programs");
     sim.set_memory(Memory::from_image(module.initial_memory(&layout)));
     sim.set_cycle_limit(CYCLE_LIMIT);
     let mut sink = EdgeSink::default();

@@ -304,7 +304,8 @@ proptest! {
                 "running ahead to halt diverged ({} ALU / {}-wide)", alus, width
             );
 
-            let mut reference = ReferenceSimulator::new(&config, bundles, entry);
+            let mut reference = ReferenceSimulator::try_new(&config, bundles, entry)
+                .expect("the reference engine accepts legal programs");
             reference.set_memory(Memory::from_image(image));
             reference.run().expect("reference engine runs");
 

@@ -106,7 +106,8 @@ fn all_three_engines_are_bit_identical_across_the_grid() {
                     .run()
                     .unwrap_or_else(|e| panic!("{label}: threaded run failed: {e}"));
 
-                let mut oracle = ReferenceSimulator::new(&config, bundles, entry);
+                let mut oracle = ReferenceSimulator::try_new(&config, bundles, entry)
+                    .unwrap_or_else(|e| panic!("{label}: reference rejected legal program: {e}"));
                 oracle.set_memory(Memory::from_image(image));
                 oracle
                     .run()
@@ -157,7 +158,7 @@ fn threaded_engine_chains_blocks_on_every_workload() {
         assert!(
             run.outcome.chained_execs > 0,
             "{}: the threaded run never chained from one stream into \
-             the next (every block bounced through the dispatcher)",
+             the next (the per-cycle issue stage ran between every two streams)",
             workload.name
         );
     }
