@@ -444,13 +444,7 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
         let base_cycles = run.stats().cycles;
         let counts: std::collections::BTreeMap<u32, u64> =
             sink.per_pc().map(|(pc, p)| (pc, p.issues)).collect();
-        let mined = epic_isx::mine(
-            &base,
-            run.program.bundles(),
-            run.program.entry(),
-            &counts,
-            &epic_isx::MinerOptions::default(),
-        );
+        let mined = epic_isx::mine(&base, run.program.bundles(), run.program.entry(), &counts);
         drop(run);
         let ranked = epic_isx::ScoreModel::new(&base).rank(mined);
         println!(

@@ -17,13 +17,7 @@ fn render(
     entry: u32,
     weights: &BTreeMap<u32, u64>,
 ) -> String {
-    let found = epic_isx::mine(
-        config,
-        bundles,
-        entry,
-        weights,
-        &epic_isx::MinerOptions::default(),
-    );
+    let found = epic_isx::mine(config, bundles, entry, weights);
     let ranked = epic_isx::ScoreModel::new(config).rank(found);
     ranked
         .iter()

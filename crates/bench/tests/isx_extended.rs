@@ -5,8 +5,8 @@
 //! disassembler, and both simulation engines agree bit-for-bit
 //! (cycles, return value, final memory) over the full ALUs 1–4 ×
 //! issue-width 1–4 grid. Every run also passes `epic-verify` and the
-//! pass-by-pass translation validator (TV013 included): workload runs
-//! compile with `verify` on by default.
+//! pass-by-pass translation validator (TV013 included): every compile
+//! runs both.
 //!
 //! 2 workloads × 16 grid points × 2 engines — minutes of work, so the
 //! test is `#[ignore]`d; CI runs it with `--release -- --ignored`.
@@ -24,13 +24,7 @@ fn extended_config(workload: &epic_core::workloads::Workload, k: usize) -> Confi
     let mut sink = epic_obs::ProfileSink::default();
     let run = run_epic_workload_observed(workload, &base, &mut sink).expect("baseline runs");
     let weights: BTreeMap<u32, u64> = sink.per_pc().map(|(pc, p)| (pc, p.issues)).collect();
-    let found = epic_isx::mine(
-        &base,
-        run.program.bundles(),
-        run.program.entry(),
-        &weights,
-        &epic_isx::MinerOptions::default(),
-    );
+    let found = epic_isx::mine(&base, run.program.bundles(), run.program.entry(), &weights);
     let ranked = epic_isx::ScoreModel::new(&base).rank(found);
     assert!(
         ranked.len() >= k,
@@ -94,7 +88,7 @@ fn discovered_ops_survive_the_full_grid_on_every_engine() {
                 let config = builder.build().expect("grid config is legal");
                 let mut outcomes = Vec::new();
                 for engine in Engine::all() {
-                    // `verify` defaults on: this run passes epic-verify
+                    // Every compile verifies: this run passes epic-verify
                     // and the TV chain (TV013 included) or errors out.
                     let run = run_epic_workload_with_engine(&workload, &config, engine)
                         .unwrap_or_else(|e| {

@@ -18,16 +18,15 @@ use epic_mdes::MachineDescription;
 use std::collections::HashMap;
 
 /// Compilation options.
+///
+/// Every compile optimises, fuses registered
+/// [`epic_config::CustomSemantics::Fused`] operations (a no-op without
+/// them), records the [pipeline trace](PipelineTrace) and runs
+/// `epic-verify`'s error pass over its output; none of that is optional.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Options {
-    /// Run the IMPACT-style optimisation pipeline (default: on).
-    pub optimize: bool,
     /// Run if-conversion (default: on; off is useful for ablation).
     pub if_conversion: bool,
-    /// Rewrite matched subgraphs to registered fused custom ops
-    /// (default: on; a no-op unless the config registers
-    /// [`epic_config::CustomSemantics::Fused`] operations).
-    pub fuse_custom: bool,
     /// Form superblocks and schedule them as multi-block regions
     /// (default: on; only takes effect at issue width ≥ 2, where the
     /// freed issue slots exist to be filled).
@@ -42,25 +41,17 @@ pub struct Options {
     pub entry: String,
     /// Arguments the stub passes to the entry function.
     pub entry_args: Vec<u32>,
-    /// Statically verify the scheduled output with `epic-verify` and
-    /// fail compilation on any error diagnostic (default: on). The
-    /// verifier's trace also feeds translation validation, so a compile
-    /// with this off skips both.
-    pub verify: bool,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Options {
-            optimize: true,
             if_conversion: true,
-            fuse_custom: true,
             superblock: true,
             profile: None,
             inline_hints: Vec::new(),
             entry: "main".to_owned(),
             entry_args: Vec::new(),
-            verify: true,
         }
     }
 }
@@ -135,13 +126,13 @@ pub struct CompileStats {
     pub sched: SchedStats,
 }
 
-/// The result of a compilation: assembly text plus statistics.
+/// The result of a compilation: assembly text, statistics, the pipeline
+/// trace and the assembled program the built-in verifier checked.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     assembly: String,
     stats: CompileStats,
-    config: Config,
-    trace: Option<PipelineTrace>,
+    trace: PipelineTrace,
     program: Option<epic_asm::Program>,
 }
 
@@ -158,26 +149,21 @@ impl CompiledProgram {
         &self.stats
     }
 
-    /// The configuration the program was compiled for.
-    #[must_use]
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
     /// Per-stage pipeline snapshots for translation validation.
     ///
-    /// Present when the compile ran with [`Options::verify`] on; turning
-    /// it off drops trace collection along with the post-schedule
-    /// verifier run.
+    /// Always `Some`: every compile records its trace. The `Option`
+    /// stays only because `perfbench` matches on it, and goes when the
+    /// benchmark harness next changes.
     #[must_use]
     pub fn trace(&self) -> Option<&PipelineTrace> {
-        self.trace.as_ref()
+        Some(&self.trace)
     }
 
-    /// The assembled program the post-schedule verifier checked.
+    /// The assembled program the post-schedule verifier checked: exactly
+    /// `epic_asm::assemble` of [`assembly`](CompiledProgram::assembly).
     ///
-    /// Present when the compile ran with [`Options::verify`] on, until
-    /// [`take_program`](CompiledProgram::take_program) moves it out.
+    /// Present until [`take_program`](CompiledProgram::take_program)
+    /// moves it out.
     #[must_use]
     pub fn program(&self) -> Option<&epic_asm::Program> {
         self.program.as_ref()
@@ -213,13 +199,12 @@ pub fn machine_family(config: &Config) -> Config {
 /// finishes a copy of it, as often as the caller likes, for any compiler
 /// of the same [machine family](machine_family);
 /// [`FrontHalf::into_back_half`] finishes the front half itself. It
-/// remembers the config and the options it was built from; the back
-/// half takes only what superblock formation reads, so a front half is
-/// never finished under options it was not built with.
+/// remembers the config it was built from; the back half takes only
+/// what superblock formation reads, since every other option has
+/// already done its work in the front half.
 #[derive(Debug, Clone)]
 pub struct FrontHalf {
     config: Config,
-    options: Options,
     abi: Abi,
     stats: CompileStats,
     /// The `_start` stub, then the module's functions, all allocated.
@@ -229,8 +214,9 @@ pub struct FrontHalf {
     snapshots: Vec<FrontSnapshots>,
 }
 
-/// One function's pre-allocation stage snapshots (all `None` unless
-/// [`Options::verify`] is on).
+/// One function's pre-allocation stage snapshots: the function after
+/// selection, and after if-conversion and fusion where those ran or
+/// changed it.
 #[derive(Debug, Clone, Default)]
 struct FrontSnapshots {
     post_select: Option<MFunction>,
@@ -249,7 +235,6 @@ impl FrontHalf {
     pub fn without_snapshots(&self) -> FrontHalf {
         FrontHalf {
             config: self.config.clone(),
-            options: self.options.clone(),
             abi: self.abi.clone(),
             stats: self.stats,
             functions: self.functions.clone(),
@@ -277,8 +262,8 @@ impl FrontHalf {
     /// Runs the back half of the compile for `compiler`'s machine:
     /// superblock formation (when `superblock` is set and the machine
     /// issues at least two operations per cycle, steered by `profile`),
-    /// control finalisation, scheduling, emission and, under
-    /// [`Options::verify`], the built-in `epic-verify` run.
+    /// control finalisation, scheduling, emission and the built-in
+    /// `epic-verify` run over the assembled output.
     ///
     /// # Errors
     ///
@@ -295,38 +280,28 @@ impl FrontHalf {
         superblock: bool,
         profile: Option<&ProfileData>,
     ) -> Result<CompiledProgram, CompileError> {
-        let verify = self.options.verify;
         let (assembly, stats, trace) =
             self.emit(compiler, superblock, profile, &Mutation::default())?;
-
         // The checked program rides along, so nobody assembles twice.
-        let config = &compiler.config;
-        let program = if verify {
-            Some(assemble_verified(&assembly, config)?)
-        } else {
-            None
-        };
-
+        let program = assemble_verified(&assembly, &compiler.config)?;
         Ok(CompiledProgram {
             assembly,
             stats,
-            config: config.clone(),
             trace,
-            program,
+            program: Some(program),
         })
     }
 
     /// The back half up to the built-in verifier: superblock formation,
     /// control finalisation, scheduling and emission, with `mutation`'s
-    /// edits. Returns the assembly, the statistics and, under
-    /// [`Options::verify`], the trace.
+    /// edits. Returns the assembly, the statistics and the trace.
     fn emit(
         self,
         compiler: &Compiler,
         superblock: bool,
         profile: Option<&ProfileData>,
         mutation: &Mutation<'_>,
-    ) -> Result<(String, CompileStats, Option<PipelineTrace>), CompileError> {
+    ) -> Result<(String, CompileStats, PipelineTrace), CompileError> {
         if machine_family(compiler.config()) != machine_family(&self.config) {
             return Err(CompileError::Internal {
                 message: format!(
@@ -338,7 +313,6 @@ impl FrontHalf {
             });
         }
         let FrontHalf {
-            options,
             abi,
             mut stats,
             functions,
@@ -348,7 +322,7 @@ impl FrontHalf {
         let mdes = &compiler.mdes;
         let mut scheduled = Vec::with_capacity(functions.len());
         let mut names = Vec::with_capacity(functions.len());
-        let mut trace = options.verify.then(PipelineTrace::default);
+        let mut trace = PipelineTrace::default();
         let mut functions = functions.into_iter();
 
         // The start-up stub comes first: its first bundle is the entry PC.
@@ -357,30 +331,28 @@ impl FrontHalf {
         let (blocks, s) = schedule_function(&stub, &stub_layout, mdes);
         absorb_sched(&mut stats.sched, &s);
         names.push(stub.name.clone());
-        if let Some(trace) = &mut trace {
-            // The stub is born allocated; only the back-end stages exist.
-            // Its schedule joins the trace once emitted.
-            trace.functions.push(FunctionTrace {
-                name: stub.name.clone(),
-                post_select: None,
-                post_ifconv: None,
-                post_fuse: None,
-                post_superblock: None,
-                origin: None,
-                traces: Vec::new(),
-                post_regalloc: None,
-                post_finalize: stub,
-                layout: stub_layout,
-                scheduled: Vec::new(),
-            });
-        }
+        // The stub is born allocated; only the back-end stages exist. Its
+        // schedule joins the trace once emitted.
+        trace.functions.push(FunctionTrace {
+            name: stub.name.clone(),
+            post_select: None,
+            post_ifconv: None,
+            post_fuse: None,
+            post_superblock: None,
+            origin: None,
+            traces: Vec::new(),
+            post_regalloc: None,
+            post_finalize: stub,
+            layout: stub_layout,
+            scheduled: Vec::new(),
+        });
         scheduled.push(blocks);
 
         let mut snapshots = snapshots.into_iter();
         for mut mf in functions {
             let targeted = mutation.function == mf.name;
             let snapshot = snapshots.next().unwrap_or_default();
-            let post_regalloc = trace.is_some().then(|| mf.clone());
+            let post_regalloc = Some(mf.clone());
             // Superblock formation runs on *allocated* code: cloning a
             // tail of physical registers cannot perturb the allocator,
             // whereas pre-allocation clones at the end of the block list
@@ -393,8 +365,8 @@ impl FrontHalf {
                 if let Some(f) = form_superblocks(&mut mf, profile) {
                     stats.superblock.absorb(f.stats);
                     apply(mutation.post_superblock, targeted, &mut mf);
-                    post_superblock = trace.is_some().then(|| mf.clone());
-                    origin = trace.is_some().then(|| f.origin.clone());
+                    post_superblock = Some(mf.clone());
+                    origin = Some(f.origin);
                     trace_groups = f.traces;
                 }
             }
@@ -404,21 +376,19 @@ impl FrontHalf {
             absorb_sched(&mut stats.sched, &s);
             apply(mutation.post_sched, targeted, &mut blocks);
             names.push(mf.name.clone());
-            if let Some(trace) = &mut trace {
-                trace.functions.push(FunctionTrace {
-                    name: mf.name.clone(),
-                    post_select: snapshot.post_select,
-                    post_ifconv: snapshot.post_ifconv,
-                    post_fuse: snapshot.post_fuse,
-                    post_superblock,
-                    origin,
-                    traces: trace_groups,
-                    post_regalloc,
-                    post_finalize: mf,
-                    layout: fl,
-                    scheduled: Vec::new(),
-                });
-            }
+            trace.functions.push(FunctionTrace {
+                name: mf.name.clone(),
+                post_select: snapshot.post_select,
+                post_ifconv: snapshot.post_ifconv,
+                post_fuse: snapshot.post_fuse,
+                post_superblock,
+                origin,
+                traces: trace_groups,
+                post_regalloc,
+                post_finalize: mf,
+                layout: fl,
+                scheduled: Vec::new(),
+            });
             scheduled.push(blocks);
         }
 
@@ -428,10 +398,8 @@ impl FrontHalf {
         if let Some(edit) = mutation.post_emit {
             edit(&mut assembly);
         }
-        if let Some(trace) = &mut trace {
-            for (function, blocks) in trace.functions.iter_mut().zip(scheduled) {
-                function.scheduled = blocks;
-            }
+        for (function, blocks) in trace.functions.iter_mut().zip(scheduled) {
+            function.scheduled = blocks;
         }
         Ok((assembly, stats, trace))
     }
@@ -594,9 +562,10 @@ impl Compiler {
     /// with `mutation`'s stage edits, and returns the emitted assembly
     /// and the full pipeline trace.
     ///
-    /// The trace is collected whatever [`Options::verify`] says, and the
-    /// built-in `epic-verify` run is skipped: a mutant must reach
-    /// translation validation, not die inside the compiler.
+    /// The built-in `epic-verify` run is skipped: a mutant must reach
+    /// translation validation, not die inside the compiler. With
+    /// `Mutation::default()` this is the way to inspect a schedule the
+    /// verifier would reject.
     ///
     /// # Errors
     ///
@@ -608,17 +577,13 @@ impl Compiler {
         options: &Options,
         mutation: &Mutation<'_>,
     ) -> Result<(String, PipelineTrace), CompileError> {
-        let options = Options {
-            verify: true,
-            ..options.clone()
-        };
-        let (assembly, _, trace) = self.front(module, &options, mutation)?.emit(
+        let (assembly, _, trace) = self.front(module, options, mutation)?.emit(
             self,
             options.superblock,
             options.profile.as_ref(),
             mutation,
         )?;
-        Ok((assembly, trace.expect("`verify` turns tracing on")))
+        Ok((assembly, trace))
     }
 
     /// The front half with `mutation`'s edits.
@@ -635,18 +600,15 @@ impl Compiler {
         }
         let abi = Abi::new(&self.config)?;
         let mut module = module.clone();
-        let mut stats = CompileStats::default();
-        if options.optimize {
-            stats.passes = passes::optimize(&mut module, &options.inline_hints);
-        }
+        let mut stats = CompileStats {
+            passes: passes::optimize(&mut module, &options.inline_hints),
+            ..CompileStats::default()
+        };
 
         let layout = module.layout().map_err(|e| CompileError::Internal {
             message: format!("module layout: {e}"),
         })?;
 
-        // Stage snapshots for translation validation ride along with the
-        // verifier switch: `Options::verify` off drops both.
-        let snap = |mf: &MFunction| options.verify.then(|| mf.clone());
         let mut functions = Vec::with_capacity(module.functions.len() + 1);
         functions.push(self.start_stub(&abi, options, layout.initial_sp())?);
         let mut snapshots = Vec::with_capacity(module.functions.len());
@@ -655,7 +617,7 @@ impl Compiler {
             let mut mf = select(func, &self.config)?;
             fold_literal_operands(&mut mf, &self.config);
             let mut snapshot = FrontSnapshots {
-                post_select: snap(&mf),
+                post_select: Some(mf.clone()),
                 post_ifconv: None,
                 post_fuse: None,
             };
@@ -665,16 +627,14 @@ impl Compiler {
                 stats.ifconv.triangles += s.triangles;
                 stats.ifconv.predicated_insts += s.predicated_insts;
                 apply(mutation.post_ifconv, targeted, &mut mf);
-                snapshot.post_ifconv = snap(&mf);
+                snapshot.post_ifconv = Some(mf.clone());
             }
-            if options.fuse_custom {
-                let fs = fuse(&mut mf, &self.config);
-                if fs != FuseStats::default() {
-                    stats.fuse.fused += fs.fused;
-                    stats.fuse.ops_removed += fs.ops_removed;
-                    apply(mutation.post_fuse, targeted, &mut mf);
-                    snapshot.post_fuse = snap(&mf);
-                }
+            let fs = fuse(&mut mf, &self.config);
+            if fs != FuseStats::default() {
+                stats.fuse.fused += fs.fused;
+                stats.fuse.ops_removed += fs.ops_removed;
+                apply(mutation.post_fuse, targeted, &mut mf);
+                snapshot.post_fuse = Some(mf.clone());
             }
             let ra = allocate(&mut mf, &abi, &self.config)?;
             stats.regalloc.spilled += ra.spilled;
@@ -686,7 +646,6 @@ impl Compiler {
         }
         Ok(FrontHalf {
             config: self.config.clone(),
-            options: options.clone(),
             abi,
             stats,
             functions,
@@ -919,20 +878,18 @@ mod tests {
             .issue_width(1)
             .build()
             .unwrap();
-        let compiler = Compiler::new(config);
-        for verify in [true, false] {
-            let options = Options {
-                entry_args: vec![1, 2],
-                verify,
-                ..Options::default()
-            };
-            let err = compiler.compile_with(&module, &options).unwrap_err();
-            assert!(
-                matches!(&err, CompileError::BranchTargetOutOfRange { function, label, address }
-                    if function == "main" && label == "fn_f" && *address > 16_383),
-                "verify {verify}: {err}"
-            );
-        }
+        let options = Options {
+            entry_args: vec![1, 2],
+            ..Options::default()
+        };
+        let err = Compiler::new(config)
+            .compile_with(&module, &options)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CompileError::BranchTargetOutOfRange { function, label, address }
+                if function == "main" && label == "fn_f" && *address > 16_383),
+            "{err}"
+        );
     }
 
     #[test]

@@ -67,8 +67,10 @@ pub enum CompileError {
     },
     /// The static verifier (`epic-verify`) rejected the scheduled
     /// output — the emitted program would stall or misbehave on the
-    /// configured machine. Always a compiler bug; disable with
-    /// [`Options::verify`](crate::Options) only to inspect the bad code.
+    /// configured machine. Always a compiler bug; to inspect the bad
+    /// code, compile through
+    /// [`Compiler::compile_mutated`](crate::Compiler::compile_mutated)
+    /// with `Mutation::default()`, which skips the verifier.
     Verification {
         /// Error diagnostics in the verifier's rendered form.
         report: String,

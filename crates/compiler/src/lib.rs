@@ -27,11 +27,12 @@
 //! 6. **Emission** ([`emit`]): bundle-structured assembly text for
 //!    `epic-asm`, labels and all.
 //!
-//! Under [`Options::verify`] the driver snapshots every stage into a
-//! [`trace::PipelineTrace`] for translation validation (`epic-tv`) and
-//! runs `epic-verify` over the output. [`Compiler::compile_mutated`]
-//! applies a [`Mutation`]'s per-stage edits inside those same stages, so
-//! the seeded-miscompile corpus corrupts the pipeline that ships.
+//! Every compile snapshots every stage into a [`trace::PipelineTrace`]
+//! for translation validation (`epic-tv`) and runs `epic-verify`'s error
+//! pass over the output; no [`Options`] field turns either off.
+//! [`Compiler::compile_mutated`] applies a [`Mutation`]'s per-stage
+//! edits inside those same stages and skips the verifier, so the
+//! seeded-miscompile corpus corrupts the pipeline that ships.
 //!
 //! # Examples
 //!

@@ -1,11 +1,10 @@
 //! Per-stage pipeline snapshots consumed by the translation validator.
 //!
-//! When [`crate::Options::verify`] is on, [`crate::Compiler::compile_with`]
-//! records the machine IR after each lowering stage so `epic-tv` can
-//! statically prove every stage refines the previous one (guard
-//! inheritance for if-conversion, a virtual→physical location map for
-//! register allocation, dependence preservation for scheduling, and a
-//! bundle-exact emission check). The snapshots are plain clones of the
+//! Every [`crate::Compiler::compile_with`] records the machine IR after
+//! each lowering stage so `epic-tv` can statically prove every stage
+//! refines the previous one (guard inheritance for if-conversion, a
+//! virtual→physical location map for register allocation, dependence
+//! preservation for scheduling, and a bundle-exact emission check). The snapshots are plain clones of the
 //! MIR the driver already holds, so collection is cheap and the trace is
 //! self-contained: a validator needs nothing but the trace, the emitted
 //! assembly and the target [`epic_config::Config`].

@@ -275,7 +275,7 @@ impl Toolchain {
     }
 
     /// [`run_module`](Toolchain::run_module) with full compiler options
-    /// (if-conversion off, optimisation off — for ablation studies).
+    /// (if-conversion or superblock formation off — for ablation studies).
     ///
     /// # Errors
     ///
@@ -357,28 +357,21 @@ impl Toolchain {
         &self.compiler
     }
 
-    /// Assembles a compile (unless its built-in verifier already did)
-    /// and translation-validates it, pairing it with the initial data
+    /// Translation-validates a fresh compile against the program its
+    /// built-in verifier assembled, pairing the two with the initial data
     /// memory image.
     pub(crate) fn validate(
         &self,
         mut compiled: CompiledProgram,
         initial_memory: Vec<u8>,
     ) -> Result<PreparedProgram, ToolchainError> {
-        // A verifying compile already assembled its output; only a
-        // compile with `Options::verify` off leaves the text to assemble
-        // here.
-        let program = match compiled.take_program() {
-            Some(program) => program,
-            None => epic_asm::assemble(compiled.assembly(), &self.config)?,
-        };
-        // Translation validation rides on the same trace the bundle
-        // verifier uses, so `Options::verify` off disables both together.
-        if let Some(trace) = compiled.trace() {
-            let report = epic_tv::validate_trace(trace, &program, &self.config);
-            if report.has_errors() {
-                return Err(ToolchainError::Tv(report.render("<pipeline>", None)));
-            }
+        let program = compiled
+            .take_program()
+            .expect("a fresh compile holds the program it verified");
+        let trace = compiled.trace().expect("every compile records its trace");
+        let report = epic_tv::validate_trace(trace, &program, &self.config);
+        if report.has_errors() {
+            return Err(ToolchainError::Tv(report.render("<pipeline>", None)));
         }
         Ok(PreparedProgram {
             compiled,

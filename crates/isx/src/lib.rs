@@ -35,5 +35,5 @@
 mod mine;
 mod score;
 
-pub use mine::{mine, Discovery, MinerOptions, Site};
+pub use mine::{mine, Discovery, Site};
 pub use score::{ScoreModel, ScoreMutation, Scored};

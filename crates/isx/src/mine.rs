@@ -12,20 +12,10 @@ use epic_isa::{Instruction, Opcode, Operand};
 use epic_mdes::cfg::Cfg;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tuning knobs for the miner.
-#[derive(Debug, Clone, Copy)]
-pub struct MinerOptions {
-    /// Maximum interior nodes per candidate (fused datapath size cap).
-    pub max_nodes: usize,
-}
-
-impl Default for MinerOptions {
-    fn default() -> Self {
-        // Large enough for SHA-256's Σ functions (three expanded rotates
-        // plus two xors = 14 operations) with a little headroom.
-        MinerOptions { max_nodes: 16 }
-    }
-}
+/// Maximum interior nodes per candidate (the fused datapath's size cap):
+/// large enough for SHA-256's Σ functions (three expanded rotates plus
+/// two xors = 14 operations) with a little headroom.
+const MAX_NODES: usize = 16;
 
 /// One place a candidate was found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,7 +278,6 @@ pub fn mine(
     bundles: &[Vec<Instruction>],
     entry: u32,
     weights: &BTreeMap<u32, u64>,
-    options: &MinerOptions,
 ) -> Vec<Discovery> {
     let cfg = Cfg::build(config, bundles);
     let dfgs: Vec<BlockDfg> = (cfg.basic_blocks(bundles, entry as usize).into_iter())
@@ -300,7 +289,7 @@ pub fn mine(
     for (dfg, live) in dfgs.iter().zip(&live_out) {
         let weight = weights.get(&dfg.leader).copied().unwrap_or(1);
         for root in 0..dfg.ops.len() {
-            let Some(candidate) = grow_cone(dfg, live, root, options) else {
+            let Some(candidate) = grow_cone(dfg, live, root) else {
                 continue;
             };
             let site = Site {
@@ -330,12 +319,7 @@ pub fn mine(
 /// the root, which makes the subgraph convex by construction (and the
 /// cone's dataflow a tree, so canonicalisation never duplicates
 /// subexpressions).
-fn grow_cone(
-    dfg: &BlockDfg,
-    live_out: &BTreeSet<u16>,
-    root: usize,
-    options: &MinerOptions,
-) -> Option<ExprTree> {
+fn grow_cone(dfg: &BlockDfg, live_out: &BTreeSet<u16>, root: usize) -> Option<ExprTree> {
     let root_op = &dfg.ops[root];
     fused_op_of(root_op.opcode)?;
     root_op.dest?;
@@ -360,7 +344,7 @@ fn grow_cone(
             .filter(|d| !cone.contains(d))
             .collect();
         for p in producers {
-            if cone.len() >= options.max_nodes {
+            if cone.len() >= MAX_NODES {
                 break;
             }
             if !absorbable(dfg, live_out, &cone, p, guard) {
@@ -527,13 +511,7 @@ mod tests {
     fn mined(src: &str) -> Vec<Discovery> {
         let config = Config::default();
         let program = assemble(src, &config).expect("assembles");
-        mine(
-            &config,
-            program.bundles(),
-            0,
-            &BTreeMap::new(),
-            &MinerOptions::default(),
-        )
+        mine(&config, program.bundles(), 0, &BTreeMap::new())
     }
 
     #[test]
@@ -558,6 +536,25 @@ mod tests {
         assert_eq!(found[0].live_ins(), 1);
         assert_eq!(found[0].sites.len(), 1);
         assert_eq!(found[0].tree.node_count(), 3);
+    }
+
+    #[test]
+    fn long_chains_are_capped_at_the_node_limit() {
+        // Twenty single-use adds on one live-in: r2 = r1 + 1, r3 = r2 + 2,
+        // ..., r21 = r20 + 20. The cone at the last add stops growing at
+        // the cap, and no root mines a larger tree.
+        let mut src = String::new();
+        for k in 1..=20 {
+            src += &format!("    ADD r{}, r{k}, #{k}\n;;\n", k + 1);
+        }
+        src += "    MOVE r1, r21\n;;\n    HALT\n;;\n";
+        let found = mined(&src);
+        let last = found
+            .iter()
+            .find(|d| d.sites.iter().any(|s| s.root_pc == 19))
+            .expect("the last add roots a candidate");
+        assert_eq!(last.tree.node_count(), 16);
+        assert!(found.iter().all(|d| d.tree.node_count() <= 16));
     }
 
     #[test]
@@ -709,13 +706,7 @@ other:
         let program = assemble(src, &config).expect("assembles");
         let mut weights = BTreeMap::new();
         weights.insert(0u32, 250u64);
-        let found = mine(
-            &config,
-            program.bundles(),
-            0,
-            &weights,
-            &MinerOptions::default(),
-        );
+        let found = mine(&config, program.bundles(), 0, &weights);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].weight, 250);
     }

@@ -23,8 +23,8 @@
 //! (re-exported here), because the execution engines are monomorphised
 //! over it: the default [`NopSink`] path compiles to the exact code that
 //! ran before observability existed, so tracing costs nothing unless a
-//! real sink is plugged in. The `sim_throughput` bench holds that claim
-//! to < 2%.
+//! real sink is plugged in. The per-cycle lane of the throughput race
+//! (`repro -- bench --throughput`) times that no-op-sink loop.
 //!
 //! # Examples
 //!

@@ -34,7 +34,6 @@ fn metrics_reconcile_on_all_engines_across_the_grid() {
                 let options = Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
-                    verify: true, // keeps the driver's assembled program
                     ..Options::default()
                 };
                 let compiled = Compiler::new(config.clone())

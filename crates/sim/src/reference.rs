@@ -5,8 +5,9 @@
 //! costs from the configuration on every cycle. The production
 //! [`crate::Simulator`] decodes the program once instead; this engine
 //! stays structurally as it was so differential tests (and the
-//! `sim_throughput` bench) can hold the fast cores bit-identical to the
-//! model the paper's numbers were validated against. The architectural
+//! throughput race, `repro -- bench --throughput`) can hold the fast
+//! cores bit-identical to the model the paper's numbers were validated
+//! against. The architectural
 //! effect of each operation is the shared
 //! [`crate::semantics::execute_op`] — one source of truth for all
 //! engines instead of hand-synchronised copies; this engine still

@@ -331,13 +331,7 @@ fn lint_isx(args: &Args) -> Result<ExitCode, String> {
         }
     };
     let weights = std::collections::BTreeMap::new();
-    let found = epic_isx::mine(
-        &config,
-        program.bundles(),
-        program.entry(),
-        &weights,
-        &epic_isx::MinerOptions::default(),
-    );
+    let found = epic_isx::mine(&config, program.bundles(), program.entry(), &weights);
     let ranked = epic_isx::ScoreModel::new(&config).rank(found);
     match args.format {
         Format::Text => {
@@ -424,7 +418,6 @@ fn lint_bounds(args: &Args) -> Result<ExitCode, String> {
                 let options = epic_compiler::Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
-                    verify: true, // the verified program is the one simulated
                     ..epic_compiler::Options::default()
                 };
                 let compiled = epic_compiler::Compiler::new(config.clone())
@@ -553,7 +546,6 @@ fn lint_pipeline(args: &Args) -> Result<ExitCode, String> {
                 let options = epic_compiler::Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
-                    verify: true, // also enables pipeline trace collection
                     ..epic_compiler::Options::default()
                 };
                 let compiled = epic_compiler::Compiler::new(config.clone())

@@ -1463,7 +1463,6 @@ fn clean_grid_has_no_findings() {
                 let opts = Options {
                     entry: workload.entry.clone(),
                     inline_hints: workload.inline_hints(),
-                    verify: true,
                     ..Options::default()
                 };
                 let compiler = Compiler::new(config.clone());

@@ -12,7 +12,10 @@
 //! The golden cycle corpus pins schedules only through the cycles they
 //! cost; this one pins the schedules themselves, so a rewrite of the
 //! scheduler, the verifier or translation validation that claims to
-//! change no output can prove it.
+//! change no output can prove it. The loop also checks that the program
+//! each compile hands on, the one its built-in verifier checked and
+//! translation validation and the simulators then use without
+//! re-assembling, is exactly `epic_asm::assemble` of its text.
 //!
 //! The same loop pins the full `epic_verify::check` report of every
 //! `final` compile in `tests/golden/verify.txt`: the count of each
@@ -151,10 +154,19 @@ fn corpora() -> (String, String) {
                     .unwrap_or_else(|e| panic!("{point}: training compile: {e}"));
                 let (_, prepared) = prepare_epic_workload(&workload, &config)
                     .unwrap_or_else(|e| panic!("{point}: final compile: {e}"));
-                let final_compile = &prepared.compiled;
-                for (kind, compiled) in [("train", &train), ("final", final_compile)] {
+                let train_program = train.program().expect("a compile holds its program");
+                for (kind, compiled, program) in [
+                    ("train", &train, train_program),
+                    ("final", &prepared.compiled, &prepared.program),
+                ] {
                     let line = compile_line(&point, kind, compiled.assembly(), compiled.stats());
                     let _ = writeln!(out, "{line}");
+                    let assembled = epic_core::asm::assemble(compiled.assembly(), &config)
+                        .unwrap_or_else(|e| panic!("{point} {kind}: text does not assemble: {e}"));
+                    assert!(
+                        *program == assembled,
+                        "{point} {kind}: the program handed on is not the text's assembly"
+                    );
                 }
                 let slow = (config.to_builder())
                     .load_latency(4)
