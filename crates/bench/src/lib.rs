@@ -1,9 +1,11 @@
-//! Shared reporting helpers for the benchmark harness.
+//! The command-line drivers and their shared helpers.
 //!
 //! The `repro` binary (`cargo run -p epic-bench --bin repro -- <cmd>`)
-//! regenerates every table and figure of the paper; the Criterion benches
-//! under `benches/` time the same experiments. Both use the formatting
-//! helpers here.
+//! regenerates every table and figure of the paper, with the rendering
+//! helpers and the observed sweep here. The `epic-lint` binary lints
+//! assembly sources and sweeps the compiled design-space grid through
+//! translation validation and the cycle-bound oracle. Both drive the
+//! workload runners of `epic_core::experiments`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,37 +46,6 @@ pub fn render_headline(checks: &[HeadlineCheck]) -> String {
     out
 }
 
-/// Paper-reported Table 1 (absolute numbers from the authors' testbed,
-/// for side-by-side comparison in reports): cycles for SA-110 then EPIC
-/// 1–4 ALUs, per benchmark.
-#[must_use]
-pub fn paper_table1() -> Vec<(&'static str, [u64; 5])> {
-    // Reconstructed from §5.2's ratio statements (the OCR of the table
-    // body is lossy): with 4 ALUs the EPIC is 1.7x (Dijkstra), 3.8x (SHA)
-    // and 12.3x (DCT) faster in cycles than the SA-110, SHA takes 0.1083 s
-    // on the 4-ALU EPIC vs 0.1732 s on the SA-110, and AES is won by the
-    // SA-110. Entries are therefore representative shapes, not exact
-    // digits; see EXPERIMENTS.md.
-    vec![
-        (
-            "SHA",
-            [17_320_000, 14_800_000, 8_300_000, 5_600_000, 4_527_000],
-        ),
-        (
-            "AES",
-            [1_100_000, 3_600_000, 3_400_000, 3_300_000, 3_250_000],
-        ),
-        (
-            "DCT",
-            [49_000_000, 13_200_000, 7_300_000, 4_900_000, 3_990_000],
-        ),
-        (
-            "DIJKSTRA",
-            [7_600_000, 9_800_000, 7_000_000, 5_100_000, 4_470_000],
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,14 +56,5 @@ mod tests {
         let text = render_resources(&resource_usage(&[1, 2, 3, 4]));
         assert!(text.contains("4181"));
         assert!(text.contains("41.8 MHz"));
-    }
-
-    #[test]
-    fn paper_shapes_are_monotone_where_claimed() {
-        for (name, row) in paper_table1() {
-            if name == "SHA" || name == "DCT" {
-                assert!(row[1] > row[4], "{name} should scale with ALUs");
-            }
-        }
     }
 }

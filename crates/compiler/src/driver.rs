@@ -19,14 +19,12 @@ use std::collections::HashMap;
 
 /// Compilation options.
 ///
-/// Every compile optimises, fuses registered
+/// Every compile optimises, if-converts, fuses registered
 /// [`epic_config::CustomSemantics::Fused`] operations (a no-op without
 /// them), records the [pipeline trace](PipelineTrace) and runs
 /// `epic-verify`'s error pass over its output; none of that is optional.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Options {
-    /// Run if-conversion (default: on; off is useful for ablation).
-    pub if_conversion: bool,
     /// Form superblocks and schedule them as multi-block regions
     /// (default: on; only takes effect at issue width ≥ 2, where the
     /// freed issue slots exist to be filled).
@@ -46,7 +44,6 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            if_conversion: true,
             superblock: true,
             profile: None,
             inline_hints: Vec::new(),
@@ -215,7 +212,7 @@ pub struct FrontHalf {
 }
 
 /// One function's pre-allocation stage snapshots: the function after
-/// selection, and after if-conversion and fusion where those ran or
+/// selection, after if-conversion, and after fusion where fusion
 /// changed it.
 #[derive(Debug, Clone, Default)]
 struct FrontSnapshots {
@@ -616,19 +613,17 @@ impl Compiler {
             let targeted = mutation.function == func.name;
             let mut mf = select(func, &self.config)?;
             fold_literal_operands(&mut mf, &self.config);
+            let post_select = Some(mf.clone());
+            let s = if_convert(&mut mf);
+            stats.ifconv.diamonds += s.diamonds;
+            stats.ifconv.triangles += s.triangles;
+            stats.ifconv.predicated_insts += s.predicated_insts;
+            apply(mutation.post_ifconv, targeted, &mut mf);
             let mut snapshot = FrontSnapshots {
-                post_select: Some(mf.clone()),
-                post_ifconv: None,
+                post_select,
+                post_ifconv: Some(mf.clone()),
                 post_fuse: None,
             };
-            if options.if_conversion {
-                let s = if_convert(&mut mf);
-                stats.ifconv.diamonds += s.diamonds;
-                stats.ifconv.triangles += s.triangles;
-                stats.ifconv.predicated_insts += s.predicated_insts;
-                apply(mutation.post_ifconv, targeted, &mut mf);
-                snapshot.post_ifconv = Some(mf.clone());
-            }
             let fs = fuse(&mut mf, &self.config);
             if fs != FuseStats::default() {
                 stats.fuse.fused += fs.fused;
@@ -947,35 +942,5 @@ mod tests {
             .unwrap();
         assert!(out.assembly().contains("MOVIL r2, #11"));
         assert!(out.assembly().contains("MOVIL r3, #31"));
-    }
-
-    #[test]
-    fn if_conversion_option_changes_output() {
-        let f = FunctionDef::new("main", ["x"]).body([
-            Stmt::let_("r", Expr::lit(0)),
-            Stmt::if_else(
-                Expr::var("x").gt_s(Expr::lit(0)),
-                [Stmt::assign("r", Expr::lit(1))],
-                [Stmt::assign("r", Expr::lit(2))],
-            ),
-            Stmt::ret(Expr::var("r")),
-        ]);
-        let p = Program::new().function(f);
-        let module = lower::lower(&p).unwrap();
-        let on = Compiler::new(Config::default())
-            .compile_with(&module, &Options::default())
-            .unwrap();
-        let opt_off = Options {
-            if_conversion: false,
-            ..Options::default()
-        };
-        let off = Compiler::new(Config::default())
-            .compile_with(&module, &opt_off)
-            .unwrap();
-        assert!(on.stats().ifconv.diamonds >= 1);
-        assert_eq!(off.stats().ifconv.diamonds, 0);
-        // Without if-conversion there are more branches in the text.
-        let count = |s: &str, pat: &str| s.matches(pat).count();
-        assert!(count(off.assembly(), "BRC") > count(on.assembly(), "BRC"));
     }
 }

@@ -15,8 +15,10 @@ use crate::sched::ScheduledBlock;
 /// Snapshots of one function as it moves through the pipeline.
 ///
 /// The pre-allocation stages are optional: the `_start` stub is born
-/// allocated (only `post_finalize` onwards exists for it), and
-/// `post_ifconv` is absent when if-conversion is disabled.
+/// allocated (only `post_finalize` onwards exists for it), and a back
+/// half finished from a front half
+/// [without its snapshots](crate::FrontHalf::without_snapshots) carries
+/// none of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionTrace {
     /// Function name as it appears in labels (`fn_<name>`).
@@ -24,7 +26,7 @@ pub struct FunctionTrace {
     /// After instruction selection and literal-operand folding, still on
     /// virtual registers and predicates.
     pub post_select: Option<MFunction>,
-    /// After if-conversion (present only when the pass ran).
+    /// After if-conversion.
     pub post_ifconv: Option<MFunction>,
     /// After custom-instruction fusion (present only when the pass ran,
     /// i.e. the config registers at least one fused custom op).

@@ -262,11 +262,13 @@ impl ExprTree {
     /// Parses the canonical whitespace-free textual form.
     ///
     /// Accepts exactly what [`fmt::Display`] produces: `a0`/`a1` leaves,
-    /// decimal `u32` literals, `op(x)` unary and `op(x,y)` binary nodes.
+    /// decimal `u32` literals, `op(x)` unary and `op(x,y)` binary nodes,
+    /// nested at most 256 operators deep. Deeper text is rejected, so a
+    /// hostile configuration header cannot exhaust the stack.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         let bytes = s.as_bytes();
-        let (tree, used) = parse_expr(bytes, 0)?;
+        let (tree, used) = parse_expr(bytes, 0, MAX_NESTING)?;
         if used == bytes.len() {
             Some(tree)
         } else {
@@ -275,7 +277,12 @@ impl ExprTree {
     }
 }
 
-fn parse_expr(bytes: &[u8], at: usize) -> Option<(ExprTree, usize)> {
+/// Deepest operator nesting [`ExprTree::parse`] accepts; the miner's
+/// trees have at most 16 nodes.
+const MAX_NESTING: usize = 256;
+
+/// Parses one tree at `at` whose operators nest at most `nesting` deep.
+fn parse_expr(bytes: &[u8], at: usize, nesting: usize) -> Option<(ExprTree, usize)> {
     let rest = bytes.get(at..)?;
     if rest.starts_with(b"a0") && !ident_continues(bytes, at + 2) {
         return Some((ExprTree::Arg(0), at + 2));
@@ -290,12 +297,13 @@ fn parse_expr(bytes: &[u8], at: usize) -> Option<(ExprTree, usize)> {
     }
     let name_len = rest.iter().take_while(|b| b.is_ascii_lowercase()).count();
     let op = FusedOp::from_name(std::str::from_utf8(&rest[..name_len]).ok()?)?;
+    let nesting = nesting.checked_sub(1)?;
     let mut pos = at + name_len;
     if bytes.get(pos) != Some(&b'(') {
         return None;
     }
     pos += 1;
-    let (lhs, next) = parse_expr(bytes, pos)?;
+    let (lhs, next) = parse_expr(bytes, pos, nesting)?;
     pos = next;
     let tree = if op.is_unary() {
         ExprTree::Unary(op, Box::new(lhs))
@@ -303,7 +311,7 @@ fn parse_expr(bytes: &[u8], at: usize) -> Option<(ExprTree, usize)> {
         if bytes.get(pos) != Some(&b',') {
             return None;
         }
-        let (rhs, next) = parse_expr(bytes, pos + 1)?;
+        let (rhs, next) = parse_expr(bytes, pos + 1, nesting)?;
         pos = next;
         ExprTree::Binary(op, Box::new(lhs), Box::new(rhs))
     };
@@ -370,6 +378,18 @@ mod tests {
         assert_eq!(ExprTree::parse("abs(a0,a1)"), None);
         assert_eq!(ExprTree::parse("frob(a0,a1)"), None);
         assert_eq!(ExprTree::parse(""), None);
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_bound() {
+        let nested = |levels: usize| format!("{}a0{}", "abs(".repeat(levels), ")".repeat(levels));
+        assert_eq!(
+            ExprTree::parse(&nested(MAX_NESTING)).map(|tree| tree.node_count()),
+            Some(MAX_NESTING)
+        );
+        assert_eq!(ExprTree::parse(&nested(MAX_NESTING + 1)), None);
+        // Deep enough to overflow the stack of an unbounded descent.
+        assert_eq!(ExprTree::parse(&nested(100_000)), None);
     }
 
     #[test]

@@ -249,7 +249,10 @@ impl Toolchain {
         &self.config
     }
 
-    /// Compiles, assembles, loads and runs a module.
+    /// Compiles, assembles, loads and runs a module: translation
+    /// validation included, on the threaded loop
+    /// ([`run_module_observed`](Toolchain::run_module_observed) under
+    /// [`NopSink`]).
     ///
     /// `inline_hints` usually comes from
     /// [`epic_ir::lower::inline_hints`]; `args` are passed to `entry` in
@@ -271,28 +274,14 @@ impl Toolchain {
             inline_hints: inline_hints.to_vec(),
             ..Options::default()
         };
-        self.run_module_with(module, &options)
+        self.run_module_observed(module, &options, &mut NopSink)
     }
 
     /// [`run_module`](Toolchain::run_module) with full compiler options
-    /// (if-conversion or superblock formation off — for ablation studies).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pipeline error.
-    pub fn run_module_with(
-        &self,
-        module: &Module,
-        options: &Options,
-    ) -> Result<EpicRun, ToolchainError> {
-        self.run_module_observed(module, options, &mut NopSink)
-    }
-
-    /// [`run_module_with`](Toolchain::run_module_with) with a
-    /// [`TraceSink`] observing the simulation.
+    /// and a [`TraceSink`] observing the simulation.
     ///
     /// The simulator is monomorphised over the sink, so passing
-    /// [`NopSink`] (what `run_module_with` does) compiles to the
+    /// [`NopSink`] (what `run_module` does) compiles to the
     /// unobserved execution path. Plug in an `epic-obs` sink — a
     /// metrics registry, a Perfetto writer, a stall profiler — to
     /// watch the run cycle by cycle.

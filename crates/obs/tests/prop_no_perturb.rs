@@ -11,6 +11,7 @@
 use epic_core::config::Config;
 use epic_core::ir::ast::{Expr, FunctionDef, Program, Stmt};
 use epic_core::ir::{lower, Global};
+use epic_core::sim::NopSink;
 use epic_core::Toolchain;
 use epic_obs::{MetricsRegistry, ProfileSink, RecordingSink, StallProfile, TeeSink};
 use proptest::prelude::*;
@@ -140,7 +141,7 @@ proptest! {
 
         // Unobserved baseline (NopSink path).
         let bare = toolchain
-            .run_module_with(&module, &options)
+            .run_module_observed(&module, &options, &mut NopSink)
             .expect("unobserved pipeline runs");
 
         // The same pipeline with every recording sink attached.

@@ -36,8 +36,11 @@
 //! | TV013 | error | custom-instruction fusion broke refinement (expression mismatch, side-effect divergence, or a deleted temporary still read) |
 //!
 //! Diagnostics share [`epic_asm::Diagnostic`] with the assembler and
-//! `epic-verify`, so `epic-lint --tv` renders the same rustc-style
-//! reports and JSON.
+//! `epic-verify`, so `epic-lint --tv` (a driver in `epic-bench`, which
+//! validates the trace of every compile the workload runners ship)
+//! renders the same rustc-style reports and JSON. The library reads
+//! only the configuration, the ISA, the machine description, the
+//! assembler and the compiler's trace types.
 //!
 //! The seeded-miscompile corpus (`tests/mutants.rs`) injects each bug
 //! through the driver's own stage-edit seam
