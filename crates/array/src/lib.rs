@@ -19,8 +19,9 @@
 //! * [`ArraySimulator`] — the driver: lockstep semantics (every core
 //!   advances one cycle, then an exchange phase moves mailbox
 //!   traffic), computed by one event loop on the calling thread that
-//!   steps a core only at its mailbox accesses and runs the exchange
-//!   only while it has work. The result is **deterministic**:
+//!   steps a core only at the mailbox accesses the exchange can observe
+//!   or change and runs the exchange only on cycles where it can act.
+//!   The result is **deterministic**:
 //!   byte-identical per-core stats and final memories on every run
 //!   (the exactness and determinism arguments are spelled out in
 //!   [`sim`]'s module docs).

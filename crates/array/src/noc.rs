@@ -22,8 +22,14 @@
 //!
 //! All state transitions happen in [`Noc::advance`] /
 //! [`Noc::try_inject`] / [`Noc::eject`], which the array's exchange
-//! phase calls once per cycle in a fixed order, so every run of the
-//! array's lockstep loop replays the same traffic.
+//! phase calls in a fixed order, so every run of the array replays the
+//! same traffic. The exchange runs only on cycles where one of them can
+//! change something: [`Noc::advance`] reports whether a head moved, and
+//! `Noc::next_ready` names the next cycle at which a head's latency
+//! elapses. A stalled NoC (heads waiting for room or for a free RX
+//! mailbox) changes only when a message leaves a queue or a head's
+//! latency elapses, so the cycles in between are no-ops the array
+//! skips.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -294,10 +300,15 @@ impl Noc {
     }
 
     /// Moves message heads one queue onward where latency has elapsed
-    /// and the next queue has room. Call once per cycle, after
-    /// ejection and before injection; iteration over links is in fixed
-    /// id order, so the outcome is a pure function of the state.
-    pub fn advance(&mut self, now: u64) {
+    /// and the next queue has room, and returns whether a head moved.
+    /// Call at most once per cycle, after ejection and before injection;
+    /// iteration over links is in fixed id order, so the outcome is a
+    /// pure function of the state. A cycle may skip the call when it
+    /// would move nothing: after a call that moved nothing, until the
+    /// next cycle at which a head's latency elapses or a queue loses a
+    /// message.
+    pub fn advance(&mut self, now: u64) -> bool {
+        let mut moved = false;
         for link in 0..self.links.len() {
             let Some(head) = self.links[link].front() else {
                 continue;
@@ -323,7 +334,21 @@ impl Noc {
                 }
                 None => self.eject[msg.dst].push_back(msg),
             }
+            moved = true;
         }
+        moved
+    }
+
+    /// The earliest cycle after `now` at which the latency of a message
+    /// at the head of a link or ejection queue elapses, if any: the
+    /// first cycle a head that could not leave by `now` for want of
+    /// time may leave.
+    #[must_use]
+    pub(crate) fn next_ready(&self, now: u64) -> Option<u64> {
+        (self.links.iter().chain(&self.eject))
+            .filter_map(|queue| Some(queue.front()?.ready_at))
+            .filter(|&ready_at| ready_at > now)
+            .min()
     }
 
     /// Pops the head of `dst`'s ejection queue if its latency has
@@ -436,6 +461,29 @@ mod tests {
         assert_eq!(d.payload, vec![3]);
         let d = drain_one(&mut noc, 1, 100);
         assert_eq!(d.payload, vec![1]);
+    }
+
+    #[test]
+    fn advance_reports_moves_and_next_ready_names_the_next_due_head() {
+        let cfg = NocConfig {
+            link_latency: 3,
+            link_capacity: 1,
+        };
+        let mut noc = Noc::new(2, 1, cfg);
+        assert_eq!(noc.next_ready(0), None, "an idle NoC never wakes");
+        assert!(noc.try_inject(0, 0, 1, &[1]));
+        assert_eq!(noc.next_ready(0), Some(3));
+        assert!(!noc.advance(2), "not due before its latency elapses");
+        assert!(noc.advance(3), "the head moves on to the ejection queue");
+        assert_eq!(noc.next_ready(3), Some(6));
+        // A second message takes the link. The ejection queue's one
+        // slot is taken, so once due it waits for room.
+        assert!(noc.try_inject(4, 0, 1, &[2]));
+        assert_eq!(noc.next_ready(4), Some(6));
+        assert!(!noc.advance(7), "the ejection queue is full");
+        assert_eq!(noc.next_ready(7), None, "both heads are due");
+        assert_eq!(noc.eject(7, 1).map(|d| d.payload), Some(vec![1]));
+        assert!(noc.advance(7), "room again");
     }
 
     #[test]

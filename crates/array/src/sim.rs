@@ -19,29 +19,62 @@
 //! # The event loop
 //!
 //! [`ArraySimulator::run`] computes exactly that schedule without
-//! stepping every core through every cycle. A core reads mesh state
-//! only through its own loads of its mailbox window, and the exchange
-//! writes window words only between cycles; outside its window, a core
-//! depends on nothing but itself. So each core runs ahead on
-//! `Simulator`'s threaded loop ([`Simulator::run_until_access`]) to the
-//! top of its next cycle that loads or stores a window byte, and waits
-//! there. `run` is one loop over global cycles: a core whose own cycle
-//! equals the global cycle steps that cycle (its window access) and
-//! runs ahead again; then the exchange runs, but only while the NoC
-//! holds a message or a TX window is committed. Otherwise no exchange
-//! can change anything until some core's next event, and the loop jumps
-//! there.
+//! stepping every core through every cycle or running the exchange on
+//! every cycle. `run` is one loop over global cycles: a core whose own
+//! cycle equals the global cycle steps that cycle and runs ahead again;
+//! then the exchange runs if it is awake; then the loop jumps to the
+//! next core event or exchange wake-up. Two rules decide where cores
+//! stop and when the exchange runs. Both are exact.
 //!
-//! Every window access thus happens at its lockstep global cycle, with
-//! every exchange before that cycle already applied to the window and
-//! none after it, and every exchange sees each window as the lockstep
-//! loop would: the cycles a core ran ahead of the exchange touch no
-//! window word. Halts and errors take effect at the global cycle the
-//! lockstep loop would have seen them. A core's halt counts from the
-//! cycle after its `HALT`; an error is reported at the cycle that
-//! raised it, lowest core index first and before that cycle's exchange.
-//! The budget times out at `max_cycles`. A core never runs past the
-//! budget: its own cycle limit is the cycle the array times out at.
+//! **Cores stop only where the exchange can see them.** A core reads
+//! mesh state only through its own loads of its mailbox window, and the
+//! exchange reads and writes window words only between cycles; outside
+//! its window, a core depends on nothing but itself. Inside it, the
+//! exchange writes a core's words only to deliver a message, which
+//! needs `RX_STATUS == 0`, and to clear a committed `TX_STATUS`; it
+//! reads the TX words only while they are committed (`TX_STATUS == 1`).
+//! Each threaded core runs ahead on `Simulator`'s threaded loop
+//! ([`Simulator::run_until_access`]) to the top of its next cycle that
+//! makes an access the exchange could observe or change, and waits
+//! there. The rule comes from the core's own mailbox each time it runs
+//! ahead:
+//!
+//! * always stop before a store to `TX_STATUS` or `RX_STATUS`;
+//! * while `TX_STATUS == 1`, also before a load of `TX_STATUS` and a
+//!   store to `TX_DEST`, `TX_LEN` or `TX_DATA`;
+//! * while `RX_STATUS == 0`, also before any load or store of an RX word.
+//!
+//! Nothing else stops: `CORE_ID` and the mesh size never change, the TX
+//! words of an uncommitted mailbox are the core's alone, and so are the
+//! RX words of a full one. Only the core sets `TX_STATUS` to 1 or
+//! `RX_STATUS` to 0, at a stop; the exchange moves them only the other
+//! way, to states whose rule stops at a subset of these accesses. So no
+//! cycle a core runs ahead of the exchange reads a word the exchange
+//! writes before that cycle or writes a word the exchange reads, and
+//! every access that matters happens at its lockstep global cycle, with
+//! every exchange before that cycle already applied and none after it.
+//!
+//! **The exchange sleeps while it cannot act.** It reports whether it
+//! delivered, moved or injected a message. After a cycle on which it
+//! did none of these, the NoC and every mailbox word it acts on are as
+//! they were, so a later exchange can act only once one of two things
+//! happens. Either a queued head's latency elapses, at the earliest
+//! `ready_at` after that cycle among link and ejection-queue heads
+//! (`Noc::next_ready`), or a core changes `RX_STATUS`, `TX_STATUS`,
+//! or, while committed, `TX_DEST` or `TX_LEN`. Under the stop rule a
+//! core makes each such change at a stop, which the loop steps at its
+//! global cycle and compares. A committed message's destination and
+//! length are checked whenever the exchange runs, and they change only
+//! at such a wake-up, so a bad message is reported at the cycle the
+//! lockstep loop would report it. The exchange sleeps until the earlier
+//! of the two.
+//!
+//! Halts and errors take effect at the global cycle the lockstep loop
+//! would have seen them. A core's halt counts from the cycle after its
+//! `HALT`; an error is reported at the cycle that raised it, lowest
+//! core index first and before that cycle's exchange. The budget times
+//! out at `max_cycles`. A core never runs past the budget: its own
+//! cycle limit is the cycle the array times out at.
 //!
 //! # Determinism argument
 //!
@@ -56,8 +89,9 @@
 //!
 //! Cores run the production engine, [`Simulator`], by default, with the
 //! reference engine as the oracle they are checked against. Reference
-//! cores do not run ahead: they step every global cycle, which makes a
-//! reference mesh the lockstep loop itself.
+//! cores do not run ahead: they step every global cycle, under the same
+//! sleeping exchange. `tests/manycore_lockstep.rs` holds the event loop
+//! to a per-cycle drive that shares none of its code.
 
 use crate::mailbox;
 use crate::noc::{Noc, NocConfig, NocStats};
@@ -65,7 +99,6 @@ use epic_config::Config;
 use epic_isa::Instruction;
 use epic_sim::{Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Geometry, engine and timing parameters of a many-core array.
@@ -168,12 +201,16 @@ impl CoreSim {
     }
 
     /// Runs a threaded core ahead to the top of its next cycle that
-    /// touches `window`; a reference core stays where it is. Returns
-    /// `false` once halted.
-    fn run_ahead(&mut self, window: Range<u32>) -> Result<bool, SimError> {
+    /// makes an access marked by the stop rule of its mailbox at `base`
+    /// as the mailbox stands now; a reference core stays where it is.
+    /// Returns `false` once halted.
+    fn run_ahead(&mut self, base: u32) -> Result<bool, SimError> {
         match self {
             CoreSim::Reference(s) => Ok(!s.is_halted()),
-            CoreSim::Threaded(s) => s.run_until_access(window),
+            CoreSim::Threaded(s) => {
+                let (loads, stores) = Handshake::peek(s.memory(), base).stops();
+                s.run_until_access(base, loads, stores)
+            }
         }
     }
 
@@ -274,22 +311,83 @@ struct Core {
     /// The global cycle of the core's next event (see [`Status`]): the
     /// core's own cycle count.
     next: u64,
-    /// Whether the core's TX window holds a committed message
-    /// (`TX_STATUS == 1`).
-    tx_committed: bool,
 }
 
 impl Core {
+    /// Steps the core's cycle `next` and runs it ahead again. Returns
+    /// whether the cycle changed a mailbox word a sleeping exchange
+    /// waits on.
+    fn step(&mut self, base: u32) -> bool {
+        let before = Handshake::peek(self.sim.memory(), base);
+        let ran = (self.sim.step()).and_then(|_| self.sim.run_ahead(base));
+        self.settle(ran);
+        // Running ahead never changes these words: the stop rule stops
+        // before every store that could.
+        Handshake::peek(self.sim.memory(), base) != before
+    }
+
     /// Records where a step or a run left the core.
-    fn settle(&mut self, ran: Result<bool, SimError>, mailbox_base: u32) {
+    fn settle(&mut self, ran: Result<bool, SimError>) {
         self.next = self.sim.stats().cycles;
         self.status = match ran {
             Ok(true) => Status::Running,
             Ok(false) => Status::Halted,
             Err(e) => Status::Failed(e),
         };
-        let tx_status = mb_peek(self.sim.memory(), mailbox_base, mailbox::TX_STATUS);
-        self.tx_committed = tx_status == 1;
+    }
+}
+
+/// The mailbox words whose values decide what the exchange can do with
+/// a core: deliver into it (`RX_STATUS == 0`), and inject what it
+/// committed (`TX_STATUS == 1`, to `TX_DEST`, `TX_LEN` words long).
+/// The destination and length count only while committed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Handshake {
+    rx_status: u32,
+    tx_status: u32,
+    tx_dest: u32,
+    tx_len: u32,
+}
+
+impl Handshake {
+    fn peek(memory: &Memory, base: u32) -> Self {
+        let tx_status = mb_peek(memory, base, mailbox::TX_STATUS);
+        let committed = |offset| {
+            if tx_status == 1 {
+                mb_peek(memory, base, offset)
+            } else {
+                0
+            }
+        };
+        Handshake {
+            rx_status: mb_peek(memory, base, mailbox::RX_STATUS),
+            tx_status,
+            tx_dest: committed(mailbox::TX_DEST),
+            tx_len: committed(mailbox::TX_LEN),
+        }
+    }
+
+    /// The stop rule: the mailbox words whose load, and those whose
+    /// store, stops a core running ahead from this state, as word masks
+    /// (see the module docs).
+    fn stops(self) -> (u128, u128) {
+        let word = |offset: u32| 1u128 << offset;
+        let words = |from: u32, to: u32| (1u128 << to) - (1u128 << from);
+        let mut loads = 0;
+        let mut stores = word(mailbox::TX_STATUS) | word(mailbox::RX_STATUS);
+        if self.tx_status == 1 {
+            loads |= word(mailbox::TX_STATUS);
+            stores |= words(
+                mailbox::TX_DEST,
+                mailbox::TX_DATA + mailbox::MAX_PAYLOAD_WORDS,
+            );
+        }
+        if self.rx_status == 0 {
+            let rx = words(mailbox::RX_STATUS, mailbox::MAILBOX_WORDS);
+            loads |= rx;
+            stores |= rx;
+        }
+        (loads, stores)
     }
 }
 
@@ -494,7 +592,6 @@ impl ArraySimulator {
                 sim,
                 status: Status::Running,
                 next: 0,
-                tx_committed: false,
             });
         }
         Ok(ArraySimulator {
@@ -544,18 +641,17 @@ impl ArraySimulator {
     /// not the lockstep loop's.
     pub fn run(&mut self) -> Result<ArrayOutcome, ArrayError> {
         let base = self.mailbox_base;
-        let window = base..base + mailbox::MAILBOX_BYTES;
         for core in &mut self.cores {
-            let ran = core.sim.run_ahead(window.clone());
-            core.settle(ran, base);
+            let ran = core.sim.run_ahead(base);
+            core.settle(ran);
         }
+        // The global cycle of the exchange's next run: it starts awake.
+        let mut wake = 0;
         loop {
             let now = self.cycle;
             for core in &mut self.cores {
-                if core.next == now && matches!(core.status, Status::Running) {
-                    // The core's cycle `now`, then on to its next event.
-                    let ran = (core.sim.step()).and_then(|_| core.sim.run_ahead(window.clone()));
-                    core.settle(ran, base);
+                if core.next == now && matches!(core.status, Status::Running) && core.step(base) {
+                    wake = now;
                 }
             }
             self.cycle = now + 1;
@@ -570,8 +666,15 @@ impl ArraySimulator {
                     _ => {}
                 }
             }
-            if self.exchange_pending() {
-                self.exchange(now)?;
+            if wake == now {
+                // After a cycle on which it did nothing, the exchange
+                // sleeps until a head's latency elapses or a core wakes
+                // it.
+                wake = if self.exchange(now)? {
+                    now + 1
+                } else {
+                    self.noc.next_ready(now).unwrap_or(u64::MAX)
+                };
             }
             let all_halted =
                 (self.cores.iter()).all(|c| matches!(c.status, Status::Halted) && c.next <= now);
@@ -579,24 +682,23 @@ impl ArraySimulator {
                 // Every TX window still committed on a fully-halted mesh
                 // counts as in flight: nobody is left to receive it.
                 let stats = self.noc.stats();
-                let refused = self.cores.iter().filter(|c| c.tx_committed).count() as u64;
+                let refused = (self.cores.iter())
+                    .filter(|c| mb_peek(c.sim.memory(), base, mailbox::TX_STATUS) == 1)
+                    .count() as u64;
                 let in_flight = stats.messages_injected - stats.messages_delivered + refused;
                 if in_flight > 0 {
                     return Err(ArrayError::Undelivered { in_flight });
                 }
                 break;
             }
-            // With nothing for the exchange to do, no cycle before the
-            // next core event changes any state: jump there.
-            let next = if self.exchange_pending() {
-                now + 1
-            } else {
-                (self.cores.iter())
-                    .filter(|c| !matches!(c.status, Status::Halted) || c.next > now)
-                    .map(|c| c.next)
-                    .min()
-                    .expect("a core that has not halted has an event")
-            };
+            // No cycle before the next core event or the exchange's
+            // wake-up changes any state: jump there.
+            let next = (self.cores.iter())
+                .filter(|c| !matches!(c.status, Status::Halted) || c.next > now)
+                .map(|c| c.next)
+                .min()
+                .expect("a core that has not halted has an event")
+                .min(wake);
             self.cycle = next.min(self.spec.max_cycles.max(now + 1));
             if self.cycle >= self.spec.max_cycles {
                 return Err(ArrayError::Timeout { cycle: self.cycle });
@@ -610,19 +712,15 @@ impl ArraySimulator {
         })
     }
 
-    /// Whether the exchange has work: a message in the NoC or a
-    /// committed TX window.
-    fn exchange_pending(&self) -> bool {
-        !self.noc.is_idle() || self.cores.iter().any(|c| c.tx_committed)
-    }
-
     /// The mesh phase of global cycle `now`: eject into free RX
     /// mailboxes, advance the links, inject from committed TX mailboxes
-    /// (a refused injection stays committed and retries next cycle).
-    fn exchange(&mut self, now: u64) -> Result<(), ArrayError> {
+    /// (a refused injection stays committed and retries later). Returns
+    /// whether it delivered, moved or injected a message.
+    fn exchange(&mut self, now: u64) -> Result<bool, ArrayError> {
         let base = self.mailbox_base;
         let ncores = self.cores.len();
         let noc = &mut self.noc;
+        let mut acted = false;
         for (idx, core) in self.cores.iter_mut().enumerate() {
             let memory = core.sim.memory_mut();
             if mb_peek(memory, base, mailbox::RX_STATUS) == 0 {
@@ -633,16 +731,17 @@ impl ArraySimulator {
                         mb_poke(memory, base, mailbox::RX_DATA + i as u32, word);
                     }
                     mb_poke(memory, base, mailbox::RX_STATUS, 1);
+                    acted = true;
                 }
             }
         }
-        noc.advance(now);
+        acted |= noc.advance(now);
         let mut payload = [0u32; mailbox::MAX_PAYLOAD_WORDS as usize];
         for (idx, core) in self.cores.iter_mut().enumerate() {
-            if !core.tx_committed {
+            let memory = core.sim.memory_mut();
+            if mb_peek(memory, base, mailbox::TX_STATUS) != 1 {
                 continue;
             }
-            let memory = core.sim.memory_mut();
             let dest = mb_peek(memory, base, mailbox::TX_DEST);
             let len = mb_peek(memory, base, mailbox::TX_LEN);
             if dest as usize >= ncores {
@@ -673,8 +772,8 @@ impl ArraySimulator {
             let accepted = noc.try_inject(now, idx, dest as usize, payload);
             assert!(accepted, "the first hop had room");
             mb_poke(memory, base, mailbox::TX_STATUS, 0);
-            core.tx_committed = false;
+            acted = true;
         }
-        Ok(())
+        Ok(acted)
     }
 }

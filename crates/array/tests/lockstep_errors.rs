@@ -114,6 +114,55 @@ fn verdict(source: &str, spec: &MeshSpec) -> (ArrayError, u64) {
     threaded
 }
 
+/// A core commits a message the NoC refuses, then sets `TX_LEN` to 0
+/// while the message is still committed. The exchange, asleep since the
+/// refusal, wakes at that store and reports the bad length at its cycle.
+#[test]
+fn a_length_cleared_after_committing_is_a_bad_message_at_that_store() {
+    // Two self-sends into a one-slot ejection queue whose latency
+    // outlasts the program: the first is injected at once, the second
+    // is refused and stays committed.
+    let clear_len = ".entry main\nmain:\n    MOVE r1, #1\n    MOVE r2, #0\n;;\n\
+                         SW r1, r0, #20\n;;\n    SW r1, r0, #12\n;;\n    SW r1, r0, #12\n;;\n\
+                         ADD r3, r1, #1\n;;\n    SW r2, r0, #20\n;;\n    HALT\n;;\n";
+    // The cycle that stores TX_LEN = 0, from the core alone: the program
+    // reads nothing, so its cycles do not depend on the NoC.
+    let config = Config::default();
+    let program = epic_asm::assemble(clear_len, &config).expect("assembles");
+    let mut sim = Simulator::try_new(&config, program.bundles(), program.entry()).unwrap();
+    sim.set_memory(Memory::from_image(vec![0u8; MEMORY_BYTES]));
+    let mut committed_len = false;
+    let store_cycle = loop {
+        let cycle = sim.cycle();
+        assert!(
+            sim.step().expect("steps"),
+            "the store comes before the halt"
+        );
+        match sim.memory().peek_word(20).expect("TX_LEN in memory") {
+            1 => committed_len = true,
+            0 if committed_len => break cycle,
+            _ => {}
+        }
+    };
+    let noc = NocConfig {
+        link_latency: 50,
+        link_capacity: 1,
+    };
+    let (err, cycles) = verdict(clear_len, &MeshSpec::new(1, 1).with_noc(noc));
+    match err {
+        ArrayError::BadMessage {
+            core: 0,
+            cycle,
+            detail,
+        } => {
+            assert_eq!(cycle, store_cycle, "reported at the store's cycle");
+            assert!(detail.contains("payload length 0"), "{detail}");
+        }
+        other => panic!("want core 0's bad length, got {other:?}"),
+    }
+    assert_eq!(cycles, store_cycle + 1);
+}
+
 #[test]
 fn an_earlier_fault_on_a_higher_index_core_is_reported_first() {
     // Every core reads its CORE_ID, counts down from 40 on core 0 and

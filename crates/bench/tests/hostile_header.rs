@@ -1,6 +1,7 @@
 //! A configuration header no tool can use is a header error, never a
 //! crash: `epic-lint --config` on a fused custom op nested 100,000
-//! operators deep exits 1 and names the offending header line.
+//! operators deep exits 1, names the offending header line and echoes
+//! only a prefix of the 600 KB token.
 
 use std::process::Command;
 
@@ -31,5 +32,10 @@ fn deeply_nested_fused_op_is_a_header_error() {
     assert!(
         stderr.contains("configuration header line 2: unknown custom-op semantics"),
         "stderr: {stderr}"
+    );
+    assert!(
+        output.stderr.len() < 1024,
+        "{} bytes of stderr, the offending token echoed whole",
+        output.stderr.len()
     );
 }

@@ -224,7 +224,7 @@ fn parse_custom_op(value: &str, line: usize) -> Result<CustomOp, ConfigError> {
     };
     let semantics = CustomSemantics::from_spec(sem).ok_or_else(|| ConfigError::HeaderSyntax {
         line,
-        message: format!("unknown custom-op semantics `{sem}`"),
+        message: format!("unknown custom-op semantics `{}`", excerpt(sem)),
     })?;
     let mut op = CustomOp::new(name, semantics);
     for extra in parts {
@@ -246,6 +246,19 @@ fn parse_custom_op(value: &str, line: usize) -> Result<CustomOp, ConfigError> {
     }
     Ok(op)
 }
+
+/// At most the first [`EXCERPT_CHARS`] characters of `token`, marked
+/// with `…` when cut: a message names the token without echoing a
+/// hostile header's whole line.
+fn excerpt(token: &str) -> String {
+    match token.char_indices().nth(EXCERPT_CHARS) {
+        Some((cut, _)) => format!("{}…", &token[..cut]),
+        None => token.to_string(),
+    }
+}
+
+/// Characters of an offending token a header error message echoes.
+const EXCERPT_CHARS: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -348,6 +361,20 @@ mod tests {
     fn malformed_fused_spec_is_reported() {
         let err = parse("#define CUSTOM_OP_0 bad FUSED:frob(a0)\n").unwrap_err();
         assert!(matches!(err, ConfigError::HeaderSyntax { line: 1, .. }));
+    }
+
+    #[test]
+    fn unknown_semantics_echo_a_bounded_prefix() {
+        let short = parse("#define CUSTOM_OP_0 bad FROB\n").unwrap_err();
+        assert!(short
+            .to_string()
+            .contains("unknown custom-op semantics `FROB`"));
+        let token = format!("FUSED:{}a0{}", "abs(".repeat(1000), ")".repeat(1000));
+        let long = parse(&format!("#define CUSTOM_OP_0 deep {token}\n")).unwrap_err();
+        let message = long.to_string();
+        assert!(message.contains("unknown custom-op semantics `FUSED:abs(abs("));
+        assert!(message.contains("…`"), "{message}");
+        assert!(message.len() < 200, "{} bytes", message.len());
     }
 
     #[test]

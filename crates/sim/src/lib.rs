@@ -34,8 +34,9 @@
 //! run, and enters it from the per-cycle dispatcher at the block's
 //! leader. [`Simulator::run_until_access`]
 //! runs the same loop but stops, exactly where stepping would, before
-//! the first cycle that touches an address window: the many-core array
-//! runs its cores ahead to their mailbox accesses this way. The
+//! the first cycle that loads a word of one set or stores a word of
+//! another: the many-core array runs its cores ahead to the mailbox
+//! accesses its exchange can observe or change this way. The
 //! original interpret-every-cycle engine survives as
 //! [`ReferenceSimulator`], the golden model the differential tests hold
 //! both modes bit-identical to. [`Engine`] names the two engines.

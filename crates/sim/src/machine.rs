@@ -9,7 +9,6 @@ use crate::threaded::{BeforeAccess, ToHalt, Translation};
 use crate::trace::{NopSink, TraceSink};
 use epic_config::Config;
 use epic_isa::Instruction;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Default cycle budget before a run is declared runaway.
@@ -243,24 +242,37 @@ impl Simulator {
     }
 
     /// Runs until `HALT`, an error, or the top of the first cycle whose
-    /// execute stage would load or store a byte of `window`, on the
-    /// threaded loop. Returns `true` at such a cycle and `false` once
-    /// halted.
+    /// execute stage would load a byte of a word in `loads` or store a
+    /// byte of a word in `stores`, on the threaded loop. Bit `i` of
+    /// either set marks the word at `base + 4 * i`. Returns `true` at
+    /// such a cycle and `false` once halted.
     ///
     /// A stop leaves the machine exactly where stepping would, so the
     /// next [`step`](Simulator::step) performs the access. The check
     /// ignores guards, so a run may stop before an access its guard
     /// squashes; stepping that cycle and running on is exact all the
     /// same. A caller sharing a memory-mapped window with an external
-    /// agent (the many-core array's mailbox) runs ahead this way and
-    /// steps each access at the agent's time.
+    /// agent (the many-core array's mailbox) runs ahead this way, marks
+    /// the words whose load or store the agent could observe or change
+    /// before it next acts, and steps each such access at the agent's
+    /// time.
     ///
     /// # Errors
     ///
     /// Returns the first [`SimError`] raised, with the interrupted
     /// machine state identical to the per-cycle loop's.
-    pub fn run_until_access(&mut self, window: Range<u32>) -> Result<bool, SimError> {
-        self.run_until(&mut NopSink, &BeforeAccess(window))
+    pub fn run_until_access(
+        &mut self,
+        base: u32,
+        loads: u128,
+        stores: u128,
+    ) -> Result<bool, SimError> {
+        let stop = BeforeAccess {
+            base,
+            loads,
+            stores,
+        };
+        self.run_until(&mut NopSink, &stop)
     }
 
     /// Advances one processor cycle on the per-cycle loop. Returns

@@ -15,7 +15,6 @@ use epic_core::ir::{lower, Global, Interpreter};
 use epic_core::sim::{Memory, ReferenceSimulator, Simulator};
 use epic_core::{run_sa110, Toolchain};
 use proptest::prelude::*;
-use std::ops::Range;
 
 /// Number of scalar locals every generated program declares.
 const NUM_VARS: usize = 6;
@@ -194,36 +193,55 @@ proptest! {
     }
 }
 
-/// Steps `sim` one cycle, and reports whether that cycle left the
-/// bytes of `window` alone: a copy stepped with those bytes inverted
-/// must end in `sim`'s state once they are inverted back. A load from
-/// the window would read other values, a store into it would overwrite
-/// the inverted bytes.
-fn step_untouched(sim: &mut Simulator, window: &Range<u32>, config: &Config) -> bool {
-    let invert = |sim: &mut Simulator| {
-        for at in window.clone().step_by(4) {
+/// The byte addresses of the words of `buf`, at `base`, that bit mask
+/// `words` marks.
+fn marked(base: u32, words: u32) -> Vec<u32> {
+    (0..BUF_WORDS as u32)
+        .filter(|word| words >> word & 1 != 0)
+        .map(|word| base + 4 * word)
+        .collect()
+}
+
+/// Steps `sim` one cycle, and reports whether that cycle loaded none of
+/// the words at `loads` and stored none of the words at `stores`. Two
+/// copies step beside it, one with the `loads` words inverted and one
+/// with the `stores` words inverted. A load from an inverted word reads
+/// another value, so the first copy must end with `sim`'s registers and
+/// statistics; a store into an inverted word overwrites it, so the
+/// second copy, with those words inverted back, must end with `sim`'s
+/// memory.
+fn step_untouched(sim: &mut Simulator, loads: &[u32], stores: &[u32], config: &Config) -> bool {
+    let invert = |sim: &mut Simulator, words: &[u32]| {
+        for &at in words {
             let memory = sim.memory_mut();
-            let word = memory.peek_word(at).expect("window inside memory");
+            let word = memory.peek_word(at).expect("buffer inside memory");
             memory.poke_word(at, !word);
         }
     };
-    let mut inverted = sim.clone();
-    invert(&mut inverted);
-    inverted.step().expect("per-cycle loop runs");
-    invert(&mut inverted);
+    let (mut loaded, mut stored) = (sim.clone(), sim.clone());
+    invert(&mut loaded, loads);
+    invert(&mut stored, stores);
+    loaded.step().expect("per-cycle loop runs");
+    stored.step().expect("per-cycle loop runs");
+    invert(&mut stored, stores);
     sim.step().expect("per-cycle loop runs");
-    same_state(sim, &inverted, config)
+    same_registers(sim, &loaded, config) && sim.memory().bytes() == stored.memory().bytes()
 }
 
-/// Whether two simulators hold the same statistics, registers and
-/// memory image.
-fn same_state(a: &Simulator, b: &Simulator, config: &Config) -> bool {
+/// Whether two simulators hold the same cycle, statistics and
+/// registers.
+fn same_registers(a: &Simulator, b: &Simulator, config: &Config) -> bool {
     a.cycle() == b.cycle()
         && a.stats() == b.stats()
         && (0..config.num_gprs()).all(|r| a.gpr(r) == b.gpr(r))
         && (0..config.num_pred_regs()).all(|p| a.pred(p) == b.pred(p))
         && (0..config.num_btrs()).all(|r| a.btr(r) == b.btr(r))
-        && a.memory().bytes() == b.memory().bytes()
+}
+
+/// Whether two simulators hold the same statistics, registers and
+/// memory image.
+fn same_state(a: &Simulator, b: &Simulator, config: &Config) -> bool {
+    same_registers(a, b, config) && a.memory().bytes() == b.memory().bytes()
 }
 
 proptest! {
@@ -241,20 +259,21 @@ proptest! {
     /// step streams are held to on inputs nobody hand-picked.
     ///
     /// The threaded loop's stop is held to the same standard: a copy
-    /// that runs ahead to each access of a random word range of `buf`
-    /// and steps it must match a stepped copy at every stop and at
-    /// halt.
+    /// that runs ahead to each load of a random set of `buf`'s words and
+    /// each store to another random set, and steps it, must match a
+    /// stepped copy at every stop and at halt.
     #[test]
     fn engines_are_bit_identical_on_random_programs(
         seeds in prop::collection::vec(-1000i32..1000, NUM_VARS),
         ops in prop::collection::vec(op_strategy(), 1..24),
-        (lo, hi) in (0..BUF_WORDS).prop_flat_map(|lo| (Just(lo), lo + 1..=BUF_WORDS)),
+        load_words in 0u32..1 << BUF_WORDS,
+        store_words in 0u32..1 << BUF_WORDS,
     ) {
         let program = build_program(&seeds, &ops);
         let module = lower::lower(&program).expect("generated programs lower");
         let layout = module.layout().expect("layout");
         let base = layout.address_of("buf").expect("buffer exists");
-        let window = base + (lo * 4) as u32..base + (hi * 4) as u32;
+        let (loads, stores) = (marked(base, load_words), marked(base, store_words));
         for (alus, width) in [(1usize, 1usize), (4, 4)] {
             let config = Config::builder()
                 .num_alus(alus)
@@ -279,18 +298,21 @@ proptest! {
 
             let mut stops = 0u32;
             loop {
-                let running = ahead.run_until_access(window.clone()).expect("runs ahead");
+                let running = ahead
+                    .run_until_access(base, load_words.into(), store_words.into())
+                    .expect("runs ahead");
                 while paced.cycle() < ahead.cycle() {
                     prop_assert!(
-                        step_untouched(&mut paced, &window, &config),
-                        "cycle {} touches {:?}, but the run went past it ({} ALU / {}-wide)",
-                        paced.cycle(), window, alus, width
+                        step_untouched(&mut paced, &loads, &stores, &config),
+                        "cycle {} loads {:?} or stores {:?}, but the run went past it \
+                         ({} ALU / {}-wide)",
+                        paced.cycle(), loads, stores, alus, width
                     );
                 }
                 prop_assert!(
                     same_state(&ahead, &paced, &config),
-                    "stop {} in {:?} at cycle {} diverged ({} ALU / {}-wide)",
-                    stops, window, ahead.cycle(), alus, width
+                    "stop {} (loads {:?}, stores {:?}) at cycle {} diverged ({} ALU / {}-wide)",
+                    stops, loads, stores, ahead.cycle(), alus, width
                 );
                 if !running {
                     break;

@@ -9,7 +9,11 @@
 //! exchange phase reads and writes core memories *between* cycles, so
 //! any engine that buffered stores across a cycle boundary or retired
 //! them early would diverge here, and so would a core that ran ahead
-//! over a mailbox access.
+//! over a mailbox access the exchange can see.
+//!
+//! Both engines go through the same event loop and the same sleeping
+//! exchange, so this battery does not check the cycles the loop skips;
+//! `tests/manycore_lockstep.rs` holds the loop to a per-cycle drive.
 
 use epic_core::array::{CoreSim, MeshSpec};
 use epic_core::config::Config;
