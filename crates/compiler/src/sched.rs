@@ -13,7 +13,9 @@
 //!   producer), and
 //! * the register-file port budget (8 operations per cycle in the
 //!   prototype), so the scheduled code never provokes the port stall the
-//!   hardware would otherwise insert.
+//!   hardware would otherwise insert — except for an operation whose
+//!   own port operations exceed the budget, which gets a bundle with no
+//!   other port operation, the least stall any schedule can give it.
 //!
 //! Branch operations are constrained to the final cycle of their block.
 //! Memory disambiguation is conservative except for the common
@@ -911,7 +913,9 @@ fn schedule_ops(
             let op = ops[i];
             let is_ctl = op.opcode.is_branch() || op.opcode == Opcode::Halt;
             let cost = mdes.op_port_cost(op);
-            if (is_ctl && branch_in_bundle) || port_ops + cost > port_budget {
+            // An op over the budget on its own fits only a bundle with
+            // no port operations yet, and then nothing else does.
+            if (is_ctl && branch_in_bundle) || port_ops + cost > port_budget.max(cost) {
                 rejected.push((q, candidate));
                 continue;
             }
@@ -1122,6 +1126,25 @@ mod tests {
         let bundles = schedule_block(&ops, &mdes(4));
         assert_eq!(bundles.len(), 2);
         assert!(bundles.iter().all(|b| b.len() == 2));
+    }
+
+    #[test]
+    fn an_op_over_the_port_budget_issues_alone() {
+        // Two ports a cycle: each three-port add needs a bundle of its
+        // own (the controller serialises it), and the two-port move
+        // cannot share one with it.
+        let config = Config::builder()
+            .num_alus(4)
+            .regfile_ops_per_cycle(2)
+            .build()
+            .unwrap();
+        let mut mov = MOp::bare(Opcode::Move);
+        mov.dest1 = MDest::Gpr(20);
+        mov.src1 = MSrc::Gpr(21);
+        let ops = vec![add(10, 11, 12), add(13, 14, 15), mov];
+        let bundles = schedule_block(&ops, &MachineDescription::new(&config));
+        assert_eq!(bundles.len(), 3);
+        assert!(bundles.iter().all(|b| b.len() == 1));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub enum ConfigError {
     UnknownParameter {
         /// 1-based line number within the header text.
         line: usize,
-        /// The unrecognised key.
+        /// The unrecognised key, cut to its first 64 characters.
         key: String,
     },
 }

@@ -133,7 +133,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let Some(body) = line.strip_prefix("#define") else {
             return Err(ConfigError::HeaderSyntax {
                 line: line_no,
-                message: format!("expected `#define`, found `{line}`"),
+                message: format!("expected `#define`, found `{}`", excerpt(line)),
             });
         };
         let body = body.trim();
@@ -142,7 +142,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             None => {
                 return Err(ConfigError::HeaderSyntax {
                     line: line_no,
-                    message: format!("`#define {body}` is missing a value"),
+                    message: format!("`#define {}` is missing a value", excerpt(body)),
                 })
             }
         };
@@ -150,7 +150,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let parse_usize = |value: &str| -> Result<usize, ConfigError> {
             value.parse().map_err(|_| ConfigError::HeaderSyntax {
                 line: line_no,
-                message: format!("`{value}` is not an unsigned integer"),
+                message: format!("`{}` is not an unsigned integer", excerpt(value)),
             })
         };
 
@@ -176,7 +176,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 let index = key["CUSTOM_OP_".len()..].parse::<usize>().map_err(|_| {
                     ConfigError::HeaderSyntax {
                         line: line_no,
-                        message: format!("`{key}` has a malformed index"),
+                        message: format!("`{}` has a malformed index", excerpt(key)),
                     }
                 })?;
                 custom_ops.push((index, parse_custom_op(value, line_no)?));
@@ -184,7 +184,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             _ => {
                 return Err(ConfigError::UnknownParameter {
                     line: line_no,
-                    key: key.to_owned(),
+                    key: excerpt(key),
                 })
             }
         }
@@ -206,7 +206,7 @@ fn parse_features(value: &str, line: usize) -> Result<AluFeatureSet, ConfigError
         let part = part.trim();
         let feature = AluFeature::from_name(part).ok_or_else(|| ConfigError::HeaderSyntax {
             line,
-            message: format!("unknown ALU feature `{part}`"),
+            message: format!("unknown ALU feature `{}`", excerpt(part)),
         })?;
         set.insert(feature);
     }
@@ -219,7 +219,10 @@ fn parse_custom_op(value: &str, line: usize) -> Result<CustomOp, ConfigError> {
     let (Some(name), Some(sem)) = (parts.next(), parts.next()) else {
         return Err(ConfigError::HeaderSyntax {
             line,
-            message: format!("custom op `{value}` must be `<name> <SEMANTICS> [latency=<n>]`"),
+            message: format!(
+                "custom op `{}` must be `<name> <SEMANTICS> [latency=<n>]`",
+                excerpt(value)
+            ),
         });
     };
     let semantics = CustomSemantics::from_spec(sem).ok_or_else(|| ConfigError::HeaderSyntax {
@@ -232,14 +235,14 @@ fn parse_custom_op(value: &str, line: usize) -> Result<CustomOp, ConfigError> {
             Some(("latency", n)) => {
                 let latency = n.parse().map_err(|_| ConfigError::HeaderSyntax {
                     line,
-                    message: format!("bad latency `{n}`"),
+                    message: format!("bad latency `{}`", excerpt(n)),
                 })?;
                 op = op.with_latency(latency);
             }
             _ => {
                 return Err(ConfigError::HeaderSyntax {
                     line,
-                    message: format!("unexpected custom-op attribute `{extra}`"),
+                    message: format!("unexpected custom-op attribute `{}`", excerpt(extra)),
                 })
             }
         }
@@ -375,6 +378,26 @@ mod tests {
         assert!(message.contains("unknown custom-op semantics `FUSED:abs(abs("));
         assert!(message.contains("…`"), "{message}");
         assert!(message.len() < 200, "{} bytes", message.len());
+    }
+
+    #[test]
+    fn every_header_error_echoes_a_bounded_prefix() {
+        let long = "9".repeat(10_000);
+        for text in [
+            format!("NUM_ALUS {long}\n"),
+            format!("#define NUM_{long}\n"),
+            format!("#define NUM_ALUS {long}\n"),
+            format!("#define CUSTOM_OP_{long}x rot ROTR\n"),
+            format!("#define X{long} 1\n"),
+            format!("#define ALU_FEATURES MUL|X{long}\n"),
+            format!("#define CUSTOM_OP_0 x{long}\n"),
+            format!("#define CUSTOM_OP_0 rot ROTR latency={long}\n"),
+            format!("#define CUSTOM_OP_0 rot ROTR x{long}\n"),
+        ] {
+            let message = parse(&text).unwrap_err().to_string();
+            assert!(message.contains("…`"), "{message}");
+            assert!(message.len() < 200, "{} bytes", message.len());
+        }
     }
 
     #[test]

@@ -166,14 +166,17 @@ pub struct EngineOutcome {
     pub return_value: u32,
     /// The final data memory.
     pub memory: Memory,
-    /// Basic blocks the threaded run loop replayed on its folded fast
-    /// path (always zero on the reference engine).
+    /// Translated streams the threaded run loop replayed on its folded
+    /// fast path (always zero on the reference engine).
     pub fast_block_execs: u64,
     /// Fast-path executions the threaded run loop chained: entered with
     /// no per-cycle issue since the previous one, only that stream's
     /// terminator, flush bubbles and contention stalls between them
     /// (always zero on the reference engine).
     pub chained_execs: u64,
+    /// Issue attempts the threaded run loop made one cycle at a time,
+    /// outside a stream (always zero on the reference engine).
+    pub per_cycle_issues: u64,
 }
 
 /// A completed EPIC execution on an explicitly selected [`Engine`].
@@ -399,6 +402,7 @@ impl Toolchain {
                     memory: sim.memory().clone(),
                     fast_block_execs: 0,
                     chained_execs: 0,
+                    per_cycle_issues: 0,
                 })
             }
             Engine::Threaded => {
@@ -411,6 +415,7 @@ impl Toolchain {
                     memory: sim.memory().clone(),
                     fast_block_execs: sim.fast_block_execs(),
                     chained_execs: sim.chained_execs(),
+                    per_cycle_issues: sim.per_cycle_issues(),
                 })
             }
         }

@@ -129,6 +129,9 @@ pub struct StaticBundleCost {
     /// plus GPR writes, with no forwarding discount (conservative, like
     /// [`MachineDescription::regfile_ops`]).
     pub port_ops: usize,
+    /// The most register-file port operations one of the bundle's
+    /// operations performs.
+    pub max_op_ports: usize,
     /// Longest result latency among the bundle's operations.
     pub max_latency: u32,
     /// Longest unit occupancy among the bundle's operations (the
@@ -144,6 +147,16 @@ impl StaticBundleCost {
     #[must_use]
     pub fn demand(&self, unit: Unit) -> usize {
         self.unit_demand[unit_index(unit)]
+    }
+
+    /// Whether the bundle needs more port operations than `budget`
+    /// per cycle allows and than any one of its operations performs: an
+    /// operation that alone exceeds the budget is legal on its own (the
+    /// controller serialises its accesses), but nothing may share its
+    /// port cycles.
+    #[must_use]
+    pub fn oversubscribes_ports(&self, budget: usize) -> bool {
+        self.port_ops > budget.max(self.max_op_ports)
     }
 
     /// Extra register-file controller cycles the bundle needs beyond the
@@ -271,7 +284,9 @@ impl MachineDescription {
         let mut cost = StaticBundleCost::default();
         for op in ops {
             let opcode = op.cost_opcode();
-            cost.port_ops += self.op_port_cost(op);
+            let ports = self.op_port_cost(op);
+            cost.port_ops += ports;
+            cost.max_op_ports = cost.max_op_ports.max(ports);
             cost.max_latency = cost.max_latency.max(self.latency(opcode));
             cost.max_occupancy = cost.max_occupancy.max(self.occupancy(opcode));
             if let Some(unit) = opcode.unit() {

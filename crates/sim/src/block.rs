@@ -11,12 +11,15 @@
 //!
 //! [`compile_blocks`] does exactly that. It takes the program's basic
 //! blocks from the shared partition
-//! ([`epic_mdes::cfg::Cfg::basic_blocks`]), symbolically replays each
-//! block's issue logic against the decoded arrays, and
+//! ([`epic_mdes::cfg::Cfg::basic_blocks`]), cut after every bundle with
+//! a guarded load or store ([`has_guarded_memory`]), symbolically
+//! replays each piece's issue logic against the decoded arrays, and
 //! stores the result as a [`CompiledBlock`]: a folded cycle count, a
 //! folded [`StallBreakdown`], the scoreboard bookings to apply, and the
-//! *entry signature* — per-register readiness caps under which the
-//! replay is provably exact ([`entry_ok`]). The threaded run loop
+//! *entry signature* — the fetch debt the replay entered with and
+//! per-register readiness caps under which the replay is provably
+//! exact ([`entry_ok`]); [`recompile`] replays a piece again for a
+//! leader reached with debt outstanding. The threaded run loop
 //! (`crate::threaded`) translates this table into its step streams on
 //! a simulator's first unobserved run;
 //! [`fold_exit`] applies a block's folded exit state and
@@ -82,8 +85,13 @@ pub(crate) struct CompiledBlock {
     /// Data-memory operations the body performs (0 when memory
     /// contention is off — debt is then never charged).
     pub(crate) body_mem_ops: u32,
-    /// Fetch-bandwidth debt outstanding when the block exits (entry
-    /// debt is required to be 0 whenever `body_mem_ops > 0`).
+    /// Fetch-bandwidth debt the replay entered with: 0 or 1, since the
+    /// pre-issue ladder stalls while the debt is 2 or more.
+    pub(crate) entry_debt: u32,
+    /// Fetch-bandwidth debt outstanding when the block exits, entered
+    /// with `entry_debt`. Without body memory traffic the debt is never
+    /// charged or paid inside the block, so it stays at the live entry
+    /// debt and the fold leaves it alone.
     pub(crate) exit_debt: u32,
 }
 
@@ -92,7 +100,8 @@ pub(crate) struct CompiledBlock {
 ///
 /// Called with the front end clean at the leader: nothing in stage 2,
 /// no flush bubbles pending and `mem_debt < 2` (the pre-issue ladder
-/// just passed).
+/// just passed), on the replay whose entry debt the dispatcher chose
+/// for the live debt.
 pub(crate) fn entry_ok(sim: &Machine, block: &CompiledBlock) -> bool {
     let c = sim.cycle;
     // A pending or already-paid port wait for the leader would change
@@ -100,9 +109,10 @@ pub(crate) fn entry_ok(sim: &Machine, block: &CompiledBlock) -> bool {
     if sim.port_wait != 0 || sim.port_wait_pc == Some(block.first) {
         return false;
     }
-    // The replay assumed debt 0; without body memory traffic the debt
-    // can never reach the stall threshold mid-block, so 0/1 both work.
-    if block.body_mem_ops > 0 && sim.mem_debt != 0 {
+    // The replay entered with `entry_debt`; without body memory
+    // traffic the debt never reaches the stall threshold mid-block, so
+    // either entry debt replays the same.
+    if block.body_mem_ops > 0 && sim.mem_debt != block.entry_debt {
         return false;
     }
     // Every in-window step must clear the cycle budget check.
@@ -200,9 +210,13 @@ fn add_stall(stalls: &mut StallBreakdown, cause: StallCause) {
     }
 }
 
-/// Compiles each eligible block of the program's basic-block partition,
-/// in partition order. A one-bundle block has no straight-line body to
-/// fold and is skipped.
+/// Compiles each eligible block of `blocks`, in order, entered with no
+/// fetch-bandwidth debt. A one-bundle block has no straight-line body
+/// to fold and is skipped.
+///
+/// The blocks are the translation's pieces: basic blocks cut after
+/// every body bundle with a guarded load or store (see
+/// [`has_guarded_memory`]), so no body holds one.
 pub(crate) fn compile_blocks(
     program: &DecodedProgram,
     blocks: &[Range<usize>],
@@ -210,8 +224,35 @@ pub(crate) fn compile_blocks(
     let mut replay = Replay::default();
     (blocks.iter())
         .filter(|block| block.len() > 1)
-        .filter_map(|block| translate(program, block.start, block.end - 1, &mut replay))
+        .filter_map(|block| translate(program, block.start, block.end - 1, 0, &mut replay))
         .collect()
+}
+
+/// Compiles `block` again, entered with `entry_debt`: the replay for a
+/// leader reached with debt outstanding.
+pub(crate) fn recompile(
+    program: &DecodedProgram,
+    block: &CompiledBlock,
+    entry_debt: u32,
+) -> Option<CompiledBlock> {
+    let first = block.first as usize;
+    translate(
+        program,
+        first,
+        first + block.n - 1,
+        entry_debt,
+        &mut Replay::default(),
+    )
+}
+
+/// Whether bundle `pc` has a guarded load or store whose debt depends
+/// on its guard: with contention on, an access charges debt only when
+/// its guard holds, so no replay can fold what follows it.
+pub(crate) fn has_guarded_memory(program: &DecodedProgram, pc: usize) -> bool {
+    program.mem_contention
+        && (program.ops(&program.bundles[pc]).iter()).any(|op| {
+            op.guard != 0 && matches!(op.action, Action::Load { .. } | Action::Store { .. })
+        })
 }
 
 /// Register readiness for one block's replay, one slot per register
@@ -267,13 +308,15 @@ struct Replay {
     btr_caps: RegMap,
 }
 
-/// Symbolically replays the issue logic of bundles `[first..=last]`
-/// and folds the schedule into a [`CompiledBlock`], or `None` when the
-/// block's timing cannot be proven statically.
+/// Symbolically replays the issue logic of bundles `[first..=last]`,
+/// entered with `entry_debt` outstanding, and folds the schedule into a
+/// [`CompiledBlock`], or `None` when the block's timing cannot be
+/// proven statically.
 fn translate(
     program: &DecodedProgram,
     first: usize,
     last: usize,
+    entry_debt: u32,
     replay: &mut Replay,
 ) -> Option<CompiledBlock> {
     let n = last - first + 1;
@@ -284,22 +327,18 @@ fn translate(
     if bundles.iter().any(|b| b.div_ops > 0) {
         return None;
     }
-    for bundle in &bundles[..n - 1] {
-        for op in program.ops(bundle) {
-            match op.action {
-                // A body branch/halt would change control mid-window.
-                Action::Branch { .. } | Action::Halt => return None,
-                // A guarded memory op makes the fetch-bandwidth debt
-                // (and so the contention stalls) data-dependent.
-                Action::Load { .. } | Action::Store { .. }
-                    if program.mem_contention && op.guard != 0 =>
-                {
-                    return None;
-                }
-                _ => {}
-            }
-        }
+    // A body branch/halt would change control mid-window.
+    if (bundles[..n - 1].iter()).any(|b| {
+        (program.ops(b).iter()).any(|op| matches!(op.action, Action::Branch { .. } | Action::Halt))
+    }) {
+        return None;
     }
+    // A guarded memory op makes the debt, and so the contention stalls,
+    // data-dependent: the caller ends a piece at every such bundle.
+    debug_assert!(
+        !(first..last).any(|pc| has_guarded_memory(program, pc)),
+        "a guarded load or store inside a replayed body"
+    );
     let mem_ops = |bi: usize| -> u32 {
         if program.mem_contention && bi < n - 1 {
             (program.ops(&bundles[bi]).iter())
@@ -313,10 +352,11 @@ fn translate(
     // ---- symbolic replay of the per-cycle issue loop -------------------
     // Relative scoreboard for registers the block has booked; registers
     // still carried from entry instead accumulate a readiness *cap*
-    // under which the replayed timing is exact: the read must neither
-    // stall (ready <= rel + 1) nor — with forwarding on, where an exact
-    // match would bypass a register-file port — be in flight at all
-    // (ready <= rel).
+    // under which the replayed timing is exact: the read must not stall
+    // (ready <= rel + 1). With forwarding on, a read ready exactly then
+    // bypasses a register-file port; where that saving could shorten
+    // the port wait, the read must not be in flight at all (ready <=
+    // rel).
     let Replay {
         gpr_rel,
         pred_rel,
@@ -340,7 +380,7 @@ fn translate(
     let mut issue_rel = vec![0u64; n];
     let mut flat_bookings: Vec<Booking> = Vec::new();
     let mut booked = vec![0u32; n];
-    let mut debt = 0u32;
+    let mut debt = entry_debt;
     let mut port_wait = 0u32;
     let mut armed: Option<usize> = None;
     let mut exec_sched: Option<(usize, u64)> = None;
@@ -384,24 +424,32 @@ fn translate(
             rel += 1;
             continue;
         }
+        // Register-file ports, every entry-carried read counted as a
+        // file read.
+        let mut ports = bundle.write_ports;
+        for &r in gpr_reads {
+            let forwarded = program.forwarding && gpr_rel.get(r) == Some(exec);
+            if !forwarded {
+                ports += 1;
+            }
+        }
         // Entry-carried reads constrain the entry signature at the
-        // first cycle the bundle clears the scoreboard.
-        let gpr_cap = if program.forwarding { rel } else { exec };
+        // first cycle the bundle clears the scoreboard. A forwarded
+        // entry read only lowers the live port count, which cannot
+        // change the wait while the replayed count fits one cycle.
+        let gpr_cap = if program.forwarding && ports > program.port_budget {
+            rel
+        } else {
+            exec
+        };
         constrain(gpr_caps, gpr_rel, gpr_reads, gpr_cap);
         constrain(pred_caps, pred_rel, pred_reads, exec);
         constrain(btr_caps, btr_rel, btr_reads, exec);
         // Functional units: no divides in the block and every ALU free
         // at entry, so availability never stalls.
 
-        // Register-file port budget.
+        // Register-file port budget, armed once per bundle.
         if armed != Some(next) {
-            let mut ports = bundle.write_ports;
-            for &r in gpr_reads {
-                let forwarded = program.forwarding && gpr_rel.get(r) == Some(exec);
-                if !forwarded {
-                    ports += 1;
-                }
-            }
             let needed_cycles = ports.div_ceil(program.port_budget).max(1) as u32;
             if needed_cycles > 1 {
                 port_wait = needed_cycles - 1;
@@ -461,6 +509,7 @@ fn translate(
         entry_caps,
         cap_split: [preds, btrs],
         body_mem_ops,
+        entry_debt,
         exit_debt: debt,
     })
 }

@@ -10,7 +10,11 @@
 //! The first unobserved run translates the decoded program plus the
 //! [`CompiledBlock`] table into a flat **step table** and keeps it for
 //! later runs: one pre-bound [`Step`] per bundle address, resolving at
-//! translation time which addresses head a folded stream. Each stream's
+//! translation time which addresses head a folded stream. A stream is a
+//! basic block, or a piece of one cut after a guarded load or store,
+//! whose debt only the live guard decides; it keeps a schedule folded
+//! from each entry debt the dispatcher meets, the debt-1 one built on
+//! first use. Each stream's
 //! body is re-bound as **micro-op runs**: maximal runs of *pure* bundles
 //! (no memory traffic, no op reading a register an earlier op of the
 //! same bundle writes) become flat arrays of pre-bound micro-ops
@@ -67,7 +71,9 @@
 //! state stepping passes through. [`run`](Simulator::run) shares this
 //! code with a stop that never fires and compiles the checks away.
 
-use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
+use crate::block::{
+    compile_blocks, entry_ok, fault_unwind, fold_exit, has_guarded_memory, recompile, CompiledBlock,
+};
 use crate::decoded::DecodedProgram;
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
@@ -77,7 +83,8 @@ use crate::trace::{NopSink, TraceSink};
 use epic_config::{Config, MAX_ISSUE_WIDTH};
 use epic_isa::{Instruction, RegList};
 use epic_mdes::cfg::Cfg;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// One entry of the translated step table, pre-bound per bundle address.
 #[derive(Debug, Clone, Copy)]
@@ -127,12 +134,33 @@ enum BodyStep {
 /// as micro-op steps.
 #[derive(Debug)]
 struct Stream {
+    /// The schedule folded from entry with no fetch-bandwidth debt.
     block: CompiledBlock,
+    /// The schedule folded from entry with one half-cycle of debt, for
+    /// a body with memory traffic: built the first time the dispatcher
+    /// reaches the leader with that debt, and shared by clones.
+    indebted: OnceLock<Option<CompiledBlock>>,
     /// The body translated into pure micro-op runs and exact-path
     /// fallbacks, in bundle order (terminator excluded).
     body: Box<[BodyStep]>,
     /// Flat arena of the pure runs' pre-bound ops.
     fast_ops: Box<[DecodedOp]>,
+}
+
+impl Stream {
+    /// The folded schedule entered with `debt` outstanding, or `None`
+    /// when that replay cannot be proven exact. The pre-issue ladder
+    /// leaves a leader 0 or 1; without body memory traffic one schedule
+    /// serves both.
+    fn schedule(&self, program: &DecodedProgram, debt: u32) -> Option<&CompiledBlock> {
+        if debt == 0 || self.block.body_mem_ops == 0 {
+            return Some(&self.block);
+        }
+        debug_assert_eq!(debt, 1, "the pre-issue ladder pays debt 2");
+        (self.indebted)
+            .get_or_init(|| recompile(program, &self.block, 1))
+            .as_ref()
+    }
 }
 
 /// Where a run of the threaded loop stops short of halt: at the top of
@@ -238,6 +266,7 @@ pub(crate) struct Translation {
     streams: Arc<[Stream]>,
     fast_blocks: u64,
     chained: u64,
+    per_cycle: u64,
 }
 
 impl Translation {
@@ -253,19 +282,19 @@ impl Translation {
         }
     }
 
-    /// Builds the step table, if still pending: every eligible basic
-    /// block becomes a stream.
+    /// Builds the step table, if still pending: every eligible piece
+    /// of a basic block becomes a stream.
     fn build(&mut self, program: &DecodedProgram) {
         let Some(source) = self.pending.take() else {
             return;
         };
         let cfg = Cfg::build(&source.config, &source.bundles);
         let blocks = cfg.basic_blocks(&source.bundles, source.entry as usize);
-        // Translate *every* foldable block: admission is one step-table
+        // Translate *every* foldable piece: admission is one step-table
         // load and one entry-cap scan.
         let mut steps = vec![Step::Interp; program.bundles.len()];
         let mut streams = Vec::new();
-        for block in compile_blocks(program, &blocks) {
+        for block in compile_blocks(program, &pieces(program, &blocks)) {
             steps[block.first as usize] = Step::Enter(streams.len() as u32);
             streams.push(translate_stream(program, block));
         }
@@ -302,11 +331,13 @@ impl Translation {
                     if !S::OBSERVED {
                         if let Some(&Step::Enter(si)) = self.steps.get(sim.pc as usize) {
                             let stream = &self.streams[si as usize];
-                            if entry_ok(sim, &stream.block) {
+                            if let Some(block) = (stream.schedule(program, sim.mem_debt))
+                                .filter(|block| entry_ok(sim, block))
+                            {
                                 // The stream leaves its terminator staged
                                 // at the top of its execute cycle, which
                                 // the next iteration runs.
-                                if !run_stream(sim, program, stream, stop)? {
+                                if !run_stream(sim, program, stream, block, stop)? {
                                     return Ok(true);
                                 }
                                 self.fast_blocks += 1;
@@ -317,6 +348,7 @@ impl Translation {
                         }
                     }
                     chaining = false;
+                    self.per_cycle += 1;
                     sim.try_issue(program, sink)?;
                     sim.finish_cycle(sink);
                 }
@@ -346,9 +378,20 @@ impl Simulator {
         self.translation.chained
     }
 
-    /// How many basic blocks translated to a step stream: 0 until
-    /// [`translate`](Simulator::translate) or the first unobserved
-    /// [`run`](Simulator::run) builds the translation.
+    /// How many issue attempts the threaded loop made one cycle at a
+    /// time, outside a stream: every cycle it reached the issue stage
+    /// and entered no stream. Stepping and observed runs count none.
+    /// A loop property, not part of `SimStats`.
+    #[must_use]
+    pub fn per_cycle_issues(&self) -> u64 {
+        self.translation.per_cycle
+    }
+
+    /// How many pieces of basic blocks translated to a step stream: 0
+    /// until [`translate`](Simulator::translate) or the first unobserved
+    /// [`run`](Simulator::run) builds the translation. A piece is a
+    /// basic block, or a part of one cut after a bundle with a guarded
+    /// load or store, when memory contention is on.
     #[must_use]
     pub fn translated_blocks(&self) -> usize {
         self.translation.streams.len()
@@ -376,6 +419,26 @@ impl Simulator {
         self.translation
             .run(&mut self.machine, &self.program, sink, stop)
     }
+}
+
+/// Cuts each basic block after every body bundle with a guarded load
+/// or store ([`has_guarded_memory`]). Such a bundle charges debt only
+/// when its guard holds, so it ends its piece: as the terminator, it
+/// executes on the dispatcher, and the next piece is entered like any
+/// leader, with whatever debt it left.
+fn pieces(program: &DecodedProgram, blocks: &[Range<usize>]) -> Vec<Range<usize>> {
+    let mut pieces = Vec::with_capacity(blocks.len());
+    for block in blocks {
+        let mut start = block.start;
+        for pc in block.start..block.end.saturating_sub(1) {
+            if has_guarded_memory(program, pc) {
+                pieces.push(start..pc + 1);
+                start = pc + 1;
+            }
+        }
+        pieces.push(start..block.end);
+    }
+    pieces
 }
 
 /// Re-binds a compiled block's body as micro-op steps: maximal runs of
@@ -416,6 +479,7 @@ fn translate_stream(program: &DecodedProgram, block: CompiledBlock) -> Stream {
     }
     Stream {
         block,
+        indebted: OnceLock::new(),
         body: body.into_boxed_slice(),
         fast_ops: fast_ops.into_boxed_slice(),
     }
@@ -572,17 +636,18 @@ fn exec_direct(sim: &mut Machine, program: &DecodedProgram, op: &DecodedOp) {
 
 /// Executes one translated stream body: pure runs as direct-write
 /// micro-ops with one folded statistics delta each, impure bundles
-/// through the shared write-buffered path, then the folded exit state.
-/// Faults unwind to the exact per-cycle machine state. Returns `false`
-/// when `stop` claims an impure bundle: the stream is unwound to the
-/// top of that bundle's execute cycle, the bundle back in stage 2.
+/// through the shared write-buffered path, then `block`, the folded
+/// schedule for the entry debt. Faults unwind to the exact per-cycle
+/// machine state. Returns `false` when `stop` claims an impure bundle:
+/// the stream is unwound to the top of that bundle's execute cycle, the
+/// bundle back in stage 2.
 fn run_stream<W: Stop>(
     sim: &mut Machine,
     program: &DecodedProgram,
     stream: &Stream,
+    block: &CompiledBlock,
     stop: &W,
 ) -> Result<bool, SimError> {
-    let block = &stream.block;
     let c = sim.cycle;
     for step in stream.body.iter() {
         match *step {
@@ -679,25 +744,90 @@ mod tests {
         );
     }
 
+    /// A counted loop with one store a lap: every second lap enters its
+    /// body with half a cycle of fetch debt outstanding.
+    const INDEBTED_LOOP: &str =
+        "    MOVE r1, #0\n    MOVE r2, #10\n    MOVE r4, #0\n    PBR b1, @loop\n;;\n\
+                                 loop:\n    ADD r1, r1, r2\n;;\n    SW r1, r4, #0\n;;\n\
+                                     ADD r4, r4, #4\n    SUB r2, r2, #1\n;;\n\
+                                     CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n    HALT\n;;\n";
+
+    /// A leader reached by falling through the cycle after the entry
+    /// block's terminator writes `r3`, which its first bundle reads
+    /// forwarded (three register-file ports counted as file reads); its
+    /// block stores the sum to address 8.
+    const FORWARDED_LEADER: &str =
+        "    MOVE r2, #3\n    PBR b1, @next\n;;\n    ADD r1, r2, #1\n    CMP_EQ p1, p0, r2, #0\n;;\n\
+                                    MOVE r3, #7\n    BRCT b1 (p1)\n;;\n\
+                                    next:\n    ADD r4, r3, r1\n;;\n    SW r4, r0, #8\n;;\n    HALT\n;;\n";
+
+    /// A counted loop (i = 6 down to 1) whose body stores `i` to
+    /// `24 - 4 * i` under a guard that holds for even `i`, then to
+    /// `56 - 4 * i` unguarded: the guarded store ends a piece.
+    const GUARDED_STORE_LOOP: &str =
+        "    MOVE r1, #0\n    MOVE r2, #6\n    PBR b1, @loop\n;;\n\
+                                      loop:\n    AND r3, r2, #1\n;;\n    CMP_EQ p2, p0, r3, #0\n;;\n\
+                                          SW r2, r1, #0 (p2)\n;;\n\
+                                          SW r2, r1, #32\n    ADD r1, r1, #4\n    SUB r2, r2, #1\n;;\n\
+                                          CMP_GT p1, p0, r2, #0\n;;\n    BRCT b1 (p1)\n;;\n    HALT\n;;\n";
+
+    /// The inputs that reach a leader in an entry state a replay must
+    /// match exactly, each with the number of streams a run from reset
+    /// enters: every lap of the loop entered with debt 1 as well as
+    /// debt 0; the forwarded leader on the default machine, and on a
+    /// two-port register file, where the forwarded read saves the
+    /// port cycle the replay counts and the strict cap refuses it; and
+    /// both pieces of every lap of the guarded loop.
+    fn entry_state_cases() -> Vec<(&'static str, &'static str, Config, u64)> {
+        let two_ports = Config::builder().regfile_ops_per_cycle(2).build().unwrap();
+        vec![
+            ("debt 1", INDEBTED_LOOP, Config::default(), 10),
+            ("forwarded", FORWARDED_LEADER, Config::default(), 2),
+            ("forwarded, 2 ports", FORWARDED_LEADER, two_ports, 1),
+            ("guarded store", GUARDED_STORE_LOOP, Config::default(), 12),
+        ]
+    }
+
     #[test]
     fn run_after_any_number_of_steps_matches_stepping() {
         // The translation is built from a stepped, mid-run state: every
         // cycle of the run is a possible hand-over point, including the
         // halt itself.
-        let config = Config::default();
-        let mut full = build(LOOP_SRC, &config, 64);
-        let want = step_to_halt(&mut full).expect("steps to halt");
-        assert_eq!(full.translated_blocks(), 0, "stepping never translates");
-        for k in 0..=want.cycles {
-            let mut sim = build(LOOP_SRC, &config, 64);
-            for _ in 0..k {
-                sim.step().expect("steps");
+        let mut cases = vec![("loop", LOOP_SRC, Config::default(), 9)];
+        cases.extend(entry_state_cases());
+        for (name, src, config) in cases.into_iter().map(|(n, s, c, _)| (n, s, c)) {
+            let mut full = build(src, &config, 64);
+            let want = step_to_halt(&mut full).expect("steps to halt");
+            assert_eq!(full.translated_blocks(), 0, "stepping never translates");
+            for k in 0..=want.cycles {
+                let mut sim = build(src, &config, 64);
+                for _ in 0..k {
+                    sim.step().expect("steps");
+                }
+                assert_eq!(sim.translated_blocks(), 0, "{name}, k {k}");
+                let got = *sim.run().expect("runs");
+                assert!(sim.translated_blocks() > 0, "{name}, k {k}");
+                assert_eq!(got, want, "{name}, k {k}");
+                sim.machine
+                    .assert_same(&full.machine, &format!("{name}, k {k}"));
             }
-            assert_eq!(sim.translated_blocks(), 0, "k {k}");
-            let got = *sim.run().expect("runs");
-            assert!(sim.translated_blocks() > 0, "k {k}");
-            assert_eq!(got, want, "k {k}");
-            sim.machine.assert_same(&full.machine, &format!("k {k}"));
+        }
+    }
+
+    #[test]
+    fn streams_enter_with_debt_forwarded_reads_and_cut_at_guarded_stores() {
+        for (name, src, config, streams) in entry_state_cases() {
+            let (mut stepped, mut threaded) = build_pair(src, &config, 64);
+            let want = step_to_halt(&mut stepped).expect("steps to halt");
+            let got = *threaded.run().expect("runs");
+            assert_eq!(got, want, "{name}");
+            threaded.machine.assert_same(&stepped.machine, name);
+            assert_eq!(threaded.fast_block_execs(), streams, "{name}");
+            if src == GUARDED_STORE_LOOP {
+                // The guard held at i = 6 (address 0) and failed at
+                // i = 5 (address 4).
+                assert_eq!(threaded.memory().bytes()[..8], [0, 0, 0, 6, 0, 0, 0, 0]);
+            }
         }
     }
 
@@ -890,7 +1020,9 @@ mod tests {
             let stopped = fast
                 .run_until_access(0, words.loads, words.stores)
                 .expect("runs");
-            while slow.cycle() < fast.cycle() {
+            // A halted machine stays put: `assert_same` below then
+            // reports a run that took too long.
+            while slow.cycle() < fast.cycle() && !slow.is_halted() {
                 assert!(
                     !touches(&slow, &bundles, words),
                     "cycle {} touches {words:x?}, but the run went past it",
@@ -997,6 +1129,24 @@ mod tests {
             assert!(drive(src, &config, both(1 << 100)).1.is_empty());
             assert!(drive(src, &config, both(0)).1.is_empty(), "no words");
         }
+    }
+
+    #[test]
+    fn run_until_access_stops_in_streams_of_every_entry_state() {
+        // Before every store: the indebted loop's ten, the forwarded
+        // leader's one and the guarded loop's twelve, guards ignored.
+        for ((name, src, config, _), stops) in entry_state_cases().into_iter().zip([10, 1, 1, 12]) {
+            assert_eq!(
+                drive(src, &config, both(span(0, 16))).1.len(),
+                stops,
+                "{name}"
+            );
+        }
+        // The second lap's store, in a body entered with debt 1, and the
+        // second lap's guarded store, which its guard squashes.
+        let config = Config::default();
+        assert_eq!(drive(INDEBTED_LOOP, &config, both(1 << 1)).1.len(), 1);
+        assert_eq!(drive(GUARDED_STORE_LOOP, &config, both(1 << 1)).1.len(), 1);
     }
 
     #[test]

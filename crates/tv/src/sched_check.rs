@@ -920,7 +920,7 @@ fn check_block_schedule<'a>(
                 ),
             ));
         }
-        if cost.port_ops > config.regfile_ops_per_cycle() {
+        if cost.oversubscribes_ports(config.regfile_ops_per_cycle()) {
             diags.push(Diagnostic::error(
                 "TV007",
                 format!(

@@ -36,7 +36,9 @@
 //! the register-file controller is over-driven every time the bundle
 //! issues (VER003 counts every GPR access, deliberately without the
 //! forwarding discount, so static ≤ budget implies the controller
-//! finishes in one processor cycle). *Warnings* are cross-bundle timing
+//! finishes in one processor cycle; one operation that alone needs more
+//! than the budget is legal on its own, since no schedule can split
+//! it). *Warnings* are cross-bundle timing
 //! hazards the interlocks cover at the cost of stall cycles: scoreboard
 //! waits (VER004), divider shadows (VER011), plus the dataflow lints
 //! (VER005 escalates to an error because a branch through a garbage BTR
@@ -501,10 +503,12 @@ impl Verifier {
 
         // VER003: static port count, deliberately without the forwarding
         // discount the hardware may apply — static ≤ budget implies the
-        // register-file controller finishes in one processor cycle.
+        // register-file controller finishes in one processor cycle. One
+        // operation that alone needs more than the budget cannot be
+        // split, and stands alone.
         let ports = cost.port_ops;
         let budget = self.config().regfile_ops_per_cycle();
-        if ports > budget {
+        if cost.oversubscribes_ports(budget) {
             diags.push(
                 Diagnostic::error(
                     "VER003",
@@ -907,6 +911,15 @@ mod tests {
             vec![Instruction::halt()],
         ];
         let report = check_program(&bundles, 0, &config);
+        assert!(report.has_code("VER003"), "{}", report.render("t", None));
+
+        // Two ports a cycle: one three-port add stands alone, two don't.
+        let narrow = Config::builder().regfile_ops_per_cycle(2).build().unwrap();
+        let alone = vec![vec![add(1, 2, 3)], vec![Instruction::halt()]];
+        let report = check_program(&alone, 0, &narrow);
+        assert!(!report.has_code("VER003"), "{}", report.render("t", None));
+        let shared = vec![vec![add(1, 2, 3), add(4, 5, 6)], vec![Instruction::halt()]];
+        let report = check_program(&shared, 0, &narrow);
         assert!(report.has_code("VER003"), "{}", report.render("t", None));
     }
 

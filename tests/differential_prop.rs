@@ -33,6 +33,12 @@ enum Op {
     Load(usize, i64),
     /// `if (vars[c] <cmp> 0) { vars[d] = vars[a] } else { vars[d] = vars[b] }`
     IfElse(usize, &'static str, usize, usize, usize),
+    /// `if (vars[c] <cmp> 0) { buf[idx] = vars[a] }`: if-conversion
+    /// guards the store.
+    IfStore(usize, &'static str, i64, usize),
+    /// `if (vars[c] <cmp> 0) { vars[d] = buf[idx] }`: if-conversion
+    /// guards the load.
+    IfLoad(usize, &'static str, usize, i64),
     /// Bounded counted loop accumulating into `vars[d]`.
     Loop(usize, usize, u8),
 }
@@ -70,6 +76,7 @@ fn apply(op: &'static str, a: Expr, b: Expr) -> Expr {
 fn op_strategy() -> impl Strategy<Value = Op> {
     let var = 0..NUM_VARS;
     let name = prop::sample::select(binop_names());
+    let cmp = prop::sample::select(vec!["lt", "eq", "ltu"]);
     prop_oneof![
         (var.clone(), name.clone(), var.clone(), var.clone())
             .prop_map(|(d, o, a, b)| Op::Bin(d, o, a, b)),
@@ -79,12 +86,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (var.clone(), 0..BUF_WORDS).prop_map(|(d, i)| Op::Load(d, i)),
         (
             var.clone(),
-            prop::sample::select(vec!["lt", "eq", "ltu"]),
+            cmp.clone(),
             var.clone(),
             var.clone(),
             var.clone()
         )
             .prop_map(|(c, o, d, a, b)| Op::IfElse(c, o, d, a, b)),
+        (var.clone(), cmp.clone(), 0..BUF_WORDS, var.clone())
+            .prop_map(|(c, o, i, a)| Op::IfStore(c, o, i, a)),
+        (var.clone(), cmp, var.clone(), 0..BUF_WORDS)
+            .prop_map(|(c, o, d, i)| Op::IfLoad(c, o, d, i)),
         (var.clone(), var, 1u8..6).prop_map(|(d, a, n)| Op::Loop(d, a, n)),
     ]
 }
@@ -120,6 +131,20 @@ fn build_program(seeds: &[i32], ops: &[Op]) -> Program {
                 apply(o, Expr::var(var_name(*c)), Expr::lit(0)),
                 [Stmt::assign(var_name(*d), Expr::var(var_name(*a)))],
                 [Stmt::assign(var_name(*d), Expr::var(var_name(*b)))],
+            )),
+            Op::IfStore(c, o, i, a) => body.push(Stmt::if_(
+                apply(o, Expr::var(var_name(*c)), Expr::lit(0)),
+                [Stmt::store_word(
+                    Expr::global("buf") + Expr::lit(i * 4),
+                    Expr::var(var_name(*a)),
+                )],
+            )),
+            Op::IfLoad(c, o, d, i) => body.push(Stmt::if_(
+                apply(o, Expr::var(var_name(*c)), Expr::lit(0)),
+                [Stmt::assign(
+                    var_name(*d),
+                    (Expr::global("buf") + Expr::lit(i * 4)).load_word(),
+                )],
             )),
             Op::Loop(d, a, n) => body.push(Stmt::for_(
                 format!("i{k}"),
@@ -262,12 +287,22 @@ proptest! {
     /// that runs ahead to each load of a random set of `buf`'s words and
     /// each store to another random set, and steps it, must match a
     /// stepped copy at every stop and at halt.
+    ///
+    /// Each case draws the machine too: forwarding, the register-file
+    /// port budget, memory contention and the pipeline depth all shape
+    /// the entry states the threaded loop's replays must match.
     #[test]
     fn engines_are_bit_identical_on_random_programs(
         seeds in prop::collection::vec(-1000i32..1000, NUM_VARS),
         ops in prop::collection::vec(op_strategy(), 1..24),
         load_words in 0u32..1 << BUF_WORDS,
         store_words in 0u32..1 << BUF_WORDS,
+        (forwarding, ports, contention, stages) in (
+            any::<bool>(),
+            prop::sample::select(vec![2usize, 4, 8]),
+            any::<bool>(),
+            2usize..=4,
+        ),
     ) {
         let program = build_program(&seeds, &ops);
         let module = lower::lower(&program).expect("generated programs lower");
@@ -278,6 +313,10 @@ proptest! {
             let config = Config::builder()
                 .num_alus(alus)
                 .issue_width(width)
+                .forwarding(forwarding)
+                .regfile_ops_per_cycle(ports)
+                .memory_contention(contention)
+                .pipeline_stages(stages)
                 .build()
                 .expect("config");
             let run = Toolchain::new(config.clone())
@@ -301,7 +340,9 @@ proptest! {
                 let running = ahead
                     .run_until_access(base, load_words.into(), store_words.into())
                     .expect("runs ahead");
-                while paced.cycle() < ahead.cycle() {
+                // A halted copy stays put: the state comparison below
+                // then reports a run that took too long.
+                while paced.cycle() < ahead.cycle() && !paced.is_halted() {
                     prop_assert!(
                         step_untouched(&mut paced, &loads, &stores, &config),
                         "cycle {} loads {:?} or stores {:?}, but the run went past it \

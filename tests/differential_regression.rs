@@ -21,7 +21,8 @@
 //!
 //! The remaining tests pin the threaded loop's *raison d'être*: on
 //! real workloads it must actually take its folded fast path and chain
-//! blocks, not silently fall back to per-cycle stepping everywhere.
+//! blocks, not silently fall back to per-cycle stepping everywhere, and
+//! it may issue only a bounded number of bundles one cycle at a time.
 
 use epic_core::config::Config;
 use epic_core::experiments::run_epic_workload_with_engine;
@@ -144,9 +145,32 @@ fn all_three_engines_are_bit_identical_across_the_grid() {
     }
 }
 
+/// The most issue attempts a threaded run of any workload may make one
+/// cycle at a time, outside a stream, at any grid point: 2 measured
+/// (1 or 2 at every point), plus 25%, rounded up.
+const PER_CYCLE_ISSUE_BUDGET: u64 = 3;
+
 #[test]
 fn threaded_engine_chains_blocks_on_every_workload() {
     for workload in workloads::all(Scale::Test) {
+        for alus in 1..=4usize {
+            for issue_width in 1..=4usize {
+                let config = Config::builder()
+                    .num_alus(alus)
+                    .issue_width(issue_width)
+                    .build()
+                    .expect("valid configuration");
+                let run = run_epic_workload_with_engine(&workload, &config, Engine::Threaded)
+                    .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
+                assert!(
+                    run.outcome.per_cycle_issues <= PER_CYCLE_ISSUE_BUDGET,
+                    "{} alus={alus} iw={issue_width}: {} issue attempts ran \
+                     outside a stream, more than {PER_CYCLE_ISSUE_BUDGET}",
+                    workload.name,
+                    run.outcome.per_cycle_issues
+                );
+            }
+        }
         let config = Config::default();
         let run = run_epic_workload_with_engine(&workload, &config, Engine::Threaded)
             .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
