@@ -23,11 +23,12 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
 
     // Parsed bundles, padded once every label is known; the source line
     // of every instruction in order, and the label each `@label`
-    // operand names, by instruction index.
+    // operand names, by instruction index and source slot (0 for
+    // `src1`, 1 for `src2`).
     let mut bundles: Vec<Vec<Instruction>> = Vec::new();
     let mut current: Vec<Instruction> = Vec::with_capacity(width);
     let mut lines: Vec<usize> = Vec::new();
-    let mut label_refs: Vec<(usize, &str)> = Vec::new();
+    let mut label_refs: Vec<(usize, usize, &str)> = Vec::new();
     let mut current_first_line = 0usize;
     let mut labels: HashMap<String, u32> = HashMap::new();
     let mut entry_label: Option<(&str, usize)> = None;
@@ -88,9 +89,11 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
         if current.is_empty() {
             current_first_line = line_no;
         }
-        let (instr, label_ref) = parse_instruction(code, line_no, config)?;
-        if let Some(label) = label_ref {
-            label_refs.push((lines.len(), label));
+        let (instr, label_refs_of) = parse_instruction(code, line_no, config)?;
+        for (slot, label) in label_refs_of.into_iter().enumerate() {
+            if let Some(label) = label {
+                label_refs.push((lines.len(), slot, label));
+            }
         }
         lines.push(line_no);
         current.push(instr);
@@ -110,12 +113,17 @@ pub fn assemble(source: &str, config: &Config) -> Result<Program, AsmError> {
     for bundle in &mut bundles {
         for instr in bundle.iter_mut() {
             let line = lines[index];
-            if let Some((_, label)) = label_refs.next_if(|&(at, _)| at == index) {
+            while let Some((_, slot, label)) = label_refs.next_if(|&(at, _, _)| at == index) {
                 let addr = labels.get(label).ok_or_else(|| AsmError::UnknownLabel {
                     line,
                     label: label.to_owned(),
                 })?;
-                instr.src1 = Operand::Lit(i64::from(*addr));
+                let src = if slot == 0 {
+                    &mut instr.src1
+                } else {
+                    &mut instr.src2
+                };
+                *src = Operand::Lit(i64::from(*addr));
             }
             instr
                 .validate(config)
@@ -168,11 +176,13 @@ fn is_ident(s: &str) -> bool {
         && !s.chars().next().expect("nonempty").is_ascii_digit()
 }
 
+/// Parses one instruction line, returning the instruction and the label
+/// each source slot (`src1`, `src2`) names, if any.
 fn parse_instruction<'s>(
     code: &'s str,
     line: usize,
     config: &Config,
-) -> Result<(Instruction, Option<&'s str>), AsmError> {
+) -> Result<(Instruction, [Option<&'s str>; 2]), AsmError> {
     // Split off a trailing guard `(pN)`.
     let (body, guard) = match code.rfind('(') {
         Some(pos) if code.ends_with(')') => {
@@ -235,7 +245,7 @@ fn parse_instruction<'s>(
     }
 
     let mut instr = Instruction::new(opcode, Dest::None, Dest::None, Operand::None, Operand::None);
-    let mut label_ref = None;
+    let mut label_refs = [None; 2];
 
     for (slot, text) in slots[..expected].iter().zip(operands()) {
         match slot {
@@ -249,9 +259,7 @@ fn parse_instruction<'s>(
             }
             Slot::Src(kind, is_second) => {
                 let (src, label) = parse_src(text, *kind, line)?;
-                if label.is_some() {
-                    label_ref = label;
-                }
+                label_refs[usize::from(*is_second)] = label;
                 if *is_second {
                     instr.src2 = src;
                 } else {
@@ -271,7 +279,7 @@ fn parse_instruction<'s>(
         };
         instr = instr.with_pred(PredReg(index));
     }
-    Ok((instr, label_ref))
+    Ok((instr, label_refs))
 }
 
 fn parse_reg(text: &str, prefix: char) -> Option<u16> {
@@ -387,6 +395,36 @@ main:
             Operand::Lit(0x1234_5678),
             "MOVIL hex literal"
         );
+    }
+
+    #[test]
+    fn labels_resolve_into_the_slot_that_names_them() {
+        let src = "\
+main:
+    NOP
+;;
+    NOP
+;;
+tail:
+    ADD r1, r2, @tail
+    SW r5, r6, @tail
+;;
+    ADD r3, @tail, @main
+;;
+    HALT
+;;
+";
+        let program = assemble(src, &config()).unwrap();
+        let [add, sw, ..] = &program.bundles()[2][..] else {
+            panic!("two ops in bundle 2");
+        };
+        assert_eq!(
+            (add.src1, add.src2),
+            (Operand::Gpr(Gpr(2)), Operand::Lit(2))
+        );
+        assert_eq!((sw.src1, sw.src2), (Operand::Gpr(Gpr(6)), Operand::Lit(2)));
+        let both = &program.bundles()[3][0];
+        assert_eq!((both.src1, both.src2), (Operand::Lit(2), Operand::Lit(0)));
     }
 
     #[test]

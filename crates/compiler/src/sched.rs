@@ -55,7 +55,9 @@ use epic_mdes::MachineDescription;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// A scheduled basic block: label plus bundles of machine operations.
+/// A scheduled region: label, bundles of machine operations and the
+/// placement witness that ties each scheduled op to the region op it
+/// places.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledBlock {
     /// The block's label in the emitted assembly.
@@ -67,6 +69,11 @@ pub struct ScheduledBlock {
     /// verification and reporting read the scheduler's own cost model
     /// from here instead of re-deriving it.
     pub meta: Vec<BundleMeta>,
+    /// The placement witness: for each scheduled op in bundle order, the
+    /// index of the op it places in the region's program order (the
+    /// region's blocks' ops, concatenated). Translation validation reads
+    /// it as untrusted input (TV005).
+    pub origin: Vec<u32>,
 }
 
 /// Schedule metadata for one bundle, as accounted by the list scheduler
@@ -179,7 +186,7 @@ pub fn schedule_function_regions(
     let mut exits = Vec::new();
     for group in region_groups(layout, traces) {
         region_ops(mfunc, group, &live_in, &mut ops, &mut exits);
-        let (bundles, meta) = schedule_ops(&ops, &exits, mdes, &mut scratch);
+        let (bundles, meta, origin) = schedule_ops(&ops, &exits, mdes, &mut scratch);
         stats.ops += ops.len();
         stats.bundles += bundles.len();
         stats.slots_filled += ops.len();
@@ -189,6 +196,7 @@ pub fn schedule_function_regions(
             label: block_label(&mfunc.name, group[0].0),
             bundles,
             meta,
+            origin,
         });
     }
     (blocks, stats)
@@ -430,8 +438,74 @@ struct MemRef {
     size: u32,
 }
 
+impl MemRef {
+    /// The base and the bytes `[offset, offset + size)` it touches,
+    /// when both base and offset are known.
+    fn bytes(&self) -> Option<((u32, u32), i64, i64)> {
+        let offset = self.offset?;
+        Some((self.base?, offset, offset + i64::from(self.size)))
+    }
+}
+
+/// The stores one access's memory scan has met that conflict with it,
+/// its *covers*: the bytes they touch through the one base and version
+/// they share, as sorted ranges that neither overlap nor touch. An
+/// earlier access that conflicts with a cover needs no edge of its own.
+#[derive(Default)]
+struct Covers {
+    base: Option<(u32, u32)>,
+    bytes: Vec<(i64, i64)>,
+}
+
+impl Covers {
+    fn clear(&mut self) {
+        self.base = None;
+        self.bytes.clear();
+    }
+
+    /// Whether `m` conflicts with some cover: it goes through another
+    /// base or an unknown offset, or it shares a byte with one.
+    fn conflict(&self, m: &MemRef) -> bool {
+        let Some(base) = self.base else {
+            return false;
+        };
+        match m.bytes() {
+            Some((b, lo, hi)) if b == base => {
+                let at = self.bytes.partition_point(|&(_, end)| end <= lo);
+                self.bytes.get(at).is_some_and(|&(start, _)| start < hi)
+            }
+            _ => true,
+        }
+    }
+
+    /// Records the store `c`, which conflicts with `access`. Returns false
+    /// when every earlier access that conflicts with `access` now
+    /// conflicts with a cover, which ends the scan: `c`'s base or offset
+    /// is unknown, `c` covers every byte of `access`, or the covers span
+    /// two bases.
+    fn add(&mut self, c: &MemRef, access: &MemRef) -> bool {
+        let Some((base, lo, hi)) = c.bytes() else {
+            return false;
+        };
+        let contains = |(b, l, h)| b == base && lo <= l && h <= hi;
+        if access.bytes().is_some_and(contains) || *self.base.get_or_insert(base) != base {
+            return false;
+        }
+        // Merge `[lo, hi)` with every range it overlaps or touches.
+        let from = self.bytes.partition_point(|&(_, end)| end < lo);
+        let to = self.bytes.partition_point(|&(start, _)| start <= hi);
+        let merged = if from < to {
+            (self.bytes[from].0.min(lo), self.bytes[to - 1].1.max(hi))
+        } else {
+            (lo, hi)
+        };
+        self.bytes.splice(from..to, [merged]);
+        true
+    }
+}
+
 /// Builds the dependence DAG and list-schedules one block, discarding
-/// the per-bundle metadata (test convenience).
+/// the per-bundle metadata and the witness (test convenience).
 #[cfg(test)]
 fn schedule_block(ops: &[MOp], mdes: &MachineDescription) -> Vec<Vec<MOp>> {
     let ops: Vec<&MOp> = ops.iter().collect();
@@ -483,13 +557,15 @@ struct Dag {
     /// Construction state: the edges by target as `(from, latency)`,
     /// the latest incoming edge of the visited op from each op, the
     /// register trackers (indexed `number << 2 | kind`) with their
-    /// reader chains `(op, next)`, and the memory accesses so far.
+    /// reader chains `(op, next)`, the memory accesses so far and the
+    /// visited access's covers.
     incoming: Vec<(u32, u32)>,
     latest: Vec<u32>,
     track: Vec<ResTrack>,
     readers: Vec<(u32, u32)>,
     mem: Vec<MemRef>,
     stores: Vec<MemRef>,
+    covers: Covers,
     open_exits: Vec<usize>,
 }
 
@@ -517,6 +593,20 @@ impl Dag {
     /// path, against `1 + priority[i]` through the dropped edge. A region
     /// with `k` control ops among `n` ops therefore builds O(n) control edges
     /// instead of O(n·k), and schedules exactly as before.
+    ///
+    /// Memory edges are pruned the same way. An access `i` scans the
+    /// earlier accesses it may conflict with (stores for a load, every
+    /// access for a store) latest first, and takes no edge from an access
+    /// `m` that conflicts with a store `c` met earlier in the scan
+    /// (`m < c < i`, `c` conflicting with `i`). Every memory edge has
+    /// latency 1, so by induction over program order every conflicting
+    /// pair keeps a path of latency-1 memory edges, and `m → … → c → i`
+    /// bounds `i` at `cycle_m + 2` and `priority[m]` at
+    /// `2 + priority[i]`: the dropped edge changed neither. The cover must
+    /// conflict with *both* ends, since conflicts are not transitive under
+    /// disambiguation (`SW [r1+0]; SW [r1+4]; LW [r2+0]` keeps both edges
+    /// into the load). The scan stops once the covers conflict with
+    /// everything earlier that `i` conflicts with (see [`Covers::add`]).
     fn build(&mut self, ops: &[&MOp], exits: &[RegionExit], mdes: &MachineDescription) {
         let n = ops.len();
         self.incoming.clear();
@@ -617,30 +707,37 @@ impl Dag {
                     MSrc::Lit(v) => Some(*v),
                     _ => None,
                 };
-                let size = access_size(op.opcode);
+                let access = MemRef {
+                    index: i,
+                    base,
+                    offset,
+                    size: access_size(op.opcode),
+                };
                 let is_store = op.opcode.is_store();
-                // Load-load pairs never conflict.
+                // Load-load pairs never conflict. Latest first, skipping
+                // the edges the covers imply (see above).
                 let earlier = if is_store {
                     self.mem.len()
                 } else {
                     self.stores.len()
                 };
-                for k in 0..earlier {
+                self.covers.clear();
+                for k in (0..earlier).rev() {
                     let m = if is_store {
                         self.mem[k]
                     } else {
                         self.stores[k]
                     };
-                    if !provably_disjoint(base, offset, size, &m) {
+                    if provably_disjoint(&access, &m) {
+                        continue;
+                    }
+                    if !self.covers.conflict(&m) {
                         add_edge(self, m.index, 1);
                     }
+                    if ops[m.index].opcode.is_store() && !self.covers.add(&m, &access) {
+                        break;
+                    }
                 }
-                let access = MemRef {
-                    index: i,
-                    base,
-                    offset,
-                    size,
-                };
                 if is_store {
                     self.stores.push(access);
                 }
@@ -757,7 +854,8 @@ fn reset<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 type Candidate = Reverse<(bool, Reverse<u32>, usize)>;
 
 /// Builds the dependence DAG and list-schedules one region, returning
-/// the bundles plus the scheduler's own per-bundle accounting.
+/// the bundles, the scheduler's own per-bundle accounting and the
+/// placement witness ([`ScheduledBlock::origin`]).
 ///
 /// With an empty `exits` this is exactly single-block scheduling: every
 /// branch is a barrier nothing may cross. Each [`RegionExit`] relaxes
@@ -769,10 +867,10 @@ fn schedule_ops(
     exits: &[RegionExit],
     mdes: &MachineDescription,
     scratch: &mut Scratch,
-) -> (Vec<Vec<MOp>>, Vec<BundleMeta>) {
+) -> (Vec<Vec<MOp>>, Vec<BundleMeta>, Vec<u32>) {
     let n = ops.len();
     if n == 0 {
-        return (Vec::new(), Vec::new());
+        return (Vec::new(), Vec::new(), Vec::new());
     }
     let Scratch {
         dag,
@@ -818,6 +916,7 @@ fn schedule_ops(
     reset(scheduled, n, false);
     let mut bundles: Vec<Vec<MOp>> = Vec::new();
     let mut meta: Vec<BundleMeta> = Vec::new();
+    let mut origin: Vec<u32> = Vec::with_capacity(n);
     let mut cycle: u32 = 0;
     let mut done = 0usize;
     // Final placement of each op, for the dismissible-load rewrite.
@@ -962,6 +1061,7 @@ fn schedule_ops(
             bundle.sort_by_key(|&i| ops[i].opcode.is_branch() || ops[i].opcode == Opcode::Halt);
             for (slot, &i) in bundle.iter().enumerate() {
                 slot_of[i] = (bundles.len(), slot);
+                origin.push(i as u32);
             }
             let packed: Vec<MOp> = bundle.iter().map(|&i| ops[i].clone()).collect();
             // The shared static cost model prices the finished bundle;
@@ -992,7 +1092,7 @@ fn schedule_ops(
             }
         }
     }
-    (bundles, meta)
+    (bundles, meta, origin)
 }
 
 fn access_size(opcode: Opcode) -> u32 {
@@ -1003,21 +1103,13 @@ fn access_size(opcode: Opcode) -> u32 {
     }
 }
 
-fn provably_disjoint(
-    base: Option<(u32, u32)>,
-    offset: Option<i64>,
-    size: u32,
-    other: &MemRef,
-) -> bool {
-    let (Some(b1), Some(o1), Some(b2), Some(o2)) = (base, offset, other.base, other.offset) else {
+/// Whether two accesses touch disjoint bytes through the same base and
+/// version (different bases may alias).
+fn provably_disjoint(a: &MemRef, b: &MemRef) -> bool {
+    let (Some((base_a, lo_a, hi_a)), Some((base_b, lo_b, hi_b))) = (a.bytes(), b.bytes()) else {
         return false;
     };
-    if b1 != b2 {
-        return false; // different bases may alias
-    }
-    let (a1, a2) = (o1, o1 + i64::from(size));
-    let (b_1, b_2) = (o2, o2 + i64::from(other.size));
-    a2 <= b_1 || b_2 <= a1
+    base_a == base_b && (hi_a <= lo_b || hi_b <= lo_a)
 }
 
 /// Converts a scheduled [`MOp`] with physical operands into a real
@@ -1383,25 +1475,176 @@ mod tests {
     }
 
     #[test]
-    fn control_edges_grow_linearly_with_the_region() {
-        // A straight-line region with a call every fourth op. Each call
-        // orders against the ops since the previous call, not against the
-        // whole prefix, whose edges would grow as n²/8.
-        let mut brl = MOp::bare(Opcode::Brl);
-        brl.dest1 = MDest::Gpr(61);
-        brl.src1 = MSrc::Btr(0);
-        for n in [1_024, 4_096] {
-            let ops: Vec<MOp> = (0..n)
-                .map(|k| match k % 4 {
-                    3 => brl.clone(),
-                    r => add(10 + r, 20, 21),
-                })
+    fn control_and_memory_edges_grow_linearly_with_the_region() {
+        // Straight-line regions that once built quadratic edges, each with
+        // the edges per op it may build. A call every fourth op orders
+        // against the ops since the previous call, not the whole prefix
+        // (n²/8 edges). A load-add-store chain through one base and
+        // version, the same chain with the base redefined every
+        // statement, and stores alternating between two bases at one
+        // offset each order every access after the last store that
+        // conflicts with it, not after every earlier conflicting access
+        // (n²/2 edges).
+        fn call(k: usize) -> MOp {
+            let mut brl = MOp::bare(Opcode::Brl);
+            brl.dest1 = MDest::Gpr(61);
+            brl.src1 = MSrc::Btr(0);
+            match k % 4 {
+                3 => brl,
+                r => add(10 + r as u32, 20, 21),
+            }
+        }
+        fn chain(k: usize) -> MOp {
+            match k % 3 {
+                0 => load(10, 20, MSrc::Lit(0)),
+                1 => add(10, 10, 11),
+                _ => store(20, 0, 10),
+            }
+        }
+        fn redefined(k: usize) -> MOp {
+            match k % 4 {
+                0 => add(20, 20, 12),
+                r => chain(r - 1),
+            }
+        }
+        fn alternating(k: usize) -> MOp {
+            store(20 + k as u32 % 2, 0, 10)
+        }
+        let shapes: [(fn(usize) -> MOp, usize); 4] =
+            [(call, 3), (chain, 2), (redefined, 3), (alternating, 1)];
+        for (shape, per_op) in shapes {
+            for n in [1_024, 4_096] {
+                let ops: Vec<MOp> = (0..n).map(shape).collect();
+                let ops: Vec<&MOp> = ops.iter().collect();
+                let mut dag = Dag::default();
+                dag.build(&ops, &[], &mdes(2));
+                let edges = dag.edges.len();
+                assert!(edges <= per_op * n, "{n} ops built {edges} edges");
+            }
+        }
+    }
+
+    /// One op of a random straight-line region from a `(kind, base,
+    /// offset)` draw: word, half and byte loads and stores through the
+    /// base registers r20–r22 (or, rarely, a literal address) at a
+    /// literal offset, or at the register offset r23 when the draw
+    /// exceeds 7; base redefinitions; adds; and an occasional call.
+    fn region_op((kind, base, offset): (u8, u32, i64)) -> MOp {
+        const LOADS: [Opcode; 5] = [Opcode::Lw, Opcode::Lh, Opcode::Lhu, Opcode::Lb, Opcode::Lbu];
+        const STORES: [Opcode; 3] = [Opcode::Sw, Opcode::Sh, Opcode::Sb];
+        let base_reg = 20 + base;
+        let offset = if offset > 7 {
+            MSrc::Gpr(23)
+        } else {
+            MSrc::Lit(offset)
+        };
+        match kind {
+            0..=4 => {
+                let mut op = load(10 + base, base_reg, offset);
+                op.opcode = LOADS[usize::from(kind)];
+                op
+            }
+            5..=9 => {
+                let mut op = store(base_reg, 0, 10 + base);
+                op.opcode = STORES[usize::from(kind) % 3];
+                op.src2 = offset;
+                op
+            }
+            10 | 11 => add(base_reg, base_reg, 23),
+            12 => {
+                let mut op = store(base_reg, 0, 11);
+                op.src1 = MSrc::Lit(256);
+                op
+            }
+            13 => {
+                let mut brl = MOp::bare(Opcode::Brl);
+                brl.dest1 = MDest::Gpr(61);
+                brl.src1 = MSrc::Btr(0);
+                brl
+            }
+            _ => add(10 + base, 10 + base, 11),
+        }
+    }
+
+    /// Whether the accesses `a` and `b` (`a` earlier) may touch a common
+    /// byte with at least one of them a store, judged pairwise from
+    /// first principles: `version[i]` is the number of writes to op
+    /// `i`'s base register before it.
+    fn conflict(ops: &[MOp], version: &[u32], a: usize, b: usize) -> bool {
+        let access = |i: usize| {
+            let op = &ops[i];
+            let base = op.src1.gpr().map(|r| (r, version[i]));
+            let offset = match op.src2 {
+                MSrc::Lit(v) => Some(v),
+                _ => None,
+            };
+            (base, offset, i64::from(access_size(op.opcode)))
+        };
+        let ((base_a, off_a, size_a), (base_b, off_b, size_b)) = (access(a), access(b));
+        let disjoint = match (base_a, off_a, base_b, off_b) {
+            (Some(x), Some(lo_a), Some(y), Some(lo_b)) => {
+                x == y && (lo_a + size_a <= lo_b || lo_b + size_b <= lo_a)
+            }
+            _ => false,
+        };
+        (ops[a].opcode.is_store() || ops[b].opcode.is_store()) && !disjoint
+    }
+
+    /// Each op's base version: the writes to its `src1` register before
+    /// it.
+    fn base_versions(ops: &[MOp]) -> Vec<u32> {
+        let mut writes = HashMap::new();
+        ops.iter()
+            .map(|op| {
+                let version = op
+                    .src1
+                    .gpr()
+                    .map_or(0, |r| writes.get(&r).copied().unwrap_or(0));
+                if let Some(d) = op.gpr_def() {
+                    *writes.entry(d).or_insert(0) += 1;
+                }
+                version
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig { cases: 64, ..Default::default() })]
+
+        #[test]
+        fn every_conflicting_pair_keeps_a_path(
+            draws in proptest::collection::vec((0u8..20, 0u32..3, -2i64..10), 64..=256),
+            bases in 2u32..=3,
+        ) {
+            let ops: Vec<MOp> = draws
+                .into_iter()
+                .map(|(kind, base, offset)| region_op((kind, base % bases, offset)))
                 .collect();
-            let ops: Vec<&MOp> = ops.iter().collect();
+            let refs: Vec<&MOp> = ops.iter().collect();
             let mut dag = Dag::default();
-            dag.build(&ops, &[], &mdes(2));
-            let edges = dag.edges.len();
-            assert!(edges <= 3 * ops.len(), "{n} ops built {edges} edges");
+            dag.build(&refs, &[], &mdes(2));
+            let version = base_versions(&ops);
+            let is_mem = |i: usize| ops[i].opcode.is_load() || ops[i].opcode.is_store();
+            for a in (0..ops.len()).filter(|&a| is_mem(a)) {
+                // Everything `a` reaches in the DAG.
+                let mut reached = vec![false; ops.len()];
+                let mut stack = vec![a];
+                while let Some(i) = stack.pop() {
+                    for e in dag.succs(i) {
+                        if !std::mem::replace(&mut reached[e.to], true) {
+                            stack.push(e.to);
+                        }
+                    }
+                }
+                for b in (a + 1..ops.len()).filter(|&b| is_mem(b)) {
+                    proptest::prop_assert!(
+                        reached[b] || !conflict(&ops, &version, a, b),
+                        "no path from {a} `{}` to {b} `{}`",
+                        ops[a],
+                        ops[b]
+                    );
+                }
+            }
         }
     }
 

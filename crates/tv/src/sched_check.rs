@@ -6,11 +6,12 @@
 //! allocated function plus those lowered tails.
 //!
 //! [`check_schedule`] (TV005–TV007) proves each scheduled block is a
-//! permutation of the finalised block's operations (TV005), rebuilds the
-//! dependence DAG — flow, output, anti, memory and branch-order edges,
-//! with the same conditional-write and memory-disambiguation rules as
-//! the scheduler — and checks every edge against the issue cycles the
-//! schedule actually chose (TV006), and cross-checks the per-bundle
+//! permutation of the finalised block's operations, placed as the
+//! scheduler's witness says (TV005), rebuilds the dependence DAG —
+//! flow, output, anti, memory and branch-order edges, with the same
+//! conditional-write and memory-disambiguation rules as the scheduler —
+//! and checks every edge against the issue cycles the schedule actually
+//! chose (TV006), and cross-checks the per-bundle
 //! metadata against [`epic_mdes::MachineDescription::bundle_cost`] and
 //! the machine's structural limits (TV007).
 //!
@@ -24,7 +25,7 @@ use crate::Diagnostic;
 use epic_compiler::emit::{BRANCH_BTR, BRANCH_BTR_ALT, CALL_BTR};
 use epic_compiler::mir::{MBlockId, MDest, MFunction, MInst, MOp, MSrc, MTerm, RegSet};
 use epic_compiler::regalloc::Abi;
-use epic_compiler::sched::block_label;
+use epic_compiler::sched::{block_label, ScheduledBlock};
 use epic_compiler::trace::FunctionTrace;
 use epic_isa::{Opcode, RegList, Unit};
 use epic_mdes::MachineDescription;
@@ -253,6 +254,68 @@ struct MemRef {
     size: u32,
 }
 
+impl MemRef {
+    /// The base and the bytes `[offset, offset + size)`, when both are
+    /// known.
+    fn bytes(&self) -> Option<((u32, u32), i64, i64)> {
+        let offset = self.offset?;
+        Some((self.base?, offset, offset + i64::from(self.size)))
+    }
+}
+
+/// The conflicting stores one access's scan has met (its covers): the
+/// bytes they touch through the one base and version they share, as
+/// sorted ranges that neither overlap nor touch.
+#[derive(Default)]
+struct Covers {
+    base: Option<(u32, u32)>,
+    bytes: Vec<(i64, i64)>,
+}
+
+impl Covers {
+    fn clear(&mut self) {
+        self.base = None;
+        self.bytes.clear();
+    }
+
+    /// Whether `m` conflicts with some cover.
+    fn conflict(&self, m: &MemRef) -> bool {
+        let Some(base) = self.base else {
+            return false;
+        };
+        match m.bytes() {
+            Some((b, lo, hi)) if b == base => {
+                let at = self.bytes.partition_point(|&(_, end)| end <= lo);
+                self.bytes.get(at).is_some_and(|&(start, _)| start < hi)
+            }
+            _ => true,
+        }
+    }
+
+    /// Records the store `c`, which conflicts with `access`; false when
+    /// the covers now conflict with everything earlier that `access`
+    /// conflicts with (`c`'s base or offset is unknown, `c` holds every
+    /// byte of `access`, or the covers span two bases).
+    fn add(&mut self, c: &MemRef, access: &MemRef) -> bool {
+        let Some((base, lo, hi)) = c.bytes() else {
+            return false;
+        };
+        let contains = |(b, l, h)| b == base && lo <= l && h <= hi;
+        if access.bytes().is_some_and(contains) || *self.base.get_or_insert(base) != base {
+            return false;
+        }
+        let from = self.bytes.partition_point(|&(_, end)| end < lo);
+        let to = self.bytes.partition_point(|&(start, _)| start <= hi);
+        let merged = if from < to {
+            (self.bytes[from].0.min(lo), self.bytes[to - 1].1.max(hi))
+        } else {
+            (lo, hi)
+        };
+        self.bytes.splice(from..to, [merged]);
+        true
+    }
+}
+
 fn access_size(opcode: Opcode) -> u32 {
     match opcode {
         Opcode::Lw | Opcode::LwS | Opcode::Sw => 4,
@@ -261,19 +324,11 @@ fn access_size(opcode: Opcode) -> u32 {
     }
 }
 
-fn provably_disjoint(
-    base: Option<(u32, u32)>,
-    offset: Option<i64>,
-    size: u32,
-    other: &MemRef,
-) -> bool {
-    let (Some(b1), Some(o1), Some(b2), Some(o2)) = (base, offset, other.base, other.offset) else {
+fn provably_disjoint(a: &MemRef, b: &MemRef) -> bool {
+    let (Some((base_a, lo_a, hi_a)), Some((base_b, lo_b, hi_b))) = (a.bytes(), b.bytes()) else {
         return false;
     };
-    if b1 != b2 {
-        return false;
-    }
-    o1 + i64::from(size) <= o2 || o2 + i64::from(other.size) <= o1
+    base_a == base_b && (hi_a <= lo_b || hi_b <= lo_a)
 }
 
 /// Per-block live-in sets over physical registers on the finalised CFG,
@@ -375,6 +430,14 @@ fn may_speculate(op: &MOp, live: &RegSet) -> bool {
 /// `j → … → c → i`, for if it satisfied them all, then
 /// `cycle_i ≥ cycle_c + 1 ≥ cycle_j + 1`. So the verdict is unchanged;
 /// only the number of TV006 errors a bad schedule draws may shrink.
+///
+/// Memory edges are implied the same way. An access `i` scans its
+/// candidates latest first and takes no edge from an access `m` that
+/// conflicts with a store `c` met earlier in the scan, `c` conflicting
+/// with `i` too: by induction over program order a path of memory edges
+/// runs `m → … → c → i`, and a schedule that satisfies every edge on it
+/// issues `i` after `m`. The cover must conflict with both ends, because
+/// conflicts are not transitive under disambiguation.
 fn dependences(
     ops: &[&MOp],
     exits: &[RegionExit],
@@ -397,6 +460,7 @@ fn dependences(
         readers,
         mem,
         stores,
+        covers,
         open_exits,
     } = scratch;
     track.clear();
@@ -454,20 +518,28 @@ fn dependences(
                 MSrc::Lit(v) => Some(*v),
                 _ => None,
             };
-            let size = access_size(op.opcode);
-            let is_store = op.opcode.is_store();
-            // A load orders only against stores.
-            for m in if is_store { &*mem } else { &*stores } {
-                if !provably_disjoint(base, offset, size, m) {
-                    push(&mut deps, m.index, i, 1, DepKind::Mem);
-                }
-            }
             let access = MemRef {
                 index: i,
                 base,
                 offset,
-                size,
+                size: access_size(op.opcode),
             };
+            let is_store = op.opcode.is_store();
+            // A load orders only against stores; the covers imply the
+            // rest (see above).
+            let earlier = if is_store { &*mem } else { &*stores };
+            covers.clear();
+            for m in earlier.iter().rev() {
+                if provably_disjoint(&access, m) {
+                    continue;
+                }
+                if !covers.conflict(m) {
+                    push(&mut deps, m.index, i, 1, DepKind::Mem);
+                }
+                if ops[m.index].opcode.is_store() && !covers.add(m, &access) {
+                    break;
+                }
+            }
             if is_store {
                 stores.push(access);
             }
@@ -546,63 +618,16 @@ impl Default for Track {
 /// The dependence rebuild's buffers, kept across a function's regions:
 /// the trackers (indexed `number << 2 | kind`), the reader chains as
 /// `(op, next)`, the memory accesses so far and the stores among them,
-/// and the open side exits (indices into the region's exits).
+/// the visited access's covers and the open side exits (indices into the
+/// region's exits).
 #[derive(Default)]
 struct DepScratch {
     track: Vec<Track>,
     readers: Vec<(u32, u32)>,
     mem: Vec<MemRef>,
     stores: Vec<MemRef>,
+    covers: Covers,
     open_exits: Vec<usize>,
-}
-
-/// An op's TV005 class: its fields packed into integers, read with the
-/// dismissible-load rewrite undone (`LWS` as `LW`) and with a `PBR`
-/// label replaced by its rank among the region's distinct labels. Ops
-/// are classed by sorting these fixed-size keys, so no string is hashed
-/// and no input can steer collisions.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ClassKey {
-    opcode: u32,
-    dests: [u64; 2],
-    srcs: [(u8, u64); 2],
-    store_value: u64,
-    guard: u32,
-}
-
-impl ClassKey {
-    /// The key of `op` against the region's sorted distinct `labels`;
-    /// `None` when `op` names a label no region op names.
-    fn of(op: &MOp, labels: &[&str]) -> Option<ClassKey> {
-        let opcode = match op.opcode {
-            Opcode::LwS => u32::from(Opcode::Lw.encoding()),
-            Opcode::Custom(i) => 1 << 16 | u32::from(i),
-            fixed => u32::from(fixed.encoding()),
-        };
-        let dest = |d: MDest| match d {
-            MDest::None => 0,
-            MDest::Gpr(r) => 1 << 32 | u64::from(r),
-            MDest::Pred(p) => 2 << 32 | u64::from(p),
-            MDest::Btr(b) => 3 << 32 | u64::from(b),
-        };
-        let src = |s: &MSrc| {
-            Some(match s {
-                MSrc::None => (0, 0),
-                MSrc::Gpr(r) => (1, u64::from(*r)),
-                MSrc::Lit(v) => (2, *v as u64),
-                MSrc::Pred(p) => (3, u64::from(*p)),
-                MSrc::Btr(b) => (4, u64::from(*b)),
-                MSrc::Label(l) => (5, labels.binary_search(&l.as_str()).ok()? as u64),
-            })
-        };
-        Some(ClassKey {
-            opcode,
-            dests: [dest(op.dest1), dest(op.dest2)],
-            srcs: [src(&op.src1)?, src(&op.src2)?],
-            store_value: op.store_value.map_or(0, |v| 1 << 32 | u64::from(v)),
-            guard: op.guard,
-        })
-    }
 }
 
 /// `check_block_schedule`'s buffers, kept across a function's regions
@@ -611,15 +636,7 @@ impl ClassKey {
 struct Scratch<'a> {
     ops: Vec<&'a MOp>,
     exits: Vec<RegionExit<'a>>,
-    labels: Vec<&'a str>,
-    keyed: Vec<(ClassKey, usize)>,
-    classes: Vec<ClassKey>,
-    want: Vec<usize>,
-    have: Vec<usize>,
-    op_class: Vec<usize>,
-    scheduled: Vec<(usize, usize, usize)>,
-    next: Vec<usize>,
-    bucketed: Vec<(usize, usize)>,
+    placed: Vec<bool>,
     cycle_of: Vec<u32>,
     became_lws: Vec<bool>,
     deps: DepScratch,
@@ -846,7 +863,7 @@ pub fn check_schedule(
 fn check_block_schedule<'a>(
     fname: &str,
     label: &str,
-    sb: &epic_compiler::sched::ScheduledBlock,
+    sb: &ScheduledBlock,
     mdes: &MachineDescription,
     scratch: &mut Scratch<'a>,
     diags: &mut Vec<Diagnostic>,
@@ -854,15 +871,7 @@ fn check_block_schedule<'a>(
     let Scratch {
         ops,
         exits,
-        labels,
-        keyed,
-        classes,
-        want,
-        have,
-        op_class,
-        scheduled,
-        next,
-        bucketed,
+        placed,
         cycle_of,
         became_lws,
         deps,
@@ -944,114 +953,69 @@ fn check_block_schedule<'a>(
         }
     }
 
-    // TV005: the bundles must hold exactly the region's operations — up
-    // to the dismissible-load rewrite (`LW` → `LWS`) for loads that
-    // crossed a side exit; TV012 settles each rewrite's legitimacy.
-    // Each distinct op, with that rewrite undone, gets a dense class id
-    // (its rank among the sorted keys); the region's ops and the
-    // scheduled ones must have equal counts per class.
-    labels.clear();
-    for op in ops {
-        for src in [&op.src1, &op.src2] {
-            if let MSrc::Label(l) = src {
-                labels.push(l);
-            }
-        }
-    }
-    labels.sort_unstable();
-    labels.dedup();
-    keyed.clear();
-    keyed.extend(ops.iter().enumerate().map(|(i, op)| {
-        let key = ClassKey::of(op, labels).expect("the region names its own labels");
-        (key, i)
-    }));
-    keyed.sort_unstable_by_key(|&(key, _)| key);
-    classes.clear();
-    want.clear();
-    op_class.clear();
-    op_class.resize(ops.len(), 0);
-    for &(key, i) in keyed.iter() {
-        if classes.last() != Some(&key) {
-            classes.push(key);
-            want.push(0);
-        }
-        op_class[i] = classes.len() - 1;
-        want[classes.len() - 1] += 1;
-    }
-    have.clear();
-    have.resize(want.len(), 0);
-    scheduled.clear();
-    let mut permutation = true;
-    for (bi, bundle) in sb.bundles.iter().enumerate() {
-        for (slot, other) in bundle.iter().enumerate() {
-            let class =
-                ClassKey::of(other, labels).and_then(|key| classes.binary_search(&key).ok());
-            match class {
-                Some(class) => {
-                    have[class] += 1;
-                    scheduled.push((class, bi, slot));
-                }
-                None => permutation = false,
-            }
-        }
-    }
-    if !permutation || have != want {
+    // TV005: the bundles must hold exactly the region's operations, and
+    // the scheduler's witness `sb.origin` says which: for each scheduled
+    // op in bundle order, the region op it places. The witness is
+    // untrusted. It must name every region op once, and each scheduled op
+    // must equal the op it names, up to the dismissible-load rewrite
+    // (`LW` → `LWS`) for loads that crossed a side exit; TV012 settles
+    // each rewrite's legitimacy. Identical ops are always chained by
+    // output, memory or branch-order edges, so a witness that pairs them
+    // otherwise than in issue order breaks one of those edges (TV006).
+    let scheduled = sb.bundles.iter().map(Vec::len).sum::<usize>();
+    if sb.origin.len() != ops.len() || scheduled != ops.len() {
         diags.push(Diagnostic::error(
             "TV005",
             format!(
-                "{fname}: {label}: scheduled bundles hold {} op(s) that are not a permutation of the region's {} op(s)",
-                sb.bundles.iter().map(Vec::len).sum::<usize>(),
+                "{fname}: {label}: scheduled bundles hold {scheduled} op(s) placing {} witnessed op(s) of the region's {} op(s)",
+                sb.origin.len(),
                 ops.len()
             ),
         ));
         return;
     }
-
-    // Map every original op to its issue cycle: pair the k-th
-    // program-order instance of a class with its k-th scheduled
-    // instance in bundle order, bucketing the scheduled instances by
-    // class with a counting sort. Identical writing ops carry a WAW
-    // chain, so their cycle order must equal their program order —
-    // matching in bundle (cycle) order is the unique consistent pairing.
-    // The only opcode change allowed is the word load's dismissible
-    // rewrite (`LW` → `LWS`).
-    next.clear();
-    next.extend(want.iter().scan(0, |end, &count| {
-        *end += count;
-        Some(*end - count)
-    }));
-    bucketed.clear();
-    bucketed.resize(scheduled.len(), (0, 0));
-    for &(class, bi, slot) in scheduled.iter() {
-        bucketed[next[class]] = (bi, slot);
-        next[class] += 1;
-    }
-    // Each class's bucket now ends at `next[class]`; step back to its
-    // start, then walk it in program order.
-    for (start, &count) in next.iter_mut().zip(want.iter()) {
-        *start -= count;
-    }
+    placed.clear();
+    placed.resize(ops.len(), false);
     cycle_of.clear();
     cycle_of.resize(ops.len(), 0);
     became_lws.clear();
     became_lws.resize(ops.len(), false);
-    for (i, op) in ops.iter().enumerate() {
-        let (bi, slot) = bucketed[next[op_class[i]]];
-        next[op_class[i]] += 1;
-        let other = &sb.bundles[bi][slot];
-        cycle_of[i] = sb.meta[bi].cycle;
-        if other.opcode != op.opcode {
-            if op.opcode == Opcode::Lw && other.opcode == Opcode::LwS {
-                became_lws[i] = true;
-            } else {
-                diags.push(Diagnostic::error(
-                    "TV005",
-                    format!(
-                        "{fname}: {label}: `{op}` was rewritten to `{other}` — only LW may become LWS",
-                    ),
-                ));
-                return;
-            }
+    let witness = sb
+        .bundles
+        .iter()
+        .zip(&sb.meta)
+        .flat_map(|(bundle, meta)| bundle.iter().map(move |other| (other, meta.cycle)));
+    for ((other, cycle), &i) in witness.zip(&sb.origin) {
+        let i = i as usize;
+        if placed.get(i).is_none_or(|&p| p) {
+            diags.push(Diagnostic::error(
+                "TV005",
+                format!(
+                    "{fname}: {label}: the witness places region op {i} twice or names no such op — the bundles are not a permutation of the region's {} op(s)",
+                    ops.len()
+                ),
+            ));
+            return;
+        }
+        placed[i] = true;
+        cycle_of[i] = cycle;
+        let op = ops[i];
+        if other == op {
+            continue;
+        }
+        let same_fields = (other.dest1, other.dest2, &other.src1, &other.src2)
+            == (op.dest1, op.dest2, &op.src1, &op.src2)
+            && (other.store_value, other.guard) == (op.store_value, op.guard);
+        if op.opcode == Opcode::Lw && other.opcode == Opcode::LwS && same_fields {
+            became_lws[i] = true;
+        } else {
+            diags.push(Diagnostic::error(
+                "TV005",
+                format!(
+                    "{fname}: {label}: `{other}` is placed as region op {i}, `{op}` — only LW may become LWS",
+                ),
+            ));
+            return;
         }
     }
 
@@ -1116,32 +1080,248 @@ mod tests {
     use super::*;
     use epic_config::Config;
 
-    #[test]
-    fn control_edges_grow_linearly_with_the_region() {
-        // A straight-line region with a call every fourth op. Each call
-        // orders against the ops since the previous call, not against the
-        // whole prefix, whose edges would grow as n²/8.
+    fn add(d: u32, a: u32, b: u32) -> MOp {
+        let mut op = MOp::bare(Opcode::Add);
+        op.dest1 = MDest::Gpr(d);
+        op.src1 = MSrc::Gpr(a);
+        op.src2 = MSrc::Gpr(b);
+        op
+    }
+
+    fn load(opcode: Opcode, dest: u32, base: MSrc, offset: MSrc) -> MOp {
+        let mut op = MOp::bare(opcode);
+        op.dest1 = MDest::Gpr(dest);
+        op.src1 = base;
+        op.src2 = offset;
+        op
+    }
+
+    fn store(opcode: Opcode, value: u32, base: MSrc, offset: MSrc) -> MOp {
+        let mut op = MOp::bare(opcode);
+        op.store_value = Some(value);
+        op.src1 = base;
+        op.src2 = offset;
+        op
+    }
+
+    fn call() -> MOp {
         let mut brl = MOp::bare(Opcode::Brl);
         brl.dest1 = MDest::Gpr(61);
         brl.src1 = MSrc::Btr(0);
-        let add = |d: u32| {
-            let mut op = MOp::bare(Opcode::Add);
-            op.dest1 = MDest::Gpr(d);
-            op.src1 = MSrc::Gpr(20);
-            op.src2 = MSrc::Gpr(21);
-            op
-        };
+        brl
+    }
+
+    #[test]
+    fn control_and_memory_edges_grow_linearly_with_the_region() {
+        // The scheduler's guard shapes, with the dependences per op the
+        // rebuild may materialise: a call every fourth op; a
+        // load-add-store chain through one base and version; the chain
+        // with the base redefined every statement; stores alternating
+        // between two bases at one offset each.
+        fn calls(k: usize) -> MOp {
+            match k % 4 {
+                3 => call(),
+                r => add(10 + r as u32, 20, 21),
+            }
+        }
+        fn chain(k: usize) -> MOp {
+            let r20 = MSrc::Gpr(20);
+            match k % 3 {
+                0 => load(Opcode::Lw, 10, r20, MSrc::Lit(0)),
+                1 => add(10, 10, 11),
+                _ => store(Opcode::Sw, 10, r20, MSrc::Lit(0)),
+            }
+        }
+        fn redefined(k: usize) -> MOp {
+            match k % 4 {
+                0 => add(20, 20, 12),
+                r => chain(r - 1),
+            }
+        }
+        fn alternating(k: usize) -> MOp {
+            store(Opcode::Sw, 10, MSrc::Gpr(20 + k as u32 % 2), MSrc::Lit(0))
+        }
+        let shapes: [(fn(usize) -> MOp, usize); 4] =
+            [(calls, 4), (chain, 3), (redefined, 4), (alternating, 1)];
         let mdes = MachineDescription::new(&Config::default());
-        for n in [1_024, 4_096] {
-            let ops: Vec<MOp> = (0..n)
-                .map(|k| match k % 4 {
-                    3 => brl.clone(),
-                    r => add(10 + r),
+        for (shape, per_op) in shapes {
+            for n in [1_024, 4_096] {
+                let ops: Vec<MOp> = (0..n).map(shape).collect();
+                let ops: Vec<&MOp> = ops.iter().collect();
+                let edges = dependences(&ops, &[], &mdes, &mut DepScratch::default()).len();
+                assert!(edges <= per_op * n, "{n} ops built {edges} edges");
+            }
+        }
+    }
+
+    /// One op of a random straight-line region from a `(kind, base,
+    /// offset)` draw, as in the scheduler's property: word, half and byte
+    /// loads and stores through r20–r22 (or, rarely, a literal address)
+    /// at a literal offset, or at the register offset r23 when the draw
+    /// exceeds 7; base redefinitions; adds; and an occasional call.
+    fn region_op((kind, base, offset): (u8, u32, i64)) -> MOp {
+        const LOADS: [Opcode; 5] = [Opcode::Lw, Opcode::Lh, Opcode::Lhu, Opcode::Lb, Opcode::Lbu];
+        const STORES: [Opcode; 3] = [Opcode::Sw, Opcode::Sh, Opcode::Sb];
+        let base_reg = MSrc::Gpr(20 + base);
+        let offset = if offset > 7 {
+            MSrc::Gpr(23)
+        } else {
+            MSrc::Lit(offset)
+        };
+        match kind {
+            0..=4 => load(LOADS[usize::from(kind)], 10 + base, base_reg, offset),
+            5..=9 => store(STORES[usize::from(kind) % 3], 10 + base, base_reg, offset),
+            10 | 11 => add(20 + base, 20 + base, 23),
+            12 => store(Opcode::Sw, 11, MSrc::Lit(256), offset),
+            13 => call(),
+            _ => add(10 + base, 10 + base, 11),
+        }
+    }
+
+    /// Whether the accesses `a` and `b` may touch a common byte with at
+    /// least one of them a store, judged pairwise: `version[i]` counts
+    /// the writes to op `i`'s base register before it.
+    fn conflict(ops: &[MOp], version: &[u32], a: usize, b: usize) -> bool {
+        let access = |i: usize| {
+            let op = &ops[i];
+            let offset = match op.src2 {
+                MSrc::Lit(v) => Some(v),
+                _ => None,
+            };
+            let base = op.src1.gpr().map(|r| (r, version[i]));
+            (base, offset, i64::from(access_size(op.opcode)))
+        };
+        let ((base_a, off_a, size_a), (base_b, off_b, size_b)) = (access(a), access(b));
+        let disjoint = match (base_a, off_a, base_b, off_b) {
+            (Some(x), Some(lo_a), Some(y), Some(lo_b)) => {
+                x == y && (lo_a + size_a <= lo_b || lo_b + size_b <= lo_a)
+            }
+            _ => false,
+        };
+        (ops[a].opcode.is_store() || ops[b].opcode.is_store()) && !disjoint
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig { cases: 256, ..Default::default() })]
+
+        #[test]
+        fn pruned_memory_edges_flag_exactly_the_pairwise_reorders(
+            draws in proptest::collection::vec((0u8..20, 0u32..3, -2i64..10), 64..=256),
+            bases in 2u32..=3,
+            (moved, delta) in (0usize..256, -64i64..=64),
+        ) {
+            let ops: Vec<MOp> = draws
+                .into_iter()
+                .map(|(kind, base, offset)| region_op((kind, base % bases, offset)))
+                .collect();
+            let n = ops.len();
+            // Program order two cycles apart, one op moved off it.
+            let mut cycle: Vec<i64> = (0..n as i64).map(|i| 2 * i).collect();
+            if let Some(c) = cycle.get_mut(moved) {
+                *c += delta;
+            }
+            let mut writes: HashMap<u32, u32> = HashMap::new();
+            let version: Vec<u32> = ops
+                .iter()
+                .map(|op| {
+                    let version = op.src1.gpr().map_or(0, |r| writes.get(&r).copied().unwrap_or(0));
+                    if let Some(d) = op.gpr_def() {
+                        *writes.entry(d).or_insert(0) += 1;
+                    }
+                    version
                 })
                 .collect();
-            let ops: Vec<&MOp> = ops.iter().collect();
-            let edges = dependences(&ops, &[], &mdes, &mut DepScratch::default()).len();
-            assert!(edges <= 4 * ops.len(), "{n} ops built {edges} edges");
+            let is_mem = |i: usize| ops[i].opcode.is_load() || ops[i].opcode.is_store();
+            let pairwise = (0..n).filter(|&a| is_mem(a)).any(|a| {
+                (a + 1..n).any(|b| is_mem(b) && conflict(&ops, &version, a, b) && cycle[b] <= cycle[a])
+            });
+            let refs: Vec<&MOp> = ops.iter().collect();
+            let mdes = MachineDescription::new(&Config::default());
+            let deps = dependences(&refs, &[], &mdes, &mut DepScratch::default());
+            let pruned = (deps.iter())
+                .any(|d| d.kind == DepKind::Mem && cycle[d.to] <= cycle[d.from]);
+            proptest::prop_assert_eq!(pruned, pairwise);
+        }
+    }
+
+    /// The honest trace of a small compile, its `main` function, and the
+    /// index of a scheduled region of `main` holding at least two
+    /// different ops.
+    fn honest_main() -> (FunctionTrace, usize) {
+        use epic_ir::ast::{Expr, FunctionDef, Program, Stmt};
+        let ast = Program::new()
+            .global(epic_ir::Global::zeroed("g", 4))
+            .function(FunctionDef::new("main", ["a"]).body([
+                Stmt::store_word(Expr::global("g"), Expr::var("a") + Expr::lit(50)),
+                Stmt::let_("y", Expr::global("g").load_word()),
+                Stmt::ret(Expr::var("y") * Expr::lit(2) - Expr::var("a")),
+            ]));
+        let module = epic_ir::lower::lower(&ast).expect("program lowers");
+        let options = epic_compiler::Options {
+            entry: "main".to_owned(),
+            entry_args: vec![3],
+            ..epic_compiler::Options::default()
+        };
+        let (_, trace) = epic_compiler::Compiler::new(Config::default())
+            .compile_mutated(&module, &options, &epic_compiler::Mutation::default())
+            .expect("compiles");
+        let func = (trace.functions.into_iter())
+            .find(|f| f.name == "main")
+            .expect("main is traced");
+        let region = (func.scheduled.iter())
+            .position(|sb| sb.origin.len() >= 4)
+            .expect("a region of four ops or more");
+        (func, region)
+    }
+
+    /// The diagnostics of `func`'s schedule check.
+    fn schedule_diagnostics(func: &FunctionTrace) -> Vec<Diagnostic> {
+        let config = Config::default();
+        let mut diags = Vec::new();
+        let abi = Abi::new(&config).ok();
+        check_schedule(
+            func,
+            &MachineDescription::new(&config),
+            abi.as_ref(),
+            &mut diags,
+        );
+        diags
+    }
+
+    #[test]
+    fn a_corrupted_witness_is_a_tv005_error() {
+        let (honest, region) = honest_main();
+        assert_eq!(
+            schedule_diagnostics(&honest),
+            [],
+            "the honest schedule is clean"
+        );
+        let corruptions: [(&str, fn(&mut ScheduledBlock)); 4] = [
+            ("an index used twice", |sb| sb.origin[1] = sb.origin[0]),
+            ("an index out of range", |sb| {
+                sb.origin[0] = sb.origin.len() as u32
+            }),
+            ("a witness one entry short", |sb| {
+                sb.origin.pop();
+            }),
+            ("two entries swapped between different ops", |sb| {
+                let ops: Vec<&MOp> = sb.bundles.iter().flatten().collect();
+                let other = (1..ops.len())
+                    .find(|&k| ops[k] != ops[0])
+                    .expect("two different ops");
+                sb.origin.swap(0, other);
+            }),
+        ];
+        for (name, corrupt) in corruptions {
+            let mut func = honest.clone();
+            corrupt(&mut func.scheduled[region]);
+            let diags = schedule_diagnostics(&func);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code == "TV005" && d.severity == crate::Severity::Error),
+                "{name}: {diags:?}"
+            );
         }
     }
 }

@@ -215,6 +215,24 @@ fn rebuild(blocks: &mut [ScheduledBlock], mdes: &MachineDescription) {
     }
 }
 
+/// Moves the op in slot `k` of bundle `j` of `sb` to wherever `place`
+/// puts it (`place` returns the new `(bundle, slot)`), and carries its
+/// placement-witness entry along, so the schedule still names the region
+/// op each slot holds and only the seeded reordering remains visible.
+fn move_op(
+    sb: &mut ScheduledBlock,
+    (j, k): (usize, usize),
+    place: impl FnOnce(&mut Vec<Vec<MOp>>, MOp) -> (usize, usize),
+) {
+    let flat = |sb: &ScheduledBlock, (j, k): (usize, usize)| {
+        sb.bundles[..j].iter().map(Vec::len).sum::<usize>() + k
+    };
+    let entry = sb.origin.remove(flat(sb, (j, k)));
+    let op = sb.bundles[j].remove(k);
+    let to = place(&mut sb.bundles, op);
+    sb.origin.insert(flat(sb, to), entry);
+}
+
 /// First (block, bundle, slot) whose op satisfies the predicate.
 fn find_slot(
     blocks: &[ScheduledBlock],
@@ -366,6 +384,19 @@ fn store_load_through_pointers() -> Program {
         FunctionDef::new("main", ["a", "p", "q"]).body([
             Stmt::store_word(Expr::var("p"), Expr::var("a") + Expr::lit(50)),
             Stmt::let_("y", Expr::var("q").load_word()),
+            Stmt::ret(Expr::var("y") * Expr::lit(2)),
+        ]),
+    )
+}
+
+/// Stores through two pointer parameters, then a load through the
+/// first: `SW [p]; SW [q]; LW [p]`.
+fn two_stores_then_load() -> Program {
+    Program::new().global(Global::zeroed("g", 4)).function(
+        FunctionDef::new("main", ["a", "p", "q"]).body([
+            Stmt::store_word(Expr::var("p"), Expr::var("a") + Expr::lit(50)),
+            Stmt::store_word(Expr::var("q"), Expr::var("a") + Expr::lit(60)),
+            Stmt::let_("y", Expr::var("p").load_word()),
             Stmt::ret(Expr::var("y") * Expr::lit(2)),
         ]),
     )
@@ -965,8 +996,10 @@ fn sched_load_hoisted_above_store() {
             op.opcode == Opcode::Lw && op.src1 != MSrc::Gpr(abi.sp)
         })
         .expect("global load");
-        let op = blocks[b].bundles[j].remove(k);
-        blocks[b].bundles.insert(0, vec![op]);
+        move_op(&mut blocks[b], (j, k), |bundles, op| {
+            bundles.insert(0, vec![op]);
+            (0, 0)
+        });
         rebuild(blocks, &mdes);
     };
     let m = Mutation {
@@ -991,12 +1024,14 @@ fn sched_load_through_one_base_hoisted_above_store_through_another() {
         let (b, j, k) = find_slot(blocks, |op| op.opcode == Opcode::Lw).expect("load");
         let (sb, sj, _) = find_slot(blocks, |op| op.opcode == Opcode::Sw).expect("store");
         assert!(b == sb && sj < j, "the store precedes the load");
-        let op = blocks[b].bundles[j].remove(k);
         assert!(
-            matches!(op.src1, MSrc::Gpr(_)),
+            matches!(blocks[b].bundles[j][k].src1, MSrc::Gpr(_)),
             "the load goes through a register"
         );
-        blocks[b].bundles.insert(sj, vec![op]);
+        move_op(&mut blocks[b], (j, k), |bundles, op| {
+            bundles.insert(sj, vec![op]);
+            (sj, 0)
+        });
         rebuild(blocks, &mdes);
     };
     let m = Mutation {
@@ -1007,6 +1042,46 @@ fn sched_load_through_one_base_hoisted_above_store_through_another() {
     let report = assert_mutant(&ast, "main", &[3, g, g], &m, "TV006");
     assert!(
         reorders(&report, "memory"),
+        "{}",
+        report.render("mutant", None)
+    );
+}
+
+#[test]
+fn sched_load_hoisted_above_a_store_whose_edge_is_implied() {
+    // `two_stores_then_load` with p and q both the global's address. The
+    // edge `SW [p] → LW [p]` is implied by `SW [p] → SW [q] → LW [p]`
+    // (`SW [q]` may alias both), so neither rebuild keeps it. Hoisting
+    // the load above `SW [p]` breaks it, and the kept edge from `SW [q]`
+    // must still catch the reorder.
+    let ast = two_stores_then_load();
+    let module = epic_ir::lower::lower(&ast).expect("program lowers");
+    let g = module.layout().expect("layout").address_of("g").expect("g");
+    let mdes = MachineDescription::new(&Config::default());
+    let mutate = move |blocks: &mut [ScheduledBlock]| {
+        let (b, j, k) = find_slot(blocks, |op| op.opcode == Opcode::Lw).expect("load");
+        let (sb, sj, _) = find_slot(blocks, |op| op.opcode == Opcode::Sw).expect("first store");
+        assert!(b == sb && sj < j, "the stores precede the load");
+        move_op(&mut blocks[b], (j, k), |bundles, op| {
+            bundles.insert(sj, vec![op]);
+            (sj, 0)
+        });
+        rebuild(blocks, &mdes);
+    };
+    let m = Mutation {
+        function: "main",
+        post_sched: Some(&mutate),
+        ..Default::default()
+    };
+    let report = assert_mutant(&ast, "main", &[3, g, g], &m, "TV006");
+    // One memory reorder: the broken edge from `SW [p]` was never built.
+    let memory = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.message.contains("reorders a memory dependence"))
+        .count();
+    assert!(
+        reorders(&report, "memory") && memory == 1,
         "{}",
         report.render("mutant", None)
     );
@@ -1034,10 +1109,12 @@ fn sched_second_call_hoisted_above_the_first() {
                     .map(move |(k, _)| (j, k))
             })
             .collect();
-        let ((first, _), (j, k)) = (slots[0], slots[1]);
+        let ((first, _), second) = (slots[0], slots[1]);
         assert!(first > 0, "ops precede the first call");
-        let op = blocks[b].bundles[j].remove(k);
-        blocks[b].bundles.insert(0, vec![op]);
+        move_op(&mut blocks[b], second, |bundles, op| {
+            bundles.insert(0, vec![op]);
+            (0, 0)
+        });
         rebuild(blocks, &mdes);
     };
     let m = Mutation {
@@ -1071,8 +1148,10 @@ fn sched_same_bundle_raw_merge() {
                             .any(|p| p.gpr_def().is_some_and(|d| op.gpr_uses().contains(&d)))
                     });
                     if let Some(k) = pair {
-                        let op = sb.bundles[j].remove(k);
-                        sb.bundles[i].push(op);
+                        move_op(sb, (j, k), |bundles, op| {
+                            bundles[i].push(op);
+                            (i, bundles[i].len() - 1)
+                        });
                         let sb_slice = std::slice::from_mut(sb);
                         rebuild(sb_slice, &mdes);
                         return;
@@ -1166,8 +1245,10 @@ fn sched_overfilled_bundle() {
             .find(|sb| sb.bundles.iter().map(Vec::len).sum::<usize>() > width)
             .expect("block with enough ops");
         while sb.bundles[0].len() <= width && sb.bundles.len() > 1 {
-            let op = sb.bundles[1].remove(0);
-            sb.bundles[0].push(op);
+            move_op(sb, (1, 0), |bundles, op| {
+                bundles[0].push(op);
+                (0, bundles[0].len() - 1)
+            });
             if sb.bundles[1].is_empty() {
                 sb.bundles.remove(1);
             }
