@@ -4,12 +4,10 @@
 //! scales the same simulated cores out into a mesh-connected
 //! many-core array, so the cost/performance trade-offs of the
 //! customisation space can be explored at the parallel-workload level
-//! too. The array instantiates one execution engine per core — the
-//! production `Simulator` from `epic-sim`, running ahead on its
-//! threaded loop between mailbox accesses, or the bit-identical
-//! reference engine as its oracle, stepped cycle by cycle — each with
-//! a **private** local memory, and joins them with a cycle-lockstep
-//! mesh interconnect:
+//! too. The array instantiates one production `Simulator` from
+//! `epic-sim` per core, each with a **private** local memory and
+//! running ahead on its threaded loop between mailbox accesses, and
+//! joins them with a cycle-lockstep mesh interconnect:
 //!
 //! * [`Noc`] — XY-routed point-to-point messages with per-hop latency
 //!   and bounded link buffers (see [`noc`] module docs for the timing
@@ -34,4 +32,4 @@ pub mod noc;
 pub mod sim;
 
 pub use noc::{link_name, Delivery, Noc, NocConfig, NocStats};
-pub use sim::{ArrayError, ArrayOutcome, ArraySimulator, CoreSim, MeshSpec};
+pub use sim::{ArrayError, ArrayOutcome, ArraySimulator, MeshSpec};

@@ -1,5 +1,5 @@
-//! The many-core array simulator: one engine per core, private local
-//! memories, and a cycle-lockstep mesh exchange.
+//! The many-core array simulator: one [`Simulator`] per core, private
+//! local memories, and a cycle-lockstep mesh exchange.
 //!
 //! # Lockstep schedule
 //!
@@ -33,7 +33,7 @@
 //! exchange writes a core's words only to deliver a message, which
 //! needs `RX_STATUS == 0`, and to clear a committed `TX_STATUS`; it
 //! reads the TX words only while they are committed (`TX_STATUS == 1`).
-//! Each threaded core runs ahead on `Simulator`'s threaded loop
+//! Each core runs ahead on `Simulator`'s threaded loop
 //! ([`Simulator::run_until_access`]) to the top of its next cycle that
 //! makes an access the exchange could observe or change, and waits
 //! there. The rule comes from the core's own mailbox each time it runs
@@ -87,31 +87,28 @@
 //!
 //! # Engines
 //!
-//! Cores run the production engine, [`Simulator`], by default, with the
-//! reference engine as the oracle they are checked against. Reference
-//! cores do not run ahead: they step every global cycle, under the same
-//! sleeping exchange. `tests/manycore_lockstep.rs` holds the event loop
-//! to a per-cycle drive that shares none of its code.
+//! Every core is the production engine, [`Simulator`], and runs ahead
+//! on its threaded loop between stops. The reference engine is the
+//! array's oracle from outside: `tests/manycore_lockstep.rs` steps a
+//! `ReferenceSimulator` per core on every global cycle through its own
+//! exchange, in code that shares none of the event loop's, and holds
+//! `run` to the state that drive ends in.
 
 use crate::mailbox;
 use crate::noc::{Noc, NocConfig, NocStats};
 use epic_config::Config;
 use epic_isa::Instruction;
-use epic_sim::{Engine, Memory, ReferenceSimulator, SimError, SimStats, Simulator};
+use epic_sim::{Memory, SimError, SimStats, Simulator};
 use std::fmt;
 use std::sync::Arc;
 
-/// Geometry, engine and timing parameters of a many-core array.
+/// Geometry and timing parameters of a many-core array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshSpec {
     /// Cores per row.
     pub width: usize,
     /// Rows of cores.
     pub height: usize,
-    /// Execution engine instantiated in every core: threaded (the
-    /// default, [`Simulator`] running ahead between mailbox accesses)
-    /// or reference.
-    pub engine: Engine,
     /// Interconnect timing/capacity parameters.
     pub noc: NocConfig,
     /// Global cycle budget before the array reports a timeout.
@@ -119,24 +116,16 @@ pub struct MeshSpec {
 }
 
 impl MeshSpec {
-    /// A `width`×`height` mesh with the default engine, NoC timing and
-    /// a 10M-cycle budget.
+    /// A `width`×`height` mesh with the default NoC timing and a
+    /// 10M-cycle budget.
     #[must_use]
     pub fn new(width: usize, height: usize) -> Self {
         MeshSpec {
             width,
             height,
-            engine: Engine::default(),
             noc: NocConfig::default(),
             max_cycles: 10_000_000,
         }
-    }
-
-    /// Replaces the engine.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Replaces the NoC parameters.
@@ -160,136 +149,6 @@ impl MeshSpec {
     }
 }
 
-/// One core's engine: the reference oracle or the production engine,
-/// which are bit-identical.
-#[derive(Debug, Clone)]
-pub enum CoreSim {
-    /// The interpret-every-cycle golden model.
-    Reference(Box<ReferenceSimulator>),
-    /// The production engine, running ahead on its threaded loop
-    /// between mailbox accesses.
-    Threaded(Box<Simulator>),
-}
-
-impl CoreSim {
-    /// The prototype every core clones: decoded once and, for the
-    /// threaded engine, translated once.
-    fn build(
-        engine: Engine,
-        config: &Config,
-        bundles: Arc<[Vec<Instruction>]>,
-        entry: u32,
-    ) -> Result<Self, ArrayError> {
-        let illegal = |source| ArrayError::Core { core: 0, source };
-        Ok(match engine {
-            Engine::Reference => CoreSim::Reference(Box::new(
-                ReferenceSimulator::try_new(config, bundles, entry).map_err(illegal)?,
-            )),
-            Engine::Threaded => {
-                let mut sim = Simulator::try_new(config, bundles, entry).map_err(illegal)?;
-                sim.translate();
-                CoreSim::Threaded(Box::new(sim))
-            }
-        })
-    }
-
-    fn step(&mut self) -> Result<bool, SimError> {
-        match self {
-            CoreSim::Reference(s) => s.step(),
-            CoreSim::Threaded(s) => s.step(),
-        }
-    }
-
-    /// Runs a threaded core ahead to the top of its next cycle that
-    /// makes an access marked by the stop rule of its mailbox at `base`
-    /// as the mailbox stands now; a reference core stays where it is.
-    /// Returns `false` once halted.
-    fn run_ahead(&mut self, base: u32) -> Result<bool, SimError> {
-        match self {
-            CoreSim::Reference(s) => Ok(!s.is_halted()),
-            CoreSim::Threaded(s) => {
-                let (loads, stores) = Handshake::peek(s.memory(), base).stops();
-                s.run_until_access(base, loads, stores)
-            }
-        }
-    }
-
-    fn set_memory(&mut self, memory: Memory) {
-        match self {
-            CoreSim::Reference(s) => s.set_memory(memory),
-            CoreSim::Threaded(s) => s.set_memory(memory),
-        }
-    }
-
-    fn set_cycle_limit(&mut self, limit: u64) {
-        match self {
-            CoreSim::Reference(s) => s.set_cycle_limit(limit),
-            CoreSim::Threaded(s) => s.set_cycle_limit(limit),
-        }
-    }
-
-    /// The core's data memory.
-    #[must_use]
-    pub fn memory(&self) -> &Memory {
-        match self {
-            CoreSim::Reference(s) => s.memory(),
-            CoreSim::Threaded(s) => s.memory(),
-        }
-    }
-
-    fn memory_mut(&mut self) -> &mut Memory {
-        match self {
-            CoreSim::Reference(s) => s.memory_mut(),
-            CoreSim::Threaded(s) => s.memory_mut(),
-        }
-    }
-
-    /// A general-purpose register.
-    #[must_use]
-    pub fn gpr(&self, index: usize) -> u32 {
-        match self {
-            CoreSim::Reference(s) => s.gpr(index),
-            CoreSim::Threaded(s) => s.gpr(index),
-        }
-    }
-
-    /// A predicate register.
-    #[must_use]
-    pub fn pred(&self, index: usize) -> bool {
-        match self {
-            CoreSim::Reference(s) => s.pred(index),
-            CoreSim::Threaded(s) => s.pred(index),
-        }
-    }
-
-    /// A branch-target register.
-    #[must_use]
-    pub fn btr(&self, index: usize) -> u32 {
-        match self {
-            CoreSim::Reference(s) => s.btr(index),
-            CoreSim::Threaded(s) => s.btr(index),
-        }
-    }
-
-    /// Whether the core has executed `HALT`.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        match self {
-            CoreSim::Reference(s) => s.is_halted(),
-            CoreSim::Threaded(s) => s.is_halted(),
-        }
-    }
-
-    /// Execution statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        match self {
-            CoreSim::Reference(s) => s.stats(),
-            CoreSim::Threaded(s) => s.stats(),
-        }
-    }
-}
-
 /// Where a core stands; its [`Core::next`] cycle says when that matters.
 #[derive(Debug, Clone)]
 enum Status {
@@ -306,7 +165,8 @@ enum Status {
 /// One core plus its event-loop bookkeeping.
 #[derive(Debug, Clone)]
 struct Core {
-    sim: CoreSim,
+    /// Boxed, so that `Core` stays small in the event loop's scans.
+    sim: Box<Simulator>,
     status: Status,
     /// The global cycle of the core's next event (see [`Status`]): the
     /// core's own cycle count.
@@ -319,11 +179,19 @@ impl Core {
     /// waits on.
     fn step(&mut self, base: u32) -> bool {
         let before = Handshake::peek(self.sim.memory(), base);
-        let ran = (self.sim.step()).and_then(|_| self.sim.run_ahead(base));
+        let ran = (self.sim.step()).and_then(|_| self.run_ahead(base));
         self.settle(ran);
         // Running ahead never changes these words: the stop rule stops
         // before every store that could.
         Handshake::peek(self.sim.memory(), base) != before
+    }
+
+    /// Runs the core ahead to the top of its next cycle that makes an
+    /// access marked by the stop rule of its mailbox at `base` as the
+    /// mailbox stands now. Returns `false` once halted.
+    fn run_ahead(&mut self, base: u32) -> Result<bool, SimError> {
+        let (loads, stores) = Handshake::peek(self.sim.memory(), base).stops();
+        self.sim.run_until_access(base, loads, stores)
     }
 
     /// Records where a step or a run left the core.
@@ -520,10 +388,10 @@ fn mb_poke(memory: &mut Memory, base: u32, offset: u32, value: u32) {
 }
 
 impl ArraySimulator {
-    /// Builds a mesh of identical cores: the program is decoded (and,
-    /// for threaded cores, translated) **once**, then cloned per core;
-    /// every core gets a private copy of `initial_memory` with its
-    /// identity words ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
+    /// Builds a mesh of identical cores: the program is decoded and
+    /// translated **once**, then cloned per core; every core gets a
+    /// private copy of `initial_memory` with its identity words
+    /// ([`mailbox::CORE_ID`], [`mailbox::MESH_WIDTH`],
     /// [`mailbox::MESH_HEIGHT`]) poked into the mailbox window at
     /// `mailbox_base`.
     ///
@@ -570,10 +438,12 @@ impl ArraySimulator {
             )));
         }
         let ncores = spec.cores();
-        let prototype = CoreSim::build(spec.engine, config, bundles.into(), entry)?;
+        let mut prototype = Simulator::try_new(config, bundles, entry)
+            .map_err(|source| ArrayError::Core { core: 0, source })?;
+        prototype.translate();
         let mut cores = Vec::with_capacity(ncores);
         for idx in 0..ncores {
-            let mut sim = prototype.clone();
+            let mut sim = Box::new(prototype.clone());
             sim.set_memory(Memory::from_image(initial_memory.to_vec()));
             // A core runs ahead no further than the cycle the array
             // times out at, where its own limit would raise: the
@@ -615,14 +485,14 @@ impl ArraySimulator {
         self.cycle
     }
 
-    /// Read-only access to one core's engine (registers, memory,
+    /// Read-only access to one core's simulator (registers, memory,
     /// stats) — for tests and reports after [`run`](Self::run).
     ///
     /// # Panics
     ///
     /// Panics if `core` is off-mesh.
     #[must_use]
-    pub fn core(&self, core: usize) -> &CoreSim {
+    pub fn core(&self, core: usize) -> &Simulator {
         &self.cores[core].sim
     }
 
@@ -642,7 +512,7 @@ impl ArraySimulator {
     pub fn run(&mut self) -> Result<ArrayOutcome, ArrayError> {
         let base = self.mailbox_base;
         for core in &mut self.cores {
-            let ran = core.sim.run_ahead(base);
+            let ran = core.run_ahead(base);
             core.settle(ran);
         }
         // The global cycle of the exchange's next run: it starts awake.

@@ -10,7 +10,7 @@
 use epic_array::{ArrayError, ArraySimulator, MeshSpec, NocConfig};
 use epic_config::Config;
 use epic_isa::{Gpr, Instruction, Opcode, Operand};
-use epic_sim::{Engine, Memory, SimError, Simulator};
+use epic_sim::{Memory, SimError, Simulator};
 
 const MEMORY_BYTES: usize = 4096;
 
@@ -36,9 +36,15 @@ fn build_with_image(
     )
 }
 
-fn run(source: &str, spec: &MeshSpec) -> ArrayError {
+/// The verdict and [`ArraySimulator::cycles`] of `source`.
+fn verdict(source: &str, spec: &MeshSpec) -> (ArrayError, u64) {
     let mut array = build(source, spec).expect("array builds");
-    array.run().expect_err("the run must fail")
+    let err = array.run().expect_err("the run must fail");
+    (err, array.cycles())
+}
+
+fn run(source: &str, spec: &MeshSpec) -> ArrayError {
+    verdict(source, spec).0
 }
 
 const HALT: &str = ".entry main\nmain:\n    HALT\n;;\n";
@@ -99,19 +105,6 @@ fn an_off_mesh_destination_is_a_bad_message() {
         }
         other => panic!("want core 0's off-mesh destination, got {other:?}"),
     }
-}
-
-/// The verdict and [`ArraySimulator::cycles`] of `source` on threaded
-/// cores, checked against reference cores, which step every cycle as
-/// the lockstep loop does.
-fn verdict(source: &str, spec: &MeshSpec) -> (ArrayError, u64) {
-    let [threaded, reference] = [Engine::Threaded, Engine::Reference].map(|engine| {
-        let mut array = build(source, &spec.with_engine(engine)).expect("array builds");
-        let err = array.run().expect_err("the run must fail");
-        (err, array.cycles())
-    });
-    assert_eq!(threaded, reference, "threaded vs reference cores");
-    threaded
 }
 
 /// A core commits a message the NoC refuses, then sets `TX_LEN` to 0
@@ -270,10 +263,9 @@ wait:
 }
 
 /// A program illegal for the configuration is refused when the mesh is
-/// built, as core 0's error, and the same error on threaded and on
-/// reference cores.
+/// built, as core 0's error.
 #[test]
-fn an_illegal_program_is_core_0s_error_on_either_engine() {
+fn an_illegal_program_is_core_0s_error() {
     let config = Config::default();
     let add = Instruction::alu3(Opcode::Add, Gpr(1), Operand::Gpr(Gpr(2)), Operand::Lit(1));
     let custom = Instruction::alu3(
@@ -295,13 +287,10 @@ fn an_illegal_program_is_core_0s_error_on_either_engine() {
         ),
     ];
     for (bundles, needle) in programs {
-        let [threaded, reference] = [Engine::Threaded, Engine::Reference].map(|engine| {
-            let spec = MeshSpec::new(2, 1).with_engine(engine);
-            ArraySimulator::new(&config, bundles.clone(), 0, &[0u8; MEMORY_BYTES], 0, &spec)
-                .expect_err("an illegal program is refused")
-        });
-        assert_eq!(threaded, reference, "threaded vs reference cores");
-        match threaded {
+        let spec = MeshSpec::new(2, 1);
+        let err = ArraySimulator::new(&config, bundles, 0, &[0u8; MEMORY_BYTES], 0, &spec)
+            .expect_err("an illegal program is refused");
+        match err {
             ArrayError::Core {
                 core: 0,
                 source: SimError::IllegalBundle { pc: 0, message },

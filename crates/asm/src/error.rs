@@ -246,6 +246,13 @@ pub enum AsmError {
         /// The underlying ISA error.
         source: IsaError,
     },
+    /// A machine-code image that is not a whole number of bundles.
+    TruncatedImage {
+        /// Bytes in the image.
+        len: usize,
+        /// Bytes in one bundle.
+        bundle_bytes: usize,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -286,6 +293,10 @@ impl fmt::Display for AsmError {
             }
             AsmError::EmptyProgram => write!(f, "program contains no bundles"),
             AsmError::Isa { line, source } => write!(f, "line {line}: {source}"),
+            AsmError::TruncatedImage { len, bundle_bytes } => write!(
+                f,
+                "the {len}-byte image is not a whole number of {bundle_bytes}-byte bundles"
+            ),
         }
     }
 }
@@ -306,6 +317,7 @@ impl AsmError {
             AsmError::UnterminatedBundle { .. } => "ASM009",
             AsmError::EmptyProgram => "ASM010",
             AsmError::Isa { .. } => "ASM011",
+            AsmError::TruncatedImage { .. } => "ASM012",
         }
     }
 
@@ -323,7 +335,7 @@ impl AsmError {
             | AsmError::EmptyBundle { line }
             | AsmError::UnterminatedBundle { line }
             | AsmError::Isa { line, .. } => *line,
-            AsmError::EmptyProgram => 0,
+            AsmError::EmptyProgram | AsmError::TruncatedImage { .. } => 0,
         }
     }
 
@@ -421,6 +433,10 @@ mod tests {
             AsmError::EmptyBundle { line: 1 },
             AsmError::UnterminatedBundle { line: 1 },
             AsmError::EmptyProgram,
+            AsmError::TruncatedImage {
+                len: 40,
+                bundle_bytes: 32,
+            },
         ];
         let mut codes: Vec<_> = variants.iter().map(AsmError::code).collect();
         codes.sort_unstable();

@@ -95,13 +95,20 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns [`AsmError::Isa`] on malformed words or
-    /// [`AsmError::EmptyProgram`] for images that are not whole bundles.
+    /// Returns [`AsmError::Isa`] on malformed words,
+    /// [`AsmError::EmptyProgram`] for an empty image and
+    /// [`AsmError::TruncatedImage`] for one that is not whole bundles.
     pub fn from_bytes(bytes: &[u8], config: &Config) -> Result<Program, AsmError> {
         let width = config.instruction_format().width_bytes();
         let row = width * config.issue_width();
-        if bytes.is_empty() || !bytes.len().is_multiple_of(row) {
+        if bytes.is_empty() {
             return Err(AsmError::EmptyProgram);
+        }
+        if !bytes.len().is_multiple_of(row) {
+            return Err(AsmError::TruncatedImage {
+                len: bytes.len(),
+                bundle_bytes: row,
+            });
         }
         let mut bundles = Vec::with_capacity(bytes.len() / row);
         for chunk in bytes.chunks(row) {
@@ -162,9 +169,30 @@ mod tests {
     }
 
     #[test]
-    fn ragged_images_are_rejected() {
+    fn images_must_be_whole_bundles() {
         let config = Config::default();
-        assert!(Program::from_bytes(&[0u8; 12], &config).is_err());
-        assert!(Program::from_bytes(&[], &config).is_err());
+        let halt = crate::assemble("    HALT\n;;\n", &config).unwrap();
+        let mut image = halt.to_bytes(&config).unwrap();
+        assert_eq!(image.len(), 32, "one 256-bit row");
+        let back = Program::from_bytes(&image, &config).unwrap();
+        assert_eq!(back.bundles(), halt.bundles());
+        assert_eq!(
+            Program::from_bytes(&[], &config),
+            Err(AsmError::EmptyProgram)
+        );
+        image.extend_from_slice(&[0u8; 8]);
+        let err = Program::from_bytes(&image, &config).unwrap_err();
+        assert_eq!(
+            err,
+            AsmError::TruncatedImage {
+                len: 40,
+                bundle_bytes: 32
+            }
+        );
+        assert_eq!(err.code(), "ASM012");
+        assert_eq!(
+            err.to_string(),
+            "the 40-byte image is not a whole number of 32-byte bundles"
+        );
     }
 }

@@ -572,8 +572,8 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
 /// run is a pure function of its inputs — so `--check` regenerates the
 /// JSON and compares byte-for-byte.
 ///
-/// Cores run the default engine; `tests/manycore_engines.rs` holds them
-/// bit-identical to reference cores.
+/// Every core is a `Simulator`; `tests/manycore_lockstep.rs` holds the
+/// array bit-identical to reference cores stepped every cycle.
 fn cmd_array(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result<(), String> {
     use epic_core::array::{link_name, MeshSpec};
     use epic_core::experiments::run_mesh_workload;

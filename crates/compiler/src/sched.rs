@@ -65,9 +65,7 @@ pub struct ScheduledBlock {
     /// Issue bundles in execution order. Every bundle is non-empty and
     /// legal for the machine description.
     pub bundles: Vec<Vec<MOp>>,
-    /// Per-bundle schedule metadata, aligned with `bundles`. Downstream
-    /// verification and reporting read the scheduler's own cost model
-    /// from here instead of re-deriving it.
+    /// Per-bundle schedule metadata, aligned with `bundles`.
     pub meta: Vec<BundleMeta>,
     /// The placement witness: for each scheduled op in bundle order, the
     /// index of the op it places in the region's program order (the
@@ -84,13 +82,6 @@ pub struct BundleMeta {
     /// bundles mark cycles where nothing could issue (latency waits or
     /// a divider shadow) — the hardware covers them with interlocks.
     pub cycle: u32,
-    /// Register-file port operations the bundle performs (GPR reads
-    /// plus writes), always ≤ the configured per-cycle budget.
-    pub port_ops: usize,
-    /// Largest result latency of the bundle's operations: consumers
-    /// scheduled fewer than this many cycles later rely on the
-    /// scoreboard.
-    pub max_latency: u32,
 }
 
 /// Statistics reported by [`schedule_function`].
@@ -1064,16 +1055,10 @@ fn schedule_ops(
                 origin.push(i as u32);
             }
             let packed: Vec<MOp> = bundle.iter().map(|&i| ops[i].clone()).collect();
-            // The shared static cost model prices the finished bundle;
-            // `port_ops` accumulated during packing must agree (the
-            // property tests in tests/prop_passes.rs pin this).
-            let cost = mdes.bundle_cost(&packed);
-            debug_assert_eq!(cost.port_ops, port_ops);
-            meta.push(BundleMeta {
-                cycle,
-                port_ops: cost.port_ops,
-                max_latency: cost.max_latency,
-            });
+            // The ports accumulated during packing are the shared static
+            // cost model's.
+            debug_assert_eq!(mdes.bundle_cost(&packed).port_ops, port_ops);
+            meta.push(BundleMeta { cycle });
             bundles.push(packed);
         }
         cycle += 1;

@@ -198,44 +198,6 @@ proptest! {
         let assembled = epic_asm::assemble(compiled.assembly(), &config);
         prop_assert!(assembled.is_ok(), "{:?}", assembled.err());
     }
-
-    #[test]
-    fn bundle_meta_agrees_with_the_shared_cost_model(
-        exprs in prop::collection::vec(expr_strategy(), 1..4),
-        alus in 1usize..=4,
-    ) {
-        // sched.rs prices every emitted bundle through
-        // `MachineDescription::bundle_cost`; this pins the promise that
-        // its `BundleMeta` never drifts from the shared cost model the
-        // simulator decoder and verifier consume.
-        let program = program_of(exprs);
-        let module = lower::lower(&program).expect("lowers");
-        let config = Config::builder().num_alus(alus).build().expect("config");
-        let mdes = epic_mdes::MachineDescription::new(&config);
-        let abi = epic_compiler::regalloc::Abi::new(&config).expect("abi");
-        for func in &module.functions {
-            let mut mf = epic_compiler::select::select(func, &config).expect("selects");
-            epic_compiler::select::fold_literal_operands(&mut mf, &config);
-            epic_compiler::ifconv::if_convert(&mut mf);
-            epic_compiler::regalloc::allocate(&mut mf, &abi, &config).expect("allocates");
-            let layout = epic_compiler::emit::finalize_control(&mut mf, &abi);
-            let (blocks, _) = epic_compiler::sched::schedule_function(&mf, &layout, &mdes);
-            for block in &blocks {
-                prop_assert_eq!(block.bundles.len(), block.meta.len());
-                for (bundle, meta) in block.bundles.iter().zip(&block.meta) {
-                    let cost = mdes.bundle_cost(bundle);
-                    prop_assert_eq!(
-                        meta.port_ops, cost.port_ops,
-                        "{}: port_ops drifted from bundle_cost", block.label
-                    );
-                    prop_assert_eq!(
-                        meta.max_latency, cost.max_latency,
-                        "{}: max_latency drifted from bundle_cost", block.label
-                    );
-                }
-            }
-        }
-    }
 }
 
 proptest! {

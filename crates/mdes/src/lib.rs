@@ -120,9 +120,11 @@ impl CostedOp for Instruction {
 /// Static, input-independent cost of one issue bundle.
 ///
 /// Computed once by [`MachineDescription::bundle_cost`] and consumed by
-/// the scheduler (port/latency accounting in `BundleMeta`), the verifier
-/// (VER002 unit demand and VER003 port budget) and the simulator's
-/// decoder (issue-stage bookkeeping precomputed at load time).
+/// the verifier (VER002 unit demand and VER003 port budget), translation
+/// validation (TV007's unit demand and port budget), the static cycle
+/// bounds and the simulator's decoder (issue-stage bookkeeping
+/// precomputed at load time). The scheduler checks the port operations
+/// it accumulates while packing against it in debug builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticBundleCost {
     /// Register-file port operations: GPR reads (sources and store data)

@@ -87,8 +87,7 @@ proptest! {
         prop_assert_eq!(cost.port_ops, ports);
         prop_assert_eq!(mdes.regfile_ops(&bundle), ports);
 
-        // The scheduler's BundleMeta fields: worst-case result latency
-        // and unit occupancy over the bundle.
+        // Worst-case result latency and unit occupancy over the bundle.
         let max_latency = bundle.iter().map(|op| mdes.latency(op.opcode)).max().unwrap_or(0);
         let max_occupancy = bundle.iter().map(|op| mdes.occupancy(op.opcode)).max().unwrap_or(0);
         prop_assert_eq!(cost.max_latency, max_latency);

@@ -27,7 +27,7 @@
 //! | TV004 | error | register allocation structural mismatch (unmatched op, malformed call / prologue / epilogue sequence) |
 //! | TV005 | error | scheduler changed the operation set of a block |
 //! | TV006 | error / warning | scheduler reordered a dependence edge (warning: flow-latency shortfall the scoreboard interlocks cover) |
-//! | TV007 | error | schedule metadata diverges from the machine description |
+//! | TV007 | error | a bundle is empty, exceeds the issue width, the port budget or a unit count, or issues no later than the bundle before it |
 //! | TV008 | error | control finalisation mismatch (layout or lowered terminator) |
 //! | TV009 | error | emitted assembly diverges from the scheduled program |
 //! | TV010 | error | superblock formation broke refinement (block body or terminator diverges from its origin, witness malformed) |

@@ -11,9 +11,10 @@
 //! flow, output, anti, memory and branch-order edges, with the same
 //! conditional-write and memory-disambiguation rules as the scheduler —
 //! and checks every edge against the issue cycles the schedule actually
-//! chose (TV006), and cross-checks the per-bundle
-//! metadata against [`epic_mdes::MachineDescription::bundle_cost`] and
-//! the machine's structural limits (TV007).
+//! chose (TV006), and checks every bundle against the machine's
+//! structural limits, priced by
+//! [`epic_mdes::MachineDescription::bundle_cost`], and the bundles'
+//! issue cycles against each other (TV007).
 //!
 //! A flow edge scheduled closer than the producer's latency — but still
 //! in a *later* cycle — is a TV006 **warning**: the scoreboard interlock
@@ -920,15 +921,6 @@ fn check_block_schedule<'a>(
             ));
         }
         let cost = mdes.bundle_cost(bundle);
-        if meta.port_ops != cost.port_ops || meta.max_latency != cost.max_latency {
-            diags.push(Diagnostic::error(
-                "TV007",
-                format!(
-                    "{fname}: {label}: bundle {bi} metadata (ports {}, latency {}) diverges from the machine description (ports {}, latency {})",
-                    meta.port_ops, meta.max_latency, cost.port_ops, cost.max_latency
-                ),
-            ));
-        }
         if cost.oversubscribes_ports(config.regfile_ops_per_cycle()) {
             diags.push(Diagnostic::error(
                 "TV007",

@@ -194,23 +194,13 @@ fn op_mut(f: &mut MFunction, at: (usize, usize)) -> &mut MOp {
 // --------------------------------------------------------------------
 
 /// Renormalises a mutated schedule: drops emptied bundles and rebuilds
-/// the metadata (sequential cycles, recomputed costs) so only the
-/// seeded *semantic* defect remains visible.
-fn rebuild(blocks: &mut [ScheduledBlock], mdes: &MachineDescription) {
+/// the metadata (sequential cycles) so only the seeded *semantic* defect
+/// remains visible.
+fn rebuild(blocks: &mut [ScheduledBlock]) {
     for sb in blocks.iter_mut() {
         sb.bundles.retain(|b| !b.is_empty());
-        sb.meta = sb
-            .bundles
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let cost = mdes.bundle_cost(b);
-                BundleMeta {
-                    cycle: i as u32,
-                    port_ops: cost.port_ops,
-                    max_latency: cost.max_latency,
-                }
-            })
+        sb.meta = (0..sb.bundles.len())
+            .map(|i| BundleMeta { cycle: i as u32 })
             .collect();
     }
 }
@@ -988,7 +978,6 @@ fn regalloc_read_after_live_in_copy_from_another_live_in() {
 #[test]
 fn sched_load_hoisted_above_store() {
     let abi = abi();
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Hoist the re-load of the global to the very top of its block,
         // above the store it depends on.
@@ -1000,7 +989,7 @@ fn sched_load_hoisted_above_store() {
             bundles.insert(0, vec![op]);
             (0, 0)
         });
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1018,7 +1007,6 @@ fn sched_load_through_one_base_hoisted_above_store_through_another() {
     let ast = store_load_through_pointers();
     let module = epic_ir::lower::lower(&ast).expect("program lowers");
     let g = module.layout().expect("layout").address_of("g").expect("g");
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Move the load into a bundle of its own just above the store.
         let (b, j, k) = find_slot(blocks, |op| op.opcode == Opcode::Lw).expect("load");
@@ -1032,7 +1020,7 @@ fn sched_load_through_one_base_hoisted_above_store_through_another() {
             bundles.insert(sj, vec![op]);
             (sj, 0)
         });
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1057,7 +1045,6 @@ fn sched_load_hoisted_above_a_store_whose_edge_is_implied() {
     let ast = two_stores_then_load();
     let module = epic_ir::lower::lower(&ast).expect("program lowers");
     let g = module.layout().expect("layout").address_of("g").expect("g");
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         let (b, j, k) = find_slot(blocks, |op| op.opcode == Opcode::Lw).expect("load");
         let (sb, sj, _) = find_slot(blocks, |op| op.opcode == Opcode::Sw).expect("first store");
@@ -1066,7 +1053,7 @@ fn sched_load_hoisted_above_a_store_whose_edge_is_implied() {
             bundles.insert(sj, vec![op]);
             (sj, 0)
         });
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1093,7 +1080,6 @@ fn sched_second_call_hoisted_above_the_first() {
     // above the ops that precede the first call. The branch-order edges
     // from those ops to the second call are implied by the chain through
     // the first call, and the kept edges must still catch it.
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         let is_call = |op: &MOp| op.opcode == Opcode::Brl;
         let b = blocks
@@ -1115,7 +1101,7 @@ fn sched_second_call_hoisted_above_the_first() {
             bundles.insert(0, vec![op]);
             (0, 0)
         });
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1153,7 +1139,7 @@ fn sched_same_bundle_raw_merge() {
                             (i, bundles[i].len() - 1)
                         });
                         let sb_slice = std::slice::from_mut(sb);
-                        rebuild(sb_slice, &mdes);
+                        rebuild(sb_slice);
                         return;
                     }
                 }
@@ -1172,12 +1158,11 @@ fn sched_same_bundle_raw_merge() {
 #[test]
 fn sched_dropped_op() {
     let abi = abi();
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         let (b, j, k) = find_slot(blocks, |op| op.gpr_def() == Some(abi.ret))
             .expect("op defining the return register");
         blocks[b].bundles[j].remove(k);
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1189,7 +1174,6 @@ fn sched_dropped_op() {
 
 #[test]
 fn sched_duplicated_op() {
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Re-execute the frame allocation one bundle later: the stack
         // pointer drops twice, so the link save lands at the wrong
@@ -1204,7 +1188,7 @@ fn sched_duplicated_op() {
             .expect("self-referencing op")
             .clone();
         blocks[b].bundles.insert(j + 1, vec![op]);
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1216,7 +1200,6 @@ fn sched_duplicated_op() {
 
 #[test]
 fn sched_op_moved_across_blocks() {
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         // The branch's compare drifts into the next block: the branch
         // reads a predicate nothing wrote.
@@ -1224,7 +1207,7 @@ fn sched_op_moved_across_blocks() {
             .expect("compare feeding the branch");
         let op = blocks[b].bundles[j].remove(k);
         blocks[b + 1].bundles.insert(0, vec![op]);
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",
@@ -1255,7 +1238,7 @@ fn sched_overfilled_bundle() {
         }
         assert!(sb.bundles[0].len() > width, "bundle not overfilled");
         let sb_slice = std::slice::from_mut(sb);
-        rebuild(sb_slice, &mdes);
+        rebuild(sb_slice);
     };
     let m = Mutation {
         function: "main",
@@ -1444,7 +1427,6 @@ fn superblock_side_entry_into_trace_interior() {
 
 #[test]
 fn superblock_speculated_load_left_faulting() {
-    let mdes = MachineDescription::new(&Config::default());
     let mutate = move |blocks: &mut [ScheduledBlock]| {
         // Undo the dismissible rewrite everywhere: each load hoisted
         // across a side exit traps again on the speculated path.
@@ -1460,7 +1442,7 @@ fn superblock_speculated_load_left_faulting() {
             }
         }
         assert!(flipped > 0, "no dismissible load in the schedule");
-        rebuild(blocks, &mdes);
+        rebuild(blocks);
     };
     let m = Mutation {
         function: "main",

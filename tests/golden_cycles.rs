@@ -14,13 +14,14 @@
 //! and commit the updated `tests/golden/cycles.txt` alongside the
 //! change that caused it.
 //!
-//! `EPIC_ENGINE=reference|threaded` selects the simulation engine the
-//! corpus is measured on (default threaded: `Simulator::run`). The
-//! golden file is engine-independent — both engines are bit-identical
-//! by contract — so the same committed corpus serves both.
+//! Each grid point is compiled once, on the trained profile every
+//! driver ships, and run on both engines: the reference engine and
+//! `Simulator::run`. Both runs must pass the workload's golden memory
+//! check and report equal `SimStats`, so the one corpus line a point
+//! writes pins both engines.
 
 use epic_core::config::Config;
-use epic_core::experiments::run_epic_workload_with_engine;
+use epic_core::experiments::{prepare_epic_workload, verify_workload_memory};
 use epic_core::sim::{Engine, SimStats};
 use epic_core::workloads::{self, Scale};
 use std::fmt::Write as _;
@@ -53,17 +54,7 @@ fn stats_line(workload: &str, alus: usize, width: usize, s: &SimStats) -> String
     )
 }
 
-/// The engine under test (`EPIC_ENGINE`, default threaded).
-fn engine_under_test() -> Engine {
-    match std::env::var("EPIC_ENGINE") {
-        Ok(name) => name
-            .parse()
-            .unwrap_or_else(|e: String| panic!("EPIC_ENGINE: {e}")),
-        Err(_) => Engine::default(),
-    }
-}
-
-fn corpus(engine: Engine) -> String {
+fn corpus() -> String {
     let mut out = String::from(
         "# Golden SimStats corpus (Test scale). Regenerate with\n\
          # EPIC_BLESS=1 cargo test --test golden_cycles\n\
@@ -78,17 +69,21 @@ fn corpus(engine: Engine) -> String {
                     .issue_width(width)
                     .build()
                     .expect("valid grid configuration");
-                let run =
-                    run_epic_workload_with_engine(&workload, &config, engine).unwrap_or_else(|e| {
-                        panic!(
-                            "{} at {alus} ALU / {width}-wide on {engine} failed: {e}",
-                            workload.name
-                        )
-                    });
+                let point = format!("{} at {alus} ALU / {width}-wide", workload.name);
+                let (toolchain, prepared) = prepare_epic_workload(&workload, &config)
+                    .unwrap_or_else(|e| panic!("{point}: {e}"));
+                let [reference, threaded] = Engine::all().map(|engine| {
+                    let outcome = (toolchain.run_prepared(&prepared, engine))
+                        .unwrap_or_else(|e| panic!("{point} on {engine}: {e}"));
+                    verify_workload_memory(&workload, outcome.memory.bytes())
+                        .unwrap_or_else(|e| panic!("{point} on {engine}: {e}"));
+                    outcome.stats
+                });
+                assert_eq!(reference, threaded, "{point}: the engines' SimStats differ");
                 let _ = writeln!(
                     out,
                     "{}",
-                    stats_line(&workload.name, alus, width, run.stats())
+                    stats_line(&workload.name, alus, width, &threaded)
                 );
             }
         }
@@ -99,8 +94,7 @@ fn corpus(engine: Engine) -> String {
 #[test]
 fn cycle_corpus_matches_golden_file() {
     let path = golden_path();
-    let engine = engine_under_test();
-    let current = corpus(engine);
+    let current = corpus();
     if std::env::var_os("EPIC_BLESS").is_some() {
         std::fs::write(&path, &current).expect("write golden corpus");
         eprintln!(
@@ -131,7 +125,7 @@ fn cycle_corpus_matches_golden_file() {
         let _ = writeln!(diff, "line count changed: golden {w}, current {g}");
     }
     panic!(
-        "cycle corpus ({engine} engine) drifted from {}:\n{diff}\
+        "cycle corpus drifted from {}:\n{diff}\
          If this timing change is intentional, regenerate with \
          `EPIC_BLESS=1 cargo test --test golden_cycles` and commit the diff.",
         golden_path().display()

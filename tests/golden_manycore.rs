@@ -3,8 +3,8 @@
 //! `tests/golden/manycore.txt` baseline.
 //!
 //! This extends the single-core corpus (`golden_cycles.rs`) to the
-//! array: a change anywhere in the stack — compiler, scheduler, either
-//! simulator engine, the NoC timing model or the lockstep exchange
+//! array: a change anywhere in the stack — compiler, scheduler, the
+//! cores' simulator, the NoC timing model or the lockstep exchange
 //! order — that moves one lockstep cycle, one per-core stat or one
 //! link transfer fails with a field-level diff. Regenerate with
 //!
@@ -12,17 +12,14 @@
 //! EPIC_BLESS=1 cargo test --test golden_manycore
 //! ```
 //!
-//! `EPIC_ENGINE=reference|threaded` selects the core engine (default
-//! threaded: `Simulator`, stepped per cycle); the file is
-//! engine-independent because the engines are bit-identical by
-//! contract, so the same corpus serves both.
+//! `tests/manycore_lockstep.rs` runs reference cores on the same 2×2
+//! binaries and configuration and holds the array to them.
 //!
 //! [`SimStats`]: epic_core::sim::SimStats
 
 use epic_core::array::MeshSpec;
 use epic_core::config::Config;
 use epic_core::experiments::run_mesh_workload;
-use epic_core::sim::Engine;
 use epic_core::workloads::{mesh, Scale};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -31,17 +28,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manycore.txt")
 }
 
-/// The engine under test (`EPIC_ENGINE`, default threaded).
-fn engine_under_test() -> Engine {
-    match std::env::var("EPIC_ENGINE") {
-        Ok(name) => name
-            .parse()
-            .unwrap_or_else(|e: String| panic!("EPIC_ENGINE: {e}")),
-        Err(_) => Engine::default(),
-    }
-}
-
-fn corpus(engine: Engine) -> String {
+fn corpus() -> String {
     let mut out = String::from(
         "# Golden many-core corpus (Test scale, 2x2 mesh). Regenerate with\n\
          # EPIC_BLESS=1 cargo test --test golden_manycore\n\
@@ -49,9 +36,8 @@ fn corpus(engine: Engine) -> String {
     );
     let config = Config::builder().num_alus(2).build().expect("valid config");
     for workload in mesh::all(Scale::Test) {
-        let spec = MeshSpec::new(2, 2).with_engine(engine);
-        let run = run_mesh_workload(&workload, &config, &spec)
-            .unwrap_or_else(|e| panic!("{} on a 2x2 {engine} mesh failed: {e}", workload.name));
+        let run = run_mesh_workload(&workload, &config, &MeshSpec::new(2, 2))
+            .unwrap_or_else(|e| panic!("{} on a 2x2 mesh failed: {e}", workload.name));
         let outcome = &run.outcome;
         let per_core = outcome
             .per_core
@@ -80,8 +66,7 @@ fn corpus(engine: Engine) -> String {
 #[test]
 fn manycore_corpus_matches_golden_file() {
     let path = golden_path();
-    let engine = engine_under_test();
-    let current = corpus(engine);
+    let current = corpus();
     if std::env::var_os("EPIC_BLESS").is_some() {
         std::fs::write(&path, &current).expect("write golden corpus");
         eprintln!(
@@ -111,7 +96,7 @@ fn manycore_corpus_matches_golden_file() {
         let _ = writeln!(diff, "line count changed: golden {w}, current {g}");
     }
     panic!(
-        "many-core corpus ({engine} engine) drifted from {}:\n{diff}\
+        "many-core corpus drifted from {}:\n{diff}\
          If this timing change is intentional, regenerate with \
          `EPIC_BLESS=1 cargo test --test golden_manycore` and commit the diff.",
         golden_path().display()

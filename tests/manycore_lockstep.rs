@@ -1,21 +1,23 @@
-//! An independent oracle for the array's event loop: the lockstep
-//! schedule itself, driven cycle by cycle in this file, must end in
-//! exactly the state `ArraySimulator::run` reaches on threaded cores.
+//! The array's oracle: the lockstep schedule itself, driven cycle by
+//! cycle in this file, must end in exactly the state
+//! `ArraySimulator::run` reaches.
 //!
 //! The drive steps a `ReferenceSimulator` per core on every global
 //! cycle, then runs the mesh exchange on every global cycle: ejection
 //! into free RX mailboxes, link advancement and injection from
 //! committed TX mailboxes, over `Noc::{eject, advance, try_inject}` and
 //! the mailbox protocol of `epic_array::mailbox`. It shares no code with
-//! the event loop, so it also checks what `tests/manycore_engines.rs`
-//! cannot, now that reference cores go through the same loop: the
+//! the event loop, so it checks both halves of it: the production
+//! `Simulator` cores running ahead on their threaded loops, and the
 //! cycles on which cores run ahead and the exchange sleeps.
 //!
 //! The runs must agree on the lockstep cycle count, every core's
 //! `SimStats`, every register, every core's memory digest and the
 //! `NocStats`, for the three mesh programs on 2×2 and 4×4 meshes, with
 //! the default NoC and with one-slot, 3-cycle links that keep the links
-//! full.
+//! full. The event loop's cores must have run translated streams, and
+//! on a Test-scale 4×4 mesh with the default NoC they may issue only so
+//! many times one cycle at a time, outside a stream.
 
 use epic_core::array::{mailbox, MeshSpec, Noc, NocConfig, NocStats};
 use epic_core::config::Config;
@@ -149,12 +151,27 @@ fn lockstep(mesh: &PreparedMesh, config: &Config, spec: &MeshSpec) -> Observatio
     }
 }
 
-/// `ArraySimulator::run` on threaded cores, the default engine.
-fn event_loop(mesh: &PreparedMesh, config: &Config, spec: &MeshSpec) -> Observation {
+/// `ArraySimulator::run`, whose cores must have run ahead on translated
+/// streams. Also returns the issue attempts the cores made one cycle at
+/// a time, outside a stream, summed over the cores.
+fn event_loop(
+    name: &str,
+    mesh: &PreparedMesh,
+    config: &Config,
+    spec: &MeshSpec,
+) -> (Observation, u64) {
     let mut array = instantiate_mesh(mesh, config, spec).expect("array builds");
     let outcome = array.run().expect("array runs");
     let cores = (0..spec.cores()).map(|idx| array.core(idx));
-    Observation {
+    let fast_blocks: u64 = cores.clone().map(|c| c.fast_block_execs()).sum();
+    assert!(
+        fast_blocks > 0,
+        "{name} on {}x{}: the cores never ran ahead",
+        spec.width,
+        spec.height
+    );
+    let per_cycle_issues = cores.clone().map(|c| c.per_cycle_issues()).sum();
+    let observation = Observation {
         cycles: outcome.cycles,
         registers: cores
             .clone()
@@ -169,8 +186,15 @@ fn event_loop(mesh: &PreparedMesh, config: &Config, spec: &MeshSpec) -> Observat
         memory_digests: cores.map(|c| digest(c.memory().bytes())).collect(),
         per_core: outcome.per_core,
         noc: outcome.noc,
-    }
+    };
+    (observation, per_cycle_issues)
 }
+
+/// The most issue attempts the cores of each Test-scale 4x4 mesh program
+/// may make one cycle at a time, outside a stream, summed over the cores,
+/// with the default NoC: the measured count plus 25%, rounded up
+/// (mesh_dct 1,933; mesh_aesctr 61).
+const PER_CYCLE_ISSUE_BUDGET_4X4: [(&str, u64); 2] = [("mesh_dct", 2_417), ("mesh_aesctr", 77)];
 
 /// Runs every mesh program at `scale` both ways on each `width`×`height`
 /// mesh, with the default NoC and with one-slot, 3-cycle links.
@@ -187,7 +211,7 @@ fn event_loop_matches_lockstep(scale: Scale, meshes: &[(usize, usize)]) {
             for noc in [NocConfig::default(), full_links] {
                 let spec = MeshSpec::new(width, height).with_noc(noc);
                 let want = lockstep(&prepared, &config, &spec);
-                let got = event_loop(&prepared, &config, &spec);
+                let (got, per_cycle_issues) = event_loop(&workload.name, &prepared, &config, &spec);
                 assert!(
                     want == got,
                     "{} on {width}x{height} with {noc:?}: the event loop left the lockstep \
@@ -198,6 +222,18 @@ fn event_loop_matches_lockstep(scale: Scale, meshes: &[(usize, usize)]) {
                     got.cycles,
                     got.noc
                 );
+                let budgeted = scale == Scale::Test
+                    && (width, height) == (4, 4)
+                    && noc == NocConfig::default();
+                let budget = (PER_CYCLE_ISSUE_BUDGET_4X4.iter()).find(|(n, _)| *n == workload.name);
+                if let (true, Some(&(_, budget))) = (budgeted, budget) {
+                    assert!(
+                        per_cycle_issues <= budget,
+                        "{} on 4x4: {per_cycle_issues} issue attempts ran outside a stream, \
+                         more than {budget}",
+                        workload.name
+                    );
+                }
             }
         }
     }
